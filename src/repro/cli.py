@@ -115,16 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
             "footer (implies observability on)"
         ),
     )
-    p.add_argument(
-        "--protocol",
-        choices=["scalar", "batch", "auto"],
-        default="scalar",
-        help=(
-            "scheduler dispatch protocol: per-event handler calls "
-            "('scalar', the historical path) or vectorized same-instant "
-            "group decisions ('batch'/'auto'); results are bit-identical"
-        ),
-    )
 
     p = sub.add_parser("sweep", help="ablation sweeps")
     p.add_argument(
@@ -274,16 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="sample per-event dispatch latency into the trace's metrics footer",
-    )
-    p.add_argument(
-        "--protocol",
-        choices=["scalar", "batch", "auto"],
-        default="scalar",
-        help=(
-            "scheduler dispatch protocol: per-event handler calls "
-            "('scalar') or vectorized same-instant group decisions "
-            "('batch'/'auto'); results are bit-identical"
-        ),
     )
 
     p = sub.add_parser(
@@ -512,7 +492,6 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
         lam=args.lam,
         seed=args.seed,
         expected_jobs=args.jobs,
-        protocol=args.protocol,
     )
     octx = None
     if args.trace or args.profile:
@@ -769,13 +748,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro import obs
 
         with obs.session(profile=args.profile) as octx:
-            result = simulate(
-                jobs, capacity, scheduler, validate=True, protocol=args.protocol
-            )
+            result = simulate(jobs, capacity, scheduler, validate=True)
     else:
-        result = simulate(
-            jobs, capacity, scheduler, validate=True, protocol=args.protocol
-        )
+        result = simulate(jobs, capacity, scheduler, validate=True)
     print(
         f"{scheduler.name}: value {result.value:g} of {result.generated_value:g} "
         f"({100 * result.normalized_value:.1f}%), "

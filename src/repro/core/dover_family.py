@@ -46,12 +46,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.errors import EstimateError, SchedulingError
-from repro.sim.batchproto import BatchDecisions, BatchScheduler, BatchView
+from repro.sim.batchproto import BatchScheduler, BatchView
 from repro.sim.job import Job
 from repro.sim.queues import EdfEntry, JobQueue, edf_key, latest_deadline_key
 from repro.sim.scheduler import Scheduler
@@ -128,9 +126,6 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         self._beta = float(beta)
         self._rate_cfg = rate_estimate
         self._supplement_enabled = bool(supplement)
-        #: per-group ``jid -> (claxity, tc)`` cache during a batched
-        #: release fold (``None`` outside :meth:`on_releases`)
-        self._group_cache: Optional[Dict[int, Tuple[float, float]]] = None
 
     @property
     def batch_obs_exact(self) -> bool:
@@ -202,20 +197,10 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
     def _claxity(self, job: Job) -> float:
         """Laxity under the configured rate estimate (Definition 5 when the
         estimate is ``c̲``)."""
-        cache = self._group_cache
-        if cache is not None:
-            hit = cache.get(job.jid)
-            if hit is not None:
-                return hit[0]
         return self.ctx.claxity(job, self._rate)
 
     def _tc(self, job: Job) -> float:
         """Estimated remaining processing time ``t_c(T, est)``."""
-        cache = self._group_cache
-        if cache is not None:
-            hit = cache.get(job.jid)
-            if hit is not None:
-                return hit[1]
         return self.ctx.conservative_remaining_time(job, self._rate)
 
     def _is_supplement(self, job: Job) -> bool:
@@ -331,43 +316,6 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         cur, payload = self._on_release_from(self.ctx.current_job(), job)
         self._emit_decision(payload)
         return cur
-
-    #: Minimum release-group width before the vectorized laxity screen
-    #: engages.  Below this the per-element cache handoff costs more than
-    #: the scalar expressions it replaces (measured: the screen only
-    #: approaches break-even around 10^2-wide groups), so narrow groups
-    #: fold with direct computation — bit-identical either way.
-    _SCREEN_MIN_GROUP = 64
-
-    def on_releases(self, view: BatchView) -> BatchDecisions:
-        if len(view) >= self._SCREEN_MIN_GROUP and self._rate_cfg != "sensed":
-            # Batched laxity screening: one vectorized pass computes every
-            # newcomer's conservative laxity and processing-time estimate
-            # (bit-identical to the scalar expressions — the table method
-            # mirrors their operation order), then the fold reads the
-            # cache instead of re-deriving per event.  Sensed mode skips
-            # the cache: its rate changes between fold steps.
-            rows = np.asarray(view.rows, dtype=np.intp)
-            rate = self._rate
-            n = len(view.rows)
-            rem_col = view.table.remaining
-            # Group-sized gather: materializing the full remaining column
-            # per group would cost O(instance) — fromiter stays O(group).
-            rem = np.fromiter(
-                (rem_col[r] for r in view.rows), dtype=np.float64, count=n
-            )
-            # Same element-wise expression order as ctx.claxity /
-            # conservative_remaining_time — bit-identical per element.
-            lax = view.table.deadline[rows] - view.time - rem / rate
-            tc = rem / rate
-            self._group_cache = {
-                job.jid: (float(lax[i]), float(tc[i]))
-                for i, job in enumerate(view.jobs)
-            }
-        try:
-            return super().on_releases(view)
-        finally:
-            self._group_cache = None
 
     # ------------------------------------------------------------------
     # Handler C: job completion or failure (of the running job)

@@ -41,11 +41,6 @@ class Figure1Config:
     high: float = 35.0
     expected_jobs: float = 2000.0
     seed: int = 1106
-    #: Scheduler dispatch protocol (``"scalar"`` / ``"batch"`` / ``"auto"``,
-    #: see :mod:`repro.sim.batchproto`).  Results are bit-identical under
-    #: every choice; the batch path trades per-event handler calls for
-    #: vectorized group decisions.
-    protocol: str = "scalar"
 
     @property
     def horizon(self) -> float:
@@ -130,15 +125,8 @@ def run_figure1(config: Figure1Config | None = None) -> Figure1Result:
             mean_sojourn=config.horizon / 4.0,
             rng=np.random.default_rng(cap_seed),
         )
-        vd = simulate(
-            jobs, capacity, VDoverScheduler(k=config.k), protocol=config.protocol
-        )
-        dv = simulate(
-            jobs,
-            capacity,
-            DoverScheduler(k=config.k, c_hat=c_hat),
-            protocol=config.protocol,
-        )
+        vd = simulate(jobs, capacity, VDoverScheduler(k=config.k))
+        dv = simulate(jobs, capacity, DoverScheduler(k=config.k, c_hat=c_hat))
         out.panels.append(
             Figure1Panel(
                 c_hat=c_hat,

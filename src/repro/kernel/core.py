@@ -31,20 +31,29 @@ event seeding, the wind-down failure sweep, laxity recomputation — are
 vectorized over the columns; :class:`Job` objects remain thin views that
 flow through scheduler handlers and event payloads unchanged.
 
-The run loop dispatches in *same-timestamp batches*: when several events
-share one instant, the inner loop drains them without re-entering the
-outer bookkeeping (monotonicity check, horizon check, ``now`` update) —
-popping one event at a time and re-peeking, because a dispatch may push a
-new event at the *same* instant with *higher* kind priority (e.g. a
+One run loop (:meth:`SchedulingKernel._run`) serves closed-horizon runs
+and the incremental service drive alike; the journal, watchdog, snapshot
+cadence, crash plans and observability are ``is not None`` hooks in it.
+It dispatches in *same-timestamp batches*: when several events share one
+instant, the inner loop drains them without re-entering the outer
+bookkeeping (monotonicity check, horizon check, ``now`` update) — popping
+one event at a time and re-peeking, because a dispatch may push a new
+event at the *same* instant with *higher* kind priority (e.g. a
 COMPLETION predicted at exactly ``t``), which must precede the remaining
-batch.  Each event still takes its own scheduler decision, preserving the
-paper's per-interrupt semantics bit-for-bit.
+batch.
+
+A same-instant group of releases (or of deadlines of waiting jobs) is
+several of the paper's interrupts at one ``t``.  When the scheduler can
+decide such a group in one call (:mod:`repro.sim.batchproto`) and the
+kernel can show the result is bit-identical to handling the interrupts
+one at a time, the loop gathers the group and hands it over whole; every
+other event takes its own scheduler decision.
 
 Provably-dead events (stale version token, or a job event whose job is
-already terminal) are filtered *before* journaling, identically in every
-loop variant — ~20–35 % of pops on the Figure-1 workloads are such
-no-ops.  The filter depends only on deterministic run state, so journals
-written before a crash replay exactly after restore.
+already terminal) are filtered *before* journaling — ~20–35 % of pops on
+the Figure-1 workloads are such no-ops.  The filter depends only on
+deterministic run state, so journals written before a crash replay
+exactly after restore.
 
 Determinism contract: for a fixed instance and scheduler the run is
 bit-for-bit reproducible — ties break by insertion sequence, nothing
@@ -147,13 +156,8 @@ class SchedulingKernel:
         snapshot_every: int | None = None,
         event_queue: str = "auto",
         single: bool = False,
-        protocol: str = "scalar",
     ) -> None:
         validate_jobs(jobs)
-        if protocol not in ("scalar", "batch", "auto"):
-            raise SimulationError(
-                f'protocol must be "scalar", "batch" or "auto", got {protocol!r}'
-            )
         if not capacities:
             raise SimulationError("at least one processor required")
         self._jobs = list(jobs)
@@ -242,20 +246,12 @@ class SchedulingKernel:
         self._last_snapshot: Optional[EngineSnapshot] = None
         self._started = False
         self._ended = False
-        # Batch decision protocol (repro.sim.batchproto).  "scalar" keeps
-        # the historical per-event loops byte-untouched; "batch"/"auto"
-        # switch to _run_batch when the scheduler implements plan() —
-        # per-event dispatch otherwise, so the knob is always safe.
-        self._protocol = protocol
-        self._use_batch = protocol != "scalar" and bool(
-            getattr(scheduler, "batch_capable", False)
-        )
         # One-way latch: set when a segment close leaves a READY job with
-        # (near-)zero remaining work.  Starting such a job mid-batch would
-        # predict a COMPLETION at the *current* instant, which the scalar
-        # loop would dispatch before the rest of the batch — so once the
+        # (near-)zero remaining work.  Starting such a job mid-group would
+        # predict a COMPLETION at the *current* instant, which per-event
+        # dispatch would handle before the rest of the group — so once the
         # latch trips, the kernel stops gathering groups and dispatches
-        # per-event (bit-identical, just without the batch win).
+        # per-event (bit-identical, just without the group win).
         self._batch_unsafe = False
         # Observability: capture the active context once.  When disabled
         # (the default) this is None and every emission site in the hot
@@ -381,7 +377,7 @@ class SchedulingKernel:
         :meth:`_dispatch`, evaluated *before* journaling.
 
         Must stay in lockstep with the dispatch handlers and must be
-        applied identically in every loop variant: skipped events are
+        applied to every pop, gathered or not: skipped events are
         never journaled and never counted, so a journal written with the
         watchdog/observability on replays bit-identically with them off —
         and a pre-crash journal replays bit-identically after restore
@@ -832,11 +828,7 @@ class SchedulingKernel:
             self._watchdog.start(self.owner)
         self._started = True
         if self._snapshot_every is not None:
-            self._last_snapshot = self.snapshot()
-            if self._journal is not None:
-                # Snapshot boundary: everything the snapshot supersedes is
-                # on disk before the snapshot becomes the recovery anchor.
-                self._journal.flush()
+            self._checkpoint()
 
     def _maybe_crash_at_event(self) -> None:
         """Fire any event-indexed crash plan scheduled for the *next*
@@ -913,105 +905,52 @@ class SchedulingKernel:
         their release time dispatches, so the ``(kind, seq)`` order at
         that instant matches the closed-horizon replay.  ``now`` is left
         at the last dispatched event (never advanced to ``until``), again
-        matching replay semantics.  Always runs the *full* loop variant —
-        the service path carries a journal and snapshots.  No-op once the
-        kernel has ended."""
-        if not self._started:
-            self._bootstrap()
-        if self._ended:
-            return
-        if self._use_batch:
-            self._run_batch(until=float(until))
-        else:
-            self._run_full(until=float(until))
-
-    def run_loop(self) -> None:
-        """Execute (or, after :meth:`restore`, resume) to the horizon and
-        wind down.  The façade builds the result object afterwards.
-
-        Two loop bodies share the dispatch semantics: the *fast* variant
-        runs when no journal, watchdog, snapshot cadence, crash plan or
-        observability session is attached (the Monte-Carlo/benchmark hot
-        path) and carries zero per-event bookkeeping branches; the *full*
-        variant handles all of those.  Both filter provably-dead events
-        through :meth:`_event_is_noop` before counting/journaling and
-        drain same-timestamp batches through an inner loop, so their
-        dispatch sequences — and therefore journals, traces and results —
-        are bit-identical."""
+        matching replay semantics.  No-op once the kernel has ended."""
         if not self._started:
             self._bootstrap()
         if not self._ended:
-            uninstrumented = (
-                self._journal is None
-                and self._watchdog is None
-                and self._snapshot_every is None
-                and not self._event_crashes
-                and self._obs is None
-            )
-            if self._use_batch:
-                # Like the scalar loops, the batch protocol has a lean
-                # twin for the uninstrumented hot path and a full variant
-                # carrying journal/watchdog/snapshot/obs bookkeeping.
-                if uninstrumented:
-                    self._run_batch_fast()
-                else:
-                    self._run_batch()
-            elif uninstrumented:
-                self._run_fast()
-            else:
-                self._run_full()
+            self._run(float(until))
+
+    def run_loop(self) -> None:
+        """Execute (or, after :meth:`restore`, resume) to the horizon and
+        wind down.  The façade builds the result object afterwards."""
+        if not self._started:
+            self._bootstrap()
+        if not self._ended:
+            self._run(None)
         self._wind_down()
 
-    def _run_fast(self) -> None:
+    def _run(self, until: float | None) -> None:
+        """The event loop, shared by :meth:`run_loop` and
+        :meth:`run_until` (which stops before the first event at or past
+        ``until``).
+
+        Journal, watchdog, snapshot cadence, event-indexed crash plans and
+        observability are ``is not None`` hooks, all loop-invariant: faults
+        are armed in _bootstrap/restore (both before this point), and the
+        wiring never changes mid-run.  Provably-dead events are filtered
+        through :meth:`_event_is_noop` before they are counted or
+        journaled.
+
+        A same-timestamp batch drains through the inner loop without
+        re-entering the outer bookkeeping (monotonicity check, horizon
+        check, ``now`` update), popping one event at a time and
+        re-peeking: a dispatch may push a *same-instant* event of higher
+        kind priority (a COMPLETION predicted at exactly ``t``), which
+        must come out before the rest of the batch.
+
+        When a RELEASE (or, for ``batch_pure_completions`` schedulers, a
+        DEADLINE) has more events of its ``(time, kind)`` behind it, the
+        whole group goes to the scheduler in one call
+        (:meth:`_dispatch_gathered`).  The kernel gathers only when the
+        result is bit-identical to dispatching the group event by event:
+        the scheduler is ``batch_capable``; tracing is off, or on with
+        ``batch_obs_exact`` and without profiling (which samples
+        per-event latencies); and the ``_batch_unsafe`` latch is clear."""
         events = self._events
         pop = events.pop
         peek = events.peek_time
-        dispatch = self._dispatch
-        noop = self._event_is_noop
-        horizon = self._horizon
-        end_kind = EventKind.END
-
-        while len(events):
-            event = pop()
-            t = event.time
-            if t < self._now - _EPS:
-                raise SimulationError(
-                    f"time went backwards: {t} < {self._now}"
-                )
-            if event.kind is end_kind:
-                self._now = t
-                self._ended = True
-                return
-            if t > horizon:
-                self._now = horizon
-                self._ended = True
-                return
-            self._now = t
-            # Same-timestamp batch: drain every event at exactly t without
-            # re-entering the outer bookkeeping.  Pop-then-re-peek, one at
-            # a time: a dispatch may push a *same-instant* event of higher
-            # kind priority (e.g. a COMPLETION predicted at exactly t),
-            # which must come out before the rest of the batch.
-            while True:
-                if not noop(event):
-                    self._dispatch_count += 1
-                    dispatch(event)
-                if peek() != t:
-                    break
-                event = pop()
-                if event.kind is end_kind:
-                    self._now = t
-                    self._ended = True
-                    return
-
-    def _run_full(self, until: float | None = None) -> None:
-        # Loop-invariant lookups hoisted out of the per-event path.  All of
-        # these are fixed for the lifetime of one run_loop call: faults are
-        # armed in _bootstrap/restore (both before this point), and the
-        # journal/watchdog/snapshot wiring never changes mid-run.
-        events = self._events
-        pop = events.pop
-        peek = events.peek_time
+        peek_key = events.peek_key
         dispatch = self._dispatch
         noop = self._event_is_noop
         journal = self._journal
@@ -1020,18 +959,42 @@ class SchedulingKernel:
         has_event_crashes = bool(self._event_crashes)
         horizon = self._horizon
         end_kind = EventKind.END
+        release_kind = EventKind.RELEASE
+        deadline_kind = EventKind.DEADLINE
+        release_int = int(release_kind)
+        deadline_int = int(deadline_kind)
         owner = self.owner
         octx = self._obs
+        scheduler = self._scheduler
+        gather = bool(getattr(scheduler, "batch_capable", False)) and (
+            octx is None
+            or (
+                bool(getattr(scheduler, "batch_obs_exact", False))
+                and not octx.profile
+            )
+        )
+        gather_deadlines = gather and bool(
+            getattr(scheduler, "batch_pure_completions", False)
+        )
+        # With nothing attached, a gathered release group applies only its
+        # net decision (see _dispatch_release_group).
+        net = (
+            journal is None
+            and watchdog is None
+            and snapshot_every is None
+            and not has_event_crashes
+            and octx is None
+        )
 
-        while len(events) and not self._ended:
+        while len(events):
             if until is not None:
-                # Exclusive incremental bound (run_until): stop *before*
-                # popping the first event at or past `until`.  Checked
-                # ahead of the event-indexed crash hook so a crash armed
-                # for the next dispatch doesn't fire for an event this
-                # call will never dispatch.  A stale head at or past the
-                # bound also stops the loop — every live event behind it
-                # is at or past the bound too.
+                # Exclusive incremental bound: stop *before* popping the
+                # first event at or past `until`.  Checked ahead of the
+                # event-indexed crash hook so a crash armed for the next
+                # dispatch doesn't fire for an event this call will never
+                # dispatch.  A stale head at or past the bound also stops
+                # the loop — every live event behind it is at or past the
+                # bound too.
                 next_time = peek()
                 if next_time is None or next_time >= until:
                     return
@@ -1046,40 +1009,41 @@ class SchedulingKernel:
             if event.kind is end_kind:
                 self._now = t
                 self._ended = True
-                break
+                return
             if t > horizon:
                 self._now = horizon
                 self._ended = True
-                break
+                return
             self._now = t
 
-            # Same-timestamp batch (see _run_fast for the pop/re-peek
-            # rationale); identical filter and dispatch order.
             while True:
                 if noop(event):
                     if octx is not None:
                         octx.metrics.counter(
                             "kernel.events.skipped_stale"
                         ).inc()
+                # Gather check, cheapest test first: only when another
+                # event sits at exactly t can a group exist at all.
+                elif (
+                    gather
+                    and peek() == t
+                    and not self._batch_unsafe
+                    and (
+                        (
+                            event.kind is release_kind
+                            and peek_key() == (t, release_int)
+                        )
+                        or (
+                            event.kind is deadline_kind
+                            and gather_deadlines
+                            and peek_key() == (t, deadline_int)
+                        )
+                    )
+                ):
+                    self._dispatch_gathered(event, t, net)
                 else:
                     if journal is not None:
-                        record = JournalRecord(
-                            index=self._dispatch_count,
-                            time=event.time,
-                            kind=int(event.kind),
-                            key=describe_payload(int(event.kind), event.payload),
-                            version=event.version,
-                        )
-                        if self._dispatch_count < self._verify_until:
-                            expected = journal.get(self._dispatch_count)
-                            if record != expected:
-                                raise RecoveryError(
-                                    f"journal replay diverged at dispatch "
-                                    f"#{self._dispatch_count}: live {record} != "
-                                    f"journaled {expected}"
-                                )
-                        else:
-                            journal.append(record)
+                        self._journal_event(event)
                     self._dispatch_count += 1
                     if octx is None:
                         dispatch(event)
@@ -1091,9 +1055,7 @@ class SchedulingKernel:
                         snapshot_every is not None
                         and self._dispatch_count % snapshot_every == 0
                     ):
-                        self._last_snapshot = self.snapshot()
-                        if journal is not None:
-                            journal.flush()
+                        self._checkpoint()
                 if peek() != t:
                     break
                 if has_event_crashes:
@@ -1102,19 +1064,22 @@ class SchedulingKernel:
                 if event.kind is end_kind:
                     self._now = t
                     self._ended = True
-                    break
+                    return
 
-    # ------------------------------------------------------------------
-    # Batch decision protocol (repro.sim.batchproto)
-    # ------------------------------------------------------------------
+    def _checkpoint(self) -> None:
+        """Take the periodic snapshot.  Snapshot boundary: everything the
+        snapshot supersedes is on disk before it becomes the recovery
+        anchor."""
+        self._last_snapshot = self.snapshot()
+        if self._journal is not None:
+            self._journal.flush()
+
     def _journal_event(self, event: Event) -> None:
-        """Journal (or replay-verify) one live event at the current
-        dispatch index — the batch loop's copy of the inline block in
-        :meth:`_run_full`.  Record content is fully determined before the
-        event dispatches, so gathered groups journal at pop time."""
+        """Journal (or, during post-restore replay, verify) one live event
+        at the current dispatch index.  Record content is fully determined
+        before the event dispatches, so gathered groups journal at pop
+        time."""
         journal = self._journal
-        if journal is None:
-            return
         record = JournalRecord(
             index=self._dispatch_count,
             time=event.time,
@@ -1133,285 +1098,79 @@ class SchedulingKernel:
         else:
             journal.append(record)
 
-    def _run_batch_fast(self) -> None:
-        """The batch-protocol twin of :meth:`_run_fast`: zero per-event
-        bookkeeping branches (no journal, watchdog, snapshot cadence,
-        crash plans or observability — guaranteed by the ``run_loop``
-        routing), plus group gathering.  The dispatch sequence — pops,
-        no-op filtering, dispatch count — is identical to
-        :meth:`_run_fast`; gathered groups go through the same
-        ``_dispatch_release_group`` / ``_dispatch_deadline_group``
-        appliers as the full batch loop."""
-        events = self._events
-        pop = events.pop
-        peek = events.peek_time
-        peek_key = events.peek_key
-        dispatch = self._dispatch
-        noop = self._event_is_noop
-        horizon = self._horizon
-        end_kind = EventKind.END
-        release_kind = EventKind.RELEASE
-        deadline_kind = EventKind.DEADLINE
-        release_int = int(release_kind)
-        deadline_int = int(deadline_kind)
-        pure_completions = bool(
-            getattr(self._scheduler, "batch_pure_completions", False)
-        )
-
-        while len(events):
-            event = pop()
-            t = event.time
-            if t < self._now - _EPS:
-                raise SimulationError(
-                    f"time went backwards: {t} < {self._now}"
-                )
-            if event.kind is end_kind:
-                self._now = t
-                self._ended = True
-                return
-            if t > horizon:
-                self._now = horizon
-                self._ended = True
-                return
-            self._now = t
-
-            while True:
-                if not noop(event):
-                    kind = event.kind
-                    # Gather check, cheapest test first: only when another
-                    # event sits at exactly t can a group exist at all.
-                    if (
-                        peek() == t
-                        and not self._batch_unsafe
-                        and (
-                            (
-                                kind is release_kind
-                                and peek_key() == (t, release_int)
-                            )
-                            or (
-                                kind is deadline_kind
-                                and pure_completions
-                                and peek_key() == (t, deadline_int)
-                            )
-                        )
-                    ):
-                        self._gather_fast(event, t, kind)
-                    else:
-                        self._dispatch_count += 1
-                        dispatch(event)
-                if peek() != t:
-                    break
-                event = pop()
-                if event.kind is end_kind:
-                    self._now = t
-                    self._ended = True
-                    return
-
-    def _gather_fast(self, first: Event, t: float, kind) -> None:
-        """Pop the rest of ``first``'s ``(time, kind)`` group (no-op
-        filtering each pop, exactly as the scalar loop would) and hand it
-        to the batch appliers — the uninstrumented twin of
-        :meth:`_dispatch_gathered`."""
-        noop = self._event_is_noop
-        group = [first]
-        append = group.append
-        for event in self._events.pop_group(t, int(kind)):
-            if not noop(event):
-                append(event)
-        self._dispatch_count += len(group)
-        if kind is EventKind.RELEASE:
-            if len(group) == 1:
-                self._dispatch(first)
-            else:
-                self._dispatch_release_group(group, t, fast=True)
-        else:
-            self._dispatch_deadline_group(group, t)
-
-    def _run_batch(self, until: float | None = None) -> None:
-        """The batch-protocol twin of :meth:`_run_full`.
-
-        Identical outer bookkeeping and per-event path; the one addition
-        is *group gathering*: when the head of a same-timestamp batch is a
-        RELEASE (or, under preconditions, a DEADLINE) and further events
-        of the same ``(time, kind)`` sit behind it, the whole group is
-        popped at once — each pop taking the crash hook, the no-op filter
-        and the journal append exactly as the scalar loop would — and
-        handed to the scheduler as **one** ``plan()`` /
-        ``on_completions()`` call.  Decisions are applied per event, so
-        segments, traces and journals stay bit-identical; the win is
-        skipping the per-event dispatch machinery and letting policies
-        fold a group in one pass.
-
-        Gathering is skipped (falling back to the per-event path, which
-        is exactly ``_run_full``'s body) when the scheduler is not batch
-        capable for the situation: tracing active without
-        ``batch_obs_exact``, profiling active (per-event latency samples),
-        or the ``_batch_unsafe`` latch tripped."""
-        events = self._events
-        pop = events.pop
-        peek = events.peek_time
-        peek_key = events.peek_key
-        dispatch = self._dispatch
-        noop = self._event_is_noop
-        journal = self._journal
-        watchdog = self._watchdog
-        snapshot_every = self._snapshot_every
-        has_event_crashes = bool(self._event_crashes)
-        horizon = self._horizon
-        end_kind = EventKind.END
-        release_kind = EventKind.RELEASE
-        deadline_kind = EventKind.DEADLINE
-        owner = self.owner
-        octx = self._obs
-        scheduler = self._scheduler
-        obs_ok = octx is None or (
-            bool(getattr(scheduler, "batch_obs_exact", False))
-            and not octx.profile
-        )
-        pure_completions = bool(
-            getattr(scheduler, "batch_pure_completions", False)
-        )
-        release_key = (0.0, int(release_kind))
-        deadline_key = (0.0, int(deadline_kind))
-
-        while len(events) and not self._ended:
-            if until is not None:
-                next_time = peek()
-                if next_time is None or next_time >= until:
-                    return
-            if has_event_crashes:
-                self._maybe_crash_at_event()
-            event = pop()
-            t = event.time
-            if t < self._now - _EPS:
-                raise SimulationError(
-                    f"time went backwards: {t} < {self._now}"
-                )
-            if event.kind is end_kind:
-                self._now = t
-                self._ended = True
-                break
-            if t > horizon:
-                self._now = horizon
-                self._ended = True
-                break
-            self._now = t
-            release_key = (t, int(release_kind))
-            deadline_key = (t, int(deadline_kind))
-
-            while True:
-                if noop(event):
-                    if octx is not None:
-                        octx.metrics.counter(
-                            "kernel.events.skipped_stale"
-                        ).inc()
-                else:
-                    kind = event.kind
-                    if (
-                        obs_ok
-                        and not self._batch_unsafe
-                        and (
-                            (
-                                kind is release_kind
-                                and peek_key() == release_key
-                            )
-                            or (
-                                kind is deadline_kind
-                                and pure_completions
-                                and peek_key() == deadline_key
-                            )
-                        )
-                    ):
-                        self._dispatch_gathered(event, t, kind)
-                    else:
-                        # Singleton (or ungatherable) event: the exact
-                        # per-event path of _run_full.
-                        if journal is not None:
-                            self._journal_event(event)
-                        self._dispatch_count += 1
-                        if octx is None:
-                            dispatch(event)
-                        else:
-                            self._dispatch_observed(octx, event)
-                        if watchdog is not None:
-                            watchdog.after_event(owner, event)
-                        if (
-                            snapshot_every is not None
-                            and self._dispatch_count % snapshot_every == 0
-                        ):
-                            self._last_snapshot = self.snapshot()
-                            if journal is not None:
-                                journal.flush()
-                if peek() != t:
-                    break
-                if has_event_crashes:
-                    self._maybe_crash_at_event()
-                event = pop()
-                if event.kind is end_kind:
-                    self._now = t
-                    self._ended = True
-                    break
-
-    def _dispatch_gathered(self, first: Event, t: float, kind) -> None:
+    # ------------------------------------------------------------------
+    # Same-instant groups (repro.sim.batchproto)
+    # ------------------------------------------------------------------
+    def _dispatch_gathered(self, first: Event, t: float, net: bool) -> None:
         """Pop the rest of ``first``'s ``(time, kind)`` group and dispatch
         it through the batch contract.
 
-        Every pop takes the event-indexed crash hook, the no-op filter
-        and the journal append/verify *at gather time* — the dispatch
-        index and record content of a live event are fully determined
-        before any of the group's decisions apply, so a crash mid-gather
-        leaves exactly the journal prefix the scalar loop would have.
-        The snapshot cadence is settled once at group end (a snapshot
-        cannot be taken mid-group: popped-but-unapplied events would be
-        lost from it)."""
-        events = self._events
+        Every pop takes the no-op filter and the journal append/verify *at
+        gather time* — the dispatch index and record content of a live
+        event are fully determined before any of the group's decisions
+        apply — and, when event-indexed crash plans are armed, the crash
+        hook, so a crash mid-gather leaves exactly the journal prefix
+        per-event dispatch would have.  The snapshot cadence is settled
+        once at group end (a snapshot cannot be taken mid-group:
+        popped-but-unapplied events would be lost from it).
+
+        Group members' no-op status cannot be changed by the dispatch of
+        earlier same-kind members (releases are never no-ops; a waiting
+        job's deadline no-op only flips on terminality, which same-instant
+        deadline handling of *other* jobs never causes), so filtering at
+        gather time matches the pop-by-pop filter exactly."""
+        kind = first.kind
+        journal = self._journal
         octx = self._obs
         noop = self._event_is_noop
-        has_event_crashes = bool(self._event_crashes)
-        key = (t, int(kind))
         base = self._dispatch_count
-        self._journal_event(first)
+        if self._event_crashes:
+            rest = self._pop_group_checked((t, int(kind)))
+        else:
+            rest = self._events.pop_group(t, int(kind))
+        if journal is not None:
+            self._journal_event(first)
         self._dispatch_count += 1
         group = [first]
-        while events.peek_key() == key:
-            if has_event_crashes:
-                self._maybe_crash_at_event()
-            event = events.pop()
+        for event in rest:
             if noop(event):
-                # Group members' no-op status cannot be changed by the
-                # dispatch of earlier same-kind members (releases are
-                # never no-ops; a waiting job's deadline no-op only flips
-                # on terminality, which same-instant deadline handling of
-                # *other* jobs never causes) — so filtering at gather
-                # time matches the scalar pop-by-pop filter exactly.
                 if octx is not None:
                     octx.metrics.counter("kernel.events.skipped_stale").inc()
                 continue
-            self._journal_event(event)
+            if journal is not None:
+                self._journal_event(event)
             self._dispatch_count += 1
             group.append(event)
         if kind is EventKind.RELEASE:
             if len(group) == 1:
                 self._dispatch_group_sequential(group)
             else:
-                self._dispatch_release_group(group, t)
+                self._dispatch_release_group(group, t, net)
         else:
             self._dispatch_deadline_group(group, t)
         snapshot_every = self._snapshot_every
         if snapshot_every is not None and (
             self._dispatch_count // snapshot_every != base // snapshot_every
         ):
-            self._last_snapshot = self.snapshot()
-            if self._journal is not None:
-                self._journal.flush()
+            self._checkpoint()
+
+    def _pop_group_checked(self, key: Tuple[float, int]):
+        """Lazily pop a ``(time, kind)`` group one event at a time, taking
+        the event-indexed crash hook before each pop (the consumer counts
+        and journals each event before asking for the next)."""
+        events = self._events
+        while events.peek_key() == key:
+            self._maybe_crash_at_event()
+            yield events.pop()
 
     def _dispatch_group_sequential(self, group: List[Event]) -> None:
         """Dispatch an already-gathered (journaled, counted) group through
         the per-event machinery — the fallback when a gathered group turns
-        out not to satisfy the batch preconditions.  Bit-identical to the
-        scalar loop: under the gather gating no same-instant event of the
-        group's (or a higher) priority can be pushed mid-group, so the
-        scalar loop would have popped exactly these events in this order."""
+        out not to satisfy the batch preconditions.  Bit-identical to
+        per-event dispatch: under the gather gating no same-instant event
+        of the group's (or a higher) priority can be pushed mid-group, so
+        popping one event at a time would yield exactly these events in
+        this order."""
         octx = self._obs
         watchdog = self._watchdog
         owner = self.owner
@@ -1434,7 +1193,7 @@ class SchedulingKernel:
                 sink.current_dispatch = base + i
             events_c.inc()
             metrics.counter("kernel.events." + event.kind.name).inc()
-            # The scalar loop pops one event at a time: at event i the
+            # Per-event dispatch pops one event at a time: at event i the
             # rest of the group is still in the heap.
             gauge.set(float(len(self._events) + (last - i)))
             dispatch(event)
@@ -1442,7 +1201,7 @@ class SchedulingKernel:
                 watchdog.after_event(owner, event)
 
     def _dispatch_release_group(
-        self, group: List[Event], t: float, fast: bool = False
+        self, group: List[Event], t: float, net: bool
     ) -> None:
         """One ``plan()`` call for a same-instant release burst.
 
@@ -1452,8 +1211,9 @@ class SchedulingKernel:
         decision record emitted, its assignment applied — so segments and
         traces are bit-identical to per-event dispatch.
 
-        ``fast=True`` (the uninstrumented loop only) applies just the
-        group's *final* assignment instead.  Same-instant intermediate
+        ``net=True`` (nothing attached: no journal, watchdog, snapshot
+        cadence, crash plan or observability) applies just the group's
+        *final* assignment instead.  Same-instant intermediate
         switches are observably inert without journal/obs/snapshots: they
         fold zero work (``remaining`` bit-unchanged), their zero-length
         segments are dropped by ``ScheduleTrace.add_segment``, and the
@@ -1476,7 +1236,7 @@ class SchedulingKernel:
             jobs.append(job)
             rows.append(row)
         view = BatchView(t, EventKind.RELEASE, jobs, rows, self._table)
-        if fast:
+        if net:
             planner = getattr(scheduler, "on_releases_fast", None)
             if planner is not None:
                 self._apply(planner(view), t)
@@ -1506,7 +1266,7 @@ class SchedulingKernel:
             return
         # Traced batch (batch_obs_exact schedulers only): the group's
         # emissions land in one ring container (exploded lazily on
-        # export), interleaved per event exactly as the scalar loop
+        # export), interleaved per event exactly as per-event dispatch
         # interleaves them.
         sink = octx.sink
         metrics = octx.metrics
@@ -1549,13 +1309,13 @@ class SchedulingKernel:
         """One ``on_completions()`` purge for a same-instant deadline
         sweep of *waiting* jobs.
 
-        Batched only when no job of the group is running (then the scalar
-        path per job is: mark FAILED, record, emit, then a silent
+        Batched only when no job of the group is running (then the
+        per-event path per job is: mark FAILED, record, emit, then a silent
         queue-purge ``on_job_end`` that keeps the current assignment — no
         applies, so the fold is one purge call).  Otherwise the gathered
         group falls back to per-event dispatch, which handles the
-        running-job tolerance-completion branch exactly as the scalar
-        loop does."""
+        running-job tolerance-completion branch exactly as per-event
+        dispatch does."""
         current = self._current[0] if self._single else None
         batchable = self._single and current is not None
         if batchable:
@@ -1642,7 +1402,7 @@ class SchedulingKernel:
 
     def _dispatch_observed(self, octx, event: Event) -> None:
         """The traced twin of the ``dispatch(event)`` call in
-        :meth:`_run_full` — taken only when an observability session is
+        :meth:`_run` — taken only when an observability session is
         active, so none of this code runs on the disabled path.
 
         Stamps the sink with the dispatch index (events emitted during

@@ -113,7 +113,6 @@ class MultiprocessorEngine:
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
         event_queue: str = "auto",
-        protocol: str = "scalar",
     ) -> None:
         self._validate = bool(validate)
         self._kernel = SchedulingKernel(
@@ -128,7 +127,6 @@ class MultiprocessorEngine:
             snapshot_every=snapshot_every,
             event_queue=event_queue,
             single=False,
-            protocol=protocol,
         )
         # Faults and watchdog monitors observe *this* object (the public
         # engine), which re-exports every kernel accessor they use.
@@ -251,7 +249,6 @@ def simulate_multi(
     journal: "EventJournal | None" = None,
     snapshot_every: int | None = None,
     event_queue: str = "auto",
-    protocol: str = "scalar",
     recover: bool = False,
     max_recoveries: int = 8,
 ) -> MultiSimulationResult:
@@ -276,7 +273,6 @@ def simulate_multi(
             journal=journal,
             snapshot_every=snapshot_every,
             event_queue=event_queue,
-            protocol=protocol,
         )
 
     result, recoveries = run_with_recovery(

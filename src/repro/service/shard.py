@@ -219,16 +219,10 @@ class TenantSpec:
     snapshot_every: int = 32
     flush_every: int = 8
     fsync: bool = False
-    protocol: str = "scalar"
 
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
             raise ServiceError(f"horizon must be > 0, got {self.horizon!r}")
-        if self.protocol not in ("scalar", "batch", "auto"):
-            raise ServiceError(
-                f"unknown scheduler protocol {self.protocol!r}; expected "
-                "scalar | batch | auto"
-            )
         for spec in self.start_faults:
             if spec.kind == "crash":
                 raise ServiceError(
@@ -303,7 +297,6 @@ def tenant_spec_to_dict(spec: TenantSpec) -> Dict[str, Any]:
         "snapshot_every": spec.snapshot_every,
         "flush_every": spec.flush_every,
         "fsync": spec.fsync,
-        "protocol": spec.protocol,
     }
 
 
@@ -342,7 +335,6 @@ def tenant_spec_from_dict(doc: Mapping[str, Any]) -> TenantSpec:
             snapshot_every=int(doc.get("snapshot_every", 32)),
             flush_every=int(doc.get("flush_every", 8)),
             fsync=bool(doc.get("fsync", False)),
-            protocol=str(doc.get("protocol", "scalar")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"invalid tenant spec document: {exc}") from exc
@@ -500,7 +492,6 @@ class TenantShard:
             journal=self._journal,
             snapshot_every=self.spec.snapshot_every,
             event_queue="heap",
-            protocol=self.spec.protocol,
         )
 
     # -- accessors ------------------------------------------------------

@@ -1,51 +1,51 @@
-"""Batch scheduler protocol: whole-interrupt-group policy decisions.
+"""Batch scheduler contract: whole-interrupt-group policy decisions.
 
-PR 6 moved job state into the columnar :class:`~repro.sim.jobtable.JobTable`
-and left the hot loop bound by the *per-event* scheduler protocol: every
-release interrupt costs one kernel dispatch, one handler call and one apply,
-even when dozens of jobs arrive at the same instant.  This module defines
-the batch side of the contract:
+The paper's online model delivers one stream of interrupts; a same-instant
+group is several of them at one ``t`` (e.g. a burst of releases).  The
+kernel (:class:`~repro.kernel.SchedulingKernel`) gathers such groups and,
+when the scheduler supports it, hands each one over in a single call
+instead of one handler call per interrupt.  This module defines that side
+of the scheduler contract:
 
 * :class:`BatchView` — one same-``(time, kind)`` interrupt group, exposed as
   the :class:`Job` views plus their table rows so handlers can read whole
   columns (laxities, deadlines, remaining) in one vectorized expression.
-  The ready-set scan is computed at most once per batch and cached
-  (:attr:`BatchView.ready_rows`), fixing the per-event re-derivation the
-  scalar loop performs.
+  The ready-set scan is computed at most once per group and cached
+  (:attr:`BatchView.ready_rows`).
 * :class:`BatchDecisions` — the aligned decision array a batch handler
   returns: ``desired[i]`` is the job that should occupy the processor once
   interrupt ``i`` of the group is handled, and ``obs[i]`` is the decision
-  record the scalar handler would have emitted at that point (or ``None``).
-  The kernel applies the decisions *per event* so traces, segments and
-  journals stay byte-identical with the scalar path.
+  record the per-event handler would have emitted at that point (or
+  ``None``).  With a journal, watchdog, snapshots or tracing attached the
+  kernel applies the decisions *per event*, so traces, segments and
+  journals are byte-identical to per-event dispatch.
 * :class:`BatchScheduler` — mixin implementing ``plan(view)`` by routing to
-  ``on_releases`` / ``on_completions``.  Natively ported policies implement
+  ``on_releases`` / ``on_completions``.  Policies implement
   ``_on_release_from(cur, job)`` — their release handler factored to take
   the (hypothetical) current job explicitly — and get the group fold for
   free; policies with a cheaper whole-group formulation (AdmissionEDF's
   single feasibility chain) override ``on_releases`` outright.
-* :class:`ScalarAdapter` — wraps any existing per-job :class:`Scheduler`
-  unchanged.  ``plan`` folds the inner ``on_release`` over the group
-  through a proxy context whose ``current_job()`` answers with the
-  *hypothetical* current of the fold, so un-ported policies keep working
-  under the batch protocol during migration.
 
-Equivalence contract (enforced by ``tests/properties/test_property_batchproto.py``):
-for every policy, running the same instance under ``protocol="batch"``
-produces bit-identical results, byte-identical journals and byte-identical
-exported traces versus ``protocol="scalar"`` — including under crash-resume.
+A scheduler without ``plan()`` keeps one handler call per interrupt.
 
-Three class flags gate what the kernel may batch:
+Equivalence contract (pinned by the golden decision corpus in
+``tests/golden/``, checked by ``tests/properties/test_property_batchproto.py``):
+gathering produces bit-identical results, byte-identical journals and
+byte-identical exported traces versus one handler call per interrupt —
+including under crash-resume.
+
+Three class flags gate what the kernel may gather:
 
 ``batch_capable``
     The scheduler implements ``plan``; ``False`` (the base default) keeps
-    the kernel on per-event dispatch even under ``protocol="batch"``.
+    the kernel on per-event dispatch.
 ``batch_obs_exact``
-    The batch handlers reproduce the scalar path's observability emissions
-    exactly (via the returned ``obs`` payloads).  When ``False`` — the
-    :class:`ScalarAdapter`, whose inner handlers emit directly, and
-    sensed-rate Dover, whose sensor emissions happen mid-handler — the
-    kernel falls back to per-event dispatch whenever tracing is active.
+    The batch handlers reproduce the per-event observability emissions
+    exactly (via the returned ``obs`` payloads).  When ``False`` — e.g.
+    sensed-rate Dover, whose sensor emissions happen mid-handler, or the
+    partitioned multiprocessor adapter, whose sub-schedulers emit directly
+    — the kernel falls back to per-event dispatch whenever tracing is
+    active.
 ``batch_pure_completions``
     ``on_job_end`` for a *waiting* job is a pure queue purge (no
     emissions, no election, no alarms), so a same-instant deadline sweep
@@ -60,13 +60,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import SchedulingError
 from repro.sim.events import EventKind
 from repro.sim.job import Job
-from repro.sim.scheduler import Scheduler, SchedulerContext
 
-__all__ = ["BatchView", "BatchDecisions", "BatchScheduler", "ScalarAdapter"]
-
-#: Sentinel distinguishing "no hypothetical current installed" from a
-#: hypothetical current of ``None`` (idle) during an adapter fold.
-_UNSET = object()
+__all__ = ["BatchView", "BatchDecisions", "BatchScheduler"]
 
 
 class BatchView:
@@ -103,8 +98,8 @@ class BatchView:
     def ready_rows(self):
         """Rows currently READY, scanned at most once per batch.
 
-        The scalar loop re-derives the ready set on every interrupt; batch
-        handlers that need it share a single cached
+        Per-event handlers re-derive the ready set on every interrupt;
+        batch handlers that need it share a single cached
         :meth:`~repro.sim.jobtable.JobTable.rows_ready` scan (pinned by the
         scan-count regression test)."""
         if self._ready_rows is None:
@@ -124,9 +119,9 @@ class BatchDecisions:
     ``desired[i]`` is the processor assignment after interrupt ``i`` (a
     :class:`Job` or ``None`` for idle; on the multiprocessor kernel a full
     assignment sequence).  ``obs[i]`` is the decision-record payload the
-    scalar handler would have emitted while handling interrupt ``i`` — a
+    per-event handler would have emitted while handling interrupt ``i`` — a
     ``(policy, action, jid, extra)`` tuple or ``None`` — which the kernel
-    emits at the exact scalar ring position when tracing is active.
+    emits at the exact per-event ring position when tracing is active.
     """
 
     __slots__ = ("desired", "obs")
@@ -155,7 +150,7 @@ class BatchDecisions:
 
 
 class BatchScheduler:
-    """Mixin providing the batch contract on top of a scalar policy.
+    """Mixin providing the batch contract on top of a per-event policy.
 
     Subclasses implement :meth:`_on_release_from` (and usually
     :meth:`on_completions`); the generic :meth:`on_releases` folds the
@@ -196,13 +191,14 @@ class BatchScheduler:
     def on_releases_fast(self, view: BatchView) -> Optional[Job]:
         """Final assignment after the whole release group.
 
-        Called only from the uninstrumented fast loop, which applies the
-        group's net decision once instead of per event (intermediate
+        Called only when nothing is attached to the kernel (no journal,
+        watchdog, snapshots, crash plans or tracing), which then applies
+        the group's net decision once instead of per event (intermediate
         same-instant switches are observably inert there — zero-length
         segments are dropped and zero work folds bit-identically).  The
         default routes through :meth:`on_releases` so policies with
-        overridden group handlers (admission chains, laxity screens,
-        alarm bookkeeping) keep their side effects; policies whose final
+        overridden group handlers (admission chains, alarm bookkeeping)
+        keep their side effects; policies whose final
         decision is cheaper than the per-event decision array override
         this with a direct computation."""
         return self.on_releases(view).desired[-1]
@@ -211,8 +207,8 @@ class BatchScheduler:
         """Purge a same-instant sweep of departed *waiting* jobs.
 
         Only called when :attr:`batch_pure_completions` is true and none of
-        the departing jobs is the running one, so the scalar equivalent is
-        a silent queue removal per job."""
+        the departing jobs is the running one, so the per-event equivalent
+        is a silent queue removal per job."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement on_completions"
         )
@@ -222,155 +218,11 @@ class BatchScheduler:
     ) -> Tuple[Optional[Job], Optional[tuple]]:
         """Release logic with the current job passed explicitly.
 
-        Must behave exactly like the scalar ``on_release`` would if ``cur``
-        were on the processor, except the decision record is *returned* as
-        a ``(policy, action, jid, extra)`` payload instead of emitted —
-        the caller (scalar wrapper or batch kernel) emits it at the right
-        ring position."""
+        Must behave exactly like ``on_release`` would if ``cur`` were on
+        the processor, except the decision record is *returned* as a
+        ``(policy, action, jid, extra)`` payload instead of emitted — the
+        caller (the ``on_release`` wrapper or the kernel) emits it at the
+        right ring position."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement _on_release_from"
         )
-
-
-class _HypotheticalContext(SchedulerContext):
-    """Proxy context for :class:`ScalarAdapter` folds.
-
-    Delegates every observation and alarm call to the engine context, but
-    ``current_job()`` answers with the fold's hypothetical current while a
-    ``plan`` is in progress.  All other values are bit-identical to what
-    the scalar path would observe: the group shares one timestamp, so no
-    work has elapsed between the hypothetically-applied decisions —
-    ``remaining`` reads the same stored columns either way."""
-
-    def __init__(self, ctx: SchedulerContext) -> None:
-        self._ctx = ctx
-        self._hypo = _UNSET
-        self.obs = getattr(ctx, "obs", None)
-
-    # -- observation ----------------------------------------------------
-    def now(self) -> float:
-        return self._ctx.now()
-
-    def remaining(self, job: Job) -> float:
-        return self._ctx.remaining(job)
-
-    def capacity_now(self) -> float:
-        return self._ctx.capacity_now()
-
-    @property
-    def bounds(self) -> Tuple[float, float]:
-        return self._ctx.bounds
-
-    def current_job(self) -> Optional[Job]:
-        hypo = self._hypo
-        if hypo is _UNSET:
-            return self._ctx.current_job()
-        return hypo
-
-    # -- alarms ----------------------------------------------------------
-    def set_alarm(self, job: Job, time: float, tag: str = "claxity") -> None:
-        self._ctx.set_alarm(job, time, tag)
-
-    def cancel_alarm(self, job: Job) -> None:
-        self._ctx.cancel_alarm(job)
-
-    def set_timer(self, time: float, tag: str) -> None:
-        self._ctx.set_timer(time, tag)
-
-
-class ScalarAdapter(Scheduler):
-    """Run any per-job :class:`Scheduler` under the batch protocol.
-
-    Scalar interrupts pass straight through to the wrapped policy (bound
-    to a transparent proxy context, so behaviour and emissions are
-    byte-identical to running it unwrapped).  ``plan`` folds the inner
-    ``on_release`` over a release group with the proxy's hypothetical
-    current installed, which is exactly the sequence of calls the scalar
-    kernel would have made — the adapter buys batching's dispatch-overhead
-    savings without touching the wrapped policy.
-
-    ``batch_obs_exact`` is ``False``: the inner handlers emit decision
-    records themselves mid-fold rather than returning payloads, so when
-    tracing is active the kernel keeps the adapter on per-event dispatch.
-
-    Snapshots nest the inner state under the adapter's own type name, so
-    restoring an adapter snapshot into the bare policy (or vice versa)
-    raises :class:`~repro.errors.RecoveryError` instead of silently
-    corrupting queues."""
-
-    batch_capable = True
-    batch_obs_exact = False
-    batch_pure_completions = False
-
-    def __init__(self, inner: Scheduler) -> None:
-        super().__init__()
-        if not isinstance(inner, Scheduler):
-            raise SchedulingError(
-                f"ScalarAdapter wraps Scheduler instances, got {inner!r}"
-            )
-        self.inner = inner
-        self.name = inner.name
-        self._proxy: Optional[_HypotheticalContext] = None
-
-    # ------------------------------------------------------------------
-    def bind(self, ctx: SchedulerContext) -> None:
-        self.ctx = ctx
-        self._sensor_last_good = None
-        self._sensor_health = {"reads": 0, "dropouts": 0, "clamped": 0}
-        self._proxy = _HypotheticalContext(ctx)
-        self.inner.bind(self._proxy)
-        self.reset()
-
-    @property
-    def sensor_health(self) -> dict:
-        # The wrapped policy does the sensing (through the proxy).
-        return self.inner.sensor_health
-
-    # -- scalar passthrough ---------------------------------------------
-    def on_release(self, job: Job) -> Optional[Job]:
-        return self.inner.on_release(job)
-
-    def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
-        return self.inner.on_job_end(job, completed)
-
-    def on_alarm(self, job: Job, tag: str) -> Optional[Job]:
-        return self.inner.on_alarm(job, tag)
-
-    def on_timer(self, tag: str) -> Optional[Job]:
-        return self.inner.on_timer(tag)
-
-    def on_eviction(self, job: Job) -> Optional[Job]:
-        return self.inner.on_eviction(job)
-
-    # -- batch contract --------------------------------------------------
-    def plan(self, view: BatchView) -> BatchDecisions:
-        if view.kind != EventKind.RELEASE:
-            raise SchedulingError(
-                f"ScalarAdapter batches release groups only, got {view.kind!r}"
-            )
-        proxy = self._proxy
-        on_release = self.inner.on_release
-        desired: List[Optional[Job]] = []
-        try:
-            proxy._hypo = self._ctx_current()
-            for job in view.jobs:
-                proxy._hypo = on_release(job)
-                desired.append(proxy._hypo)
-        finally:
-            proxy._hypo = _UNSET
-        return BatchDecisions(desired)
-
-    def _ctx_current(self) -> Optional[Job]:
-        return self.ctx.current_job()
-
-    # -- snapshot / restore ----------------------------------------------
-    def _policy_state(self) -> dict:
-        return {"inner": self.inner.get_state()}
-
-    def _restore_policy_state(
-        self, state: dict, jobs_by_id: "dict[int, Job]"
-    ) -> None:
-        self.inner.set_state(state["inner"], jobs_by_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ScalarAdapter({self.inner!r})"

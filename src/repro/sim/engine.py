@@ -145,14 +145,13 @@ class SimulationEngine:
         queue in high-λ regimes, a binary heap otherwise), ``"heap"`` or
         ``"calendar"``.  Constant-factor only; runs are bit-identical
         under every choice (:func:`repro.sim.events.make_event_queue`).
-    protocol:
-        Scheduler dispatch protocol: ``"scalar"`` (default — one handler
-        call per event, the historical path), ``"batch"`` / ``"auto"`` —
-        feed same-instant interrupt groups through
-        :meth:`~repro.sim.batchproto.BatchScheduler.plan` when the
-        scheduler is ``batch_capable``.  Results, journals and exported
-        traces are bit-identical under every choice
-        (``tests/properties/test_property_batchproto.py``).
+
+    Same-instant interrupt groups reach a ``batch_capable`` scheduler as
+    one :meth:`~repro.sim.batchproto.BatchScheduler.plan` call whenever
+    the kernel can show that is bit-identical to per-event dispatch; other
+    schedulers take one handler call per event.  Results, journals and
+    exported traces are the same either way (the golden corpus in
+    ``tests/golden/`` pins them).
     """
 
     def __init__(
@@ -168,7 +167,6 @@ class SimulationEngine:
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
         event_queue: str = "auto",
-        protocol: str = "scalar",
     ) -> None:
         self._validate = bool(validate)
         self._kernel = SchedulingKernel(
@@ -183,7 +181,6 @@ class SimulationEngine:
             snapshot_every=snapshot_every,
             event_queue=event_queue,
             single=True,
-            protocol=protocol,
         )
         # Faults and watchdog monitors observe *this* object (the public
         # engine), which re-exports every kernel accessor they use.
@@ -294,11 +291,14 @@ def simulate(
     journal: "EventJournal | None" = None,
     snapshot_every: int | None = None,
     event_queue: str = "auto",
-    protocol: str = "scalar",
     recover: bool = False,
     max_recoveries: int = 8,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`SimulationEngine` and run it.
+
+    Every run goes through the kernel's one event loop, which hands
+    same-instant interrupt groups to a ``batch_capable`` scheduler in one
+    call (see :class:`SimulationEngine`).
 
     With ``recover=True`` a :class:`~repro.errors.SimulatedCrash` raised by
     an armed :class:`~repro.faults.EngineCrashPlan` is survived: a fresh
@@ -319,7 +319,6 @@ def simulate(
             journal=journal,
             snapshot_every=snapshot_every,
             event_queue=event_queue,
-            protocol=protocol,
         )
 
     result, recoveries = run_with_recovery(

@@ -117,13 +117,14 @@ class Scheduler(abc.ABC):
     #: Human-readable policy name (used in results and tables).
     name: str = "scheduler"
 
-    #: Batch-protocol capability flags (see :mod:`repro.sim.batchproto`).
-    #: The base class is scalar-only: under ``protocol="batch"`` the kernel
-    #: keeps any scheduler with ``batch_capable = False`` on per-event
-    #: dispatch, so un-ported policies never see a ``plan`` call.
+    #: Batch-contract capability flags (see :mod:`repro.sim.batchproto`).
+    #: The base class has no ``plan``: the kernel gathers same-instant
+    #: groups only for ``batch_capable`` schedulers and dispatches every
+    #: other one event by event, so policies without a batch handler never
+    #: see a ``plan`` call.
     batch_capable: bool = False
-    #: Whether the batch handlers reproduce scalar observability emissions
-    #: exactly; only consulted when ``batch_capable`` is true.
+    #: Whether the batch handlers reproduce per-event observability
+    #: emissions exactly; only consulted when ``batch_capable`` is true.
     batch_obs_exact: bool = True
     #: Whether ``on_job_end`` for a waiting job is a pure queue purge;
     #: only consulted when ``batch_capable`` is true.

@@ -1,21 +1,23 @@
-"""Batch scheduler protocol equivalence (docs/ARCHITECTURE.md).
+"""Same-instant group dispatch ≡ the golden decision corpus.
 
-The batch protocol (:mod:`repro.sim.batchproto`) replaces one-handler-call-
-per-event dispatch with grouped ``plan()`` decisions over same-instant
-interrupt batches.  The contract is *bit-identity*: for every policy, every
-event-queue layout and every instrumentation combination, the batch path
-must reproduce the scalar path's results, write-ahead journals and exported
-observability traces byte for byte — including across a crash/restore
-resume.  This suite pins that contract on a tie-heavy instance (integer
-release grid: every timestamp carries a multi-event group, so the batch
-path actually takes the grouped fast paths it is claiming equivalence for).
+The kernel hands a same-instant interrupt group (a burst of releases, a
+sweep of waiting jobs' deadlines) to a ``batch_capable`` scheduler in one
+``plan()`` call (:mod:`repro.sim.batchproto`).  The contract is
+*bit-identity* with handling the interrupts one at a time: results,
+write-ahead journals and exported observability traces, byte for byte —
+including across a crash/restore resume.  The golden corpus
+(``tests/golden/``) was recorded from one-handler-call-per-interrupt
+dispatch; this suite re-runs every corpus case and demands an exact match.
+The tie-heavy instance (integer release grid) puts a multi-event group at
+every timestamp, so the grouped paths are the ones being checked.
 
 Also here:
 
-* the :class:`~repro.sim.batchproto.ScalarAdapter` equivalence — any policy
-  driven through the adapter behaves identically to the bare policy;
-* cross-type snapshot hygiene — an adapter-wrapped policy's snapshot must
-  not restore into the bare policy (and vice versa);
+* per-event dispatch of the same groups (a scheduler with the batch
+  contract switched off) reproduces the corpus too;
+* same-instant deadline groups and runs that trip the gather latch;
+* the burst benchmark instances reproduce the values and dispatch counts
+  recorded in ``benchmarks/results/BENCH_policyproto.json``;
 * the scan-count regression — bootstrap seeding, wind-down and the batch
   view's ready-set derivation are one vectorized pass each, not one per
   event.
@@ -23,186 +25,81 @@ Also here:
 
 from __future__ import annotations
 
-import random
+import json
+from pathlib import Path
 
 import pytest
 
-from repro import obs
-from repro.capacity import TwoStateMarkovCapacity
-from repro.core import (
-    AdmissionEDFScheduler,
-    DoverScheduler,
-    EDFScheduler,
-    FCFSScheduler,
-    GreedyDensityScheduler,
-    LLFScheduler,
-    VDoverScheduler,
-)
-from repro.errors import RecoveryError
-from repro.faults.execution import EngineCrashPlan
-from repro.sim import Job, simulate
-from repro.sim.batchproto import BatchView, ScalarAdapter
+from repro.core import EDFScheduler
+from repro.sim import simulate
+from repro.sim.batchproto import BatchView
 from repro.sim.events import EventKind
-from repro.sim.journal import EventJournal, results_bit_identical
 from repro.sim.jobtable import JobTable
+from tests.golden import corpus
 
 pytestmark = pytest.mark.batchproto_smoke
 
-#: All seven single-processor policies, each behind a fresh-instance thunk.
-POLICIES = {
-    "edf": lambda: EDFScheduler(),
-    "edf-ac": lambda: AdmissionEDFScheduler(),
-    "llf": lambda: LLFScheduler(),
-    "greedy": lambda: GreedyDensityScheduler(),
-    "fcfs": lambda: FCFSScheduler(),
-    "dover": lambda: DoverScheduler(k=7.0, c_hat=2.0),
-    "vdover": lambda: VDoverScheduler(k=7.0),
-}
+POLICIES = corpus.POLICIES
+GOLDEN = corpus.load_corpus()
+
+BENCH_POLICYPROTO = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "results"
+    / "BENCH_policyproto.json"
+)
 
 
-def _tie_heavy_instance(seed=3, n=40):
-    """Quantized release times (integer grid) force cross-job same-instant
-    batches; relative deadline == p/c̲ puts every release at its zero-laxity
-    instant, the paper's hardest workload shape."""
-    rng = random.Random(seed)
-    jobs = []
-    for i in range(n):
-        release = float(rng.randrange(0, 20))
-        workload = rng.uniform(0.5, 3.0)
-        jobs.append(
-            Job(
-                jid=i,
-                release=release,
-                workload=workload,
-                deadline=release + workload,
-                value=rng.uniform(1.0, 10.0) * workload,
-            )
-        )
-    return jobs
+def _check(name: str) -> dict:
+    live = corpus.run_case(name)
+    assert live == GOLDEN[name], name
+    return live
 
 
-def _capacity():
-    return TwoStateMarkovCapacity(1.0, 4.0, mean_sojourn=5.0, rng=11)
-
-
-def _run(make, *, protocol, event_queue="auto", crash=False, trace_path=None):
-    """One traced+journaled run; returns (result, journal records, blob)."""
-    jobs = _tie_heavy_instance()
-    journal = EventJournal()
-    kw = dict(journal=journal, event_queue=event_queue, protocol=protocol)
-    if crash:
-        kw.update(
-            faults=[EngineCrashPlan(at_event=40)],
-            snapshot_every=16,
-            recover=True,
-        )
-    blob = None
-    if trace_path is not None:
-        with obs.session() as octx:
-            result = simulate(jobs, _capacity(), make(), **kw)
-            octx.sink.export_jsonl(trace_path, replay_only=True)
-            blob = trace_path.read_bytes()
-    else:
-        result = simulate(jobs, _capacity(), make(), **kw)
-    return result, journal.records, blob
+def test_corpus_covers_every_case():
+    assert sorted(GOLDEN) == sorted(corpus.case_names())
 
 
 class TestScalarBatchBitIdentity:
-    """The headline contract: journals, obs exports and results invariant
-    under protocol choice, for every policy and queue layout."""
+    """The headline contract: journals, obs exports and results match the
+    per-event corpus, for every policy and queue layout."""
 
     @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
     @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_journal_and_trace_identical(self, tmp_path, name, queue):
-        make = POLICIES[name]
-        res_s, jrn_s, blob_s = _run(
-            make,
-            protocol="scalar",
-            event_queue=queue,
-            trace_path=tmp_path / "s.jsonl",
-        )
-        res_b, jrn_b, blob_b = _run(
-            make,
-            protocol="batch",
-            event_queue=queue,
-            trace_path=tmp_path / "b.jsonl",
-        )
-        assert results_bit_identical(res_s, res_b)
-        assert jrn_s == jrn_b and len(jrn_s) > 0
-        assert blob_s == blob_b and len(blob_s) > 0
+    def test_journal_and_trace_identical(self, name, queue):
+        live = _check(f"tie/{name}/{queue}/plain")
+        assert live["dispatches"] > 0
 
     @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
-    def test_crash_resume_identical(self, tmp_path, name):
-        make = POLICIES[name]
-        res_s, _, blob_s = _run(
-            make, protocol="scalar", trace_path=tmp_path / "s.jsonl"
-        )
-        res_b, _, blob_b = _run(
-            make,
-            protocol="batch",
-            crash=True,
-            trace_path=tmp_path / "b.jsonl",
-        )
-        assert res_b.recoveries >= 1
-        assert results_bit_identical(res_s, res_b)
-        # The resumed batch run's *replay* stream is byte-for-byte the
-        # uncrashed scalar run's.
-        assert blob_s == blob_b and len(blob_s) > 0
+    def test_crash_resume_identical(self, name):
+        for queue in ("heap", "calendar"):
+            live = _check(f"tie/{name}/{queue}/crash")
+            # The resumed run's *replay* stream is byte-for-byte the
+            # uncrashed run's.
+            assert live == GOLDEN[f"tie/{name}/{queue}/plain"]
 
     @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
     def test_untraced_results_identical(self, name):
-        make = POLICIES[name]
-        res_s, jrn_s, _ = _run(make, protocol="scalar")
-        res_b, jrn_b, _ = _run(make, protocol="auto")
-        assert results_bit_identical(res_s, res_b)
-        assert jrn_s == jrn_b
-
-
-class TestScalarAdapter:
-    """Any policy behind :class:`ScalarAdapter` == the bare policy."""
-
-    @pytest.mark.parametrize("name", ["edf", "edf-ac", "vdover"])
-    def test_adapter_equivalence(self, tmp_path, name):
-        make = POLICIES[name]
-        res_bare, jrn_bare, blob_bare = _run(
-            make, protocol="batch", trace_path=tmp_path / "bare.jsonl"
+        """Journaled but untraced: groups are gathered for every policy
+        (``batch_obs_exact`` is not consulted) and applied per event."""
+        live = corpus.run_journaled(
+            corpus.tie_heavy_instance(), corpus.small_capacity(),
+            POLICIES[name](), traced=False,
         )
-        res_ad, jrn_ad, blob_ad = _run(
-            lambda: ScalarAdapter(make()),
-            protocol="batch",
-            trace_path=tmp_path / "ad.jsonl",
+        golden = dict(GOLDEN[f"tie/{name}/heap/plain"])
+        del golden["trace"]
+        assert live == golden
+
+    @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
+    def test_per_event_dispatch_matches_corpus(self, name):
+        """A scheduler without the batch contract takes one handler call
+        per interrupt of every group — and lands on the same corpus."""
+        scheduler = POLICIES[name]()
+        scheduler.batch_capable = False
+        live = corpus.run_journaled(
+            corpus.tie_heavy_instance(), corpus.small_capacity(), scheduler
         )
-        assert results_bit_identical(res_bare, res_ad)
-        assert jrn_bare == jrn_ad
-        assert blob_bare == blob_ad
-
-    def test_cross_type_restore_rejected(self):
-        """A snapshot taken from an adapter-wrapped policy must not restore
-        into the bare policy, nor the reverse — the adapter nests its inner
-        state under its own type name precisely so mixed restores fail
-        loudly instead of silently misreading queues."""
-        jobs = _tie_heavy_instance(n=12)
-
-        def _ran(sched):
-            simulate(jobs, _capacity(), sched)
-            return sched
-
-        bare = _ran(EDFScheduler())
-        wrapped = _ran(ScalarAdapter(EDFScheduler()))
-        by_id = {j.jid: j for j in jobs}
-
-        fresh_bare = EDFScheduler()
-        with pytest.raises(RecoveryError):
-            fresh_bare.set_state(wrapped.get_state(), by_id)
-
-        fresh_wrapped = ScalarAdapter(EDFScheduler())
-        with pytest.raises(RecoveryError):
-            fresh_wrapped.set_state(bare.get_state(), by_id)
-
-        # Sanity: the matched restores succeed.
-        fresh = ScalarAdapter(EDFScheduler())
-        fresh.bind(wrapped.ctx)
-        fresh.set_state(wrapped.get_state(), by_id)
+        assert live == GOLDEN[f"tie/{name}/heap/plain"]
 
 
 class _CountingJobTable(JobTable):
@@ -225,11 +122,19 @@ class _CountingJobTable(JobTable):
         return super().rows_ready()
 
 
+class _PerEventEDF(EDFScheduler):
+    """EDF without the batch contract: one handler call per interrupt."""
+
+    batch_capable = False
+
+
 class TestScanCounts:
     """The population scans are per-run (or per-batch), never per-event."""
 
-    @pytest.mark.parametrize("protocol", ["scalar", "batch"])
-    def test_engine_scans_once_per_run(self, monkeypatch, protocol):
+    @pytest.mark.parametrize(
+        "make", [_PerEventEDF, EDFScheduler], ids=["scalar", "batch"]
+    )
+    def test_engine_scans_once_per_run(self, monkeypatch, make):
         import repro.kernel.core as kernel_core
 
         tables = []
@@ -240,10 +145,7 @@ class TestScanCounts:
             return table
 
         monkeypatch.setattr(kernel_core, "JobTable", capture)
-        simulate(
-            _tie_heavy_instance(), _capacity(), EDFScheduler(),
-            protocol=protocol,
-        )
+        simulate(corpus.tie_heavy_instance(), corpus.small_capacity(), make())
         (table,) = tables
         assert table.counts["released_by"] == 1  # bootstrap seeding
         assert table.counts["unresolved"] == 1  # wind-down sweep
@@ -251,7 +153,7 @@ class TestScanCounts:
         assert table.counts["ready"] == 0
 
     def test_batch_view_caches_ready_rows(self):
-        jobs = _tie_heavy_instance(n=8)
+        jobs = corpus.tie_heavy_instance(n=8)
         table = _CountingJobTable(jobs)
         view = BatchView(1.0, EventKind.RELEASE, jobs[:3], [0, 1, 2], table)
         assert table.counts["ready"] == 0  # lazy: no scan until asked
@@ -262,70 +164,67 @@ class TestScanCounts:
 
 
 class TestFastPathEquivalence:
-    """The uninstrumented loops (no journal, watchdog or tracing) agree
-    bit-for-bit across protocols.
+    """Uninstrumented runs (no journal, watchdog or tracing) match the
+    corpus.
 
-    This is the only route into ``_run_batch_fast``: the fast batch loop
-    gathers groups with the bulk ``pop_group`` and applies one *net*
-    decision per release group (via ``on_releases_fast``) instead of one
-    per event, so its equivalence is pinned separately from the journaled
-    suite — including the full segment list, where a wrongly-applied
-    intermediate switch would show up."""
-
-    def _slack_instance(self, seed=5, n=160):
-        rng = random.Random(seed)
-        jobs = []
-        for i in range(n):
-            release = float(rng.randrange(0, 20))
-            workload = rng.uniform(0.5, 3.0)
-            jobs.append(
-                Job(
-                    jid=i,
-                    release=release,
-                    workload=workload,
-                    deadline=release + workload + rng.uniform(0.0, 6.0),
-                    value=rng.uniform(1.0, 10.0) * workload,
-                )
-            )
-        return jobs
-
-    def _fingerprint(self, result):
-        return (
-            result.value,
-            result.completed_ids,
-            [(s.start, s.end, s.jid, s.work) for s in result.trace.segments],
-            dict(result.trace.outcomes),
-            result.trace.value_points,
-        )
+    With nothing attached the kernel gathers groups with the bulk
+    ``pop_group`` and applies one *net* decision per release group (via
+    ``on_releases_fast``) instead of one per event, so this is pinned
+    separately from the journaled cases — including the full segment
+    list, where a wrongly-applied intermediate switch would show up."""
 
     @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
     @pytest.mark.parametrize(
         "instance", ["zero_laxity", "slack"], ids=["zero_laxity", "slack"]
     )
     def test_uninstrumented_runs_identical(self, name, instance):
-        jobs = (
-            _tie_heavy_instance(n=160)
-            if instance == "zero_laxity"
-            else self._slack_instance()
-        )
-        make = POLICIES[name]
-        prints = {}
-        for protocol in ("scalar", "batch"):
-            result = simulate(jobs, _capacity(), make(), protocol=protocol)
-            prints[protocol] = self._fingerprint(result)
-        assert prints["scalar"] == prints["batch"]
+        _check(f"uninstrumented/{instance}/{name}")
 
-    def test_adapter_uninstrumented_identical(self):
-        """ScalarAdapter has no ``on_releases_fast``; the fast loop falls
-        back to collapsing its ``plan()`` — same net decision."""
-        jobs = self._slack_instance()
-        res_bare = simulate(
-            jobs, _capacity(), EDFScheduler(), protocol="scalar"
+
+class TestGroupEdgeCases:
+    """Same-instant deadline groups (gathered when no group member runs,
+    per event otherwise) and runs where the gather latch trips, journaled
+    + traced and uninstrumented."""
+
+    @pytest.mark.parametrize("mode", ["plain", "uninstrumented"])
+    @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
+    @pytest.mark.parametrize("family", sorted(corpus.GROUP_EDGE_INSTANCES))
+    def test_matches_corpus(self, family, name, mode):
+        _check(f"{family}/{name}/{mode}")
+
+    def test_latch_case_trips_the_latch(self):
+        from repro.capacity import ConstantCapacity
+        from repro.sim import SimulationEngine
+
+        engine = SimulationEngine(
+            corpus.decimal_grid_instance(), ConstantCapacity(1.0),
+            POLICIES["edf"](),
         )
-        res_ad = simulate(
-            jobs,
-            _capacity(),
-            ScalarAdapter(EDFScheduler()),
-            protocol="batch",
+        engine.run()
+        assert engine.kernel._batch_unsafe
+
+
+class TestBenchInstances:
+    """The Figure-1 instance and the burst instances of the retired
+    scalar-vs-batch benchmark: values and dispatch counts stay exactly as
+    ``BENCH_policyproto.json`` recorded them."""
+
+    @pytest.mark.parametrize("instance", sorted(corpus.BENCH_INSTANCES))
+    def test_values_and_dispatches(self, instance):
+        recorded = json.loads(BENCH_POLICYPROTO.read_text())["results"]
+        for policy in corpus.BENCH_POLICIES:
+            live = _check(f"bench/{instance}/{policy}")
+            bench = recorded[instance][policy]["batch"]
+            assert live["value"] == bench["value"], policy
+            assert live["dispatches"] == bench["dispatches"], policy
+
+    def test_figure1_pins(self):
+        assert GOLDEN["bench/figure1_poisson/edf"]["value"] == 5007.37367023652
+        assert (
+            GOLDEN["bench/figure1_poisson/vdover"]["value"] == 5391.145120371147
         )
-        assert self._fingerprint(res_bare) == self._fingerprint(res_ad)
+
+
+@pytest.mark.parametrize("mode", ["plain", "journaled"])
+def test_partitioned_m4_matches_corpus(mode):
+    _check(f"partitioned_m4/{mode}")

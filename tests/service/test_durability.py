@@ -92,10 +92,10 @@ class TestSpecRoundtrip:
 
     def test_pre_upgrade_store_still_resumes(self, tmp_path):
         """A tenant directory written before a defaulted spec field existed
-        (here: ``protocol``) must keep resuming — the shard normalizes the
-        stored doc through the spec round-trip before comparing."""
+        (here: ``fault_seed``) must keep resuming — the shard normalizes
+        the stored doc through the spec round-trip before comparing."""
         old_doc = tenant_spec_to_dict(_spec())
-        del old_doc["protocol"]  # what a pre-upgrade store holds on disk
+        del old_doc["fault_seed"]  # what a pre-upgrade store holds on disk
         store = TenantStore(tmp_path / "t0")
         store.ensure_spec(old_doc)
         store.close()
@@ -103,7 +103,29 @@ class TestSpecRoundtrip:
         revived = TenantShard(
             _spec(), store=TenantStore(tmp_path / "t0"), resume=True
         )
-        assert revived.spec.protocol == "scalar"
+        assert revived.spec.fault_seed == 0
+
+    @pytest.mark.parametrize("protocol", ["scalar", "batch"])
+    def test_store_with_retired_field_cold_starts(self, tmp_path, protocol):
+        """The reverse upgrade: stores written while the spec carried a
+        ``protocol`` field hold it in their spec doc.  The field is gone,
+        and the round-trip drops it, so such a store still resumes — with
+        its state intact."""
+        old_doc = dict(tenant_spec_to_dict(_spec()), protocol=protocol)
+        store = TenantStore(tmp_path / "t0")
+        store.ensure_spec(old_doc)
+        shard = TenantShard(_spec(), store=store)
+        _drive(shard, n=12)
+        shard.persist_now()
+        before = shard.stats()
+        store.close()
+
+        revived = TenantShard(
+            _spec(), store=TenantStore(tmp_path / "t0"), resume=True
+        )
+        after = revived.stats()
+        for key in ("submitted", "accepted", "shed", "accepted_crc"):
+            assert after[key] == before[key], key
 
     def test_changed_spec_still_refuses(self, tmp_path):
         """Normalization only fills defaults; a genuinely different spec
@@ -371,6 +393,15 @@ class TestDaemonSpecs:
         wrapped.write_text(json.dumps({"tenants": doc}))
         assert [s.tenant for s in load_specs_file(bare)] == ["a", "b"]
         assert [s.tenant for s in load_specs_file(wrapped)] == ["a", "b"]
+
+    def test_specs_file_with_retired_field_loads(self, tmp_path):
+        from repro.service.daemon import load_specs_file
+
+        doc = [dict(tenant_spec_to_dict(_spec("a")), protocol="batch")]
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps(doc))
+        (spec,) = load_specs_file(path)
+        assert tenant_spec_to_dict(spec) == tenant_spec_to_dict(_spec("a"))
 
     def test_bad_specs_file_rejected(self, tmp_path):
         from repro.errors import ServiceError

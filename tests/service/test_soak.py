@@ -13,6 +13,7 @@ included.  Per-tenant journals and shed logs are written under
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,9 @@ class TestKill9Smoke:
         from repro.experiments.soak import Kill9Config, run_kill9
 
         store_dir = ARTIFACT_DIR.parent / "kill9"
+        # A previous run's store would be cold-started instead of a fresh
+        # one; the directory is this run's failure artifact only.
+        shutil.rmtree(store_dir, ignore_errors=True)
         config = Kill9Config(
             tenants=2,
             lam=2.0,
