@@ -334,12 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-budget", type=int, default=64, help="per-tenant backlog budget"
     )
     p.add_argument(
-        "--journal-dir",
-        default=None,
-        metavar="DIR",
-        help="persist per-tenant journals and shed logs under DIR",
-    )
-    p.add_argument(
         "--kill9",
         action="store_true",
         help=(
@@ -355,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="durable tenant store for --kill9 (default: temp dir)",
+        help=(
+            "durable tenant stores under DIR (with --kill9 the default is "
+            "a temp dir; without, nothing is persisted)"
+        ),
     )
     p.add_argument(
         "--no-fsync",
@@ -840,7 +837,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 forced_crashes=args.crashes,
                 queue_budget=args.queue_budget,
-                journal_dir=args.journal_dir,
+                store_dir=args.store_dir,
                 timeline_path=args.timeline,
             )
         )

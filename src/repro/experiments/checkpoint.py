@@ -2,17 +2,20 @@
 
 Long sweeps (the paper's Table I is 7 λ-rows × 800 replications) used to be
 all-or-nothing: a crash at replication 799 lost hours.  The checkpoint
-store makes a run *resumable*: every finished replication is appended to a
-JSON-lines file the moment it completes, and a restarted run replays the
-file, re-executes only what is missing, and — because every replication's
-RNG derives from ``SeedSequence(seed).spawn(n_runs)[index]`` independently
-of execution order — produces **bit-identical** results to an uninterrupted
+store makes a run *resumable*: every finished replication is appended
+(and fsynced) the moment it completes, and a restarted run reloads them,
+re-executes only what is missing, and — because every replication's RNG
+derives from ``SeedSequence(seed).spawn(n_runs)[index]`` independently of
+execution order — produces **bit-identical** results to an uninterrupted
 run.
 
-File layout (one JSON document per line)::
+A checkpoint is a directory holding one :class:`~repro.store.log.
+SegmentedLog` of JSON records — the repository's one append-log format,
+with its CRC32 framing, torn-tail truncation and corrupt-segment
+quarantine::
 
     {"schema": 2, "kind": "mc_checkpoint", "seed": ..., "n_runs": ...,
-     "fingerprint": "..."}                      # header
+     "fingerprint": "..."}                      # record 0: the run header
     {"index": 3, "outcome": {...}}              # completed replication
     {"index": 5, "failed": {...}}               # failure metadata
     ...
@@ -24,40 +27,31 @@ File layout (one JSON document per line)::
 * **Failures are metadata, not results**: a replication recorded as failed
   is re-attempted on resume (its failure may have been transient), and the
   latest record per index wins.
-* Every record line carries a CRC32 (``"crc"``) over its own payload;
-  records written before checksums existed (no ``"crc"`` key) are
-  accepted as legacy.
-* Loading tolerates a truncated final line (the signature of a crash
-  mid-append).  A corrupt record *mid-file* (bad JSON or a CRC mismatch
-  — bit rot, not a torn append) is **skipped and reported** via
-  :attr:`CheckpointStore.corrupt_records`: its replication simply
-  re-runs, instead of the whole resume being refused.  Only a corrupt
-  *header* still refuses — without it nothing in the file can be
-  attributed to a run.
+* **Corruption re-runs**: a torn final record (a crash mid-append) is
+  truncated away; a corrupt record (bit rot) quarantines its segment's
+  suffix and every later segment (:attr:`CheckpointStore.quarantined`),
+  and those replications simply re-run.  Only a lost *header* refuses —
+  without it nothing can be attributed to a run — as does a regular
+  file at the checkpoint path (the retired JSON-lines format is not
+  imported: a checkpoint only saves re-running replications).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import zlib
 from pathlib import Path
-from typing import IO, List, Mapping, Tuple
+from typing import List, Mapping
 
 from repro.errors import CheckpointError
 from repro.experiments.runner import FailedReplication, ReplicationOutcome
+from repro.store.directory import OsDirectory
+from repro.store.log import SegmentedLog
 
 __all__ = ["CheckpointStore", "run_fingerprint"]
 
 CHECKPOINT_SCHEMA = 2
 _KIND = "mc_checkpoint"
-
-
-def _record_crc(doc: Mapping) -> int:
-    """CRC32 over a record's canonical JSON form, ``"crc"`` excluded."""
-    body = {k: v for k, v in doc.items() if k != "crc"}
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode()) & 0xFFFFFFFF
 
 
 def run_fingerprint(factory, specs, seed: int, n_runs: int) -> str:
@@ -138,10 +132,10 @@ def _failure_from_dict(doc: Mapping) -> FailedReplication:
 class CheckpointStore:
     """Append-only per-replication checkpoint bound to one run fingerprint.
 
-    Open with the header metadata of the run about to execute; if the file
-    already exists its header is validated against that metadata and the
-    recorded replications become available via :attr:`completed` /
-    :attr:`failures`.
+    Open with the header metadata of the run about to execute; if the
+    checkpoint already exists its header is validated against that
+    metadata and the recorded replications become available via
+    :attr:`completed` / :attr:`failures`.
     """
 
     def __init__(
@@ -153,31 +147,58 @@ class CheckpointStore:
         self.fingerprint = str(fingerprint)
         self.completed: dict[int, ReplicationOutcome] = {}
         self.failures: dict[int, FailedReplication] = {}
-        #: (line number, reason) for every skipped mid-file corrupt record.
-        self.corrupt_records: List[Tuple[int, str]] = []
-        self._fh: IO[str] | None = None
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load_existing()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            header = {
-                "schema": CHECKPOINT_SCHEMA,
-                "kind": _KIND,
-                "seed": self.seed,
-                "n_runs": self.n_runs,
-                "fingerprint": self.fingerprint,
-            }
-            with self.path.open("w") as fh:
-                fh.write(json.dumps(header) + "\n")
+        if self.path.exists() and not self.path.is_dir():
+            raise CheckpointError(
+                f"{self.path} is a file, not a Monte-Carlo checkpoint "
+                "directory (JSON-lines checkpoints are not imported): delete "
+                "it or point the run elsewhere"
+            )
+        directory = OsDirectory(self.path)
+        self._log = SegmentedLog(directory, fsync=True)
+        #: segments set aside as ``*.quarantine`` while opening (their
+        #: replications re-run).
+        self.quarantined: List[str] = list(self._log.quarantined)
+        entries = self._log.entries()
+        if not entries:
+            if any(n.endswith(".quarantine") for n in directory.listdir()):
+                raise CheckpointError(
+                    f"{self.path}: corrupt checkpoint header (quarantined); "
+                    "delete the directory to start over"
+                )
+            self._append(
+                {
+                    "schema": CHECKPOINT_SCHEMA,
+                    "kind": _KIND,
+                    "seed": self.seed,
+                    "n_runs": self.n_runs,
+                    "fingerprint": self.fingerprint,
+                }
+            )
+            return
+        try:
+            docs = [json.loads(payload) for _seq, payload in entries]
+        except ValueError as exc:
+            raise CheckpointError(
+                f"{self.path}: not a Monte-Carlo checkpoint"
+            ) from exc
+        self._check_header(docs[0])
+        for record in docs[1:]:
+            index = int(record["index"])
+            if not 0 <= index < self.n_runs:
+                raise CheckpointError(
+                    f"{self.path}: replication index {index} out of range "
+                    f"for n_runs={self.n_runs}"
+                )
+            if "outcome" in record:
+                self.completed[index] = _outcome_from_dict(record["outcome"])
+                self.failures.pop(index, None)
+            elif "failed" in record:
+                self.failures[index] = _failure_from_dict(record["failed"])
+            # Unknown record kinds are ignored for forward compatibility.
 
     # ------------------------------------------------------------------
-    def _load_existing(self) -> None:
-        lines = self.path.read_text().splitlines()
-        try:
-            header = json.loads(lines[0])
-        except (json.JSONDecodeError, IndexError) as exc:
-            raise CheckpointError(f"{self.path}: corrupt checkpoint header") from exc
-        if header.get("kind") != _KIND:
+    def _check_header(self, header: Mapping) -> None:
+        if not isinstance(header, dict) or header.get("kind") != _KIND:
             raise CheckpointError(f"{self.path}: not a Monte-Carlo checkpoint")
         if header.get("schema") != CHECKPOINT_SCHEMA:
             raise CheckpointError(
@@ -193,51 +214,11 @@ class CheckpointStore:
                 raise CheckpointError(
                     f"{self.path}: checkpoint belongs to a different run "
                     f"({key}: recorded {header.get(key)!r}, requested {want!r}); "
-                    "delete the file or point the run elsewhere"
+                    "delete it or point the run elsewhere"
                 )
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    # A truncated *final* line is the signature of a crash
-                    # mid-append: tolerate it and re-run that replication.
-                    break
-                # An undecodable line *followed by* valid data is bit rot,
-                # not a torn append.  The header already proved the file
-                # belongs to this run, so losing one record only costs
-                # re-running its replication: skip it and report.
-                self.corrupt_records.append((lineno, "undecodable JSON"))
-                continue
-            if "crc" in record and _record_crc(record) != record["crc"]:
-                # Decodes fine but fails its own checksum — silent bit
-                # rot inside a value.  Same treatment: skip and re-run.
-                self.corrupt_records.append((lineno, "CRC mismatch"))
-                continue
-            index = int(record["index"])
-            if not 0 <= index < self.n_runs:
-                raise CheckpointError(
-                    f"{self.path}: replication index {index} out of range "
-                    f"for n_runs={self.n_runs}"
-                )
-            if "outcome" in record:
-                self.completed[index] = _outcome_from_dict(record["outcome"])
-                self.failures.pop(index, None)
-            elif "failed" in record:
-                self.failures[index] = _failure_from_dict(record["failed"])
-            # Unknown record kinds are ignored for forward compatibility.
 
-    # ------------------------------------------------------------------
     def _append(self, doc: dict) -> None:
-        if self._fh is None:
-            self._fh = self.path.open("a")
-        doc = dict(doc)
-        doc["crc"] = _record_crc(doc)
-        self._fh.write(json.dumps(doc) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._log.append(json.dumps(doc).encode(), sync=True)
 
     def record(self, index: int, result: ReplicationOutcome | FailedReplication) -> None:
         """Persist one finished replication (or its failure metadata)."""
@@ -254,9 +235,7 @@ class CheckpointStore:
         return [i for i in range(self.n_runs) if i not in self.completed]
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "CheckpointStore":
         return self

@@ -163,8 +163,8 @@ def run_recovery_sweep(
 ) -> SweepResult:
     """Sweep one execution-fault ``kind`` over a rate grid (Figure-1 setup).
 
-    ``checkpoint`` names a *base* path; each rate cell appends its own
-    JSON-lines checkpoint (``<base>.cell<i>``) so an interrupted sweep
+    ``checkpoint`` names a *base* path; each rate cell appends to its own
+    checkpoint directory (``<base>.cell<i>``) so an interrupted sweep
     resumes mid-grid.  Failure records (crashes that exhausted their
     snapshot-resume budget, timeouts) land in ``SweepResult.failures``
     keyed by the fault rate.

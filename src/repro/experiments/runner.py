@@ -678,7 +678,7 @@ class MonteCarloRunner:
             re-derive the replication's RNG from scratch, so a retried
             replication is bit-identical to one that succeeded first try.
         checkpoint:
-            Path of an incremental JSON-lines checkpoint (schema v2, see
+            Directory of an incremental checkpoint (schema v2, see
             :mod:`repro.experiments.checkpoint`).  Completed replications
             found there are loaded instead of re-executed; newly finished
             replications (and failure metadata) are appended as they

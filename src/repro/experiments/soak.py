@@ -79,9 +79,9 @@ class SoakConfig:
     sensor_noise: float = 0.1  #: capacity-sensor noise severity
     queue_budget: int = 64
     snapshot_every: int = 16
-    flush_every: int = 4
     policy: RestartPolicy = field(default_factory=RestartPolicy)
-    journal_dir: Optional[str] = None  #: persist per-tenant journals here
+    #: durable tenant stores (op log, WAL, snapshots) under this directory
+    store_dir: Optional[str] = None
     telemetry: bool = True  #: per-tenant SLO trackers on the shards
     #: JSON-lines health timeline (one fleet scrape row per traffic
     #: chunk) — the machine-readable artifact CI uploads.
@@ -208,7 +208,6 @@ def _tenant_specs(config: SoakConfig) -> List[TenantSpec]:
                 fault_seed=config.seed + 1000 * i,
                 queue_budget=config.queue_budget,
                 snapshot_every=config.snapshot_every,
-                flush_every=config.flush_every,
             )
         )
     return specs
@@ -329,7 +328,7 @@ async def _soak(config: SoakConfig) -> SoakReport:
     service = ScheduleService(
         specs,
         policy=config.policy,
-        journal_dir=config.journal_dir,
+        store_dir=config.store_dir,
         telemetry=config.telemetry,
     )
     await service.start()
@@ -419,7 +418,6 @@ class Kill9Config:
     sensor_noise: float = 0.1
     queue_budget: int = 64
     snapshot_every: int = 8
-    flush_every: int = 4
     store_dir: Optional[str] = None  #: default: a fresh temp directory
     store_fsync: bool = True
     spawn_timeout: float = 60.0  #: seconds to wait for hello / exit
@@ -446,7 +444,6 @@ class Kill9Config:
             sensor_noise=self.sensor_noise,
             queue_budget=self.queue_budget,
             snapshot_every=self.snapshot_every,
-            flush_every=self.flush_every,
         )
 
 

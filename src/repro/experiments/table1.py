@@ -140,7 +140,7 @@ def run_table1(
 
     Resilience knobs (docs/ROBUSTNESS.md): with ``checkpoint_dir`` every
     λ-row checkpoints each finished replication to
-    ``<dir>/table1_lam<λ>.ckpt.jsonl`` and an interrupted run resumes from
+    ``<dir>/table1_lam<λ>.ckpt`` and an interrupted run resumes from
     completed seeds with bit-identical summaries; ``timeout`` /
     ``max_retries`` / ``backoff`` bound each replication's wall clock and
     retry transient failures.  Replications that still fail are *excluded*
@@ -167,7 +167,7 @@ def run_table1(
         runner = MonteCarloRunner(factory, specs)
         checkpoint = None
         if checkpoint_dir is not None:
-            checkpoint = Path(checkpoint_dir) / f"table1_lam{lam:g}.ckpt.jsonl"
+            checkpoint = Path(checkpoint_dir) / f"table1_lam{lam:g}.ckpt"
         report = runner.run_report(
             config.n_runs,
             seed=config.seed + i,

@@ -1067,12 +1067,11 @@ class SchedulingKernel:
                     return
 
     def _checkpoint(self) -> None:
-        """Take the periodic snapshot.  Snapshot boundary: everything the
-        snapshot supersedes is on disk before it becomes the recovery
-        anchor."""
+        """Take the periodic snapshot.  It stays in memory: a service
+        tenant's store makes it a durable recovery anchor, syncing the
+        WAL it supersedes first (:meth:`repro.store.tenant.TenantStore.
+        write_snapshot`)."""
         self._last_snapshot = self.snapshot()
-        if self._journal is not None:
-            self._journal.flush()
 
     def _journal_event(self, event: Event) -> None:
         """Journal (or, during post-restore replay, verify) one live event

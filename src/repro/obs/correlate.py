@@ -16,16 +16,14 @@ The reconstruction reads, per tenant directory:
   rid → jid index, which survive op-log compaction;
 * the **op log** — surviving ``admit``/``shed``/``push``/``crash_mark``
   records carrying the rid (the admission stage);
-* the **kernel WAL** (``wal.jsonl``) — every dispatched
+* the **kernel WAL** (the store's ``wal/`` log) — every dispatched
   release/completion/deadline record for the decided jid (the dispatch
   and journal stages), incarnation-spanning because the WAL is resumed,
-  not rewritten, across cold starts;
-* the **shed sidecar** — the human-readable shed record, when present.
+  not rewritten, across cold starts.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -119,8 +117,7 @@ def _scan_tenant_store(
             return None
 
         if jid is not None and jid >= 0:
-            stages.extend(_wal_stages(store.wal_path, jid))
-            stages.extend(_shed_stages(store.shed_path, jid))
+            stages.extend(_wal_stages(store, jid))
         return {
             "tenant": tenant_dir.name,
             "jid": jid,
@@ -131,14 +128,12 @@ def _scan_tenant_store(
         store.close()
 
 
-def _wal_stages(wal_path: Optional[Path], jid: int) -> List[Dict[str, Any]]:
+def _wal_stages(store, jid: int) -> List[Dict[str, Any]]:
     """Dispatch/journal records for a jid from the kernel WAL."""
     from repro.sim.journal import EventJournal
 
-    if wal_path is None or not wal_path.exists():
-        return []
     try:
-        journal = EventJournal.load(wal_path)
+        journal = EventJournal(store.wal)
     except Exception:  # noqa: BLE001 - a missing stage, not a crash
         return []
     key = f"jid:{jid}"
@@ -159,33 +154,6 @@ def _wal_stages(wal_path: Optional[Path], jid: int) -> List[Dict[str, Any]]:
                     "key": record.key,
                 }
             )
-    return stages
-
-
-def _shed_stages(
-    shed_path: Optional[Path], jid: int
-) -> List[Dict[str, Any]]:
-    if shed_path is None or not shed_path.exists():
-        return []
-    stages: List[Dict[str, Any]] = []
-    try:
-        for line in shed_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if rec.get("jid") == jid:
-                stages.append(
-                    {
-                        "stage": "shed_sidecar",
-                        "reason": rec.get("reason"),
-                        "time": rec.get("time"),
-                    }
-                )
-    except OSError:
-        return []
     return stages
 
 

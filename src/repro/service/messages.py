@@ -60,6 +60,7 @@ ingress can count and report without dying.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Union
 
@@ -153,10 +154,28 @@ def _require(payload: Mapping[str, Any], field: str) -> Any:
 
 
 def _number(payload: Mapping[str, Any], field: str) -> float:
+    """A finite number (JSON's ``NaN``/``Infinity`` and integers too big
+    for a float are refused: they would poison the kernel's clock)."""
     value = _require(payload, field)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MessageError(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise MessageError(f"field {field!r} must be finite, got {value!r}")
+    return number
+
+
+def _integer(payload: Mapping[str, Any], field: str) -> int:
+    number = _number(payload, field)
+    if not number.is_integer():
+        raise MessageError(
+            f"field {field!r} must be an integer, got {payload[field]!r}"
+        )
+    value = payload[field]
+    return value if isinstance(value, int) else int(number)
 
 
 def parse_message(raw: "str | bytes | Mapping[str, Any]") -> Message:
@@ -184,7 +203,7 @@ def parse_message(raw: "str | bytes | Mapping[str, Any]") -> Message:
             raise MessageError(f"job must be an object, got {jobspec!r}")
         try:
             job = Job(
-                jid=int(_number(jobspec, "jid")),
+                jid=_integer(jobspec, "jid"),
                 release=_number(jobspec, "release"),
                 workload=_number(jobspec, "workload"),
                 deadline=_number(jobspec, "deadline"),
@@ -202,7 +221,9 @@ def parse_message(raw: "str | bytes | Mapping[str, Any]") -> Message:
             )
         time = _number(payload, "time")
         retain = (
-            float(payload.get("retain", 0.0)) if op == "kill" else 0.0
+            _number(payload, "retain")
+            if op == "kill" and "retain" in payload
+            else 0.0
         )
         if not 0.0 <= retain <= 1.0:
             raise MessageError(f"retain must be in [0, 1], got {retain!r}")

@@ -32,8 +32,9 @@ journal and result bit-identically (:mod:`repro.service.replay`).
 
 With a :class:`~repro.store.tenant.TenantStore` attached the shard is
 also *durable*: every admission/shed/push decision is fsynced into the
-store's op log **before** the kernel sees it (write-ahead), periodic
-kernel snapshots are committed as manifest-anchored state images, and
+store's op log **before** the kernel sees it (write-ahead), the kernel
+journals every dispatch into the store's WAL, periodic kernel snapshots
+are committed as manifest-anchored state images, and
 ``TenantShard(spec, store=..., resume=True)`` rebuilds the exact live
 state from disk after a ``SIGKILL`` — the cold-start half of
 :meth:`repro.service.supervisor.ScheduleService.cold_start`.  Client
@@ -44,11 +45,8 @@ double-admitting.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
-from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -217,8 +215,6 @@ class TenantSpec:
     fault_seed: int = 0
     queue_budget: int = 256
     snapshot_every: int = 32
-    flush_every: int = 8
-    fsync: bool = False
 
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
@@ -295,8 +291,6 @@ def tenant_spec_to_dict(spec: TenantSpec) -> Dict[str, Any]:
         "fault_seed": spec.fault_seed,
         "queue_budget": spec.queue_budget,
         "snapshot_every": spec.snapshot_every,
-        "flush_every": spec.flush_every,
-        "fsync": spec.fsync,
     }
 
 
@@ -333,8 +327,6 @@ def tenant_spec_from_dict(doc: Mapping[str, Any]) -> TenantSpec:
             fault_seed=int(doc.get("fault_seed", 0)),
             queue_budget=int(doc.get("queue_budget", 256)),
             snapshot_every=int(doc.get("snapshot_every", 32)),
-            flush_every=int(doc.get("flush_every", 8)),
-            fsync=bool(doc.get("fsync", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"invalid tenant spec document: {exc}") from exc
@@ -354,7 +346,6 @@ class TenantReport:
     recoveries: int
     forced_crashes: int
     journal: Optional[EventJournal]
-    journal_path: Optional[Path]
     restarts: int = 0
     backoffs: Tuple[float, ...] = ()
 
@@ -377,7 +368,6 @@ class TenantShard:
         self,
         spec: TenantSpec,
         *,
-        journal_dir: "str | Path | None" = None,
         store: Optional[TenantStore] = None,
         resume: bool = False,
         telemetry: bool = False,
@@ -394,9 +384,6 @@ class TenantShard:
         # the snapshot payload so `repro obs trace` survives op-log
         # compaction and kill -9).
         self._rid_jid: Dict[str, int] = {}
-        self._journal_path: Optional[Path] = None
-        self._shed_fh = None
-        shed_path: Optional[Path] = None
         if store is not None:
             # Round-tripping the stored doc fills in spec fields added
             # after the store was written (at their defaults), so old
@@ -407,13 +394,6 @@ class TenantShard:
                     tenant_spec_from_dict(doc)
                 ),
             )
-            self._journal_path = store.wal_path
-            shed_path = store.shed_path
-        elif journal_dir is not None:
-            base = Path(journal_dir)
-            base.mkdir(parents=True, exist_ok=True)
-            self._journal_path = base / f"{spec.tenant}.journal.jsonl"
-            shed_path = base / f"{spec.tenant}.shed.jsonl"
 
         self._built_faults = spec.build_start_faults()
         capacity = spec.build_capacity()
@@ -448,28 +428,24 @@ class TenantShard:
         if resume and store is not None and store.has_state():
             self._resume_from_store()
         else:
-            self._journal = EventJournal(
-                self._journal_path,
-                flush_every=spec.flush_every,
-                fsync=spec.fsync,
-            )
+            self._journal = self._fresh_journal()
             self._engine = self._build_engine([], capacity)
             self._engine.kernel.start()
-
-        if self._slo is not None:
-            # WAL fsync latency feeds the SLO histogram (wall clock —
-            # never in the replay or parity domain).
-            self._journal.sync_observer = self._slo.observe_fsync
-
-        if shed_path is not None:
-            # Rebuilt on resume: the sidecar is a human-readable mirror
-            # of self._shed, which the op log owns durably.
-            self._shed_fh = shed_path.open("w", encoding="utf-8")
-            for record in self._shed:
-                self._shed_fh.write(json.dumps(record.to_dict()) + "\n")
-            self._shed_fh.flush()
+        if store is not None and self._slo is not None:
+            # The store's durability points (op-log fsyncs, WAL syncs)
+            # feed the SLO fsync histogram — wall clock, never in the
+            # replay or parity domain.
+            store.sync_observer = self._slo.observe_fsync
 
     # ------------------------------------------------------------------
+    def _fresh_journal(self) -> EventJournal:
+        """The journal of a kernel starting at dispatch 0.  A store's WAL
+        starts over: the run it described is regenerated identically."""
+        if self._store is None:
+            return EventJournal()
+        self._store.wal.reset()
+        return EventJournal(self._store.wal)
+
     def _build_engine(
         self,
         jobs: Sequence[Job],
@@ -526,15 +502,6 @@ class TenantShard:
         if octx is not None:
             octx.metrics.counter(name).inc(n)
 
-    def _append_ops(self, docs: Sequence[Mapping[str, Any]]) -> None:
-        """Fsync op docs, timing the durability point when telemetry is on."""
-        if self._slo is None:
-            self._store.append_ops(docs, sync=True)
-            return
-        t0 = perf_counter()
-        self._store.append_ops(docs, sync=True)
-        self._slo.observe_fsync(perf_counter() - t0)
-
     def _note_request(
         self,
         rid: "str | None",
@@ -569,10 +536,8 @@ class TenantShard:
                 self._slo.observe(record.time, "shed")
                 self._slo.observe(record.time, "shed." + record.reason)
         octx = _obs.current()
-        for record in records:
-            if self._shed_fh is not None:
-                self._shed_fh.write(json.dumps(record.to_dict()) + "\n")
-            if octx is not None:
+        if octx is not None:
+            for record in records:
                 octx.metrics.counter("service.shed").inc()
                 octx.metrics.counter(
                     "service.shed." + record.reason
@@ -583,8 +548,6 @@ class TenantShard:
                     record.to_dict(),
                     replay=False,
                 )
-        if self._shed_fh is not None:
-            self._shed_fh.flush()
 
     # ------------------------------------------------------------------
     # Message handling (synchronous, deterministic; may raise
@@ -713,7 +676,7 @@ class TenantShard:
             if self._slo is not None:
                 self._slo.observe(time, "crashes")
             if self._store is not None:
-                self._append_ops(
+                self._store.append_ops(
                     [{"op": "crash_mark", "time": time, "rid": rid}]
                 )
             self._note_request(rid, None, "crash", time)
@@ -740,7 +703,7 @@ class TenantShard:
             raise MessageError(f"unknown fault op {op!r}")
         dc = kernel.dispatch_count
         if self._store is not None:
-            self._append_ops(
+            self._store.append_ops(
                 [
                     {
                         "op": "push",
@@ -765,10 +728,6 @@ class TenantShard:
         self._flush_pending()
         self._result = self._engine.run()
         self._closed = True
-        self._journal.flush()
-        if self._shed_fh is not None:
-            self._shed_fh.close()
-            self._shed_fh = None
         self._count("service.closed")
         return self.report()
 
@@ -784,7 +743,6 @@ class TenantShard:
             recoveries=self._recoveries,
             forced_crashes=self._forced_crashes,
             journal=self._journal,
-            journal_path=self._journal_path,
         )
 
     # ------------------------------------------------------------------
@@ -825,7 +783,7 @@ class TenantShard:
                 for rec, rid in zip(shed, shed_rids)
             ]
             if docs:
-                self._append_ops(docs)
+                self._store.append_ops(docs)
         self._journal_shed(shed)
         for rec, rid in zip(shed, shed_rids):
             self._note_request(rid, rec.jid, "shed", rec.time)
@@ -848,7 +806,7 @@ class TenantShard:
     ) -> None:
         if self._store is None or not records:
             return
-        self._append_ops(
+        self._store.append_ops(
             [
                 {"op": "shed", "rec": rec.to_dict(), "rid": rid}
                 for rec, rid in zip(records, rids)
@@ -989,7 +947,6 @@ class TenantShard:
         self._count("service.recoveries")
         if self._slo is not None:
             self._slo.count("recoveries")
-            self._journal.sync_observer = self._slo.observe_fsync
         octx = _obs.current()
         if octx is not None:
             octx.emit(
@@ -1025,15 +982,9 @@ class TenantShard:
         """Drain path: decide the open group, cut a snapshot at the
         current dispatch boundary, and make everything durable — after
         this returns, SIGKILL loses nothing."""
-        if self._store is None:
+        if self._store is None or self._closed:
             return
-        if not self._closed:
-            self._flush_pending()
-        self._journal.flush(sync=True)
-        if self._shed_fh is not None:
-            self._shed_fh.flush()
-        if self._closed:
-            return
+        self._flush_pending()
         snap = self._engine.snapshot()
         # This snapshot is cut *after* every logged op took effect, so
         # same-dispatch-count ops are already inside it: anchor past the
@@ -1179,13 +1130,8 @@ class TenantShard:
 
         if snap is None:
             # Never persisted a snapshot: replay the whole op log onto a
-            # fresh world.  The WAL (if any survived) describes a run we
-            # are about to regenerate identically — start it over.
-            self._journal = EventJournal(
-                self._journal_path,
-                flush_every=self.spec.flush_every,
-                fsync=self.spec.fsync,
-            )
+            # fresh world (the WAL starts over with it).
+            self._journal = self._fresh_journal()
             engine = self._build_engine([])
             engine.kernel.start()
             for _dc, kind, data in tail:
@@ -1194,24 +1140,13 @@ class TenantShard:
                 else:
                     engine.kernel.push_fault_event(*data)
         else:
-            if self._journal_path is not None and self._journal_path.exists():
-                self._journal = EventJournal.resume(
-                    self._journal_path,
-                    flush_every=self.spec.flush_every,
-                    fsync=self.spec.fsync,
-                )
-            else:
-                self._journal = EventJournal(
-                    self._journal_path,
-                    flush_every=self.spec.flush_every,
-                    fsync=self.spec.fsync,
-                )
+            self._journal = EventJournal(store.wal)
             if len(self._journal) < snap.dispatch_count:
                 raise RecoveryError(
                     f"tenant {self.tenant!r}: WAL holds "
                     f"{len(self._journal)} records but the snapshot was "
                     f"cut at dispatch {snap.dispatch_count} — the journal "
-                    "tail was lost (power loss without fsync=True?)"
+                    "tail was lost (power loss under --no-fsync?)"
                 )
             jobs = [
                 job for job in self._accepted if job.jid in snap.status

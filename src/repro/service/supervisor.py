@@ -228,7 +228,6 @@ class ScheduleService:
         specs: "list[TenantSpec] | tuple[TenantSpec, ...]",
         *,
         policy: Optional[RestartPolicy] = None,
-        journal_dir: "str | None" = None,
         queue_size: int = 1024,
         store_dir: "str | Path | None" = None,
         resume: bool = False,
@@ -242,7 +241,6 @@ class ScheduleService:
             raise ServiceError(f"duplicate tenant names in {names}")
         self._specs = tuple(specs)
         self._policy = policy or RestartPolicy()
-        self._journal_dir = journal_dir
         self._queue_size = int(queue_size)
         self._store_dir = None if store_dir is None else Path(store_dir)
         self._resume = bool(resume)
@@ -319,7 +317,6 @@ class ScheduleService:
                 )
             shard = TenantShard(
                 spec,
-                journal_dir=self._journal_dir,
                 store=store,
                 resume=self._resume,
                 telemetry=self._telemetry,

@@ -19,9 +19,9 @@ The recovery story (docs/ROBUSTNESS.md) has two cooperating artifacts:
   the engine replays forward and *verifies* each re-dispatched event
   against the journaled record, raising
   :class:`~repro.errors.RecoveryError` on any divergence (which would
-  indicate non-determinism or a corrupted snapshot).  The journal can
-  optionally mirror to a JSONL file whose torn final line (the crash
-  signature) is tolerated on load.
+  indicate non-determinism or a corrupted snapshot).  A service tenant's
+  journal also frames every record into its store's ``wal/``
+  :class:`~repro.store.log.SegmentedLog`, the one durable log format.
 
 Determinism is what makes this work: the engine consults no wall clock and
 no RNG of its own, and capacity paths are materialised lazily in
@@ -32,24 +32,27 @@ approximate.
 from __future__ import annotations
 
 import json
-import os
 import pickle
+import struct
 from dataclasses import dataclass, field
-from time import perf_counter as _perf_counter
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import RecoveryError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.store.log import SegmentedLog
 
 __all__ = [
     "JournalRecord",
     "EventJournal",
     "EngineSnapshot",
     "describe_payload",
+    "legacy_wal_payloads",
     "results_bit_identical",
 ]
 
-_JOURNAL_SCHEMA = 1
+#: WAL record payload prefix: time, kind, version (the key follows).
+_WAL_RECORD = struct.Struct("<dBq")
 
 
 def describe_payload(kind: int, payload: Any) -> str:
@@ -111,63 +114,49 @@ class JournalRecord:
             version=int(d.get("version", 0)),
         )
 
+    def encode(self) -> bytes:
+        """WAL payload: time, kind and version packed, then the key
+        (the index is the log sequence number)."""
+        return _WAL_RECORD.pack(self.time, self.kind, self.version) + (
+            self.key.encode()
+        )
+
+    @classmethod
+    def decode(cls, index: int, payload: bytes) -> "JournalRecord":
+        time, kind, version = _WAL_RECORD.unpack_from(payload)
+        return cls(
+            index, time, kind, payload[_WAL_RECORD.size :].decode(), version
+        )
+
 
 class EventJournal:
     """Append-only write-ahead log of dispatched events.
 
-    In-memory always; mirrored to a JSONL file when ``path`` is given
-    (header line first, one record per line).
-
-    Durability contract: ``flush_every=N`` batches the file-buffer flush —
-    every N-th append flushes, so a crash loses at most the last ``N-1``
-    records plus a torn final line.  The default (``flush_every=1``)
-    keeps the historical flush-per-append behaviour.  The kernel calls
-    :meth:`flush` on every snapshot boundary regardless of the batch
-    size, so the WAL on disk always covers at least everything the last
-    recovery anchor supersedes; ``fsync=True`` additionally forces the
-    OS buffer to stable storage on each such explicit flush (the service
-    WAL's stated durability point).
+    In-memory always.  With a ``log`` (a :class:`~repro.store.log.
+    SegmentedLog` — the tenant store's ``wal/``) every append is also
+    framed into it, and opening over a non-empty log loads its records
+    first, so a cold-started kernel verifies its re-dispatches against
+    them and extends the same log past them.  The log's sequence number
+    *is* the dispatch index, so records store no index of their own.
+    Appends reach the OS at once (they survive ``SIGKILL``); power-loss
+    durability is the store's business — :meth:`~repro.store.tenant.
+    TenantStore.write_snapshot` syncs the WAL before it commits a
+    recovery anchor.
     """
 
-    def __init__(
-        self,
-        path: "str | Path | None" = None,
-        *,
-        flush_every: int = 1,
-        fsync: bool = False,
-    ) -> None:
-        if flush_every < 1:
-            raise RecoveryError(
-                f"flush_every must be >= 1, got {flush_every!r}"
-            )
+    def __init__(self, log: "SegmentedLog | None" = None) -> None:
         self._records: List[JournalRecord] = []
-        self._path = None if path is None else Path(path)
-        self._fh = None
-        self._flush_every = int(flush_every)
-        self._fsync = bool(fsync)
-        self._unflushed = 0
-        #: Optional ``callable(seconds)`` timing each fsync — the service
-        #: telemetry plane's journal-latency SLO hook (wall clock; never
-        #: in the replay domain).
-        self.sync_observer = None
-        self._dir_synced = True  # nothing to sync for in-memory journals
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self._path.open("w", encoding="utf-8")
-            self._fh.write(
-                json.dumps({"kind": "event_journal", "schema": _JOURNAL_SCHEMA})
-                + "\n"
-            )
-            self._fh.flush()
-            # The journal *entry* (the freshly created file name) is not
-            # durable until the parent directory is fsynced — without
-            # this the whole journal can vanish on power loss even
-            # though every record was fsynced.  Paid once, at the first
-            # durability point: eagerly under fsync=True, else deferred
-            # to the first flush(sync=True).
-            self._dir_synced = False
-            if self._fsync:
-                self._sync_dir()
+        self._log = log
+        if log is not None:
+            if log.base_seq != 0:
+                raise RecoveryError(
+                    f"WAL starts at dispatch {log.base_seq}, not 0 — its "
+                    "head segments are missing"
+                )
+            self._records = [
+                JournalRecord.decode(seq, payload)
+                for seq, payload in log.entries()
+            ]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -176,203 +165,66 @@ class EventJournal:
     def records(self) -> Tuple[JournalRecord, ...]:
         return tuple(self._records)
 
-    @property
-    def path(self) -> Optional[Path]:
-        return self._path
-
     def append(self, record: JournalRecord) -> None:
         if record.index != len(self._records):
             raise RecoveryError(
                 f"journal append out of order: got index {record.index}, "
                 f"expected {len(self._records)}"
             )
+        if self._log is not None:
+            self._log.append(record.encode(), sync=False)
         self._records.append(record)
-        if self._fh is not None:
-            self._fh.write(json.dumps(record.to_dict()) + "\n")
-            self._unflushed += 1
-            if self._unflushed >= self._flush_every:
-                self._fh.flush()
-                self._unflushed = 0
 
-    def flush(self, *, sync: "bool | None" = None) -> None:
-        """Flush buffered records to the file (no-op when in-memory only).
-
-        ``sync`` forces (or suppresses) an ``fsync`` for this call;
-        ``None`` defers to the constructor's ``fsync`` flag.  Called by
-        the kernel on every snapshot boundary."""
-        if self._fh is None:
-            return
-        self._fh.flush()
-        self._unflushed = 0
-        do_sync = self._fsync if sync is None else bool(sync)
-        if do_sync:
-            observer = self.sync_observer
-            if observer is None:
-                os.fsync(self._fh.fileno())
-                self._sync_dir()
-            else:
-                t0 = _perf_counter()
-                os.fsync(self._fh.fileno())
-                self._sync_dir()
-                observer(_perf_counter() - t0)
-
-    def _sync_dir(self) -> None:
-        """One-time fsync of the journal's parent directory, making the
-        file's creation itself durable (see __init__)."""
-        if self._dir_synced or self._path is None:
-            return
-        try:
-            fd = os.open(self._path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            self._dir_synced = True
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        finally:
-            os.close(fd)
-        self._dir_synced = True
+    def flush(self, *, sync: bool = False) -> None:
+        """Appends already reach the OS; ``sync=True`` also forces the
+        log to stable storage (a no-op for in-memory journals)."""
+        if sync and self._log is not None:
+            self._log.sync()
 
     def get(self, index: int) -> JournalRecord:
         return self._records[index]
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self.flush()
-            self._fh.close()
-            self._fh = None
 
-    @classmethod
-    def load(cls, path: "str | Path") -> "EventJournal":
-        """Rebuild an in-memory journal from a JSONL file.
+def legacy_wal_payloads(data: bytes) -> List[bytes]:
+    """Read-only importer for the retired JSON-lines WAL (``wal.jsonl``:
+    a header line, then one record per line).
 
-        A torn (undecodable) *final* line is the expected crash signature
-        and is dropped; a bad line anywhere else raises
-        :class:`~repro.errors.RecoveryError`.
-        """
-        path = Path(path)
+    Returns the records as WAL log payloads, in order.  A torn
+    (undecodable) *final* line is the crash signature and is dropped; a
+    bad line anywhere else raises :class:`~repro.errors.RecoveryError`.
+    """
+    lines = data.decode("utf-8", errors="replace").splitlines()
+    if not lines:
+        raise RecoveryError("legacy WAL is empty")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise RecoveryError("legacy WAL: corrupt header") from exc
+    if not isinstance(header, dict) or header.get("kind") != "event_journal":
+        raise RecoveryError("legacy WAL: not an event journal")
+    if header.get("schema") != 1:
+        raise RecoveryError(
+            f"legacy WAL: unsupported schema {header.get('schema')!r}"
+        )
+    payloads: List[bytes] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise RecoveryError(f"cannot read journal {path}: {exc}") from exc
-        if not lines:
-            raise RecoveryError(f"journal {path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise RecoveryError(f"journal {path}: corrupt header") from exc
-        if header.get("kind") != "event_journal":
-            raise RecoveryError(f"journal {path}: not an event journal")
-        if header.get("schema") != _JOURNAL_SCHEMA:
+            record = JournalRecord.from_dict(json.loads(line))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if lineno == len(lines):
+                break  # torn final line: the crash signature
             raise RecoveryError(
-                f"journal {path}: unsupported schema {header.get('schema')!r}"
-            )
-        journal = cls()
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = JournalRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if lineno == len(lines):
-                    break  # torn final line: the crash signature
-                raise RecoveryError(
-                    f"journal {path}: corrupt record at line {lineno}"
-                ) from exc
-            journal.append(record)
-        return journal
-
-    @classmethod
-    def resume(
-        cls,
-        path: "str | Path",
-        *,
-        flush_every: int = 1,
-        fsync: bool = False,
-    ) -> "EventJournal":
-        """Reopen an on-disk journal for continued appends (cold start).
-
-        Unlike :meth:`load` (read-only rebuild), ``resume`` prepares the
-        *file* for further writing: any torn final line — including a
-        parseable record missing its newline, which a later append would
-        corrupt — is truncated back to the last complete record, and the
-        file reopens in append mode.  The restored kernel then verifies
-        its re-dispatched events against the loaded records and extends
-        the same file seamlessly past them.
-        """
-        if flush_every < 1:
+                f"legacy WAL: corrupt record at line {lineno}"
+            ) from exc
+        if record.index != len(payloads):
             raise RecoveryError(
-                f"flush_every must be >= 1, got {flush_every!r}"
+                f"legacy WAL: record at line {lineno} has index "
+                f"{record.index}, expected {len(payloads)}"
             )
-        path = Path(path)
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise RecoveryError(f"cannot read journal {path}: {exc}") from exc
-        nl = data.find(b"\n")
-        if nl < 0:
-            raise RecoveryError(f"journal {path}: corrupt header")
-        try:
-            header = json.loads(data[:nl].decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise RecoveryError(f"journal {path}: corrupt header") from exc
-        if header.get("kind") != "event_journal":
-            raise RecoveryError(f"journal {path}: not an event journal")
-        if header.get("schema") != _JOURNAL_SCHEMA:
-            raise RecoveryError(
-                f"journal {path}: unsupported schema {header.get('schema')!r}"
-            )
-
-        journal = cls()
-        good_end = nl + 1
-        offset = nl + 1
-        n = len(data)
-        while offset < n:
-            next_nl = data.find(b"\n", offset)
-            line_end = n if next_nl < 0 else next_nl
-            line = data[offset:line_end]
-            if line.strip():
-                complete = next_nl >= 0
-                record = None
-                if complete:
-                    try:
-                        record = JournalRecord.from_dict(
-                            json.loads(line.decode("utf-8"))
-                        )
-                    except (
-                        json.JSONDecodeError,
-                        UnicodeDecodeError,
-                        KeyError,
-                        TypeError,
-                        ValueError,
-                    ):
-                        record = None
-                if record is None:
-                    # Torn tail: tolerated only with nothing after it.
-                    if data[line_end:].strip():
-                        raise RecoveryError(
-                            f"journal {path}: corrupt record mid-file"
-                        )
-                    break
-                journal.append(record)
-            good_end = line_end + 1 if next_nl >= 0 else good_end
-            if next_nl < 0:
-                break
-            offset = next_nl + 1
-
-        if good_end < n:
-            with path.open("r+b") as fh:
-                fh.truncate(good_end)
-
-        journal._path = path
-        journal._flush_every = int(flush_every)
-        journal._fsync = bool(fsync)
-        journal._fh = path.open("a", encoding="utf-8")
-        journal._dir_synced = False
-        if journal._fsync:
-            journal._sync_dir()
-        return journal
+        payloads.append(record.encode())
+    return payloads
 
 
 @dataclass

@@ -27,6 +27,11 @@ Invariants the layout buys:
 * **Compaction by sequence** — :meth:`compact` drops whole segments
   whose records all precede an anchor sequence (the snapshot the ops
   are superseded by); the partially-covered segment stays.
+* **No in-memory copy** — the log keeps segment names and record
+  counts only; :meth:`entries` reads the records back from the segment
+  files, so a long-lived log (the kernel WAL) costs no memory per
+  record.  Whoever needs the records in memory keeps its own decoded
+  copy.
 
 Durability contract: ``append(..., sync=True)`` returns only after the
 frame is fsynced — a ``SIGKILL`` after the call loses nothing, a power
@@ -82,8 +87,8 @@ class SegmentedLog:
         self._segment_bytes = int(segment_bytes)
         self._fsync = bool(fsync)
         self._segments: List[_Segment] = []
-        self._records: List[bytes] = []  # live records, seq order
-        self._base_seq = 0  # seq of _records[0]
+        self._count = 0  # live records
+        self._base_seq = 0  # seq of the oldest live record
         self._handle: Optional[FileHandle] = None
         self._size = 0  # bytes in the open (last) segment
         self._closed = False
@@ -97,7 +102,7 @@ class SegmentedLog:
     @property
     def next_seq(self) -> int:
         """Sequence number the next :meth:`append` will return."""
-        return self._base_seq + len(self._records)
+        return self._base_seq + self._count
 
     @property
     def base_seq(self) -> int:
@@ -105,11 +110,22 @@ class SegmentedLog:
         return self._base_seq
 
     def entries(self) -> List[Tuple[int, bytes]]:
-        """All live records as ``(seq, payload)``, in order."""
-        return list(enumerate(self._records, start=self._base_seq))
+        """All live records as ``(seq, payload)``, in order, read back
+        from the segment files."""
+        out: List[Tuple[int, bytes]] = []
+        for seg in self._segments:
+            payloads, _end, _verdict = self._scan_frames(
+                self._dir.read_bytes(seg.name)
+            )
+            if len(payloads) < seg.count:
+                raise StorageError(
+                    f"segment {seg.name} lost records since it was opened"
+                )
+            out.extend(enumerate(payloads[: seg.count], start=seg.first_seq))
+        return out
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     # -- recovery -------------------------------------------------------
     def _recover(self) -> None:
@@ -151,7 +167,7 @@ class SegmentedLog:
                 self._segments.append(
                     _Segment(name, first_seq, len(payloads))
                 )
-                self._records.extend(payloads)
+                self._count += len(payloads)
                 self._quarantine(names[idx + 1 :])
                 break
             if verdict == "torn":
@@ -164,7 +180,7 @@ class SegmentedLog:
                 self._dir.truncate(name, end)
                 data = data[:end]
             self._segments.append(_Segment(name, first_seq, len(payloads)))
-            self._records.extend(payloads)
+            self._count += len(payloads)
             expected_seq = first_seq + len(payloads)
 
         if not self._segments:
@@ -250,7 +266,7 @@ class SegmentedLog:
         self._handle.write(frame)
         self._size += len(frame)
         self._segments[-1].count += 1
-        self._records.append(payload)
+        self._count += 1
         do_sync = self._fsync if sync is None else bool(sync)
         if do_sync:
             self._handle.fsync()
@@ -279,7 +295,7 @@ class SegmentedLog:
             if head.first_seq + head.count > min_seq:
                 break
             self._dir.remove(head.name)
-            del self._records[: head.count]
+            self._count -= head.count
             self._base_seq = head.first_seq + head.count
             self._segments.pop(0)
             removed += 1
@@ -291,12 +307,26 @@ class SegmentedLog:
         """Restart an *empty* log at a given sequence (used when a
         catastrophically corrupt log was quarantined wholesale but a
         snapshot still anchors the op-sequence space)."""
-        if self._records or self._segments[-1].count:
+        if self._count:
             raise StorageError("rebase is only valid on an empty log")
+        self._restart(first_seq)
+
+    def reset(self) -> None:
+        """Drop every record and restart the log empty at sequence 0
+        (a WAL whose run is about to be regenerated from scratch)."""
+        if self.next_seq:
+            self._restart(0)
+
+    def _restart(self, first_seq: int) -> None:
+        """Remove every segment (newest first, so a crash part-way leaves
+        a prefix of the old log) and begin a fresh one at ``first_seq``;
+        the new segment's birth dir-fsyncs the removals."""
         if self._handle is not None:
             self._handle.close()
-        old = self._segments.pop()
-        self._dir.remove(old.name)
+        for seg in reversed(self._segments):
+            self._dir.remove(seg.name)
+        self._segments = []
+        self._count = 0
         self._base_seq = first_seq
         self._new_segment(first_seq)
 

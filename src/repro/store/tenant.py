@@ -1,14 +1,18 @@
-"""Per-tenant durable state: spec + op log + snapshots, one directory.
+"""Per-tenant durable state: spec + op log + WAL + snapshots, one directory.
 
 Layout under ``<store_dir>/<tenant>/``::
 
     spec.json        # the TenantSpec as checksummed JSON (written once)
     oplog/           # SegmentedLog of JSON op records (admits, pushes,
                      #   sheds, crash marks, dedup entries)
+    wal/             # SegmentedLog of the kernel's write-ahead
+                     #   EventJournal records, one per dispatch
     snaps/           # SnapshotStore of pickled shard state images
-    wal.jsonl        # the kernel's write-ahead EventJournal (plain file;
-                     #   the kernel owns its format and torn-tail rules)
-    shed.jsonl       # human-readable shed sidecar (rebuilt on resume)
+
+Both logs share one format and one crash model (:mod:`repro.store.log`);
+a store written before the WAL moved into ``wal/`` still holds a
+``wal.jsonl`` (and a ``shed.jsonl`` sidecar), which opening imports once
+and removes.
 
 The shard (:mod:`repro.service.shard`) writes *op records first, state
 mutation second*: an admit/push/shed is fsynced into the op log before
@@ -17,6 +21,9 @@ process — ``SIGKILL`` at any instant loses at most acked-but-undecided
 buffering, never a decision.  Snapshots anchor the op sequence: a state
 image recorded at op sequence ``s`` supersedes every op with
 ``seq < s``, and :meth:`write_snapshot` compacts the op log accordingly.
+The WAL is never compacted — replay verification compares the whole of
+it — but a snapshot must never outrun it: :meth:`write_snapshot` syncs
+the WAL before it commits the anchor.
 
 This module is deliberately spec-schema agnostic: the tenant spec and
 the op payloads are opaque JSON documents; (de)serialising them to
@@ -30,7 +37,8 @@ import json
 import pickle
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.store.directory import Directory, OsDirectory
@@ -40,8 +48,9 @@ from repro.store.snapshots import SnapshotStore
 __all__ = ["TenantStore"]
 
 SPEC_FILE = "spec.json"
-WAL_FILE = "wal.jsonl"
-SHED_FILE = "shed.jsonl"
+#: The retired JSON-lines WAL and shed sidecar (imported/removed on open).
+LEGACY_WAL_FILE = "wal.jsonl"
+LEGACY_SHED_FILE = "shed.jsonl"
 
 
 class TenantStore:
@@ -67,19 +76,46 @@ class TenantStore:
         self.snapshots = SnapshotStore(
             self._dir.subdir("snaps"), keep=snapshot_keep, fsync=fsync
         )
+        #: The kernel WAL (:class:`~repro.sim.journal.EventJournal`
+        #: frames its records here).
+        self.wal = SegmentedLog(
+            self._dir.subdir("wal"), segment_bytes=segment_bytes, fsync=fsync
+        )
+        #: Optional ``callable(seconds)`` timing each durability point —
+        #: a synced op append, a WAL sync — for the service's SLO fsync
+        #: histogram (wall clock; never in the replay domain).
+        self.sync_observer: Optional[Callable[[float], None]] = None
+        self._import_legacy_wal()
 
-    # -- paths (None for in-memory directories) -------------------------
     @property
     def path(self) -> Optional[Path]:
+        """The tenant directory (None for in-memory directories)."""
         return self._dir.path
 
-    @property
-    def wal_path(self) -> Optional[Path]:
-        return None if self.path is None else self.path / WAL_FILE
+    def _import_legacy_wal(self) -> None:
+        """Move a retired ``wal.jsonl`` into ``wal/`` and drop it (and
+        the shed sidecar, whose records the op log already owns).  The
+        old file stays the source of truth until its removal is durable,
+        so a crash mid-import just imports again."""
+        if self._dir.exists(LEGACY_WAL_FILE):
+            from repro.sim.journal import legacy_wal_payloads
 
-    @property
-    def shed_path(self) -> Optional[Path]:
-        return None if self.path is None else self.path / SHED_FILE
+            payloads = legacy_wal_payloads(
+                self._dir.read_bytes(LEGACY_WAL_FILE)
+            )
+            self.wal.reset()
+            for payload in payloads:
+                self.wal.append(payload, sync=False)
+            self.wal.sync()
+        stale = [
+            name
+            for name in (LEGACY_WAL_FILE, LEGACY_SHED_FILE)
+            if self._dir.exists(name)
+        ]
+        for name in stale:
+            self._dir.remove(name)
+        if stale:
+            self._dir.fsync_dir()
 
     # -- tenant spec -----------------------------------------------------
     def ensure_spec(self, spec_doc: Dict[str, Any], normalize=None) -> None:
@@ -141,12 +177,15 @@ class TenantStore:
         """Append op records (JSON docs); returns the next sequence
         after the batch.  With ``sync`` the whole batch is fsynced
         before returning (one fsync, after the last frame)."""
+        t0 = perf_counter()
         for i, doc in enumerate(docs):
             last = i == len(docs) - 1
             self.oplog.append(
                 json.dumps(doc, sort_keys=True).encode(),
                 sync=sync and last,
             )
+        if sync and self.sync_observer is not None:
+            self.sync_observer(perf_counter() - t0)
         return self.oplog.next_seq
 
     @property
@@ -163,7 +202,18 @@ class TenantStore:
     # -- snapshots -------------------------------------------------------
     def write_snapshot(self, state: Any, *, op_seq: int) -> int:
         """Commit one state image anchored at ``op_seq`` and compact the
-        op log behind it."""
+        op log behind it.
+
+        The image's kernel was cut at a dispatch count the WAL already
+        holds (records are appended before their event dispatches), so
+        syncing the WAL first keeps every committed anchor covered by
+        the WAL on disk — under the store's ``fsync`` flag, like every
+        other durability point here."""
+        if self._fsync:
+            t0 = perf_counter()
+            self.wal.sync()
+            if self.sync_observer is not None:
+                self.sync_observer(perf_counter() - t0)
         seq = self.snapshots.write(
             pickle.dumps(state), {"op_seq": int(op_seq)}
         )
@@ -190,3 +240,4 @@ class TenantStore:
 
     def close(self) -> None:
         self.oplog.close()
+        self.wal.close()

@@ -1,12 +1,12 @@
 """Checkpoint corruption paths: what a resumed sweep must and must not eat.
 
-Satellite contract (docs/ROBUSTNESS.md): a truncated *final* line is the
-signature of a crash mid-append and is silently tolerated (that replication
-re-runs).  A corrupt record *mid-file* — undecodable JSON or a CRC32
-mismatch, i.e. bit rot rather than a torn append — is skipped and reported
-via ``CheckpointStore.corrupt_records``, and its replication re-runs.  Only
-a corrupt/foreign header or a fingerprint mismatch refuses to resume with a
-clear :class:`CheckpointError`.
+Contract (docs/ROBUSTNESS.md §4): a checkpoint is a segmented log.  A torn
+final record is the signature of a crash mid-append and is truncated away
+(that replication re-runs).  A corrupt record — a CRC32 mismatch, i.e.
+bit rot rather than a torn append — quarantines its segment's suffix,
+reported via ``CheckpointStore.quarantined``, and those replications
+re-run.  Only a lost header, a foreign or regular file, or a fingerprint
+mismatch refuses to resume with a clear :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import pytest
 from repro.errors import CheckpointError
 from repro.experiments.checkpoint import CheckpointStore
 from repro.experiments.runner import FailedReplication, ReplicationOutcome
+from repro.store.directory import OsDirectory
+from repro.store.log import SegmentedLog
 
 
 def _outcome(v: float = 5.0) -> ReplicationOutcome:
@@ -43,6 +45,29 @@ def _fresh(tmp_path, n_records: int = 3):
         store.record(i, _outcome(float(i)))
     store.close()
     return path
+
+
+def _segment(path):
+    (seg,) = path.glob("*.seg")
+    return seg
+
+
+def _flip_in_record(path, seq: int) -> None:
+    """Flip one payload byte of record ``seq`` (0 = the header)."""
+    seg = _segment(path)
+    data = bytearray(seg.read_bytes())
+    offset = 12  # segment header
+    for _ in range(seq):
+        offset += 8 + int.from_bytes(data[offset : offset + 4], "little")
+    data[offset + 8 + 2] ^= 0x01
+    seg.write_bytes(bytes(data))
+
+
+def _write_log(path, docs) -> None:
+    log = SegmentedLog(OsDirectory(path))
+    for doc in docs:
+        log.append(json.dumps(doc).encode())
+    log.close()
 
 
 class TestCleanResume:
@@ -88,64 +113,58 @@ class TestCleanResume:
 class TestCorruption:
     def test_truncated_final_line_tolerated(self, tmp_path):
         path = _fresh(tmp_path)
-        text = path.read_text()
-        path.write_text(text[: text.rindex('{"index": 2') + 14])
+        seg = _segment(path)
+        seg.write_bytes(seg.read_bytes()[:-5])  # torn mid-append of index 2
         resumed = _store(path)
         assert sorted(resumed.completed) == [0, 1]
         assert resumed.pending() == [2, 3]  # the torn replication re-runs
+        assert resumed.quarantined == []
 
     def test_corrupt_middle_line_skipped_and_reported(self, tmp_path):
         path = _fresh(tmp_path)
-        lines = path.read_text().splitlines()
-        lines[2] = '{"index": 1, "outcome": BROKEN'
-        path.write_text("\n".join(lines) + "\n")
+        _flip_in_record(path, 2)  # index 1's record
         resumed = _store(path)
-        # Records around the rotten one survive; only index 1 re-runs.
-        assert sorted(resumed.completed) == [0, 2]
-        assert resumed.pending() == [1, 3]
-        assert resumed.corrupt_records == [(3, "undecodable JSON")]
+        # Everything from the rotten record on has suspect lineage: it
+        # is set aside, reported, and those replications re-run.
+        assert sorted(resumed.completed) == [0]
+        assert resumed.pending() == [1, 2, 3]
+        assert resumed.quarantined == [_segment(path).name]
+        assert (path / (_segment(path).name + ".quarantine")).exists()
 
     def test_crc_mismatch_skipped_and_reported(self, tmp_path):
-        path = _fresh(tmp_path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[2])
-        record["outcome"]["values"]["EDF"] = 999.0  # bit rot in a value
-        lines[2] = json.dumps(record)  # stale "crc" now mismatches
-        path.write_text("\n".join(lines) + "\n")
-        resumed = _store(path)
-        assert sorted(resumed.completed) == [0, 2]
-        assert resumed.pending() == [1, 3]
-        assert resumed.corrupt_records == [(3, "CRC mismatch")]
-
-    def test_legacy_record_without_crc_accepted(self, tmp_path):
-        path = _fresh(tmp_path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[2])
-        del record["crc"]  # written before checksums existed
-        lines[2] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        path = _fresh(tmp_path, n_records=4)
+        _flip_in_record(path, 4)  # bit rot in the last record only
         resumed = _store(path)
         assert sorted(resumed.completed) == [0, 1, 2]
-        assert resumed.corrupt_records == []
+        assert resumed.pending() == [3]
+        assert len(resumed.quarantined) == 1
+        resumed.record(3, _outcome(3.0))  # the re-run appends cleanly
+        resumed.close()
+        assert sorted(_store(path).completed) == [0, 1, 2, 3]
 
     def test_corrupt_header_refuses_resume(self, tmp_path):
         path = _fresh(tmp_path)
-        lines = path.read_text().splitlines()
-        lines[0] = "{broken header"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
-            _store(path)
+        _flip_in_record(path, 0)
+        for _ in range(2):  # and keeps refusing: the quarantine stays
+            with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+                _store(path)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "other.jsonl"
         path.write_text(json.dumps({"kind": "event_journal", "schema": 1}) + "\n")
-        with pytest.raises(CheckpointError, match="not a Monte-Carlo checkpoint"):
+        with pytest.raises(CheckpointError, match="not a Monte-Carlo checkpoint") as exc:
             _store(path)
+        assert str(path) in str(exc.value)
+        foreign = tmp_path / "foreign"
+        _write_log(foreign, [{"kind": "event_journal", "schema": 1}])
+        with pytest.raises(CheckpointError, match="not a Monte-Carlo checkpoint"):
+            _store(foreign)
 
     def test_unsupported_schema_rejected(self, tmp_path):
         path = tmp_path / "future.ckpt"
-        path.write_text(
-            json.dumps(
+        _write_log(
+            path,
+            [
                 {
                     "kind": "mc_checkpoint",
                     "schema": 99,
@@ -153,26 +172,24 @@ class TestCorruption:
                     "n_runs": 4,
                     "fingerprint": "abc123",
                 }
-            )
-            + "\n"
+            ],
         )
         with pytest.raises(CheckpointError, match="unsupported checkpoint schema"):
             _store(path)
 
     def test_out_of_range_index_rejected(self, tmp_path):
         path = _fresh(tmp_path, n_records=1)
-        with path.open("a") as fh:
-            fh.write(
-                json.dumps(
-                    {"index": 99, "outcome": json.loads(json.dumps({
-                        "generated_value": 1.0,
-                        "n_jobs": 1,
-                        "values": {"EDF": 1.0},
-                        "completed": {"EDF": 1},
-                    }))}
-                )
-                + "\n"
-            )
+        _write_log(
+            path,
+            [
+                {"index": 99, "outcome": {
+                    "generated_value": 1.0,
+                    "n_jobs": 1,
+                    "values": {"EDF": 1.0},
+                    "completed": {"EDF": 1},
+                }}
+            ],
+        )
         with pytest.raises(CheckpointError, match="out of range"):
             _store(path)
 

@@ -20,7 +20,20 @@ from repro.experiments import (
     run_fingerprint,
 )
 from repro.core import EDFScheduler, VDoverScheduler
+from repro.store.directory import OsDirectory
+from repro.store.log import SegmentedLog
 from repro.workload import PoissonWorkload
+
+
+def _keep_records(ckpt, n: int) -> None:
+    """Simulate a crash after ``n`` appends: keep the checkpoint log's
+    first ``n`` records (the header included), drop the rest."""
+    log = SegmentedLog(OsDirectory(ckpt))
+    payloads = [payload for _seq, payload in log.entries()[:n]]
+    log.reset()
+    for payload in payloads:
+        log.append(payload)
+    log.close()
 
 SPECS = [
     SchedulerSpec("EDF", EDFScheduler, {}),
@@ -218,19 +231,18 @@ class TestCheckpointResume:
 
     def test_uninterrupted_run_with_checkpoint_matches_without(self, tmp_path):
         runner, _ = self._ckpt_runner(tmp_path)
-        ckpt = tmp_path / "run.ckpt.jsonl"
+        ckpt = tmp_path / "run.ckpt"
         with_ckpt = runner.run(5, seed=3, workers=1, checkpoint=ckpt)
         without = runner.run(5, seed=3, workers=1)
         assert [o.values for o in with_ckpt] == [o.values for o in without]
 
     def test_interrupted_run_resumes_bit_identical(self, tmp_path):
         runner, log = self._ckpt_runner(tmp_path)
-        ckpt = tmp_path / "run.ckpt.jsonl"
+        ckpt = tmp_path / "run.ckpt"
         full = runner.run(6, seed=3, workers=1, checkpoint=ckpt)
 
         # Simulate a crash after 3 replications: keep header + 3 records.
-        lines = ckpt.read_text().splitlines()
-        ckpt.write_text("\n".join(lines[:4]) + "\n")
+        _keep_records(ckpt, 4)
         log.unlink()
 
         report = runner.run_report(6, seed=3, workers=1, checkpoint=ckpt)
@@ -240,11 +252,12 @@ class TestCheckpointResume:
 
     def test_truncated_tail_tolerated(self, tmp_path):
         runner, log = self._ckpt_runner(tmp_path)
-        ckpt = tmp_path / "run.ckpt.jsonl"
+        ckpt = tmp_path / "run.ckpt"
         full = runner.run(4, seed=5, workers=1, checkpoint=ckpt)
-        # a crash mid-append leaves half a JSON document on the last line
-        with ckpt.open("a") as fh:
-            fh.write('{"index": 99, "outco')
+        # a crash mid-append leaves half a frame at the end of the log
+        (seg,) = ckpt.glob("*.seg")
+        with seg.open("ab") as fh:
+            fh.write(b'\x40\x00\x00\x00\x00\x00\x00\x00{"index": 99, "outco')
         log.unlink()
         resumed = runner.run(4, seed=5, workers=1, checkpoint=ckpt)
         assert [o.values for o in resumed] == [o.values for o in full]
@@ -254,7 +267,7 @@ class TestCheckpointResume:
         flaky = MonteCarloRunner(
             FlakyOnceFactory(small_factory(), marker=str(marker)), SPECS
         )
-        ckpt = tmp_path / "run.ckpt.jsonl"
+        ckpt = tmp_path / "run.ckpt"
         first = flaky.run_report(1, seed=8, workers=1, checkpoint=ckpt)
         assert first.failures  # transient OSError recorded, no retries asked
         second = flaky.run_report(1, seed=8, workers=1, checkpoint=ckpt)
@@ -264,7 +277,7 @@ class TestCheckpointResume:
 
     def test_config_mismatch_rejected(self, tmp_path):
         runner = MonteCarloRunner(small_factory(), SPECS)
-        ckpt = tmp_path / "run.ckpt.jsonl"
+        ckpt = tmp_path / "run.ckpt"
         runner.run(2, seed=3, workers=1, checkpoint=ckpt)
         with pytest.raises(CheckpointError, match="different run"):
             runner.run(2, seed=4, workers=1, checkpoint=ckpt)  # other seed
@@ -275,18 +288,20 @@ class TestCheckpointResume:
             other.run(2, seed=3, workers=1, checkpoint=ckpt)  # other factory
 
     def test_corrupt_header_rejected(self, tmp_path):
+        # A regular file at the checkpoint path (say, a retired JSON-lines
+        # checkpoint) is refused by name, never overwritten.
         ckpt = tmp_path / "run.ckpt.jsonl"
         ckpt.write_text("not json\n")
         runner = MonteCarloRunner(small_factory(), SPECS)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="run.ckpt.jsonl"):
             runner.run(2, seed=3, workers=1, checkpoint=ckpt)
+        assert ckpt.read_text() == "not json\n"
 
     def test_parallel_checkpointed_run_resumable(self, tmp_path):
         runner, log = self._ckpt_runner(tmp_path)
-        ckpt = tmp_path / "run.ckpt.jsonl"
+        ckpt = tmp_path / "run.ckpt"
         full = runner.run(8, seed=9, workers=2, checkpoint=ckpt)
-        lines = ckpt.read_text().splitlines()
-        ckpt.write_text("\n".join(lines[:5]) + "\n")  # keep header + 4
+        _keep_records(ckpt, 5)  # keep header + 4
         resumed = runner.run(8, seed=9, workers=2, checkpoint=ckpt)
         assert [o.values for o in resumed] == [o.values for o in full]
 
@@ -302,21 +317,23 @@ class TestCheckpointStoreUnit:
         assert run_fingerprint(f, SPECS, 1, 4) == base  # and stable
 
     def test_header_written_and_replayed(self, tmp_path):
-        ckpt = tmp_path / "u.ckpt.jsonl"
+        ckpt = tmp_path / "u.ckpt"
         with CheckpointStore(ckpt, seed=1, n_runs=3, fingerprint="abc") as store:
             assert store.pending() == [0, 1, 2]
-        header = json.loads(ckpt.read_text().splitlines()[0])
+        (_seq, first), = SegmentedLog(OsDirectory(ckpt)).entries()
+        header = json.loads(first)
         assert header["kind"] == "mc_checkpoint"
         assert header["schema"] == 2
 
     def test_out_of_range_index_rejected(self, tmp_path):
-        ckpt = tmp_path / "u.ckpt.jsonl"
+        ckpt = tmp_path / "u.ckpt"
         with CheckpointStore(ckpt, seed=1, n_runs=2, fingerprint="abc"):
             pass
-        with ckpt.open("a") as fh:
-            fh.write(json.dumps({"index": 7, "failed": {
-                "index": 7, "error_type": "X", "message": "", "attempts": 1,
-            }}) + "\n")
+        log = SegmentedLog(OsDirectory(ckpt))
+        log.append(json.dumps({"index": 7, "failed": {
+            "index": 7, "error_type": "X", "message": "", "attempts": 1,
+        }}).encode())
+        log.close()
         with pytest.raises(CheckpointError, match="out of range"):
             CheckpointStore(ckpt, seed=1, n_runs=2, fingerprint="abc")
 

@@ -58,7 +58,7 @@ class TestResilience:
         plain = run_table1(Table1Config(**self.CONFIG))
         ckpt = run_table1(Table1Config(**self.CONFIG), checkpoint_dir=tmp_path)
         assert ckpt.render() == plain.render()
-        assert (tmp_path / "table1_lam6.ckpt.jsonl").exists()
+        assert (tmp_path / "table1_lam6.ckpt").exists()
         # resuming an already-complete run re-executes nothing and agrees
         resumed = run_table1(Table1Config(**self.CONFIG), checkpoint_dir=tmp_path)
         assert resumed.render() == plain.render()

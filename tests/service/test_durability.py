@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import shutil
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.service import (
     tenant_spec_to_dict,
 )
 from repro.sim.job import Job
+from repro.sim.journal import EventJournal
 from repro.store.tenant import TenantStore
 
 
@@ -39,8 +41,6 @@ def _spec(tenant="t0", **kw):
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=64,
         snapshot_every=4,
-        flush_every=2,
-        fsync=True,
     )
     base.update(kw)
     return TenantSpec(**base)
@@ -239,6 +239,92 @@ class TestColdStartParity:
             TenantShard(
                 _spec(), store=TenantStore(tmp_path / "t0"), resume=True
             )
+
+
+class TestPreSegmentStores:
+    """Stores written while the WAL was a JSON-lines file: their spec
+    docs carry the retired ``flush_every``/``fsync`` knobs, and the
+    tenant directory holds ``wal.jsonl`` and a ``shed.jsonl`` sidecar."""
+
+    OLD_KNOBS = {"flush_every": 8, "fsync": False}
+    #: No periodic anchors: only persist_now commits a snapshot.
+    SPEC = _spec(queue_budget=3, snapshot_every=10_000)
+
+    def _old_store(self, path, *, n=12):
+        """Drive a shard, then rewrite its directory into the retired
+        layout; returns (stats before, journal records)."""
+        store = TenantStore(path)
+        spec = self.SPEC
+        store.ensure_spec(dict(tenant_spec_to_dict(spec), **self.OLD_KNOBS))
+        shard = TenantShard(spec, store=store)
+        for i in range(6):  # one contention group: the budget sheds 3
+            shard.handle(Submit("t0", _job(100 + i, 1.0), rid=f"g{i}"))
+        _drive(shard, n=n)
+        shard.persist_now()
+        # Traffic past the last anchor: its WAL records are the tail.
+        shard.handle(Submit("t0", _job(n, float(n) + 4.0), rid="tail"))
+        shard.handle(Advance("t0", float(n) + 12.0))
+        before, records = shard.stats(), shard.report().journal.records
+        store.close()
+        lines = [json.dumps({"kind": "event_journal", "schema": 1})]
+        lines += [json.dumps(r.to_dict()) for r in records]
+        (path / "wal.jsonl").write_text("\n".join(lines) + "\n")
+        (path / "shed.jsonl").write_text(
+            "".join(json.dumps(r.to_dict()) + "\n" for r in shard.report().shed)
+        )
+        shutil.rmtree(path / "wal")
+        return before, records
+
+    def test_spec_with_retired_wal_knobs_resumes(self, tmp_path):
+        store = TenantStore(tmp_path / "t0")
+        store.ensure_spec(dict(tenant_spec_to_dict(_spec()), **self.OLD_KNOBS))
+        shard = TenantShard(_spec(), store=store)
+        _drive(shard, n=8)
+        shard.persist_now()
+        before = shard.stats()
+        store.close()
+        revived = TenantShard(
+            _spec(), store=TenantStore(tmp_path / "t0"), resume=True
+        )
+        for key in ("submitted", "accepted", "shed", "accepted_crc"):
+            assert revived.stats()[key] == before[key], key
+
+    def test_jsonl_wal_imported_once_then_removed(self, tmp_path):
+        path = tmp_path / "t0"
+        before, records = self._old_store(path)
+        assert before["shed"] > 0  # the sidecar held real records
+        revived = TenantShard(self.SPEC, store=TenantStore(path), resume=True)
+        after = revived.stats()
+        for key in ("submitted", "accepted", "shed", "accepted_crc"):
+            assert after[key] == before[key], key
+        assert not (path / "wal.jsonl").exists()
+        assert not (path / "shed.jsonl").exists()
+        assert EventJournal(TenantStore(path).wal).records == records
+        report = revived.close()
+        check = replay_tenant(report)
+        assert check.ok, check.failures
+        assert report.lost_jids == ()
+
+    def test_jsonl_wal_torn_tail_dropped(self, tmp_path):
+        path = tmp_path / "t0"
+        _before, records = self._old_store(path)
+        data = (path / "wal.jsonl").read_bytes()
+        (path / "wal.jsonl").write_bytes(data[:-7])  # torn final line
+        revived = TenantShard(self.SPEC, store=TenantStore(path), resume=True)
+        assert revived.report().journal.records[: len(records) - 1] == (
+            records[:-1]
+        )
+        assert replay_tenant(revived.close()).ok
+
+    def test_jsonl_wal_mid_file_corruption_refuses(self, tmp_path):
+        path = tmp_path / "t0"
+        self._old_store(path)
+        lines = (path / "wal.jsonl").read_text().splitlines()
+        lines[3] = '{"index": 2, BROKEN'
+        (path / "wal.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecoveryError, match="corrupt record at line 4"):
+            TenantStore(path)
+        assert (path / "wal.jsonl").exists()  # nothing was dropped
 
 
 class TestIdempotency:

@@ -138,3 +138,42 @@ class TestTcp:
         assert acks[-1]["accepted"] == 2
         assert len(report.accepted) == 2
         assert report.lost_jids == ()
+
+
+class TestNonFiniteLines:
+    def test_rejected_with_an_ack_and_the_frontier_holds(self):
+        """Each poisoned line gets an ``ok: false`` ack; none moves the
+        tenant's dispatch frontier, and a later submit is still decided."""
+        bad = [
+            '{"type": "advance", "tenant": "t0", "time": NaN}',
+            '{"type": "submit", "tenant": "t0", "job": {"jid": 5, '
+            '"release": NaN, "workload": 1, "deadline": 9, "value": 1}}',
+            '{"type": "submit", "tenant": "t0", "job": {"jid": 6, '
+            '"release": 3, "workload": NaN, "deadline": 9, "value": 1}}',
+            '{"type": "submit", "tenant": "t0", "job": {"jid": Infinity, '
+            '"release": 3, "workload": 1, "deadline": 9, "value": 1}}',
+        ]
+
+        async def run():
+            service = ScheduleService([_spec()])
+            await service.start()
+            ingress = ServiceIngress(service)
+            await ingress.handle_line(_submit_line("t0", 1, 2.0))
+            stat = json.dumps({"type": "stat", "tenant": "t0"})
+            before = await ingress.handle_line(stat)
+            acks = [await ingress.handle_line(line) for line in bad]
+            after = await ingress.handle_line(stat)
+            await ingress.handle_line(_submit_line("t0", 2, 4.0))
+            await ingress.handle_line(
+                json.dumps({"type": "advance", "tenant": "t0", "time": 5.0})
+            )
+            reports = await service.close()
+            return before, acks, after, reports["t0"]
+
+        before, acks, after, report = _run(run())
+        assert [a["ok"] for a in acks] == [False] * len(bad)
+        assert all("must be finite" in a["error"] for a in acks)
+        assert after["frontier"] == before["frontier"] < 2.0
+        assert after["submitted"] == before["submitted"] == 1
+        assert [job.jid for job in report.accepted] == [1, 2]
+        assert report.lost_jids == ()

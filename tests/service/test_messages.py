@@ -109,3 +109,56 @@ class TestRejection:
     def test_encode_rejects_foreign_objects(self):
         with pytest.raises(MessageError, match="cannot encode"):
             encode_message(object())
+
+
+class TestNonFiniteNumbers:
+    """JSON's ``NaN``/``Infinity`` (and integers no float can hold) are
+    refused at the wire: a NaN release used to be admitted, a NaN advance
+    ran the kernel to its horizon, and an infinite jid escaped as an
+    ``OverflowError`` instead of an error ack."""
+
+    @staticmethod
+    def _submit(**job):
+        base = {"jid": 1, "release": 0, "workload": 1, "deadline": 5, "value": 1}
+        base.update(job)
+        return {"type": "submit", "tenant": "t", "job": base}
+
+    @pytest.mark.parametrize(
+        "job, hint",
+        [
+            ({"release": float("nan")}, "'release' must be finite"),
+            ({"workload": float("nan")}, "'workload' must be finite"),
+            ({"deadline": float("inf")}, "'deadline' must be finite"),
+            ({"value": float("-inf")}, "'value' must be finite"),
+            ({"jid": float("inf")}, "'jid' must be finite"),
+            ({"jid": 10**400}, "'jid' must be finite"),
+            ({"jid": 1.5}, "'jid' must be an integer"),
+        ],
+    )
+    def test_submit_fields(self, job, hint):
+        with pytest.raises(MessageError, match=hint):
+            parse_message(self._submit(**job))
+
+    @pytest.mark.parametrize(
+        "line, hint",
+        [
+            ('{"type": "advance", "tenant": "t", "time": NaN}', "'time'"),
+            ('{"type": "advance", "tenant": "t", "time": -Infinity}', "'time'"),
+            ('{"type": "fault", "tenant": "t", "op": "evict", "time": NaN}',
+             "'time'"),
+            ('{"type": "fault", "tenant": "t", "op": "kill", "time": 1, '
+             '"retain": NaN}', "'retain'"),
+            ('{"type": "submit", "tenant": "t", "job": {"jid": Infinity, '
+             '"release": 0, "workload": 1, "deadline": 5, "value": 1}}',
+             "'jid'"),
+        ],
+    )
+    def test_wire_lines(self, line, hint):
+        with pytest.raises(MessageError, match=hint + " must be finite"):
+            parse_message(line)
+
+    def test_integral_float_jid_still_accepted(self):
+        message = parse_message(self._submit(jid=3.0))
+        assert message.job.jid == 3 and isinstance(message.job.jid, int)
+        big = parse_message(self._submit(jid=2**60 + 1))
+        assert big.job.jid == 2**60 + 1  # exact: never routed via a float

@@ -19,7 +19,8 @@ from repro.service import (
 )
 from repro.sim.engine import simulate
 from repro.sim.job import Job
-from repro.sim.journal import results_bit_identical
+from repro.sim.journal import EventJournal, results_bit_identical
+from repro.store.tenant import TenantStore
 
 
 def _spec(**kw):
@@ -30,7 +31,6 @@ def _spec(**kw):
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=64,
         snapshot_every=4,
-        flush_every=2,
     )
     base.update(kw)
     return TenantSpec(**base)
@@ -241,8 +241,10 @@ class TestShedBookkeeping:
         assert check.ok, check.failures
 
     def test_journal_and_shed_log_written(self, tmp_path):
-        spec = _spec()
-        shard = TenantShard(_spec(queue_budget=1), journal_dir=tmp_path)
+        """With a store the WAL lands in its ``wal/`` log and every shed
+        decision in its op log (the one durable shed record)."""
+        store = TenantStore(tmp_path / "t0")
+        shard = TenantShard(_spec(queue_budget=1), store=store)
         for i in range(3):
             shard.handle(
                 Submit(
@@ -257,8 +259,12 @@ class TestShedBookkeeping:
                 )
             )
         report = shard.close()
-        assert (tmp_path / "t0.journal.jsonl").exists()
-        shed_lines = (
-            (tmp_path / "t0.shed.jsonl").read_text().strip().splitlines()
-        )
-        assert len(shed_lines) == len(report.shed) == 2
+        store.close()
+        reopened = TenantStore(tmp_path / "t0")
+        assert EventJournal(reopened.wal).records == report.journal.records
+        assert len(report.journal) > 0
+        sheds = [doc for _seq, doc in reopened.ops() if doc["op"] == "shed"]
+        assert len(sheds) == len(report.shed) == 2
+        assert sorted(p.name for p in tmp_path.joinpath("t0").iterdir()) == [
+            "oplog", "snaps", "spec.json", "wal",
+        ]

@@ -24,8 +24,6 @@ def _spec(tenant="t0", **kw):
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=6,
         snapshot_every=4,
-        flush_every=2,
-        fsync=False,
     )
     base.update(kw)
     return TenantSpec(**base)

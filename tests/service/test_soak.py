@@ -7,7 +7,7 @@ forced kernel crashes.  The assertions are the service's acceptance
 criteria verbatim: zero accepted-then-lost jobs, restarts within the
 backoff cap, and every tenant's surviving journal replaying
 bit-identically through the closed-horizon engine — shed accounting
-included.  Per-tenant journals and shed logs are written under
+included.  Per-tenant stores (op log, WAL, snapshots) are written under
 ``test-results/soak/`` so a CI failure ships the evidence as artifacts.
 """
 
@@ -27,6 +27,8 @@ ARTIFACT_DIR = Path(__file__).resolve().parents[2] / "test-results" / "soak"
 @pytest.mark.soak_smoke
 class TestSoakSmoke:
     def test_chaos_soak_replays_bit_identically(self):
+        # A previous run's stores are this run's artifacts only.
+        shutil.rmtree(ARTIFACT_DIR, ignore_errors=True)
         config = SoakConfig(
             tenants=3,
             lam=2.0,
@@ -38,9 +40,8 @@ class TestSoakSmoke:
             revocation_rate=0.02,
             sensor_noise=0.1,
             snapshot_every=8,
-            flush_every=4,
             policy=RestartPolicy(backoff_base=0.001, backoff_cap=0.004),
-            journal_dir=str(ARTIFACT_DIR),
+            store_dir=str(ARTIFACT_DIR),
         )
         report = run_soak(config)
 
@@ -60,13 +61,15 @@ class TestSoakSmoke:
             assert outcome.check.ok, (
                 f"{tenant}: replay parity failed: {outcome.check.failures}"
             )
-            assert (ARTIFACT_DIR / f"{tenant}.journal.jsonl").exists()
+            wal = ARTIFACT_DIR / tenant / "wal"
+            assert any(p.suffix == ".seg" for p in wal.iterdir())
         assert report.ok
         assert report.failures() == []
 
     def test_soak_exercises_shedding_parity(self):
         """A starved budget forces queue_budget sheds mid-soak; the shed
         accounting must still balance and the replay must still agree."""
+        shutil.rmtree(ARTIFACT_DIR / "starved", ignore_errors=True)
         config = SoakConfig(
             tenants=3,
             lam=4.0,
@@ -75,9 +78,8 @@ class TestSoakSmoke:
             forced_crashes=3,
             queue_budget=3,
             snapshot_every=8,
-            flush_every=2,
             policy=RestartPolicy(backoff_base=0.001, backoff_cap=0.004),
-            journal_dir=str(ARTIFACT_DIR / "starved"),
+            store_dir=str(ARTIFACT_DIR / "starved"),
         )
         report = run_soak(config)
         assert report.shed > 0, "the starved soak never shed — not a test"
@@ -177,7 +179,6 @@ class TestKill9Smoke:
             forced_crashes=2,
             ingress_faults_per_tenant=2,
             snapshot_every=8,
-            flush_every=4,
             store_dir=str(store_dir),
         )
         report = run_kill9(config)

@@ -1,4 +1,6 @@
-"""EventJournal / JournalRecord / describe_payload unit tests."""
+"""EventJournal / JournalRecord / describe_payload unit tests, the WAL
+over :class:`~repro.store.log.SegmentedLog`, and the read-only importer
+for the retired JSON-lines WAL."""
 
 from __future__ import annotations
 
@@ -6,10 +8,12 @@ import json
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, StorageFault
 from repro.sim import EventJournal, Job, JournalRecord
 from repro.sim.events import EventKind
-from repro.sim.journal import describe_payload
+from repro.sim.journal import describe_payload, legacy_wal_payloads
+from repro.store import MemoryDirectory, OsDirectory, SegmentedLog, TenantStore
+from repro.store.faults import StorageFaultSpec
 
 
 def _record(i: int, **kw) -> JournalRecord:
@@ -48,6 +52,10 @@ class TestJournalRecord:
         del d["version"]
         assert JournalRecord.from_dict(d).version == 0
 
+    def test_wal_payload_roundtrip(self):
+        rec = _record(9, time=0.1 + 0.2, key="fault:kill:-1:0.5", version=4)
+        assert JournalRecord.decode(9, rec.encode()) == rec
+
 
 class TestEventJournal:
     def test_append_and_get(self):
@@ -65,222 +73,220 @@ class TestEventJournal:
             journal.append(_record(2))
 
     def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "run.journal"
-        journal = EventJournal(path)
+        log = SegmentedLog(OsDirectory(tmp_path / "wal"))
+        journal = EventJournal(log)
         for i in range(4):
-            journal.append(_record(i))
-        journal.close()
-        loaded = EventJournal.load(path)
+            journal.append(_record(i, key=f"alarm:{i}:claxity", version=i))
+        log.close()
+        loaded = EventJournal(SegmentedLog(OsDirectory(tmp_path / "wal")))
         assert loaded.records == journal.records
 
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "run.journal"
-        journal = EventJournal(path)
-        for i in range(4):
-            journal.append(_record(i))
-        journal.close()
-        # Simulate a crash mid-append: truncate the last line.
-        text = path.read_text()
-        path.write_text(text[: text.rindex('{"index": 3') + 10])
-        loaded = EventJournal.load(path)
-        assert len(loaded) == 3
+    def test_torn_final_line_tolerated(self):
+        data = _legacy_bytes(4)
+        cut = data.rindex(b'{"index": 3') + 10
+        assert len(legacy_wal_payloads(data[:cut])) == 3
 
-    def test_corrupt_middle_line_raises(self, tmp_path):
-        path = tmp_path / "run.journal"
-        journal = EventJournal(path)
-        for i in range(4):
-            journal.append(_record(i))
-        journal.close()
-        lines = path.read_text().splitlines()
+    def test_corrupt_middle_line_raises(self):
+        lines = _legacy_bytes(4).decode().splitlines()
         lines[2] = '{"index": 1, "time": BROKEN'
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RecoveryError, match="corrupt record at line 3"):
-            EventJournal.load(path)
+            legacy_wal_payloads(("\n".join(lines) + "\n").encode())
 
-    def test_load_rejects_non_journal(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"kind": "something_else"}) + "\n")
+    def test_load_rejects_non_journal(self):
+        data = (json.dumps({"kind": "something_else"}) + "\n").encode()
         with pytest.raises(RecoveryError, match="not an event journal"):
-            EventJournal.load(path)
+            legacy_wal_payloads(data)
 
-    def test_load_rejects_bad_schema(self, tmp_path):
-        path = tmp_path / "future.journal"
-        path.write_text(
-            json.dumps({"kind": "event_journal", "schema": 999}) + "\n"
-        )
+    def test_load_rejects_bad_schema(self):
+        header = {"kind": "event_journal", "schema": 999}
         with pytest.raises(RecoveryError, match="unsupported schema"):
-            EventJournal.load(path)
+            legacy_wal_payloads((json.dumps(header) + "\n").encode())
 
-    def test_load_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.journal"
-        path.write_text("")
+    def test_load_rejects_empty(self):
         with pytest.raises(RecoveryError, match="empty"):
-            EventJournal.load(path)
+            legacy_wal_payloads(b"")
+
+
+def _legacy_bytes(n: int) -> bytes:
+    """A retired JSON-lines WAL holding records 0..n-1."""
+    lines = [json.dumps({"kind": "event_journal", "schema": 1})]
+    lines += [json.dumps(_record(i).to_dict()) for i in range(n)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _mem_journal():
+    """A journal over a WAL log on an in-memory, power-loss-modelling
+    directory."""
+    mem = MemoryDirectory()
+    return mem, EventJournal(SegmentedLog(mem))
+
+
+def _recovered(mem) -> tuple:
+    return EventJournal(SegmentedLog(mem)).records
 
 
 class TestFlushBatching:
-    def test_flush_every_validated(self):
-        with pytest.raises(RecoveryError, match="flush_every"):
-            EventJournal(flush_every=0)
-
     def test_flush_is_noop_in_memory(self):
         journal = EventJournal()
         journal.append(_record(0))
-        journal.flush()  # must not raise without a file
+        journal.flush()  # must not raise without a log
         journal.flush(sync=True)
 
-    def test_batched_appends_buffered_until_boundary(self, tmp_path):
-        """With flush_every=N, a hard crash between boundaries loses at
-        most the last N-1 records — and none once flush() is called."""
-        path = tmp_path / "batched.journal"
-        journal = EventJournal(path, flush_every=4)
-        for i in range(6):  # one full batch (4) + 2 buffered
+    def test_batched_appends_buffered_until_boundary(self):
+        """Appends reach the OS at once (SIGKILL loses none), but only a
+        ``flush(sync=True)`` boundary makes them survive power loss."""
+        mem, journal = _mem_journal()
+        for i in range(6):
             journal.append(_record(i))
-        # Read the file *without* closing: what a post-crash reader sees.
-        on_disk = EventJournal.load(path)
-        assert len(on_disk) == 4  # records 4,5 still in the buffer
-        journal.flush()
-        assert len(EventJournal.load(path)) == 6
-        journal.close()
+            if i == 3:
+                journal.flush(sync=True)
+        mem.crash()  # power loss: records 4, 5 were never synced
+        assert _recovered(mem) == journal.records[:4]
 
-    def test_torn_tail_at_flush_boundary(self, tmp_path):
-        """Crash signature under batching: the file ends exactly at a
-        flush boundary plus a torn partial line; load() must keep every
-        whole record and drop only the tear."""
-        path = tmp_path / "torn.journal"
-        journal = EventJournal(path, flush_every=3)
-        for i in range(6):  # flushes after records 2 and 5
+        mem, journal = _mem_journal()
+        for i in range(6):
             journal.append(_record(i))
-        journal.append(_record(6))  # buffered, then torn below
-        journal.flush()
-        journal.close()
-        text = path.read_text()
-        # Tear mid-way through the last record's line.
-        path.write_text(text[: text.rindex('{"index": 6') + 10])
-        loaded = EventJournal.load(path)
-        assert len(loaded) == 6
-        assert loaded.records == journal.records[:6]
+        mem.sync_all()  # SIGKILL: the page cache survives
+        mem.crash()
+        assert _recovered(mem) == journal.records
 
-    def test_explicit_sync_flush(self, tmp_path):
-        path = tmp_path / "sync.journal"
-        journal = EventJournal(path, flush_every=100, fsync=True)
+    def test_torn_tail_at_flush_boundary(self):
+        """A write torn mid-record after a sync boundary: recovery keeps
+        every synced record and drops only the tear."""
+        mem = MemoryDirectory()
+        spy = StorageFaultSpec("torn_write", at=10**9).apply(mem)
+        journal = EventJournal(SegmentedLog(spy))
+        for i in range(6):
+            journal.append(_record(i))
+        journal.flush(sync=True)
+        tear_at = spy.bytes_written + 9  # inside record 6's frame
+        mem = MemoryDirectory()
+        torn = StorageFaultSpec("torn_write", at=tear_at).apply(mem)
+        journal = EventJournal(SegmentedLog(torn))
+        for i in range(6):
+            journal.append(_record(i))
+        journal.flush(sync=True)
+        with pytest.raises(StorageFault):
+            journal.append(_record(6))
+        mem.crash()
+        assert _recovered(mem) == tuple(_record(i) for i in range(6))
+
+    def test_explicit_sync_flush(self):
+        mem, journal = _mem_journal()
         for i in range(3):
             journal.append(_record(i))
-        journal.flush()  # constructor fsync flag applies
-        assert len(EventJournal.load(path)) == 3
+        journal.flush()  # no sync: still volatile
+        journal.flush(sync=True)
         journal.append(_record(3))
-        journal.flush(sync=False)  # suppress the fsync, still flushes
-        assert len(EventJournal.load(path)) == 4
-        journal.close()
+        journal.flush(sync=False)
+        mem.crash()
+        assert len(_recovered(mem)) == 3
+
+
+class _CountingDirectory(MemoryDirectory):
+    def __init__(self):
+        super().__init__()
+        self.dir_syncs = 0
+
+    def fsync_dir(self):
+        self.dir_syncs += 1
+        super().fsync_dir()
 
 
 class TestDirFsync:
-    """Regression: a freshly created journal *file entry* is only durable
-    once the parent directory is fsynced — exactly once, at the first
-    durability point."""
+    """Regression: a freshly created WAL *file entry* is only durable
+    once its directory is fsynced — which the log does once per segment
+    birth, before any record lands in it."""
 
-    def test_eager_dir_sync_with_fsync_true(self, tmp_path):
-        journal = EventJournal(tmp_path / "j.jsonl", fsync=True)
-        assert journal._dir_synced is True
-        journal.close()
-
-    def test_deferred_dir_sync_with_fsync_false(self, tmp_path):
-        journal = EventJournal(tmp_path / "j.jsonl", fsync=False)
-        assert journal._dir_synced is False
-        journal.append(_record(0))
-        journal.flush()  # plain flush: still no durability point
-        assert journal._dir_synced is False
-        journal.flush(sync=True)  # first explicit durability point
-        assert journal._dir_synced is True
-        journal.close()
+    def test_eager_dir_sync_with_fsync_true(self):
+        mem = MemoryDirectory()
+        store = TenantStore(mem, fsync=True)
+        EventJournal(store.wal)
+        mem.crash()  # nothing appended or synced since the open
+        assert TenantStore(mem, fsync=True).wal.entries() == []
+        assert mem.subdir("wal").listdir() == ["log-000000000000.seg"]
 
     def test_in_memory_journal_never_needs_it(self):
         journal = EventJournal()
-        assert journal._dir_synced is True
         journal.append(_record(0))
-        journal.flush(sync=True)  # no file: a no-op, not an error
+        journal.flush(sync=True)  # no log: a no-op, not an error
 
-    def test_sync_dir_is_one_time(self, tmp_path, monkeypatch):
-        import repro.sim.journal as journal_mod
-
-        journal = EventJournal(tmp_path / "j.jsonl", fsync=True)
-        calls = []
-        monkeypatch.setattr(
-            journal_mod.os,
-            "open",
-            lambda *a, **k: calls.append(a) or (_ for _ in ()).throw(
-                AssertionError("dir fsync repeated")
-            ),
-        )
-        journal.append(_record(0))
-        journal.flush(sync=True)  # must not re-open the directory
-        assert calls == []
+    def test_sync_dir_is_one_time(self):
+        wal = _CountingDirectory()
+        journal = EventJournal(SegmentedLog(wal))
+        births = wal.dir_syncs
+        assert births == 1
+        for i in range(5):
+            journal.append(_record(i))
+            journal.flush(sync=True)  # must not re-sync the directory
+        assert wal.dir_syncs == births
 
 
 class TestResume:
     def _written(self, tmp_path, n=3):
-        path = tmp_path / "j.jsonl"
-        journal = EventJournal(path, fsync=True)
+        log = SegmentedLog(OsDirectory(tmp_path / "wal"))
+        journal = EventJournal(log)
         for i in range(n):
             journal.append(_record(i))
-        journal.close()
-        return path
+        log.close()
+        return tmp_path / "wal"
+
+    @staticmethod
+    def _reopen(path):
+        return EventJournal(SegmentedLog(OsDirectory(path)))
 
     def test_clean_resume_appends_in_place(self, tmp_path):
         path = self._written(tmp_path, n=3)
-        journal = EventJournal.resume(path, fsync=True)
+        journal = self._reopen(path)
         assert len(journal) == 3
         journal.append(_record(3))
-        journal.close()
-        loaded = EventJournal.load(path)
-        assert [r.index for r in loaded.records] == [0, 1, 2, 3]
+        assert [r.index for r in self._reopen(path).records] == [0, 1, 2, 3]
 
     def test_torn_final_line_truncated_then_extended(self, tmp_path):
         path = self._written(tmp_path, n=3)
-        with path.open("ab") as fh:
-            fh.write(b'{"index": 3, "time":')  # torn mid-append
-        journal = EventJournal.resume(path)
-        assert len(journal) == 2 + 1  # the three complete records
+        (seg,) = path.glob("*.seg")
+        with seg.open("ab") as fh:
+            fh.write(b"\x20\x00\x00\x00\x01\x02")  # torn mid-append
+        journal = self._reopen(path)
+        assert len(journal) == 3  # the three complete records
         journal.append(_record(3))
-        journal.close()
-        # The tear is gone from disk; the file parses cleanly end to end.
-        loaded = EventJournal.load(path)
-        assert [r.index for r in loaded.records] == [0, 1, 2, 3]
+        # The tear is gone from disk; the log parses cleanly end to end.
+        assert [r.index for r in self._reopen(path).records] == [0, 1, 2, 3]
 
     def test_record_missing_newline_truncated(self, tmp_path):
-        # A parseable record without its newline would be corrupted by
-        # the next append ("{...}{...}" on one line): resume truncates it
-        # and the kernel regenerates it deterministically.
+        # The framed analog of a record missing its newline: the final
+        # record short by its last byte.  Reopening truncates it, and the
+        # next append (the kernel regenerating it) lands cleanly.
         path = self._written(tmp_path, n=3)
-        data = path.read_bytes()
-        path.write_bytes(data[:-1])  # strip the final newline only
-        journal = EventJournal.resume(path)
+        (seg,) = path.glob("*.seg")
+        seg.write_bytes(seg.read_bytes()[:-1])
+        journal = self._reopen(path)
         assert len(journal) == 2
         journal.append(_record(2))
-        journal.close()
-        loaded = EventJournal.load(path)
-        assert [r.index for r in loaded.records] == [0, 1, 2]
+        assert [r.index for r in self._reopen(path).records] == [0, 1, 2]
 
-    def test_mid_file_corruption_refuses(self, tmp_path):
-        path = self._written(tmp_path, n=3)
-        lines = path.read_text().splitlines()
+    def test_mid_file_corruption_refuses(self):
+        lines = _legacy_bytes(3).decode().splitlines()
         lines[2] = '{"index": 1, BROKEN'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RecoveryError, match="mid-file"):
-            EventJournal.resume(path)
+        with pytest.raises(RecoveryError, match="corrupt record"):
+            legacy_wal_payloads(("\n".join(lines) + "\n").encode())
 
-    def test_corrupt_header_refuses(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text("{broken\n")
+    def test_corrupt_header_refuses(self):
         with pytest.raises(RecoveryError, match="header"):
-            EventJournal.resume(path)
+            legacy_wal_payloads(b"{broken\n")
 
-    def test_foreign_file_refuses(self, tmp_path):
-        path = tmp_path / "other.jsonl"
-        path.write_text(json.dumps({"kind": "mc_checkpoint", "schema": 1}) + "\n")
+    def test_foreign_file_refuses(self):
+        data = json.dumps({"kind": "mc_checkpoint", "schema": 1}) + "\n"
         with pytest.raises(RecoveryError, match="not an event journal"):
-            EventJournal.resume(path)
+            legacy_wal_payloads(data.encode())
 
     def test_missing_file_refuses(self, tmp_path):
-        with pytest.raises(RecoveryError, match="cannot read"):
-            EventJournal.resume(tmp_path / "absent.jsonl")
+        # A WAL whose head segment is gone no longer starts at dispatch 0.
+        log = SegmentedLog(OsDirectory(tmp_path / "wal"), segment_bytes=64)
+        for i in range(6):
+            log.append(_record(i).encode())
+        log.close()
+        head = min((tmp_path / "wal").glob("*.seg"))
+        head.unlink()
+        with pytest.raises(RecoveryError, match="head segments are missing"):
+            self._reopen(tmp_path / "wal")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.store.directory import MemoryDirectory
-from repro.store.tenant import SHED_FILE, SPEC_FILE, WAL_FILE, TenantStore
+from repro.store.tenant import SPEC_FILE, TenantStore
 
 
 SPEC = {"tenant": "t0", "seed": 11, "workload": {"lam": 2.0}}
@@ -39,11 +39,12 @@ class TestSpec:
 
     def test_paths(self, tmp_path):
         store = TenantStore(tmp_path / "t0")
-        assert store.wal_path == tmp_path / "t0" / WAL_FILE
-        assert store.shed_path == tmp_path / "t0" / SHED_FILE
-        mem_store = TenantStore(MemoryDirectory())
-        assert mem_store.wal_path is None
-        assert mem_store.shed_path is None
+        assert store.path == tmp_path / "t0"
+        # Both append logs (op log, kernel WAL) are segment directories.
+        assert sorted(p.name for p in store.path.iterdir()) == [
+            "oplog", "snaps", "wal",
+        ]
+        assert TenantStore(MemoryDirectory()).path is None
 
 
 class TestOpsAndSnapshots:

@@ -139,7 +139,7 @@ class TestCommands:
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert (tmp_path / "table1_lam6.ckpt.jsonl").exists()
+        assert (tmp_path / "table1_lam6.ckpt").exists()
         assert main(argv) == 0  # resumes from the checkpoint
         assert capsys.readouterr().out == first
 
