@@ -369,35 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p = sub.add_parser(
+    # `repro serve` options belong to the daemon's own parser
+    # (repro.service.daemon.main); main() forwards the raw arguments, so
+    # this entry only lists the command.
+    sub.add_parser(
         "serve",
+        add_help=False,
         help=(
             "run the durable scheduling service: TCP JSON-line ingress, "
             "crash-safe tenant store, SIGTERM drain (the kill -9 soak's "
-            "child process)"
+            "child process; options: repro serve --help)"
         ),
-    )
-    p.add_argument("--store", required=True, help="store directory")
-    p.add_argument(
-        "--specs", default=None, help="JSON tenant-spec file (fresh store)"
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip store fsyncs (faster; survives SIGKILL, not power loss)",
-    )
-    p.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable SLO tracking and the HTTP exposition listener",
-    )
-    p.add_argument(
-        "--telemetry-port",
-        type=int,
-        default=0,
-        help="HTTP exposition port (default 0 = ephemeral)",
     )
 
     p = sub.add_parser(
@@ -849,20 +831,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.daemon import main as serve_main
-
-    argv = ["--store", args.store, "--host", args.host, "--port", str(args.port)]
-    if args.specs:
-        argv += ["--specs", args.specs]
-    if args.no_fsync:
-        argv.append("--no-fsync")
-    if args.no_telemetry:
-        argv.append("--no-telemetry")
-    argv += ["--telemetry-port", str(args.telemetry_port)]
-    return serve_main(argv)
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     import json as _json
     import time
@@ -895,6 +863,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["serve"]:
+        from repro.service.daemon import main as serve_main
+
+        return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     handler = {
         "table1": _cmd_table1,
@@ -908,7 +881,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "simulate": _cmd_simulate,
         "obs": _cmd_obs,
         "soak": _cmd_soak,
-        "serve": _cmd_serve,
         "top": _cmd_top,
     }[args.command]
     return handler(args)

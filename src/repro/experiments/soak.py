@@ -82,7 +82,6 @@ class SoakConfig:
     policy: RestartPolicy = field(default_factory=RestartPolicy)
     #: durable tenant stores (op log, WAL, snapshots) under this directory
     store_dir: Optional[str] = None
-    telemetry: bool = True  #: per-tenant SLO trackers on the shards
     #: JSON-lines health timeline (one fleet scrape row per traffic
     #: chunk) — the machine-readable artifact CI uploads.
     timeline_path: Optional[str] = None
@@ -329,7 +328,6 @@ async def _soak(config: SoakConfig) -> SoakReport:
         specs,
         policy=config.policy,
         store_dir=config.store_dir,
-        telemetry=config.telemetry,
     )
     await service.start()
     ingress = ServiceIngress(service)
@@ -497,21 +495,16 @@ class Kill9Report:
                         f"{tenant}: {key} diverged across the drain "
                         f"boundary ({a.get(key)} -> {b.get(key)})"
                     )
-            # SLO parity: the windowed tracker must round-trip the
+            # Metrics parity: the tenant registry must round-trip the
             # drain → kill -9 → cold-start boundary exactly (modulo the
             # counters a cold start legitimately bumps and wall-clock
             # fsync latencies — slo_parity_view strips those).
-            slo_a, slo_b = a.get("slo"), b.get("slo")
-            if slo_a and slo_b:
-                if slo_parity_view(slo_a) != slo_parity_view(slo_b):
-                    out.append(
-                        f"{tenant}: SLO snapshot diverged across the "
-                        "drain/cold-start boundary"
-                    )
-            elif slo_a or slo_b:
+            if slo_parity_view(a.get("metrics") or {}) != slo_parity_view(
+                b.get("metrics") or {}
+            ):
                 out.append(
-                    f"{tenant}: SLO snapshot present on only one side "
-                    "of the drain boundary"
+                    f"{tenant}: tenant metrics diverged across the "
+                    "drain/cold-start boundary"
                 )
         for tenant, ack in sorted(self.close_acks.items()):
             if not ack.get("ok"):

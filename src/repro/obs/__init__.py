@@ -20,6 +20,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    WindowRing,
     merge_snapshots,
 )
 from repro.obs.correlate import correlate_request, render_request_trace
@@ -27,7 +28,6 @@ from repro.obs.report import decision_stream, diff_traces, render_report, render
 from repro.obs.telemetry import (
     HEALTH_STATES,
     SloTracker,
-    WindowRing,
     lint_prometheus,
     render_prometheus,
     render_top,
@@ -47,6 +47,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "WindowRing",
     "merge_snapshots",
     "TraceEvent",
     "TraceSink",
@@ -56,7 +57,6 @@ __all__ = [
     "render_tail",
     "diff_traces",
     "decision_stream",
-    "WindowRing",
     "SloTracker",
     "slo_parity_view",
     "render_prometheus",

@@ -246,6 +246,7 @@ def correlate_request(
 
 
 def _tenant_recoveries(tenant_dir: Path) -> Optional[int]:
+    from repro.obs.telemetry import payload_metrics
     from repro.store.tenant import TenantStore
 
     store = TenantStore(tenant_dir, fsync=False)
@@ -255,7 +256,8 @@ def _tenant_recoveries(tenant_dir: Path) -> Optional[int]:
             return None
         payload, _ = loaded
         if isinstance(payload, dict):
-            return int(payload.get("recoveries", 0))
+            counters = payload_metrics(payload).get("counters") or {}
+            return int(counters.get("service.recoveries", 0))
         return None
     finally:
         store.close()

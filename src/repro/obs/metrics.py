@@ -1,4 +1,5 @@
-"""Metrics registry: counters, gauges and histograms with snapshot/merge.
+"""Metrics registry: counters, gauges, histograms and virtual-time
+windows with snapshot/merge.
 
 Design goals, in order:
 
@@ -7,10 +8,13 @@ Design goals, in order:
    hit plus an integer add.  (The *disabled* path never reaches here at
    all — see :mod:`repro.obs.core`.)
 2. **Mergeable** — :meth:`MetricsRegistry.snapshot` produces a plain
-   JSON-able dict and :func:`merge_snapshots` folds many of them into one
-   (counters add, gauges keep the high-water mark, histograms pool their
-   moments).  This is how the Monte-Carlo runner aggregates per-worker
-   registries into a sweep-level view, and how checkpoints persist them.
+   JSON-able dict (strict JSON: an empty histogram or an unset gauge
+   reports ``None``, never ±Infinity) and :func:`merge_snapshots` folds
+   many of them into one (counters add, gauges keep the high-water mark,
+   histograms pool their moments, windows add bucket-wise).  This is how
+   the Monte-Carlo runner aggregates per-worker registries into a
+   sweep-level view, how checkpoints persist them, and — merged into an
+   empty registry — how a service tenant restores its own.
 3. **Deterministic where the simulation is** — counts derived from the
    event stream are reproducible; wall-clock histograms (dispatch latency,
    replication wall time) are not, which is why metrics are kept out of
@@ -20,7 +24,7 @@ Design goals, in order:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Mapping
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -29,6 +33,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "WindowRing",
     "merge_snapshots",
 ]
 
@@ -89,6 +94,90 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
+class WindowRing:
+    """Fixed-size windowed counters over *virtual* time.
+
+    Observations at time ``t`` land in bucket ``floor(t / width)``; only
+    the newest ``slots`` buckets are kept (older ones are pruned and
+    counted in :attr:`dropped_buckets`).  Virtual time makes the ring
+    deterministic: the same decision stream produces the same ring,
+    whichever process (or incarnation) counted it.
+    """
+
+    __slots__ = ("width", "slots", "dropped_buckets", "_buckets")
+
+    def __init__(self, width: float, slots: int = 16) -> None:
+        if not width > 0.0:
+            raise ObservabilityError(f"ring width must be > 0, got {width!r}")
+        if slots < 1:
+            raise ObservabilityError(f"ring slots must be >= 1, got {slots!r}")
+        self.width = float(width)
+        self.slots = int(slots)
+        self.dropped_buckets = 0
+        self._buckets: Dict[int, Dict[str, float]] = {}
+
+    def observe(self, t: float, name: str, value: float = 1.0) -> None:
+        index = int(math.floor(float(t) / self.width))
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = {}
+            self._prune()
+        bucket[name] = bucket.get(name, 0.0) + float(value)
+
+    def _prune(self) -> None:
+        while len(self._buckets) > self.slots:
+            del self._buckets[min(self._buckets)]
+            self.dropped_buckets += 1
+
+    def buckets(self) -> List[Tuple[int, Dict[str, float]]]:
+        """Retained buckets, oldest first, as ``(index, {name: value})``."""
+        return [(i, dict(self._buckets[i])) for i in sorted(self._buckets)]
+
+    def total(self, name: str) -> float:
+        """Sum of ``name`` over the retained window."""
+        return sum(b.get(name, 0.0) for b in self._buckets.values())
+
+    def rate(self, hits: str, denominator: str) -> float:
+        """Windowed ratio ``hits / denominator`` (0 when empty)."""
+        denom = self.total(denominator)
+        return self.total(hits) / denom if denom > 0.0 else 0.0
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {
+            "width": self.width,
+            "slots": self.slots,
+            "dropped_buckets": self.dropped_buckets,
+            "buckets": [[i, dict(sorted(b.items()))] for i, b in self.buckets()],
+        }
+
+    def merge(self, doc: Mapping[str, Any]) -> None:
+        """Fold a :meth:`snapshot` in exactly (same geometry required):
+        bucket values add, then the union is pruned to the newest
+        ``slots``.
+
+        Exactness covers the *retained buckets*: a stream counted whole
+        and the same stream counted in two halves then merged agree on
+        every retained bucket.  ``dropped_buckets`` is diagnostic only —
+        a bucket pruned in both halves is counted twice (the halves
+        cannot know they overlapped)."""
+        width, slots = float(doc["width"]), int(doc["slots"])
+        if (self.width, self.slots) != (width, slots):
+            raise ObservabilityError(
+                "cannot merge rings with different geometry: "
+                f"({self.width}, {self.slots}) vs ({width}, {slots})"
+            )
+        for index, values in doc.get("buckets", ()):
+            bucket = self._buckets.setdefault(int(index), {})
+            for name, value in values.items():
+                bucket[name] = bucket.get(name, 0.0) + float(value)
+        self.dropped_buckets += int(doc.get("dropped_buckets", 0))
+        self._prune()
+
+
+def _number(value: Any, default: float) -> float:
+    return default if value is None else float(value)
+
+
 class MetricsRegistry:
     """Named instruments, created on first use.
 
@@ -101,6 +190,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._windows: Dict[str, WindowRing] = {}
 
     # ------------------------------------------------------------------
     def _check_unique(self, name: str, kind: str) -> None:
@@ -108,6 +198,7 @@ class MetricsRegistry:
             "counter": self._counters,
             "gauge": self._gauges,
             "histogram": self._histograms,
+            "window": self._windows,
         }
         for other_kind, table in owners.items():
             if other_kind != kind and name in table:
@@ -136,22 +227,51 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram()
         return h
 
+    def window(self, name: str, width: float, slots: int = 16) -> WindowRing:
+        """The named :class:`WindowRing`; its geometry is fixed by the
+        first call."""
+        w = self._windows.get(name)
+        if w is None:
+            self._check_unique(name, "window")
+            w = self._windows[name] = WindowRing(width, slots)
+        elif (w.width, w.slots) != (float(width), int(slots)):
+            raise ObservabilityError(
+                f"window {name!r} already has geometry ({w.width}, {w.slots})"
+            )
+        return w
+
+    def counter_value(self, name: str) -> int:
+        """A counter's value without creating it (0 if never counted)."""
+        c = self._counters.get(name)
+        return 0 if c is None else c.n
+
     # ------------------------------------------------------------------
     # Snapshot / merge
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """A plain JSON-able image of every instrument."""
-        return {
+        """A plain JSON-able image of every instrument (``windows`` only
+        when a window exists)."""
+        snap: Dict[str, Any] = {
             "counters": {k: c.n for k, c in sorted(self._counters.items())},
             "gauges": {
-                k: {"last": g.last, "hwm": g.hwm}
+                k: {"last": g.last, "hwm": g.hwm if g.hwm > -math.inf else None}
                 for k, g in sorted(self._gauges.items())
             },
             "histograms": {
-                k: {"count": h.count, "sum": h.total, "min": h.min, "max": h.max}
+                k: {
+                    "count": h.count,
+                    "sum": h.total,
+                    "min": h.min if h.count else None,
+                    "max": h.max if h.count else None,
+                }
                 for k, h in sorted(self._histograms.items())
             },
         }
+        if self._windows:
+            snap["windows"] = {
+                k: w.snapshot() for k, w in sorted(self._windows.items())
+            }
+        return snap
 
     def merge(self, snap: Mapping[str, Any]) -> None:
         """Fold a :meth:`snapshot` dict into this registry's live state."""
@@ -159,7 +279,7 @@ class MetricsRegistry:
             self.counter(name).inc(int(n))
         for name, doc in snap.get("gauges", {}).items():
             g = self.gauge(name)
-            hwm = float(doc.get("hwm", -math.inf))
+            hwm = _number(doc.get("hwm"), -math.inf)
             if hwm > g.hwm:
                 g.hwm = hwm
                 g.last = float(doc.get("last", hwm))
@@ -167,8 +287,10 @@ class MetricsRegistry:
             h = self.histogram(name)
             h.count += int(doc.get("count", 0))
             h.total += float(doc.get("sum", 0.0))
-            h.min = min(h.min, float(doc.get("min", math.inf)))
-            h.max = max(h.max, float(doc.get("max", -math.inf)))
+            h.min = min(h.min, _number(doc.get("min"), math.inf))
+            h.max = max(h.max, _number(doc.get("max"), -math.inf))
+        for name, doc in snap.get("windows", {}).items():
+            self.window(name, doc["width"], doc["slots"]).merge(doc)
 
 
 def merge_snapshots(snaps: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -176,7 +298,7 @@ def merge_snapshots(snaps: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
 
     Counters add; gauges keep the maximal high-water mark (the ``last``
     value of the snapshot that owned it); histograms pool count/sum and
-    take the global extremes."""
+    take the global extremes; windows add bucket-wise."""
     acc = MetricsRegistry()
     for snap in snaps:
         acc.merge(snap)

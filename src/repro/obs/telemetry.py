@@ -1,4 +1,4 @@
-"""Live service telemetry: per-tenant SLO trackers and exposition.
+"""Live service telemetry: per-tenant SLO tracking and exposition.
 
 The closed-horizon obs layer (:mod:`repro.obs.core`) answers *what
 happened in one run*; this module answers the paper's rate questions
@@ -6,30 +6,25 @@ happened in one run*; this module answers the paper's rate questions
 reason, admission queue depth, attained-value-per-unit-capacity —
 without touching the deterministic replay domain.
 
-Three pieces, all pure data / pure functions (the service wiring lives
-in :mod:`repro.service`):
+Pure data / pure functions (the service wiring lives in
+:mod:`repro.service`):
 
-* :class:`WindowRing` — a fixed-size windowed time series over *virtual*
-  time: observations land in ``width``-wide buckets, only the newest
-  ``slots`` buckets are retained, and two rings over the same geometry
-  merge **exactly** (same JSON snapshot whether observations were
-  counted in one process or across a crash-resume boundary).
-* :class:`SloTracker` — one tenant's SLO state: monotone decision
-  counters, the window ring, a queue-depth gauge and a wall-clock fsync
-  latency histogram.  ``snapshot()``/``restore()`` round-trip through
-  JSON so the tracker rides the TenantStore snapshot payload and
-  survives ``kill -9``; :func:`slo_parity_view` strips the fields that
-  *legitimately* differ across a restart (recovery/cold-start counts,
-  wall-clock latencies) so drain-vs-cold-start audits compare the rest
-  for equality.
+* :class:`SloTracker` — one tenant's instruments: a
+  :class:`~repro.obs.metrics.MetricsRegistry` whose ``observe`` also
+  lands each decision in a virtual-time
+  :class:`~repro.obs.metrics.WindowRing`.  Its snapshot rides the
+  TenantStore snapshot payload and survives ``kill -9``
+  (:func:`payload_metrics` reads it back, converting the version-1
+  layout); :func:`slo_parity_view` strips what *legitimately* differs
+  across a restart (recovery/cold-start counts, wall-clock latencies)
+  so drain-vs-cold-start audits compare the rest for equality.
 * Exposition renderers — :func:`render_prometheus` (text format 0.0.4)
   over a fleet scrape, :func:`lint_prometheus` (a strict format checker
   CI runs against live scrapes), and :func:`render_top` (the
   ``repro top`` dashboard screen).
 
 Nothing here is in the bit-identity fingerprint domain: SLO state is
-service-plane accounting, never written into replay events, and the
-Figure-1 pins are unchanged with telemetry on or off.
+service-plane accounting, never written into replay events.
 """
 
 from __future__ import annotations
@@ -38,12 +33,12 @@ import math
 import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ObservabilityError
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "WindowRing",
     "SloTracker",
     "slo_parity_view",
+    "payload_metrics",
     "render_prometheus",
     "lint_prometheus",
     "render_top",
@@ -55,222 +50,105 @@ __all__ = [
 HEALTH_STATES = ("ok", "degraded", "restarting", "circuit_open")
 
 
-class WindowRing:
-    """Fixed-size, exact-merge windowed counters over virtual time.
-
-    Observations at virtual time ``t`` land in bucket ``floor(t /
-    width)``; only the newest ``slots`` buckets are kept (older ones are
-    pruned and counted in :attr:`dropped_buckets`).  Virtual time means
-    the structure is deterministic: the same decision stream produces
-    the same ring, whichever process (or incarnation) counted it.
-    """
-
-    __slots__ = ("width", "slots", "dropped_buckets", "_buckets")
-
-    def __init__(self, width: float, slots: int = 16) -> None:
-        if not width > 0.0:
-            raise ObservabilityError(f"ring width must be > 0, got {width!r}")
-        if slots < 1:
-            raise ObservabilityError(f"ring slots must be >= 1, got {slots!r}")
-        self.width = float(width)
-        self.slots = int(slots)
-        self.dropped_buckets = 0
-        self._buckets: Dict[int, Dict[str, float]] = {}
-
-    def observe(self, t: float, name: str, value: float = 1.0) -> None:
-        index = int(math.floor(float(t) / self.width))
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = {}
-            self._prune()
-        bucket[name] = bucket.get(name, 0.0) + float(value)
-
-    def _prune(self) -> None:
-        while len(self._buckets) > self.slots:
-            oldest = min(self._buckets)
-            del self._buckets[oldest]
-            self.dropped_buckets += 1
-
-    # -- queries ---------------------------------------------------------
-    def buckets(self) -> List[Tuple[int, Dict[str, float]]]:
-        """Retained buckets, oldest first, as ``(index, {name: value})``."""
-        return [(i, dict(self._buckets[i])) for i in sorted(self._buckets)]
-
-    def total(self, name: str) -> float:
-        """Sum of ``name`` over the retained window."""
-        return sum(b.get(name, 0.0) for b in self._buckets.values())
-
-    def rate(self, hits: str, denominator: str) -> float:
-        """Windowed ratio ``hits / denominator`` (0 when empty)."""
-        denom = self.total(denominator)
-        return self.total(hits) / denom if denom > 0.0 else 0.0
-
-    # -- snapshot / restore / merge (exact) ------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "width": self.width,
-            "slots": self.slots,
-            "dropped_buckets": self.dropped_buckets,
-            "buckets": [
-                [i, {k: self._buckets[i][k] for k in sorted(self._buckets[i])}]
-                for i in sorted(self._buckets)
-            ],
-        }
-
-    @classmethod
-    def restore(cls, doc: Mapping[str, Any]) -> "WindowRing":
-        ring = cls(float(doc["width"]), int(doc["slots"]))
-        ring.dropped_buckets = int(doc.get("dropped_buckets", 0))
-        for index, values in doc.get("buckets", ()):
-            ring._buckets[int(index)] = {
-                str(k): float(v) for k, v in values.items()
-            }
-        ring._prune()
-        return ring
-
-    def merge(self, other: "WindowRing") -> None:
-        """Fold ``other`` in exactly (same geometry required): bucket
-        values add, then the union is pruned to the newest ``slots``.
-
-        Exactness covers the *retained buckets*: a stream counted whole
-        and the same stream counted in two halves then merged agree on
-        every retained bucket.  ``dropped_buckets`` is diagnostic only —
-        a bucket pruned in both halves is counted twice (the halves
-        cannot know they overlapped)."""
-        if (self.width, self.slots) != (other.width, other.slots):
-            raise ObservabilityError(
-                "cannot merge rings with different geometry: "
-                f"({self.width}, {self.slots}) vs "
-                f"({other.width}, {other.slots})"
-            )
-        for index, values in other._buckets.items():
-            bucket = self._buckets.setdefault(index, {})
-            for name, value in values.items():
-                bucket[name] = bucket.get(name, 0.0) + value
-        self.dropped_buckets += other.dropped_buckets
-        self._prune()
+#: Counters that legitimately differ across a restart boundary — a
+#: cold start *is* one more recovery — and are therefore excluded from
+#: the drain/cold-start parity comparison.
+_NON_PARITY_COUNTERS = ("service.recoveries", "service.cold_starts")
 
 
-#: SLO counters that legitimately differ across a restart boundary —
-#: a cold start *is* one more recovery — and are therefore excluded
-#: from the drain/cold-start parity comparison.
-_NON_PARITY_COUNTERS = ("recoveries", "cold_starts")
-
-
-class SloTracker:
-    """One tenant's service-level accounting, durable and mergeable.
+class SloTracker(MetricsRegistry):
+    """One tenant's service-level accounting: a metrics registry whose
+    decision counters also land in a virtual-time decision window.
 
     Decision-plane state only: the tracker counts what the *service*
-    decided (submissions, admissions, sheds by reason, injected faults,
-    crashes survived).  Kernel-derived SLO facts (completions, deadline
+    decided (admissions, sheds by reason, injected faults, duplicates,
+    recoveries).  Kernel-derived SLO facts (completions, deadline
     misses, attained value) are **not** tracked incrementally — they are
     a pure function of the kernel trace and are computed on demand at
     scrape time (:meth:`repro.service.shard.TenantShard.slo_view`), so a
-    snapshot restore can never double-count them.
+    snapshot restore can never double-count them.  Restoring is a
+    :meth:`merge` of the persisted snapshot into a fresh tracker.
     """
 
-    SCHEMA = 1
+    #: Name of the decision window (width ``horizon / slots``).
+    WINDOW = "service.decisions"
 
-    def __init__(self, tenant: str, horizon: float, slots: int = 16) -> None:
-        self.tenant = tenant
-        self.counters: Dict[str, float] = {}
-        self.ring = WindowRing(max(float(horizon), 1e-9) / slots, slots)
-        self.depth_last = 0
-        self.depth_hwm = 0
-        # Wall-clock fsync latency (seconds): op-log + WAL durability
-        # points.  Excluded from parity — wall time is not replayable.
-        self.fsync = {"count": 0, "sum": 0.0, "min": None, "max": None}
+    def __init__(self, horizon: float, slots: int = 16) -> None:
+        super().__init__()
+        self.decisions = self.window(
+            self.WINDOW, max(float(horizon), 1e-9) / slots, slots
+        )
 
-    # -- feeding ---------------------------------------------------------
-    def count(self, name: str, n: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + n
-
-    def observe(self, t: float, name: str, n: float = 1.0) -> None:
-        """Count ``name`` and land it in the window ring at time ``t``."""
-        self.count(name, n)
-        self.ring.observe(t, name, n)
-
-    def set_depth(self, depth: int) -> None:
-        self.depth_last = int(depth)
-        if depth > self.depth_hwm:
-            self.depth_hwm = int(depth)
-
-    def observe_fsync(self, seconds: float) -> None:
-        h = self.fsync
-        h["count"] += 1
-        h["sum"] += float(seconds)
-        h["min"] = seconds if h["min"] is None else min(h["min"], seconds)
-        h["max"] = seconds if h["max"] is None else max(h["max"], seconds)
-
-    # -- snapshot / restore / merge --------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe image (sorted keys; rides the TenantStore payload)."""
-        return {
-            "schema": self.SCHEMA,
-            "tenant": self.tenant,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "ring": self.ring.snapshot(),
-            "depth": {"last": self.depth_last, "hwm": self.depth_hwm},
-            "fsync": dict(self.fsync),
-        }
-
-    @classmethod
-    def restore(cls, doc: Mapping[str, Any]) -> "SloTracker":
-        ring_doc = doc["ring"]
-        tracker = cls.__new__(cls)
-        tracker.tenant = str(doc.get("tenant", "?"))
-        tracker.counters = {
-            str(k): float(v) for k, v in (doc.get("counters") or {}).items()
-        }
-        tracker.ring = WindowRing.restore(ring_doc)
-        depth = doc.get("depth") or {}
-        tracker.depth_last = int(depth.get("last", 0))
-        tracker.depth_hwm = int(depth.get("hwm", 0))
-        fsync = doc.get("fsync") or {}
-        tracker.fsync = {
-            "count": int(fsync.get("count", 0)),
-            "sum": float(fsync.get("sum", 0.0)),
-            "min": fsync.get("min"),
-            "max": fsync.get("max"),
-        }
-        return tracker
-
-    def merge(self, other: "SloTracker") -> None:
-        """Exact fold (streaming-aggregation style: counters add, rings
-        merge bucket-wise, gauges keep the high-water mark, histograms
-        pool)."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        self.ring.merge(other.ring)
-        self.depth_last = other.depth_last
-        self.depth_hwm = max(self.depth_hwm, other.depth_hwm)
-        o = other.fsync
-        if o["count"]:
-            h = self.fsync
-            h["count"] += o["count"]
-            h["sum"] += o["sum"]
-            h["min"] = o["min"] if h["min"] is None else min(h["min"], o["min"])
-            h["max"] = o["max"] if h["max"] is None else max(h["max"], o["max"])
+    def observe(self, t: float, name: str) -> None:
+        """Count ``name`` and land it in the decision window at time ``t``."""
+        self.counter(name).inc()
+        self.decisions.observe(t, name)
 
 
-def slo_parity_view(doc: Mapping[str, Any]) -> Dict[str, Any]:
-    """The restart-invariant projection of an SLO snapshot.
+def slo_parity_view(snap: Mapping[str, Any]) -> Dict[str, Any]:
+    """The restart-invariant projection of a tenant metrics snapshot.
 
-    Drops wall-clock data (fsync latencies) and the counters that a cold
-    start legitimately bumps (``recoveries``, ``cold_starts``); what is
-    left must be *equal* across a drain → ``kill -9`` → cold-start
-    boundary — the soak harness asserts exactly that.
+    Drops the histograms (wall-clock fsync latencies) and the counters
+    that a cold start legitimately bumps (``service.recoveries``,
+    ``service.cold_starts``); what is left must be *equal* across a
+    drain → ``kill -9`` → cold-start boundary — the soak harness asserts
+    exactly that.
     """
-    counters = {
-        k: v
-        for k, v in (doc.get("counters") or {}).items()
-        if k not in _NON_PARITY_COUNTERS
-    }
+    counters = snap.get("counters") or {}
     return {
-        "counters": dict(sorted(counters.items())),
-        "ring": doc.get("ring"),
-        "depth": doc.get("depth"),
+        "counters": {
+            k: counters[k] for k in sorted(counters)
+            if k not in _NON_PARITY_COUNTERS
+        },
+        "gauges": snap.get("gauges") or {},
+        "windows": snap.get("windows") or {},
     }
+
+
+def _v1_name(name: str) -> str:
+    return "service.injected.crash" if name == "crashes" else "service." + name
+
+
+def payload_metrics(payload: Mapping[str, Any]) -> Mapping[str, Any]:
+    """The tenant metrics snapshot a store snapshot payload carries.
+
+    Version 2 payloads hold it under ``metrics``.  Version 1 payloads
+    held a tracker document under ``slo`` (``None`` with tracking off)
+    beside ``recoveries``/``forced_crashes``; this converts them
+    read-only: counter and window names gain the ``service.`` prefix
+    (``crashes`` becomes ``service.injected.crash``), ``depth`` becomes
+    the ``service.depth`` gauge, the ``fsync`` dict the
+    ``service.fsync_s`` histogram, and the two payload counts seed their
+    counters."""
+    if payload.get("version") != 1:
+        return payload.get("metrics") or {}
+    doc = payload.get("slo") or {}
+    counters = {
+        _v1_name(k): int(v) for k, v in (doc.get("counters") or {}).items()
+    }
+    for name, key in (
+        ("service.recoveries", "recoveries"),
+        ("service.injected.crash", "forced_crashes"),
+    ):
+        if payload.get(key):
+            counters[name] = int(payload[key])
+    snap: Dict[str, Any] = {"counters": counters, "gauges": {}, "histograms": {}}
+    if doc.get("depth"):
+        snap["gauges"]["service.depth"] = doc["depth"]
+    if (doc.get("fsync") or {}).get("count"):
+        snap["histograms"]["service.fsync_s"] = doc["fsync"]
+    ring = doc.get("ring")
+    if ring:
+        snap["windows"] = {
+            SloTracker.WINDOW: dict(
+                ring,
+                buckets=[
+                    [i, {_v1_name(k): v for k, v in values.items()}]
+                    for i, values in ring.get("buckets", ())
+                ],
+            )
+        }
+    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +185,15 @@ _EXPO_SPEC: Tuple[Tuple[str, str, str], ...] = (
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+# A label block is scanned by its quoted values, so ``,`` and ``}``
+# inside a value (legal text format) do not end a pair or the block.
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
+    r'(?:\{(?P<labels>(?:[^"}]|"(?:\\.|[^"\\])*")*)\})?'
     r" (?P<value>\S+)(?: (?P<ts>-?\d+))?$"
 )
 _LABEL_PAIR_RE = re.compile(
-    r'^(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<val>(?:\\.|[^"\\])*)"$'
+    r'\s*(?P<key>[^=",\s]+)\s*=\s*"(?P<val>(?:\\.|[^"\\])*)"\s*(?:,|$)'
 )
 
 
@@ -338,13 +218,20 @@ def _fmt_value(value: Any) -> str:
     return repr(x)
 
 
+def _tenant_metrics(entry: Mapping[str, Any]) -> Mapping[str, Any]:
+    """The tenant registry snapshot inside one scrape entry."""
+    return (entry.get("stats") or {}).get("metrics") or {}
+
+
+def _depth_hwm(entry: Mapping[str, Any]) -> float:
+    gauge = (_tenant_metrics(entry).get("gauges") or {}).get("service.depth")
+    return (gauge or {}).get("hwm") or 0
+
+
 def _tenant_samples(entry: Mapping[str, Any]) -> Dict[str, float]:
     """Flatten one scrape entry into ``{metric_name: value}``."""
     stats = entry.get("stats") or {}
-    slo = entry.get("slo") or {}
-    live = slo.get("live") or {}
-    counters = slo.get("counters") or {}
-    depth = slo.get("depth") or {}
+    live = (entry.get("slo") or {}).get("live") or {}
     return {
         "repro_submitted_total": stats.get("submitted", 0),
         "repro_accepted_total": stats.get("accepted", 0),
@@ -356,10 +243,8 @@ def _tenant_samples(entry: Mapping[str, Any]) -> Dict[str, float]:
         "repro_deadline_miss_rate": live.get("miss_rate", 0.0),
         "repro_attained_value": live.get("attained_value", 0.0),
         "repro_value_per_capacity": live.get("value_per_capacity", 0.0),
-        "repro_queue_depth": live.get(
-            "depth", depth.get("last", counters.get("depth", 0))
-        ),
-        "repro_queue_depth_hwm": depth.get("hwm", 0),
+        "repro_queue_depth": live.get("depth", 0),
+        "repro_queue_depth_hwm": _depth_hwm(entry),
         "repro_frontier_seconds": stats.get(
             "frontier", live.get("frontier", 0.0)
         ),
@@ -370,7 +255,7 @@ def render_prometheus(fleet: Mapping[str, Mapping[str, Any]]) -> str:
     """Prometheus text format 0.0.4 for a fleet scrape.
 
     ``fleet`` maps tenant name → scrape entry (``{"health": ...,
-    "stats": {...}, "slo": {...}}`` — the shape
+    "stats": {..., "metrics": {...}}, "slo": {"live": {...}}}`` — the shape
     :meth:`repro.service.supervisor.ScheduleService.scrape` returns).
     One series per tenant per metric, plus one ``repro_tenant_health``
     series per (tenant, state) pair so a restarting tenant is visible
@@ -407,20 +292,21 @@ def render_prometheus(fleet: Mapping[str, Mapping[str, Any]]) -> str:
                 % (name, _escape_label(tenant), _fmt_value(samples[tenant][name]))
             )
 
-    # Shed-by-reason breakdown (labelled counter, reasons from the ring).
+    # Shed-by-reason breakdown (labelled counter, one per reason seen).
     lines.append(
         "# HELP repro_shed_reason_total Jobs shed, by admission reason."
     )
     lines.append("# TYPE repro_shed_reason_total counter")
+    prefix = "service.shed."
     for tenant in tenants:
-        counters = (fleet[tenant].get("slo") or {}).get("counters") or {}
+        counters = _tenant_metrics(fleet[tenant]).get("counters") or {}
         for key in sorted(counters):
-            if key.startswith("shed."):
+            if key.startswith(prefix):
                 lines.append(
                     'repro_shed_reason_total{tenant="%s",reason="%s"} %s'
                     % (
                         _escape_label(tenant),
-                        _escape_label(key[len("shed."):]),
+                        _escape_label(key[len(prefix):]),
                         _fmt_value(counters[key]),
                     )
                 )
@@ -432,7 +318,8 @@ def render_prometheus(fleet: Mapping[str, Mapping[str, Any]]) -> str:
     )
     lines.append("# TYPE repro_fsync_latency_seconds summary")
     for tenant in tenants:
-        fsync = (fleet[tenant].get("slo") or {}).get("fsync") or {}
+        histograms = _tenant_metrics(fleet[tenant]).get("histograms") or {}
+        fsync = histograms.get("service.fsync_s") or {}
         label = _escape_label(tenant)
         lines.append(
             'repro_fsync_latency_seconds_count{tenant="%s"} %s'
@@ -507,18 +394,21 @@ def lint_prometheus(text: str) -> List[str]:
         label_key = ()
         if label_text:
             pairs = []
-            for pair in label_text.split(","):
-                pm = _LABEL_PAIR_RE.match(pair.strip())
+            pos = 0
+            while pos < len(label_text):
+                pm = _LABEL_PAIR_RE.match(label_text, pos)
                 if pm is None:
                     problems.append(
-                        f"line {lineno}: malformed label pair {pair!r}"
+                        f"line {lineno}: malformed label pair "
+                        f"{label_text[pos:]!r}"
                     )
-                    continue
+                    break
                 if not _LABEL_RE.match(pm.group("key")):
                     problems.append(
                         f"line {lineno}: invalid label name {pm.group('key')!r}"
                     )
                 pairs.append((pm.group("key"), pm.group("val")))
+                pos = pm.end()
             if len({k for k, _ in pairs}) != len(pairs):
                 problems.append(f"line {lineno}: repeated label name")
             label_key = tuple(sorted(pairs))
@@ -566,9 +456,7 @@ def render_top(
     for tenant in sorted(fleet):
         entry = fleet[tenant]
         stats = entry.get("stats") or {}
-        slo = entry.get("slo") or {}
-        live = slo.get("live") or {}
-        depth = slo.get("depth") or {}
+        live = (entry.get("slo") or {}).get("live") or {}
         miss = 100.0 * float(live.get("miss_rate", 0.0))
         cells = (
             tenant,
@@ -576,8 +464,8 @@ def render_top(
             str(stats.get("submitted", 0)),
             str(stats.get("accepted", 0)),
             str(stats.get("shed", 0)),
-            str(live.get("depth", depth.get("last", 0))),
-            str(depth.get("hwm", 0)),
+            str(live.get("depth", 0)),
+            "%d" % _depth_hwm(entry),
             f"{miss:.1f}",
             f"{float(live.get('attained_value', 0.0)):.1f}",
             f"{float(live.get('value_per_capacity', 0.0)):.2f}",

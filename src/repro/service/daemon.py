@@ -83,10 +83,11 @@ async def serve(
 
     Returns the final drain stats (per tenant).  ``out`` (default
     stdout) receives the hello and drained event lines.  With
-    ``telemetry`` (the daemon default) every shard tracks per-tenant
-    SLOs and an HTTP exposition listener serves ``/metrics`` (Prometheus
-    text), ``/metrics.json`` and ``/health`` on ``telemetry_port``
-    (0 = ephemeral; announced in the hello line)."""
+    ``telemetry`` (the daemon default) an HTTP exposition listener
+    serves ``/metrics`` (Prometheus text), ``/metrics.json`` and
+    ``/health`` on ``telemetry_port`` (0 = ephemeral; announced in the
+    hello line).  Every shard tracks its metrics either way; the
+    ``stat`` and ``metrics`` wire messages serve them too."""
     out = out if out is not None else sys.stdout
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
@@ -97,7 +98,6 @@ async def serve(
             store_dir,
             policy=policy,
             store_fsync=store_fsync,
-            telemetry=telemetry,
         )
     else:
         if not specs:
@@ -110,7 +110,6 @@ async def serve(
             policy=policy,
             store_dir=store_dir,
             store_fsync=store_fsync,
-            telemetry=telemetry,
         )
     await service.start()
 
@@ -192,7 +191,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-telemetry",
         action="store_true",
-        help="disable the SLO trackers and the HTTP exposition listener",
+        help="do not open the HTTP exposition listener (/metrics, "
+        "/metrics.json, /health); tenant metrics stay on the wire",
     )
     parser.add_argument(
         "--telemetry-port",

@@ -52,7 +52,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs as _obs
-from repro.obs.telemetry import SloTracker, WindowRing
+from repro.obs.metrics import WindowRing
+from repro.obs.telemetry import SloTracker, payload_metrics
 from repro.capacity.base import CapacityFunction
 from repro.capacity.markov import TwoStateMarkovCapacity
 from repro.capacity.piecewise import PiecewiseConstantCapacity
@@ -217,6 +218,17 @@ class TenantSpec:
     snapshot_every: int = 32
 
     def __post_init__(self) -> None:
+        # The name is the tenant's store directory: one path component.
+        name = self.tenant
+        if (
+            not isinstance(name, str)
+            or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")
+        ):
+            raise ServiceError(
+                f"tenant name {name!r} must be one directory name: "
+                "non-empty, not '.' or '..', no '/', '\\' or NUL"
+            )
         if not self.horizon > 0.0:
             raise ServiceError(f"horizon must be > 0, got {self.horizon!r}")
         for spec in self.start_faults:
@@ -370,16 +382,12 @@ class TenantShard:
         *,
         store: Optional[TenantStore] = None,
         resume: bool = False,
-        telemetry: bool = False,
     ) -> None:
         self.spec = spec
         self._store = store
-        # Telemetry plane (docs/OBSERVABILITY.md §live-service telemetry):
-        # decision-plane SLO counters, off by default so the disabled
-        # path stays inside the PR 5 overhead budget.
-        self._slo: Optional[SloTracker] = (
-            SloTracker(spec.tenant, spec.horizon) if telemetry else None
-        )
+        # The tenant's metrics (docs/OBSERVABILITY.md §live service
+        # telemetry): each service decision increments one instrument.
+        self.metrics = SloTracker(spec.horizon)
         # request id -> decided jid (admission correlation index; rides
         # the snapshot payload so `repro obs trace` survives op-log
         # compaction and kill -9).
@@ -412,8 +420,6 @@ class TenantShard:
         self._ops: List[Tuple[int, str, Any]] = []
         self._pending: List[Job] = []
         self._submitted = 0
-        self._recoveries = 0
-        self._forced_crashes = 0
         self._result: Optional[SimulationResult] = None
         self._closed = False
         # Idempotency: decided request ids -> outcome ("accepted" |
@@ -431,11 +437,13 @@ class TenantShard:
             self._journal = self._fresh_journal()
             self._engine = self._build_engine([], capacity)
             self._engine.kernel.start()
-        if store is not None and self._slo is not None:
+        if store is not None:
             # The store's durability points (op-log fsyncs, WAL syncs)
-            # feed the SLO fsync histogram — wall clock, never in the
-            # replay or parity domain.
-            store.sync_observer = self._slo.observe_fsync
+            # feed the fsync histogram — wall clock, never in the replay
+            # or parity domain.
+            store.sync_observer = self.metrics.histogram(
+                "service.fsync_s"
+            ).observe
 
     # ------------------------------------------------------------------
     def _fresh_journal(self) -> EventJournal:
@@ -496,12 +504,7 @@ class TenantShard:
     def shed_count(self) -> int:
         return len(self._shed)
 
-    # -- metrics helpers ------------------------------------------------
-    def _count(self, name: str, n: int = 1) -> None:
-        octx = _obs.current()
-        if octx is not None:
-            octx.metrics.counter(name).inc(n)
-
+    # -- decision bookkeeping -------------------------------------------
     def _note_request(
         self,
         rid: "str | None",
@@ -531,23 +534,21 @@ class TenantShard:
         if not records:
             return
         self._shed.extend(records)
-        if self._slo is not None:
-            for record in records:
-                self._slo.observe(record.time, "shed")
-                self._slo.observe(record.time, "shed." + record.reason)
+        for record in records:
+            self._observe_shed(record)
         octx = _obs.current()
         if octx is not None:
             for record in records:
-                octx.metrics.counter("service.shed").inc()
-                octx.metrics.counter(
-                    "service.shed." + record.reason
-                ).inc()
                 octx.emit(
                     "service.shed",
                     record.time,
                     record.to_dict(),
                     replay=False,
                 )
+
+    def _observe_shed(self, record: ShedRecord) -> None:
+        self.metrics.observe(record.time, "service.shed")
+        self.metrics.observe(record.time, "service.shed." + record.reason)
 
     # ------------------------------------------------------------------
     # Message handling (synchronous, deterministic; may raise
@@ -599,9 +600,7 @@ class TenantShard:
         outcome = self.dedup_outcome(rid)
         if outcome is None:
             return None
-        self._count("service.duplicates")
-        if self._slo is not None:
-            self._slo.count("duplicates")
+        self.metrics.counter("service.duplicates").inc()
         return {"duplicate": True, "outcome": outcome}
 
     def _take_rid(self, jid: int) -> Optional[str]:
@@ -630,7 +629,6 @@ class TenantShard:
         if dup is not None:
             return dup
         self._submitted += 1
-        self._count("service.submitted")
         if self._pending and self._pending[0].release != job.release:
             self._flush_pending()
         self._pending.append(job)
@@ -671,10 +669,7 @@ class TenantShard:
         kernel = self.kernel
         if op == "crash":
             kernel.run_until(time)
-            self._forced_crashes += 1
-            self._count("service.injected.crash")
-            if self._slo is not None:
-                self._slo.observe(time, "crashes")
+            self.metrics.observe(time, "service.injected.crash")
             if self._store is not None:
                 self._store.append_ops(
                     [{"op": "crash_mark", "time": time, "rid": rid}]
@@ -717,10 +712,8 @@ class TenantShard:
         kernel.push_fault_event(time, payload)
         self._injected.append((time, payload))
         self._ops.append((dc, "push", (time, payload)))
-        if self._slo is not None:
-            self._slo.observe(time, "injected." + op)
+        self.metrics.observe(time, "service.injected." + op)
         self._note_request(rid, None, "injected", time)
-        self._count("service.injected." + op)
         return None
 
     def close(self) -> TenantReport:
@@ -728,10 +721,10 @@ class TenantShard:
         self._flush_pending()
         self._result = self._engine.run()
         self._closed = True
-        self._count("service.closed")
         return self.report()
 
     def report(self) -> TenantReport:
+        count = self.metrics.counter_value
         return TenantReport(
             tenant=self.tenant,
             spec=self.spec,
@@ -740,8 +733,8 @@ class TenantShard:
             shed=tuple(self._shed),
             injected=tuple(self._injected),
             submitted=self._submitted,
-            recoveries=self._recoveries,
-            forced_crashes=self._forced_crashes,
+            recoveries=count("service.recoveries"),
+            forced_crashes=count("service.injected.crash"),
             journal=self._journal,
         )
 
@@ -792,12 +785,9 @@ class TenantShard:
             kernel.admit_job(job)
             self._accepted.append(job)
             self._accepted_jids.add(job.jid)
-            if self._slo is not None:
-                self._slo.observe(job.release, "admitted")
+            self.metrics.observe(job.release, "service.admitted")
             self._note_request(rid, job.jid, "accepted", release)
-        if self._slo is not None:
-            self._slo.set_depth(self.depth)
-        self._count("service.admitted", len(admit))
+        self.metrics.gauge("service.depth").set(self.depth)
 
     def _log_shed_ops(
         self,
@@ -832,7 +822,6 @@ class TenantShard:
         if dup is not None:
             return dup
         self._submitted += 1
-        self._count("service.submitted")
         records = self._admission.shed_all([job], reason, self.kernel.now)
         self._log_shed_ops(records, [rid])
         self._journal_shed(records)
@@ -843,32 +832,30 @@ class TenantShard:
     def stats(self) -> Dict[str, Any]:
         """Read-only counters (the ``stat`` message; no persist, no
         mutation).  ``accepted_crc`` fingerprints the accepted jid
-        sequence so restart-boundary audits compare one integer."""
+        sequence so restart-boundary audits compare one integer;
+        ``metrics`` is the tenant's registry snapshot."""
         blob = ",".join(str(job.jid) for job in self._accepted)
-        out = {
+        count = self.metrics.counter_value
+        return {
             "tenant": self.tenant,
             "submitted": self._submitted,
             "accepted": len(self._accepted),
             "shed": len(self._shed),
             "pending": len(self._pending),
             "accepted_crc": zlib.crc32(blob.encode()) & 0xFFFFFFFF,
-            "recoveries": self._recoveries,
-            "forced_crashes": self._forced_crashes,
+            "recoveries": count("service.recoveries"),
+            "forced_crashes": count("service.injected.crash"),
             "frontier": self.kernel.now,
             "closed": self._closed,
+            "metrics": self.metrics.snapshot(),
         }
-        if self._slo is not None:
-            out["slo"] = self._slo.snapshot()
-        return out
 
     def slo_view(self) -> Dict[str, Any]:
-        """The scrape-time SLO document: the tracker snapshot plus a
-        ``"live"`` block of kernel-derived facts (completions, deadline
-        misses, attained value per executed work).  The live block is a
-        pure function of the kernel trace — computed here on demand, so
-        a snapshot restore can never double-count it.  Works with
-        telemetry off too (tracker fields absent, live block present)."""
-        doc = self._slo.snapshot() if self._slo is not None else {}
+        """The scrape-time SLO document: a ``"live"`` block of
+        kernel-derived facts (completions, deadline misses, attained
+        value per executed work, and their decision-window buckets).  It
+        is a pure function of the kernel trace — computed here on
+        demand, so a snapshot restore can never double-count it."""
         trace = self.kernel.trace
         completions = 0
         misses = 0
@@ -880,31 +867,33 @@ class TenantShard:
         decided = completions + misses
         attained = trace.value_points[-1][1] if trace.value_points else 0.0
         executed = trace.total_work()
-        doc["live"] = {
-            "completions": completions,
-            "deadline_misses": misses,
-            "miss_rate": misses / decided if decided else 0.0,
-            "attained_value": attained,
-            "executed_work": executed,
-            "value_per_capacity": attained / executed if executed > 0 else 0.0,
-            "depth": self.depth,
-            "frontier": self.kernel.now,
+        # Windowed kernel outcomes over the decision window's geometry
+        # (recomputed per scrape — deterministic in virtual time).
+        ring = self.metrics.decisions
+        win = WindowRing(ring.width, ring.slots)
+        for t in trace.completion_times.values():
+            win.observe(t, "completions")
+        by_jid = {job.jid: job for job in self._accepted}
+        for jid, status in trace.outcomes.items():
+            if status in (JobStatus.FAILED, JobStatus.ABANDONED):
+                job = by_jid.get(jid)
+                if job is not None:
+                    win.observe(job.deadline, "deadline_misses")
+        return {
+            "live": {
+                "completions": completions,
+                "deadline_misses": misses,
+                "miss_rate": misses / decided if decided else 0.0,
+                "attained_value": attained,
+                "executed_work": executed,
+                "value_per_capacity": (
+                    attained / executed if executed > 0 else 0.0
+                ),
+                "depth": self.depth,
+                "frontier": self.kernel.now,
+                "window": win.snapshot(),
+            }
         }
-        if self._slo is not None:
-            # Windowed kernel outcomes over the same ring geometry
-            # (recomputed per scrape — deterministic in virtual time).
-            ring = self._slo.ring
-            win = WindowRing(ring.width, ring.slots)
-            for jid, t in trace.completion_times.items():
-                win.observe(t, "completions")
-            by_jid = {job.jid: job for job in self._accepted}
-            for jid, status in trace.outcomes.items():
-                if status in (JobStatus.FAILED, JobStatus.ABANDONED):
-                    job = by_jid.get(jid)
-                    if job is not None:
-                        win.observe(job.deadline, "deadline_misses")
-            doc["live"]["window"] = win.snapshot()
-        return doc
 
     # ------------------------------------------------------------------
     # Recovery
@@ -943,10 +932,7 @@ class TenantShard:
             else:  # "push"
                 kernel.push_fault_event(*data)
         self._engine = engine
-        self._recoveries += 1
-        self._count("service.recoveries")
-        if self._slo is not None:
-            self._slo.count("recoveries")
+        self.metrics.counter("service.recoveries").inc()
         octx = _obs.current()
         if octx is not None:
             octx.emit(
@@ -1003,25 +989,22 @@ class TenantShard:
                 else:  # "push"
                     tail.append([dc, "push", [data[0], list(data[1])]])
         payload = {
-            "version": 1,
+            "version": 2,
             "engine": snap,
             "accepted": [_job_to_dict(job) for job in self._accepted],
             "injected": [[t, list(p)] for t, p in self._injected],
             "shed": [rec.to_dict() for rec in self._shed],
             "dedup": dict(self._dedup),
-            "recoveries": self._recoveries,
-            "forced_crashes": self._forced_crashes,
             "ops_tail": tail,
-            # Telemetry plane (absent pre-PR 10 payloads read back fine
-            # via .get): the SLO tracker snapshot — anchored at the same
-            # op_seq as the rest, so the cold-start refold of post-anchor
-            # ops is exact — and the rid → jid correlation index.
-            "slo": None if self._slo is None else self._slo.snapshot(),
+            # The metrics snapshot is anchored at the same op_seq as the
+            # rest, so the cold-start refold of post-anchor ops is exact;
+            # the rid → jid correlation index (absent from pre-telemetry
+            # payloads, read back via .get) rides along.
+            "metrics": self.metrics.snapshot(),
             "rid_jids": dict(self._rid_jid),
         }
         self._store.write_snapshot(payload, op_seq=self._store.op_seq)
         self._persist_anchor = base
-        self._count("service.persisted")
 
     def _resume_from_store(self) -> None:
         """Cold start: rebuild the live shard from disk alone.
@@ -1039,7 +1022,7 @@ class TenantShard:
         anchor_seq = 0
         if loaded is not None:
             payload, anchor_seq = loaded
-            if not isinstance(payload, dict) or payload.get("version") != 1:
+            if not isinstance(payload, dict) or payload.get("version") not in (1, 2):
                 raise RecoveryError(
                     f"tenant {self.tenant!r}: unrecognised snapshot "
                     "payload (schema drift?)"
@@ -1051,15 +1034,12 @@ class TenantShard:
             ]
             self._shed = [ShedRecord(**r) for r in payload["shed"]]
             self._dedup = dict(payload["dedup"])
-            self._recoveries = int(payload["recoveries"])
-            self._forced_crashes = int(payload["forced_crashes"])
             self._rid_jid = {
                 str(k): int(v)
                 for k, v in (payload.get("rid_jids") or {}).items()
             }
-            slo_doc = payload.get("slo")
-            if self._slo is not None and slo_doc:
-                self._slo = SloTracker.restore(slo_doc)
+            # Merging into the fresh registry restores it exactly.
+            self.metrics.merge(payload_metrics(payload))
             snap = payload["engine"]
             by_jid = {job.jid: job for job in self._accepted}
             for dc, kind, data in payload["ops_tail"]:
@@ -1089,29 +1069,25 @@ class TenantShard:
                 self._accepted.append(job)
                 self._accepted_jids.add(job.jid)
                 tail.append((int(doc["dc"]), "admit", job))
-                if self._slo is not None:
-                    self._slo.observe(job.release, "admitted")
+                self.metrics.observe(job.release, "service.admitted")
             elif op == "push":
                 entry = (float(doc["time"]), tuple(doc["payload"]))
                 self._injected.append(entry)
                 tail.append((int(doc["dc"]), "push", entry))
-                if self._slo is not None:
-                    self._slo.observe(entry[0], "injected." + str(entry[1][0]))
+                self.metrics.observe(
+                    entry[0], "service.injected." + str(entry[1][0])
+                )
             elif op == "shed":
                 rec = ShedRecord(**doc["rec"])
                 jid = rec.jid
                 self._shed.append(rec)
-                if self._slo is not None:
-                    self._slo.observe(rec.time, "shed")
-                    self._slo.observe(rec.time, "shed." + rec.reason)
+                self._observe_shed(rec)
             elif op == "crash_mark":
-                self._forced_crashes += 1
-                if self._slo is not None:
-                    when = doc.get("time")
-                    if when is None:  # pre-PR 10 op docs
-                        self._slo.count("crashes")
-                    else:
-                        self._slo.observe(float(when), "crashes")
+                when = doc.get("time")
+                if when is None:  # pre-telemetry op docs carry no time
+                    self.metrics.counter("service.injected.crash").inc()
+                else:
+                    self.metrics.observe(float(when), "service.injected.crash")
             else:
                 raise RecoveryError(
                     f"tenant {self.tenant!r}: unknown op record {op!r} "
@@ -1163,15 +1139,12 @@ class TenantShard:
                     engine.kernel.push_fault_event(*data)
 
         self._engine = engine
-        self._recoveries += 1
         self._persist_anchor = -1 if snap is None else snap.dispatch_count
-        if self._slo is not None:
-            # Depth gauge is deliberately *not* refreshed here: the
-            # restored values are the persisted ones, so drain → cold
-            # start round-trips the parity view bit-identically.
-            self._slo.count("recoveries")
-            self._slo.count("cold_starts")
-        self._count("service.cold_starts")
+        # The depth gauge is deliberately *not* refreshed here: the
+        # restored values are the persisted ones, so drain → cold start
+        # round-trips the parity view bit-identically.
+        self.metrics.counter("service.recoveries").inc()
+        self.metrics.counter("service.cold_starts").inc()
         octx = _obs.current()
         if octx is not None:
             octx.emit(

@@ -232,7 +232,6 @@ class ScheduleService:
         store_dir: "str | Path | None" = None,
         resume: bool = False,
         store_fsync: bool = True,
-        telemetry: bool = False,
     ) -> None:
         if not specs:
             raise ServiceError("a service needs at least one tenant spec")
@@ -245,7 +244,6 @@ class ScheduleService:
         self._store_dir = None if store_dir is None else Path(store_dir)
         self._resume = bool(resume)
         self._store_fsync = bool(store_fsync)
-        self._telemetry = bool(telemetry)
         self._supervisors: Dict[str, TenantSupervisor] = {}
         self._queues: Dict[str, asyncio.Queue] = {}
         self._workers: List[asyncio.Task] = []
@@ -261,7 +259,6 @@ class ScheduleService:
         policy: Optional[RestartPolicy] = None,
         queue_size: int = 1024,
         store_fsync: bool = True,
-        telemetry: bool = False,
     ) -> "ScheduleService":
         """A service rebuilt purely from a store directory: every tenant
         subdirectory with a valid spec is resumed from its snapshot +
@@ -290,7 +287,6 @@ class ScheduleService:
             store_dir=root,
             resume=True,
             store_fsync=store_fsync,
-            telemetry=telemetry,
         )
 
     # ------------------------------------------------------------------
@@ -315,12 +311,7 @@ class ScheduleService:
                 store = TenantStore(
                     self._store_dir / spec.tenant, fsync=self._store_fsync
                 )
-            shard = TenantShard(
-                spec,
-                store=store,
-                resume=self._resume,
-                telemetry=self._telemetry,
-            )
+            shard = TenantShard(spec, store=store, resume=self._resume)
             self._supervisors[spec.tenant] = TenantSupervisor(
                 shard, self._policy
             )
@@ -394,7 +385,9 @@ class ScheduleService:
         self, tenant: Optional[str] = None
     ) -> Dict[str, Dict[str, Any]]:
         """One fleet telemetry scrape: tenant → ``{"health", "restarts",
-        "stats", "slo"}``.  Never raises per tenant — a shard that cannot
+        "stats", "slo"}`` (the tenant metrics snapshot rides in
+        ``stats["metrics"]``, the kernel-derived facts in
+        ``slo["live"]``).  Never raises per tenant — a shard that cannot
         answer mid-recovery reports an ``error`` field and its health
         state instead of breaking the whole scrape."""
         out: Dict[str, Dict[str, Any]] = {}

@@ -35,12 +35,11 @@ def _job(jid, release, workload=1.0, value=1.0):
     )
 
 
-def _populate(store_dir, *, telemetry=False):
+def _populate(store_dir):
     """Drive a shard with rid-tagged traffic, overflowing the queue so at
     least one submit is shed; flush state to disk and return the shard."""
     shard = TenantShard(
-        _spec(), store=TenantStore(store_dir / "t0", fsync=False),
-        telemetry=telemetry,
+        _spec(), store=TenantStore(store_dir / "t0", fsync=False)
     )
     for i in range(8):
         shard.handle(Submit("t0", _job(i, release=1.0 + 0.1 * i), rid=f"r{i}"))

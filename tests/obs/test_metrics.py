@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ObservabilityError
@@ -79,3 +81,49 @@ class TestMerge:
             "gauges": {},
             "histograms": {},
         }
+
+
+class TestWindows:
+    def test_window_is_an_instrument(self):
+        reg = MetricsRegistry()
+        w = reg.window("decisions", 2.0, 4)
+        w.observe(0.5, "hit")
+        assert reg.window("decisions", 2.0, 4) is w  # memoized
+        with pytest.raises(ObservabilityError):
+            reg.window("decisions", 1.0, 4)  # geometry is fixed
+        with pytest.raises(ObservabilityError):
+            reg.counter("decisions")
+        doc = reg.snapshot()["windows"]["decisions"]
+        assert doc["buckets"] == [[0, {"hit": 1.0}]]
+
+    def test_windows_key_only_when_a_window_exists(self):
+        reg = MetricsRegistry()
+        reg.counter("x").inc()
+        assert "windows" not in reg.snapshot()
+
+    def test_merge_adds_windows_bucket_wise(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.window("w", 1.0, 3).observe(0.0, "x")
+        b.window("w", 1.0, 3).observe(0.5, "x")
+        b.window("w", 1.0, 3).observe(4.0, "x")
+        merged = merge_snapshots([a.snapshot(), b.snapshot()])
+        assert merged["windows"]["w"]["buckets"] == [
+            [0, {"x": 2.0}],
+            [4, {"x": 1.0}],
+        ]
+
+    def test_empty_instruments_are_strict_json(self):
+        # An unobserved histogram and an unset gauge report None, never
+        # ±Infinity, and merge back without inventing extremes.
+        reg = MetricsRegistry()
+        reg.histogram("h")
+        reg.gauge("g")
+        snap = reg.snapshot()
+        json.dumps(snap, allow_nan=False)
+        assert snap["histograms"]["h"] == {
+            "count": 0, "sum": 0.0, "min": None, "max": None,
+        }
+        assert snap["gauges"]["g"] == {"last": 0.0, "hwm": None}
+        back = MetricsRegistry()
+        back.merge(snap)
+        assert back.snapshot() == snap

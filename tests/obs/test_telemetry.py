@@ -7,15 +7,22 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs.metrics import WindowRing
 from repro.obs.telemetry import (
     HEALTH_STATES,
     SloTracker,
-    WindowRing,
     lint_prometheus,
     render_prometheus,
     render_top,
     slo_parity_view,
 )
+
+
+def _restored(doc):
+    """A ring rebuilt from a snapshot: merged into an empty ring."""
+    ring = WindowRing(doc["width"], doc["slots"])
+    ring.merge(doc)
+    return ring
 
 
 class TestWindowRing:
@@ -49,7 +56,7 @@ class TestWindowRing:
         for t, name in [(0.1, "a"), (3.3, "b"), (9.9, "a"), (11.0, "a")]:
             ring.observe(t, name)
         doc = json.loads(json.dumps(ring.snapshot()))
-        back = WindowRing.restore(doc)
+        back = _restored(doc)
         assert back.snapshot() == ring.snapshot()
 
     def test_merge_is_exact_on_retained_buckets(self):
@@ -67,7 +74,7 @@ class TestWindowRing:
                 left.observe(t, name)
             for t, name in stream[cut:]:
                 right.observe(t, name)
-            left.merge(right)
+            left.merge(right.snapshot())
             assert left.buckets() == whole.buckets(), f"cut={cut}"
 
     def test_restore_then_continue_matches_uninterrupted(self):
@@ -82,18 +89,16 @@ class TestWindowRing:
             head = WindowRing(width=2.0, slots=3)
             for t, name in stream[:cut]:
                 head.observe(t, name)
-            resumed = WindowRing.restore(
-                json.loads(json.dumps(head.snapshot()))
-            )
+            resumed = _restored(json.loads(json.dumps(head.snapshot())))
             for t, name in stream[cut:]:
                 resumed.observe(t, name)
             assert resumed.snapshot() == whole.snapshot(), f"cut={cut}"
 
     def test_merge_rejects_different_geometry(self):
         with pytest.raises(ObservabilityError):
-            WindowRing(1.0, 4).merge(WindowRing(2.0, 4))
+            WindowRing(1.0, 4).merge(WindowRing(2.0, 4).snapshot())
         with pytest.raises(ObservabilityError):
-            WindowRing(1.0, 4).merge(WindowRing(1.0, 8))
+            WindowRing(1.0, 4).merge(WindowRing(1.0, 8).snapshot())
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ObservabilityError):
@@ -104,80 +109,77 @@ class TestWindowRing:
 
 class TestSloTracker:
     def _tracker(self):
-        slo = SloTracker("t0", horizon=16.0, slots=8)
-        slo.observe(1.0, "admitted")
-        slo.observe(2.0, "admitted")
-        slo.observe(2.5, "shed")
-        slo.observe(2.5, "shed.queue_budget")
-        slo.count("recoveries")
-        slo.set_depth(3)
-        slo.set_depth(1)
-        slo.observe_fsync(0.004)
-        slo.observe_fsync(0.002)
+        slo = SloTracker(horizon=16.0, slots=8)
+        slo.observe(1.0, "service.admitted")
+        slo.observe(2.0, "service.admitted")
+        slo.observe(2.5, "service.shed")
+        slo.observe(2.5, "service.shed.queue_budget")
+        slo.counter("service.recoveries").inc()
+        slo.gauge("service.depth").set(3)
+        slo.gauge("service.depth").set(1)
+        slo.histogram("service.fsync_s").observe(0.004)
+        slo.histogram("service.fsync_s").observe(0.002)
         return slo
 
     def test_counters_ring_and_gauges(self):
         slo = self._tracker()
-        assert slo.counters["admitted"] == 2.0
-        assert slo.counters["shed.queue_budget"] == 1.0
-        assert slo.ring.total("admitted") == 2.0
-        assert (slo.depth_last, slo.depth_hwm) == (1, 3)
-        assert slo.fsync["count"] == 2
-        assert slo.fsync["min"] == pytest.approx(0.002)
-        assert slo.fsync["max"] == pytest.approx(0.004)
+        snap = slo.snapshot()
+        assert snap["counters"]["service.admitted"] == 2
+        assert snap["counters"]["service.shed.queue_budget"] == 1
+        assert snap["counters"]["service.recoveries"] == 1
+        assert slo.decisions.total("service.admitted") == 2.0
+        assert slo.decisions.total("service.recoveries") == 0.0  # not windowed
+        assert snap["gauges"]["service.depth"] == {"last": 1, "hwm": 3}
+        fsync = snap["histograms"]["service.fsync_s"]
+        assert fsync["count"] == 2
+        assert fsync["min"] == pytest.approx(0.002)
+        assert fsync["max"] == pytest.approx(0.004)
+        assert list(snap["windows"]) == [SloTracker.WINDOW]
 
     def test_snapshot_restore_round_trip(self):
+        # A restore is a merge into a fresh tracker.
         slo = self._tracker()
-        doc = json.loads(json.dumps(slo.snapshot()))
-        back = SloTracker.restore(doc)
+        back = SloTracker(horizon=16.0, slots=8)
+        back.merge(json.loads(json.dumps(slo.snapshot(), allow_nan=False)))
         assert back.snapshot() == slo.snapshot()
 
     def test_merge_pools_everything(self):
         a, b = self._tracker(), self._tracker()
-        b.observe(9.0, "admitted")
-        b.set_depth(7)
-        a.merge(b)
-        assert a.counters["admitted"] == 5.0
-        assert a.depth_hwm == 7
-        assert a.depth_last == 7
-        assert a.fsync["count"] == 4
+        b.observe(9.0, "service.admitted")
+        b.gauge("service.depth").set(7)
+        a.merge(b.snapshot())
+        snap = a.snapshot()
+        assert snap["counters"]["service.admitted"] == 5
+        assert snap["gauges"]["service.depth"] == {"last": 7, "hwm": 7}
+        assert snap["histograms"]["service.fsync_s"]["count"] == 4
+        assert a.decisions.total("service.admitted") == 5.0
 
     def test_parity_view_strips_restart_and_wall_clock_fields(self):
         slo = self._tracker()
         view = slo_parity_view(slo.snapshot())
-        assert "fsync" not in view
-        assert "recoveries" not in view["counters"]
-        assert "cold_starts" not in view["counters"]
-        assert view["counters"]["admitted"] == 2.0
+        assert "histograms" not in view
+        assert "service.recoveries" not in view["counters"]
+        assert "service.cold_starts" not in view["counters"]
+        assert view["counters"]["service.admitted"] == 2
         # A cold start bumps recoveries/cold_starts and sees different
         # fsync wall-clock latencies — parity must still hold.
-        other = SloTracker.restore(slo.snapshot())
-        other.count("recoveries")
-        other.count("cold_starts")
-        other.observe_fsync(1.23)
+        other = SloTracker(horizon=16.0, slots=8)
+        other.merge(slo.snapshot())
+        other.counter("service.recoveries").inc()
+        other.counter("service.cold_starts").inc()
+        other.histogram("service.fsync_s").observe(1.23)
         assert slo_parity_view(other.snapshot()) == view
         # ...but a real counter divergence must not.
-        other.observe(3.0, "admitted")
+        other.observe(3.0, "service.admitted")
         assert slo_parity_view(other.snapshot()) != view
 
 
 def _fleet():
-    slo = SloTracker("t0", horizon=10.0, slots=5)
-    slo.observe(1.0, "admitted")
-    slo.observe(2.0, "shed")
-    slo.observe(2.0, "shed.queue_budget")
-    slo.observe_fsync(0.001)
-    doc = slo.snapshot()
-    doc["live"] = {
-        "completions": 4,
-        "deadline_misses": 1,
-        "miss_rate": 0.2,
-        "attained_value": 12.5,
-        "executed_work": 10.0,
-        "value_per_capacity": 1.25,
-        "depth": 2,
-        "frontier": 8.0,
-    }
+    slo = SloTracker(horizon=10.0, slots=5)
+    slo.observe(1.0, "service.admitted")
+    slo.observe(2.0, "service.shed")
+    slo.observe(2.0, "service.shed.queue_budget")
+    slo.histogram("service.fsync_s").observe(0.001)
     return {
         "t0": {
             "health": "degraded",
@@ -190,8 +192,20 @@ def _fleet():
                 "recoveries": 1,
                 "forced_crashes": 0,
                 "frontier": 8.0,
+                "metrics": slo.snapshot(),
             },
-            "slo": doc,
+            "slo": {
+                "live": {
+                    "completions": 4,
+                    "deadline_misses": 1,
+                    "miss_rate": 0.2,
+                    "attained_value": 12.5,
+                    "executed_work": 10.0,
+                    "value_per_capacity": 1.25,
+                    "depth": 2,
+                    "frontier": 8.0,
+                }
+            },
         },
         "t1": {"health": "restarting", "restarts": 2, "stats": {}, "slo": {}},
     }
@@ -250,6 +264,29 @@ class TestPrometheus:
 
     def test_bare_comment_lines_allowed(self):
         assert lint_prometheus("#\n# free-form comment\n") == []
+
+    def test_label_values_with_commas_and_braces(self):
+        # Legal text format: a quoted value may hold ',' and '}'.
+        head = "# TYPE repro_x_total counter\n"
+        assert lint_prometheus(head + 'repro_x_total{tenant="a,b"} 1\n') == []
+        assert lint_prometheus(head + 'repro_x_total{tenant="x}y"} 1\n') == []
+        assert (
+            lint_prometheus(
+                head + 'repro_x_total{tenant="a,b",reason="x}y",} 1\n'
+            )
+            == []
+        )
+        # ...and the renderer's own output for such names lints clean.
+        fleet = _fleet()
+        fleet["a,b"] = fleet.pop("t0")
+        fleet["x}y"] = fleet.pop("t1")
+        text = render_prometheus(fleet)
+        assert 'repro_submitted_total{tenant="a,b"} 6.0' in text
+        assert lint_prometheus(text) == []
+        # Still strict: missing comma, unterminated quote, bad name.
+        assert lint_prometheus(head + 'repro_x_total{a="1" b="2"} 1\n')
+        assert lint_prometheus(head + 'repro_x_total{a="1} 1\n')
+        assert lint_prometheus(head + 'repro_x_total{1a="1"} 1\n')
 
 
 class TestTop:

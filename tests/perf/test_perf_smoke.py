@@ -205,21 +205,33 @@ class TestKernelBenchArtifact:
 
 
 class TestTelemetryBenchArtifact:
-    """Telemetry-plane overhead benchmark: ``BENCH_telemetry.json``.
+    """Service decision-path benchmark: ``BENCH_telemetry.json``.
 
-    The same deterministic rid'd wire stream (submits, advances, a few
-    injected kills, queue-budget sheds) is driven through a store-less
-    ``TenantShard`` with the SLO tracker **enabled** vs **disabled**, so
-    the measured difference is exactly the telemetry accounting on the
-    decision path — no disk, no asyncio scheduling in the ledger.
+    A deterministic rid'd wire stream (submits, advances, a few injected
+    kills, queue-budget sheds) is driven through a store-less
+    ``TenantShard`` — its metrics registry always on — so the measured
+    rate is the decision path with no disk and no asyncio scheduling.
 
-    Asserted: the two arms are bit-identical on every decision-plane
-    fact (``submitted``/``accepted``/``shed``/``accepted_crc``/
-    ``frontier``) — telemetry must observe, never steer.  Never
-    asserted: wall-clock thresholds; the JSON carries the measured
-    ``overhead_ratio`` and CI archives it (the hard zero-overhead gate
-    for the *disabled* path lives in benchmarks/test_obs_overhead.py).
+    Asserted: the decision facts (``accepted``/``shed``/
+    ``accepted_crc``/``frontier``) equal the ones recorded in
+    ``benchmarks/results/BENCH_telemetry.json`` when tracking was still
+    optional — counting observes, it never steers — and the
+    ``service.admitted`` counter equals ``accepted``.  Never asserted:
+    wall-clock thresholds; the JSON carries the measured messages/s and
+    CI archives it.
     """
+
+    #: Decision facts of this stream: ``accepted``/``shed``/
+    #: ``accepted_crc`` as recorded in BENCH_telemetry.json (both arms),
+    #: ``submitted``/``frontier`` as measured with tracking on and off
+    #: before tracking became unconditional.
+    RECORDED = {
+        "submitted": 600,
+        "accepted": 455,
+        "shed": 145,
+        "accepted_crc": 410519317,
+        "frontier": 160.0834357144526,
+    }
 
     def _messages(self, n_submits=600, advance_every=10):
         """One deterministic tenant timeline, rebuilt per run (handle()
@@ -273,11 +285,11 @@ class TestTelemetryBenchArtifact:
                 queue_budget=8,
             )
 
-        def one(telemetry):
+        def one():
             """One timed run, GC parked so a collection mid-run doesn't
-            land on one arm's ledger.  Message build is outside t0."""
+            land in the ledger.  Message build is outside t0."""
             msgs = self._messages()
-            shard = TenantShard(spec(), telemetry=telemetry)
+            shard = TenantShard(spec())
             gc.collect()
             gc.disable()
             try:
@@ -291,49 +303,21 @@ class TestTelemetryBenchArtifact:
             shard.close()
             return elapsed, stats, len(msgs)
 
-        # Interleaved A/B rounds with order flipping: runner clock drift
-        # cancels out of the per-round ratios; the median is the
-        # drift-robust statistic.
         rounds = 9
-        times = {"enabled": [], "disabled": []}
-        facts = {}
-        ratios = []
-        n_msgs = 0
-        for i in range(rounds):
-            order = (
-                ("enabled", "disabled") if i % 2 == 0 else
-                ("disabled", "enabled")
-            )
-            for arm in order:
-                ms, stats, n_msgs = one(telemetry=(arm == "enabled"))
-                times[arm].append(ms)
-                facts[arm] = stats
-            ratios.append(times["enabled"][-1] / times["disabled"][-1])
-        overhead_ratio = round(statistics.median(ratios), 3)
+        times = []
+        for _ in range(rounds):
+            ms, stats, n_msgs = one()
+            times.append(ms)
 
-        # Hard equivalence gates (never wall-clock): telemetry observes,
+        # Hard equivalence gates (never wall-clock): counting observes,
         # it never steers a decision.
-        on, off = facts["enabled"], facts["disabled"]
-        for key in (
-            "submitted", "accepted", "shed", "accepted_crc", "frontier",
-        ):
-            assert on[key] == off[key], key
-        assert on["shed"] > 0, "stream never shed — overhead not exercised"
-        assert "slo" in on and "slo" not in off
-        assert on["slo"]["counters"]["admitted"] == on["accepted"]
+        for key, value in self.RECORDED.items():
+            assert stats[key] == value, key
+        counters = stats["metrics"]["counters"]
+        assert counters["service.admitted"] == stats["accepted"]
+        assert counters["service.shed"] == stats["shed"]
 
-        results = {}
-        for arm in ("enabled", "disabled"):
-            best_ms = min(times[arm])
-            results[arm] = {
-                "wall_ms_min": round(best_ms, 3),
-                "messages": n_msgs,
-                "messages_per_sec": round(n_msgs / (best_ms / 1e3)),
-                "accepted": facts[arm]["accepted"],
-                "shed": facts[arm]["shed"],
-                "accepted_crc": facts[arm]["accepted_crc"],
-            }
-
+        best_ms = min(times)
         payload = {
             "schema": 1,
             "bench": "telemetry",
@@ -343,18 +327,21 @@ class TestTelemetryBenchArtifact:
                 "edf TenantShard, queue_budget 8 (sheds exercised) — the "
                 "decision path with zero disk in the ledger"
             ),
-            "results": results,
-            "overhead_ratio": overhead_ratio,
+            "results": {
+                "wall_ms_min": round(best_ms, 3),
+                "wall_ms_median": round(statistics.median(times), 3),
+                "messages": n_msgs,
+                "messages_per_sec": round(n_msgs / (best_ms / 1e3)),
+                "accepted": stats["accepted"],
+                "shed": stats["shed"],
+                "accepted_crc": stats["accepted_crc"],
+            },
             "notes": (
-                "overhead_ratio is the median of 9 interleaved-round "
-                "enabled/disabled wall-time ratios (GC parked, order "
-                "flipped each round), the drift-robust statistic; "
-                "wall_ms_min is best-of-9 per arm.  Equivalence "
-                "(submitted/accepted/shed/accepted_crc/frontier "
-                "bit-identical between arms) is asserted, wall-clock "
-                "never is — the hard zero-overhead gate for the "
-                "telemetry-off path is benchmarks/test_obs_overhead.py.  "
-                "See docs/OBSERVABILITY.md, 'Live service telemetry'."
+                "wall_ms_min is best-of-9 (GC parked), messages_per_sec "
+                "follows it.  The decision facts are asserted equal to "
+                "the recorded benchmarks/results/BENCH_telemetry.json "
+                "arms; wall clock never is.  See docs/OBSERVABILITY.md, "
+                "'Live service telemetry'."
             ),
         }
         out = Path(__file__).resolve().parents[2] / "test-results"

@@ -489,6 +489,35 @@ class TestDaemonSpecs:
         (spec,) = load_specs_file(path)
         assert tenant_spec_to_dict(spec) == tenant_spec_to_dict(_spec("a"))
 
+    @pytest.mark.parametrize("name", ["", "..", "../escaped", "a/b"])
+    def test_specs_file_with_bad_tenant_name_rejected(self, tmp_path, name):
+        from repro.errors import ServiceError
+        from repro.service.daemon import load_specs_file
+
+        doc = [dict(tenant_spec_to_dict(_spec("a")), tenant=name)]
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ServiceError, match="directory name"):
+            load_specs_file(path)
+
+    @pytest.mark.parametrize("name", ["", "../escaped"])
+    def test_refused_service_writes_nothing(self, tmp_path, name):
+        # Refused before any store is opened: neither the --store root
+        # nor a sibling of it gains a single file.
+        from repro.errors import ServiceError
+        from repro.service.daemon import main as serve_main
+
+        specs = tmp_path / "specs.json"
+        specs.write_text(
+            json.dumps([dict(tenant_spec_to_dict(_spec("a")), tenant=name)])
+        )
+        root = tmp_path / "root"
+        root.mkdir()
+        with pytest.raises(ServiceError, match="directory name"):
+            serve_main(["--store", str(root / "store"), "--specs", str(specs)])
+        assert list(root.rglob("*")) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["root", "specs.json"]
+
     def test_bad_specs_file_rejected(self, tmp_path):
         from repro.errors import ServiceError
         from repro.service.daemon import load_specs_file

@@ -66,9 +66,7 @@ async def _http_get(port, path, method="GET"):
 class TestEndpoints:
     def test_metrics_json_health_and_errors(self):
         async def run():
-            service = ScheduleService(
-                [_spec("t0"), _spec("t1")], telemetry=True
-            )
+            service = ScheduleService([_spec("t0"), _spec("t1")])
             await service.start()
             await service.dispatch(Submit("t0", _job(1, 1.0)))
             expo = TelemetryExposition(service)
@@ -96,7 +94,8 @@ class TestEndpoints:
         fleet = json.loads(scrape[2])["tenants"]
         assert set(fleet) == {"t0", "t1"}
         assert fleet["t0"]["stats"]["submitted"] == 1
-        assert "slo" in fleet["t0"]
+        assert "metrics" in fleet["t0"]["stats"]
+        assert list(fleet["t0"]["slo"]) == ["live"]
 
         assert health[0] == 200
         assert json.loads(health[2])["health"] == {"t0": "ok", "t1": "ok"}
@@ -107,7 +106,7 @@ class TestEndpoints:
 
     def test_stop_releases_the_port(self):
         async def run():
-            service = ScheduleService([_spec()], telemetry=True)
+            service = ScheduleService([_spec()])
             await service.start()
             expo = TelemetryExposition(service)
             await expo.start(port=0)
@@ -122,7 +121,7 @@ class TestEndpoints:
 class TestWireQueries:
     def test_metrics_and_health_messages(self):
         async def run():
-            service = ScheduleService([_spec("t0"), _spec("t1")], telemetry=True)
+            service = ScheduleService([_spec("t0"), _spec("t1")])
             await service.start()
             await service.dispatch(Submit("t1", _job(1, 1.0)))
             fleet = await service.dispatch(MetricsQuery("*"))
@@ -143,7 +142,7 @@ class TestWireQueries:
 
     def test_scrapes_answer_while_draining(self):
         async def run():
-            service = ScheduleService([_spec()], telemetry=True)
+            service = ScheduleService([_spec()])
             await service.start()
             await service.dispatch(Submit("t0", _job(1, 1.0)))
             await service.drain()
@@ -167,7 +166,6 @@ class TestScrapeDuringRestarts:
             service = ScheduleService(
                 [_spec("t0", snapshot_every=1), _spec("t1")],
                 policy=policy,
-                telemetry=True,
             )
             await service.start()
             for jid in range(3):
@@ -217,7 +215,6 @@ class TestScrapeDuringRestarts:
             service = ScheduleService(
                 [_spec("t0", snapshot_every=1), _spec("t1", snapshot_every=1)],
                 policy=policy,
-                telemetry=True,
             )
             await service.start()
             for tenant in ("t0", "t1"):

@@ -68,6 +68,17 @@ class TestSpecs:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "a/b", "../escaped", "/abs", "a\\b", "a\0b"]
+    )
+    def test_tenant_name_must_be_one_directory_name(self, name):
+        with pytest.raises(ServiceError, match="directory name"):
+            _spec(tenant=name)
+
+    @pytest.mark.parametrize("name", ["t0", "a.b", "...", "tenant one", "é"])
+    def test_directory_component_names_accepted(self, name):
+        assert _spec(tenant=name).tenant == name
+
     def test_capacity_specs_build(self):
         assert CapacitySpec("constant", {"rate": 2.0}).build().value(1.0) == 2.0
         assert (

@@ -120,37 +120,11 @@ class TestSoakSmoke:
         for tenant, entry in last["fleet"].items():
             assert entry["health"] in ("ok", "degraded", "restarting")
             assert entry["stats"]["tenant"] == tenant
-            assert "slo" in entry
+            assert "metrics" in entry["stats"]
+            assert "live" in entry["slo"]
         # lines_sent is monotone: the scrapes straddle the whole stream
         sent = [row["lines_sent"] for row in rows]
         assert sent == sorted(sent) and sent[-1] > 0
-
-    def test_soak_timeline_works_with_telemetry_off(self, tmp_path):
-        """The timeline (health states + kernel-derived live facts) does
-        not require the SLO trackers — telemetry off still scrapes."""
-        import json
-
-        timeline = tmp_path / "off.jsonl"
-        config = SoakConfig(
-            tenants=2,
-            lam=1.0,
-            horizon=10.0,
-            forced_crashes=1,
-            ingress_faults_per_tenant=1,
-            policy=RestartPolicy(backoff_base=0.001, backoff_cap=0.004),
-            telemetry=False,
-            timeline_path=str(timeline),
-        )
-        report = run_soak(config)
-        assert report.ok, report.failures()
-        rows = [
-            json.loads(line)
-            for line in timeline.read_text().splitlines()
-            if line.strip()
-        ]
-        entry = rows[-1]["fleet"]["t0"]
-        assert "counters" not in entry["slo"]  # no tracker...
-        assert "live" in entry["slo"]  # ...but kernel facts still scrape
 
 
 @pytest.mark.kill_soak_smoke
@@ -202,9 +176,9 @@ class TestKill9Smoke:
             for key in ("submitted", "accepted", "shed", "accepted_crc"):
                 assert drained[key] == cold[key], (tenant, key)
             assert drained["accepted"] + drained["shed"] == drained["submitted"]
-            assert slo_parity_view(drained["slo"]) == slo_parity_view(
-                cold["slo"]
-            ), f"{tenant}: SLO diverged across the drain boundary"
+            assert slo_parity_view(drained["metrics"]) == slo_parity_view(
+                cold["metrics"]
+            ), f"{tenant}: metrics diverged across the drain boundary"
         for tenant, ack in sorted(report.close_acks.items()):
             assert ack.get("parity") is True, (tenant, ack)
             assert ack.get("lost") == [], (tenant, ack)

@@ -150,7 +150,8 @@ class TestTelemetrySmoke:
             fleet = json.loads(body)["tenants"]
             assert set(fleet) == {"t0", "t1"}
             assert fleet["t0"]["stats"]["forced_crashes"] == 1
-            assert fleet["t0"]["slo"]["counters"]["crashes"] == 1.0
+            counters = fleet["t0"]["stats"]["metrics"]["counters"]
+            assert counters["service.injected.crash"] == 1
             (ARTIFACT_DIR / "metrics.json").write_text(body)
 
             status, _, body = _http(tport, "/health")
@@ -194,7 +195,8 @@ class TestTelemetrySmoke:
             for line in out.splitlines()
             if json.loads(line).get("event") == "drained"
         )
-        assert drained["stats"]["t0"]["slo"]["counters"]["crashes"] == 1.0
+        counters = drained["stats"]["t0"]["metrics"]["counters"]
+        assert counters["service.injected.crash"] == 1
 
         # --- `repro obs trace` across the daemon's exit ---------------
         trace = subprocess.run(

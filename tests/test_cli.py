@@ -314,3 +314,27 @@ class TestMultiCommand:
         assert "Multiprocessor crash-resume equivalence" in out
         assert "bit-identical" in out
         assert "NO" not in out  # every policy resumed exactly
+
+
+class TestServeCommand:
+    """`repro serve` forwards its arguments to the daemon's parser."""
+
+    def test_help_lists_daemon_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--telemetry-port" in out and "--no-telemetry" in out
+        assert out.startswith("usage: repro serve")
+
+    def test_unknown_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store", str(tmp_path / "s"), "--bogus"])
+        assert exc.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_listed_in_top_level_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "serve" in capsys.readouterr().out
