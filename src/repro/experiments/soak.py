@@ -12,7 +12,7 @@ through :class:`~repro.service.ingress.ServiceIngress` into a live
   (start faults from :mod:`repro.faults.execution`),
 * **ingress fault injections** push extra recorded kills/evictions, and
 * **forced kernel crashes** (≥ 5 across the fleet by default) drive the
-  supervisor's snapshot-restore → WAL-replay → op-log restart ladder,
+  supervisor's snapshot-restore → journal-verified op-log replay ladder,
 * plus a sprinkle of deliberately malformed lines that must bounce off
   the ingress without hurting anybody.
 
@@ -80,7 +80,7 @@ class SoakConfig:
     queue_budget: int = 64
     snapshot_every: int = 16
     policy: RestartPolicy = field(default_factory=RestartPolicy)
-    #: durable tenant stores (op log, WAL, snapshots) under this directory
+    #: durable tenant stores (op log, snapshots) under this directory
     store_dir: Optional[str] = None
     #: JSON-lines health timeline (one fleet scrape row per traffic
     #: chunk) — the machine-readable artifact CI uploads.

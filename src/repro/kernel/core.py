@@ -242,7 +242,6 @@ class SchedulingKernel:
         self._snapshot_every = snapshot_every
         self._event_crashes: List[Tuple[int, int]] = []  # (at_event, fault idx)
         self._dispatch_count = 0
-        self._verify_until = 0
         self._last_snapshot: Optional[EngineSnapshot] = None
         self._started = False
         self._ended = False
@@ -323,6 +322,11 @@ class SchedulingKernel:
     @property
     def last_snapshot(self) -> Optional[EngineSnapshot]:
         return self._last_snapshot
+
+    @property
+    def next_event_time(self) -> Optional[float]:
+        """Time of the event queue's head entry (possibly a stale one)."""
+        return self._events.peek_time()
 
     @property
     def event_queue_size(self) -> int:
@@ -1068,9 +1072,8 @@ class SchedulingKernel:
 
     def _checkpoint(self) -> None:
         """Take the periodic snapshot.  It stays in memory: a service
-        tenant's store makes it a durable recovery anchor, syncing the
-        WAL it supersedes first (:meth:`repro.store.tenant.TenantStore.
-        write_snapshot`)."""
+        tenant's store makes it a durable recovery anchor
+        (:meth:`repro.store.tenant.TenantStore.write_snapshot`)."""
         self._last_snapshot = self.snapshot()
 
     def _journal_event(self, event: Event) -> None:
@@ -1078,24 +1081,15 @@ class SchedulingKernel:
         at the current dispatch index.  Record content is fully determined
         before the event dispatches, so gathered groups journal at pop
         time."""
-        journal = self._journal
-        record = JournalRecord(
-            index=self._dispatch_count,
-            time=event.time,
-            kind=int(event.kind),
-            key=describe_payload(int(event.kind), event.payload),
-            version=event.version,
+        self._journal.append(
+            JournalRecord(
+                index=self._dispatch_count,
+                time=event.time,
+                kind=int(event.kind),
+                key=describe_payload(int(event.kind), event.payload),
+                version=event.version,
+            )
         )
-        if self._dispatch_count < self._verify_until:
-            expected = journal.get(self._dispatch_count)
-            if record != expected:
-                raise RecoveryError(
-                    f"journal replay diverged at dispatch "
-                    f"#{self._dispatch_count}: live {record} != "
-                    f"journaled {expected}"
-                )
-        else:
-            journal.append(record)
 
     # ------------------------------------------------------------------
     # Same-instant groups (repro.sim.batchproto)
@@ -1504,6 +1498,9 @@ class SchedulingKernel:
             next_seq=self._events.next_seq,
             stale_hint=self._events.stale_hint,
             dispatch_count=self._dispatch_count,
+            journal_digest=(
+                None if self._journal is None else self._journal.digest
+            ),
             trace_segments=[
                 [(s.start, s.end, s.jid, s.work) for s in trace.segments]
                 for trace in self._traces
@@ -1527,9 +1524,10 @@ class SchedulingKernel:
         """Load a snapshot into this (fresh, never-run) kernel.
 
         After restoring, :meth:`run_loop` resumes from the snapshot
-        instant; if the kernel also holds a journal extending past the
-        snapshot, the resumed dispatches are verified against it
-        (deterministic replay)."""
+        instant.  An attached journal is rewound to the snapshot: if it
+        extends past it, the resumed dispatches are verified against it
+        (deterministic replay); if it holds nothing, it continues the
+        snapshot's digest chain."""
         if self._started:
             raise RecoveryError("restore() requires a fresh engine")
         if snapshot.n_procs != len(self._caps):
@@ -1636,8 +1634,9 @@ class SchedulingKernel:
             if rearm is not None:
                 rearm(self.owner, i)
 
-        if self._journal is not None and len(self._journal) > snapshot.dispatch_count:
-            self._verify_until = len(self._journal)
+        journal = self._journal
+        if journal is not None:
+            journal.rewind(snapshot.dispatch_count, snapshot.journal_digest)
         if self._watchdog is not None:
             self._watchdog.start(self.owner)
         self._last_snapshot = snapshot
@@ -1661,7 +1660,7 @@ class SchedulingKernel:
                 {
                     "dispatch": snapshot.dispatch_count,
                     "truncated": truncated,
-                    "verify_until": self._verify_until,
+                    "verify_until": 0 if journal is None else len(journal),
                 },
                 replay=False,
             )

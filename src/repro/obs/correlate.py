@@ -4,11 +4,11 @@ Every wire message may carry a ``request_id`` (client-chosen, or minted
 at the ingress).  The id is threaded through the whole causal path —
 wire → admission decision → shard op log → kernel dispatch → journal
 record — but **never** into the replay event domain: the op log and the
-snapshot dedup map are the durable witnesses, and the kernel WAL links
-in through the decided jid.  That is what makes correlation survive a
-``kill -9``: this module reconstructs the path from the tenant store
-alone (no live process required), optionally enriched by a lifecycle
-trace export.
+snapshot dedup map are the durable witnesses, and the kernel's
+dispatches link in through the decided jid.  That is what makes
+correlation survive a ``kill -9``: this module reconstructs the path
+from the tenant store alone (no live process required), optionally
+enriched by a lifecycle trace export.
 
 The reconstruction reads, per tenant directory:
 
@@ -16,10 +16,14 @@ The reconstruction reads, per tenant directory:
   rid → jid index, which survive op-log compaction;
 * the **op log** — surviving ``admit``/``shed``/``push``/``crash_mark``
   records carrying the rid (the admission stage);
-* the **kernel WAL** (the store's ``wal/`` log) — every dispatched
-  release/completion/deadline record for the decided jid (the dispatch
-  and journal stages), incarnation-spanning because the WAL is resumed,
-  not rewritten, across cold starts.
+* the **dispatch stage** — every release/completion/deadline record
+  for the decided jid.  The store keeps no dispatch records, so the
+  tenant is cold-started from it, closed, and replayed
+  (:func:`~repro.service.replay.replay_tenant`); the replay's journal,
+  cut at the dispatch count the store had reached, is what the live
+  kernel dispatched across all its incarnations — replay parity makes
+  the two identical.  These stages say ``source=replay``; a store the
+  cold start refuses yields one stage carrying the refusal instead.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.errors import ObservabilityError
+from repro.errors import ObservabilityError, ReproError
 
 __all__ = ["correlate_request", "render_request_trace"]
 
@@ -60,6 +64,7 @@ def _scan_tenant_store(
     tenant_dir: Path, rid: str
 ) -> Optional[Dict[str, Any]]:
     """One tenant's view of a request id, from disk alone."""
+    from repro.obs.telemetry import payload_metrics
     from repro.store.tenant import TenantStore
 
     store = TenantStore(tenant_dir, fsync=False)
@@ -67,11 +72,14 @@ def _scan_tenant_store(
         stages: List[Dict[str, Any]] = []
         outcome: Optional[str] = None
         jid: Optional[int] = None
+        recoveries: Optional[int] = None
 
         loaded = store.load_snapshot()
         if loaded is not None:
             payload, _anchor = loaded
             if isinstance(payload, dict):
+                counters = payload_metrics(payload).get("counters") or {}
+                recoveries = int(counters.get("service.recoveries", 0))
                 dedup = payload.get("dedup") or {}
                 if rid in dedup:
                     outcome = str(dedup[rid])
@@ -117,29 +125,36 @@ def _scan_tenant_store(
             return None
 
         if jid is not None and jid >= 0:
-            stages.extend(_wal_stages(store, jid))
+            stages.extend(_dispatch_stages(store, jid))
         return {
             "tenant": tenant_dir.name,
             "jid": jid,
             "outcome": outcome,
+            "recoveries": recoveries,
             "stages": stages,
         }
     finally:
         store.close()
 
 
-def _wal_stages(store, jid: int) -> List[Dict[str, Any]]:
-    """Dispatch/journal records for a jid from the kernel WAL."""
-    from repro.sim.journal import EventJournal
+def _dispatch_stages(store, jid: int) -> List[Dict[str, Any]]:
+    """Journal records for a jid, up to the store's dispatch frontier
+    (cold start + close + replay; nothing is written back), or the
+    error that stopped the rebuild (a diverged store's RecoveryError)."""
+    from repro.service.replay import replay_tenant
+    from repro.service.shard import TenantShard, tenant_spec_from_dict
 
     try:
-        journal = EventJournal(store.wal)
-    except Exception:  # noqa: BLE001 - a missing stage, not a crash
-        return []
+        spec = tenant_spec_from_dict(store.load_spec())
+        shard = TenantShard(spec, store=store, resume=True)
+        frontier = shard.kernel.dispatch_count
+        records = replay_tenant(shard.close()).replay_journal.records
+    except ReproError as exc:
+        return [{"stage": "journal", "source": "replay", "error": str(exc)}]
     key = f"jid:{jid}"
     alarm_prefix = f"alarm:{jid}:"
     stages: List[Dict[str, Any]] = []
-    for record in journal.records:
+    for record in records[:frontier]:
         if (
             record.key == key
             or record.key.startswith(key + "@")
@@ -148,6 +163,7 @@ def _wal_stages(store, jid: int) -> List[Dict[str, Any]]:
             stages.append(
                 {
                     "stage": "journal",
+                    "source": "replay",
                     "index": record.index,
                     "time": record.time,
                     "event": _event_kind_name(record.kind),
@@ -229,7 +245,7 @@ def correlate_request(
             result["jid"] = hit["jid"]
             result["outcome"] = hit["outcome"]
             result["stages"].extend(hit["stages"])
-            result["recoveries"] = _tenant_recoveries(tenant_dir)
+            result["recoveries"] = hit["recoveries"]
             break
     if trace is not None:
         stages = _trace_stages(trace, rid, result["jid"])
@@ -243,24 +259,6 @@ def correlate_request(
                         result["outcome"] = outcome
                         break
     return result
-
-
-def _tenant_recoveries(tenant_dir: Path) -> Optional[int]:
-    from repro.obs.telemetry import payload_metrics
-    from repro.store.tenant import TenantStore
-
-    store = TenantStore(tenant_dir, fsync=False)
-    try:
-        loaded = store.load_snapshot()
-        if loaded is None:
-            return None
-        payload, _ = loaded
-        if isinstance(payload, dict):
-            counters = payload_metrics(payload).get("counters") or {}
-            return int(counters.get("service.recoveries", 0))
-        return None
-    finally:
-        store.close()
 
 
 def render_request_trace(result: Mapping[str, Any]) -> str:

@@ -314,7 +314,7 @@ def render_prometheus(fleet: Mapping[str, Mapping[str, Any]]) -> str:
     # Journal/op-log fsync latency (wall clock; summary-style).
     lines.append(
         "# HELP repro_fsync_latency_seconds Wall-clock fsync latency of "
-        "the durability points (op log + WAL)."
+        "the durability points (op-log appends)."
     )
     lines.append("# TYPE repro_fsync_latency_seconds summary")
     for tenant in tenants:

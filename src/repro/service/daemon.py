@@ -19,7 +19,7 @@ running ``python -m repro serve --store DIR [--specs FILE]``.  Lifecycle:
    verdict);
 4. **SIGTERM/SIGINT** — graceful drain: new submits/faults ack
    ``draining``, queued work finishes, every tenant's snapshot + op log
-   + WAL is flushed, a final ``{"event": "drained", ...}`` line reports
+   is flushed, a final ``{"event": "drained", ...}`` line reports
    the per-tenant stats, and the process exits 0.  ``SIGKILL`` skips all
    of that — which is exactly what the store design is for.
 """

@@ -16,21 +16,25 @@ Reads are served from the event loop thread via
 :meth:`repro.service.supervisor.ScheduleService.scrape`, which bypasses
 the per-tenant queues — a scrape answers even while every tenant is mid
 restart ladder.  A scrape failure returns a 500 with the error text; it
-never kills the listener.
+never kills the listener.  A request or header line longer than
+``_MAX_REQUEST_BYTES`` is answered 414 or 431, then the connection closes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from http import HTTPStatus
 from typing import Optional, Tuple
 
 from repro.obs.telemetry import render_prometheus
+from repro.service.ingress import read_line
 from repro.service.supervisor import ScheduleService
 
 __all__ = ["TelemetryExposition"]
 
 _MAX_REQUEST_BYTES = 8192
+_TEXT = "text/plain; charset=utf-8"
 
 
 class TelemetryExposition:
@@ -64,9 +68,9 @@ class TelemetryExposition:
                     "application/json",
                     json.dumps({"health": self.service.health()}) + "\n",
                 )
-            return (404, "text/plain; charset=utf-8", "not found\n")
+            return (404, _TEXT, "not found\n")
         except Exception as exc:  # noqa: BLE001 - a scrape must not kill us
-            return (500, "text/plain; charset=utf-8", f"scrape failed: {exc}\n")
+            return (500, _TEXT, f"scrape failed: {exc}\n")
 
     # ------------------------------------------------------------------
     async def _handle(
@@ -75,31 +79,30 @@ class TelemetryExposition:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = await reader.readline()
-            if not request:
+            request = await read_line(reader)
+            if request == b"":
                 return
-            if len(request) > _MAX_REQUEST_BYTES:
-                return
-            parts = request.decode("latin-1", errors="replace").split()
+            too_long = 414 if request is None else None
+            # Drain (and ignore) the header block — all of it, so closing
+            # leaves no unread input to reset the connection with.
+            while True:
+                header = await read_line(reader)
+                if header is None:
+                    too_long = too_long or 431
+                elif header in (b"", b"\r\n", b"\n"):
+                    break
+            parts = (request or b"").decode("latin-1", "replace").split()
             method = parts[0] if parts else ""
             path = parts[1] if len(parts) > 1 else "/"
-            # Drain (and ignore) the header block.
-            while True:
-                header = await reader.readline()
-                if not header or header in (b"\r\n", b"\n"):
-                    break
-            if method not in ("GET", "HEAD"):
-                status, ctype, body = (
-                    405,
-                    "text/plain; charset=utf-8",
-                    "method not allowed\n",
-                )
+            if too_long is not None:
+                status, ctype, body = too_long, _TEXT, "request too long\n"
+            elif method not in ("GET", "HEAD"):
+                status, ctype, body = 405, _TEXT, "method not allowed\n"
             else:
                 status, ctype, body = self.render(path.split("?", 1)[0])
             payload = body.encode("utf-8")
-            reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}
             head = (
-                f"HTTP/1.0 {status} {reason.get(status, 'Error')}\r\n"
+                f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
                 f"Content-Type: {ctype}\r\n"
                 f"Content-Length: {len(payload)}\r\n"
                 "Connection: close\r\n\r\n"
@@ -120,7 +123,9 @@ class TelemetryExposition:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> asyncio.AbstractServer:
         """Start the listener (port 0 = ephemeral); returns the server."""
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=_MAX_REQUEST_BYTES
+        )
         return self._server
 
     @property

@@ -8,11 +8,12 @@ adapters feed the same :meth:`ServiceIngress.handle_line` path:
 * :meth:`serve_tcp` — an asyncio TCP server (one connection per client,
   lines processed in arrival order per connection);
 * :meth:`run_lines` — an in-process driver for an iterable of lines
-  (the stdin adapter and the soak harness both use it: stdin is just
-  ``run_lines(sys.stdin)`` via a thread executor).
+  (the soak harness uses it).
 
 Malformed lines never kill the service: they produce an error ack and a
-``service.rejected`` count.  While the service drains (SIGTERM),
+``service.rejected`` count — a TCP line longer than
+:data:`MAX_LINE_BYTES` included, whose rest is read and dropped so the
+connection keeps going.  While the service drains (SIGTERM),
 submits and fault injections ack ``{"ok": false, "draining": true}`` —
 clients hold the line and resubmit it (same ``request_id``) to the
 restarted service.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sys
 from dataclasses import replace as _replace
 from typing import AsyncIterator, Dict, Iterable, List, Optional
 
@@ -32,7 +32,27 @@ from repro.service.messages import InjectFault, Submit, parse_message
 from repro.service.shard import TenantReport
 from repro.service.supervisor import ScheduleService
 
-__all__ = ["ServiceIngress"]
+__all__ = ["MAX_LINE_BYTES", "ServiceIngress", "read_line"]
+
+#: Longest wire line the TCP listener reads (asyncio's stream limit).
+MAX_LINE_BYTES = 64 * 1024
+
+
+async def read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """Read one line (``b""`` at EOF).  A line that overruns the
+    reader's limit is read through its newline and dropped, keeping the
+    stream in step, and ``None`` is returned in its place."""
+    overrun = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            overrun = True
+            continue
+        return None if overrun else line
 
 
 class ServiceIngress:
@@ -97,11 +117,7 @@ class ServiceIngress:
             self.rejected_lines += 1
             return {"ok": False, "error": str(exc), "draining": True}
         except (MessageError, CircuitOpenError) as exc:
-            self.rejected_lines += 1
-            octx = _obs.current()
-            if octx is not None:
-                octx.metrics.counter("service.rejected").inc()
-            return {"ok": False, "error": str(exc)}
+            return self._reject(str(exc))
         self.accepted_lines += 1
         ack: Dict = {"ok": True}
         if isinstance(message, (Submit, InjectFault)):
@@ -119,6 +135,13 @@ class ServiceIngress:
         elif isinstance(result, dict):  # stats / duplicate notices
             ack.update(result)
         return ack
+
+    def _reject(self, error: str) -> Dict:
+        self.rejected_lines += 1
+        octx = _obs.current()
+        if octx is not None:
+            octx.metrics.counter("service.rejected").inc()
+        return {"ok": False, "error": error}
 
     @staticmethod
     def _verify(report: TenantReport) -> Dict:
@@ -157,10 +180,14 @@ class ServiceIngress:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await read_line(reader)
+                if line == b"":
                     break
-                ack = await self.handle_line(line)
+                ack = (
+                    self._reject(f"line longer than {MAX_LINE_BYTES} bytes")
+                    if line is None
+                    else await self.handle_line(line)
+                )
                 writer.write((json.dumps(ack) + "\n").encode("utf-8"))
                 await writer.drain()
         finally:
@@ -175,7 +202,7 @@ class ServiceIngress:
     ) -> asyncio.AbstractServer:
         """Start the JSON-line TCP listener (port 0 = ephemeral)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES
         )
         return self._server
 
@@ -184,19 +211,3 @@ class ServiceIngress:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    # ------------------------------------------------------------------
-    # stdin adapter
-    # ------------------------------------------------------------------
-    async def run_stdin(self, stream: Optional[object] = None) -> List[Dict]:
-        """Drive the service from ``stdin`` (or any file-like ``stream``),
-        reading lines in a thread so the event loop stays responsive."""
-        stream = stream if stream is not None else sys.stdin
-        loop = asyncio.get_running_loop()
-        acks: List[Dict] = []
-        while True:
-            line = await loop.run_in_executor(None, stream.readline)
-            if not line:
-                break
-            acks.append(await self.handle_line(line))
-        return acks

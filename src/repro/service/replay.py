@@ -15,8 +15,11 @@ The check passes iff:
 * :func:`~repro.sim.journal.results_bit_identical` on the two
   :class:`~repro.sim.metrics.SimulationResult`\\ s (float ``==``, no
   tolerance);
-* the replay journal's records equal the service journal's records
-  (same dispatch sequence, event by event);
+* the replay journal's ``(count, digest)`` equals the service
+  journal's: the same number of dispatches, and the same chained digest
+  over them — the same dispatch sequence, event by event, even across
+  cold starts that kept no records (re-run both sides under
+  ``repro obs diff`` to find where two sequences part);
 * shed accounting balances: ``submitted == accepted + shed``, no shed
   jid appears in the outcomes, and no accepted job is lost.
 
@@ -50,13 +53,15 @@ class ReplayCheck:
     journals_identical: bool
     accounting_ok: bool
     live_records: int
-    replay_records: int
     accepted: int
     shed: int
     submitted: int
     lost_jids: Tuple[int, ...]
     replay_result: Optional[SimulationResult]
     failures: Tuple[str, ...]
+    #: every record of the replay (``repro obs trace`` reads its
+    #: dispatch stage here)
+    replay_journal: Optional[EventJournal] = None
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -106,24 +111,18 @@ def replay_tenant(report: TenantReport) -> ReplayCheck:
     journals_identical = True
     live_records = -1
     if report.journal is not None:
-        live = report.journal.records
-        replayed = replay_journal.records
+        live = report.journal
         live_records = len(live)
-        journals_identical = live == replayed
+        journals_identical = (live_records, live.digest) == (
+            len(replay_journal),
+            replay_journal.digest,
+        )
         if not journals_identical:
-            if len(live) != len(replayed):
-                failures.append(
-                    f"journal length differs: live={len(live)} "
-                    f"replay={len(replayed)}"
-                )
-            else:
-                first_bad = next(
-                    i for i, (a, b) in enumerate(zip(live, replayed))
-                    if a != b
-                )
-                failures.append(
-                    f"journals diverge at record {first_bad}"
-                )
+            failures.append(
+                f"journals differ: live {live_records} dispatches, digest "
+                f"{live.digest.hex()}; replay {len(replay_journal)}, "
+                f"{replay_journal.digest.hex()}"
+            )
 
     # Shed accounting: every submission is accounted for exactly once,
     # no shed job snuck into the outcomes, no accepted job vanished.
@@ -154,11 +153,11 @@ def replay_tenant(report: TenantReport) -> ReplayCheck:
         journals_identical=journals_identical,
         accounting_ok=accounting_ok,
         live_records=live_records,
-        replay_records=len(replay_journal.records),
         accepted=len(report.accepted),
         shed=len(report.shed),
         submitted=report.submitted,
         lost_jids=tuple(lost),
         replay_result=replay_result,
         failures=tuple(failures),
+        replay_journal=replay_journal,
     )

@@ -19,11 +19,12 @@ wraps a :class:`~repro.sim.engine.SimulationEngine` driven
   :class:`~repro.errors.SimulatedCrash` carrying the last periodic
   snapshot — the supervisor's restart ladder takes it from there;
 * **recovery** rebuilds a fresh engine with exactly the jobs the
-  snapshot knows, restores it (which re-verifies the WAL tail), and
-  re-applies the shard's op log — admissions and fault pushes recorded
-  with the dispatch count at which they were applied; ops at or past the
+  snapshot knows, restores it, and re-applies the shard's op log —
+  admissions and fault pushes recorded with the dispatch count (and
+  journal digest) at which they were applied; ops at or past the
   snapshot's dispatch count are exactly the ones the snapshot cannot
-  know about.
+  know about, each re-applied once the restored kernel re-reaches its
+  count with the same digest.
 
 Replay equivalence is the design invariant: the accepted jobs (in
 admission order), the spec-built world, and the recorded fault pushes,
@@ -32,19 +33,23 @@ journal and result bit-identically (:mod:`repro.service.replay`).
 
 With a :class:`~repro.store.tenant.TenantStore` attached the shard is
 also *durable*: every admission/shed/push decision is fsynced into the
-store's op log **before** the kernel sees it (write-ahead), the kernel
-journals every dispatch into the store's WAL, periodic kernel snapshots
-are committed as manifest-anchored state images, and
+store's op log **before** the kernel sees it (write-ahead) — the one
+durable stream per decision — periodic kernel snapshots are committed
+as manifest-anchored state images, and
 ``TenantShard(spec, store=..., resume=True)`` rebuilds the exact live
 state from disk after a ``SIGKILL`` — the cold-start half of
 :meth:`repro.service.supervisor.ScheduleService.cold_start`.  Client
 ``request_id`` strings ride along into the op log, so a traffic log
 replayed against a cold-started shard acks duplicates instead of
 double-admitting.
+
+Journal records and op entries the newest kernel snapshot supersedes
+are dropped as soon as it is cut, so memory tracks recent dispatches.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -415,9 +420,11 @@ class TenantShard:
         self._accepted_jids: set = set()
         self._shed: List[ShedRecord] = []
         self._injected: List[Tuple[float, tuple]] = []
-        # Op log: (dispatch_count at application, kind, data).  Recovery
-        # re-applies every op at or past the restored snapshot's count.
-        self._ops: List[Tuple[int, str, Any]] = []
+        # Op log: (dispatch_count at application, kind, data, hex journal
+        # digest there).  Recovery re-applies every op at or past the
+        # restored snapshot's count; older ones are dropped.
+        self._ops: List[Tuple[int, str, Any, Optional[str]]] = []
+        self._journal = EventJournal()
         self._pending: List[Job] = []
         self._submitted = 0
         self._result: Optional[SimulationResult] = None
@@ -428,32 +435,23 @@ class TenantShard:
         self._dedup: Dict[str, str] = {}
         self._pending_rids: Dict[str, int] = {}
         self._rid_queue: Dict[int, List[str]] = {}
-        # Dispatch count of the newest durably persisted snapshot.
+        # Dispatch count of the newest kernel snapshot persisted (with a
+        # store) and trimmed behind.
         self._persist_anchor = -1
 
         if resume and store is not None and store.has_state():
             self._resume_from_store()
         else:
-            self._journal = self._fresh_journal()
             self._engine = self._build_engine([], capacity)
             self._engine.kernel.start()
         if store is not None:
-            # The store's durability points (op-log fsyncs, WAL syncs)
-            # feed the fsync histogram — wall clock, never in the replay
-            # or parity domain.
+            # The store's op-log fsyncs feed the fsync histogram — wall
+            # clock, never in the replay or parity domain.
             store.sync_observer = self.metrics.histogram(
                 "service.fsync_s"
             ).observe
 
     # ------------------------------------------------------------------
-    def _fresh_journal(self) -> EventJournal:
-        """The journal of a kernel starting at dispatch 0.  A store's WAL
-        starts over: the run it described is regenerated identically."""
-        if self._store is None:
-            return EventJournal()
-        self._store.wal.reset()
-        return EventJournal(self._store.wal)
-
     def _build_engine(
         self,
         jobs: Sequence[Job],
@@ -497,10 +495,6 @@ class TenantShard:
         return len(self._accepted) - len(self.kernel.trace.outcomes)
 
     @property
-    def accepted_count(self) -> int:
-        return len(self._accepted)
-
-    @property
     def shed_count(self) -> int:
         return len(self._shed)
 
@@ -530,21 +524,18 @@ class TenantShard:
                 data["jid"] = int(jid)
             octx.emit("service.request", float(time), data, replay=False)
 
-    def _journal_shed(self, records: Sequence[ShedRecord]) -> None:
-        if not records:
-            return
+    def _journal_shed(
+        self, records: Sequence[ShedRecord], rids: Sequence[Optional[str]]
+    ) -> None:
         self._shed.extend(records)
-        for record in records:
-            self._observe_shed(record)
         octx = _obs.current()
-        if octx is not None:
-            for record in records:
+        for record, rid in zip(records, rids):
+            self._observe_shed(record)
+            if octx is not None:
                 octx.emit(
-                    "service.shed",
-                    record.time,
-                    record.to_dict(),
-                    replay=False,
+                    "service.shed", record.time, record.to_dict(), replay=False
                 )
+            self._note_request(rid, record.jid, "shed", record.time)
 
     def _observe_shed(self, record: ShedRecord) -> None:
         self.metrics.observe(record.time, "service.shed")
@@ -554,18 +545,19 @@ class TenantShard:
     # Message handling (synchronous, deterministic; may raise
     # SimulatedCrash — the supervisor owns recovery and retry)
     # ------------------------------------------------------------------
-    def handle(self, message: Message) -> Optional[Dict[str, Any]]:
-        """Dispatch one message; returns extra ack fields (or None).
+    def handle(self, message: Message) -> Any:
+        """Dispatch one message; returns extra ack fields, the report
+        for ``close``, or None.
 
         ``stat`` works even on a closed shard — it is how the kill -9
         soak audits counters across restart boundaries."""
         if isinstance(message, Stat):
             return self.stats()
-        if self._closed:
-            raise ServiceError(
+        if self._closed and not isinstance(message, Close):
+            raise MessageError(
                 f"tenant {self.tenant!r} is closed; no further messages"
             )
-        result: Optional[Dict[str, Any]] = None
+        result: Any = None
         if isinstance(message, Submit):
             result = self.submit(message.job, rid=message.rid)
         elif isinstance(message, InjectFault):
@@ -578,7 +570,7 @@ class TenantShard:
         elif isinstance(message, Advance):
             self.advance(message.time)
         elif isinstance(message, Close):
-            self.close()
+            result = self.close()
         else:  # pragma: no cover - defensive
             raise MessageError(f"unhandled message {message!r}")
         self.maybe_persist()
@@ -696,13 +688,14 @@ class TenantShard:
             payload = ("evict", -1)
         else:  # pragma: no cover - parse_message guards
             raise MessageError(f"unknown fault op {op!r}")
-        dc = kernel.dispatch_count
+        dc, digest = kernel.dispatch_count, self._journal.digest.hex()
         if self._store is not None:
             self._store.append_ops(
                 [
                     {
                         "op": "push",
                         "dc": dc,
+                        "digest": digest,
                         "time": time,
                         "payload": list(payload),
                         "rid": rid,
@@ -711,13 +704,16 @@ class TenantShard:
             )
         kernel.push_fault_event(time, payload)
         self._injected.append((time, payload))
-        self._ops.append((dc, "push", (time, payload)))
+        self._ops.append((dc, "push", (time, payload), digest))
         self.metrics.observe(time, "service.injected." + op)
         self._note_request(rid, None, "injected", time)
         return None
 
     def close(self) -> TenantReport:
-        """Finish the tenant: run to the horizon and build the report."""
+        """Finish the tenant: run to the horizon and build the report
+        (a closed tenant just reports again)."""
+        if self._closed:
+            return self.report()
         self._flush_pending()
         self._result = self._engine.run()
         self._closed = True
@@ -766,10 +762,16 @@ class TenantShard:
         self._pending = []
         admit_rids = [self._take_rid(job.jid) for job in admit]
         shed_rids = [self._take_rid(rec.jid) for rec in shed]
-        dc = kernel.dispatch_count
+        dc, digest = kernel.dispatch_count, self._journal.digest.hex()
         if self._store is not None:
             docs = [
-                {"op": "admit", "dc": dc, "job": _job_to_dict(job), "rid": rid}
+                {
+                    "op": "admit",
+                    "dc": dc,
+                    "digest": digest,
+                    "job": _job_to_dict(job),
+                    "rid": rid,
+                }
                 for job, rid in zip(admit, admit_rids)
             ] + [
                 {"op": "shed", "rec": rec.to_dict(), "rid": rid}
@@ -777,11 +779,9 @@ class TenantShard:
             ]
             if docs:
                 self._store.append_ops(docs)
-        self._journal_shed(shed)
-        for rec, rid in zip(shed, shed_rids):
-            self._note_request(rid, rec.jid, "shed", rec.time)
+        self._journal_shed(shed, shed_rids)
         for job, rid in zip(admit, admit_rids):
-            self._ops.append((dc, "admit", job))
+            self._ops.append((dc, "admit", job, digest))
             kernel.admit_job(job)
             self._accepted.append(job)
             self._accepted_jids.add(job.jid)
@@ -810,9 +810,7 @@ class TenantShard:
             records = self._admission.shed_all(batch, reason, self.kernel.now)
             rids = [self._take_rid(rec.jid) for rec in records]
             self._log_shed_ops(records, rids)
-            self._journal_shed(records)
-            for rec, rid in zip(records, rids):
-                self._note_request(rid, rec.jid, "shed", rec.time)
+            self._journal_shed(records, rids)
 
     def shed_one(
         self, job: Job, reason: str, rid: "str | None" = None
@@ -824,9 +822,7 @@ class TenantShard:
         self._submitted += 1
         records = self._admission.shed_all([job], reason, self.kernel.now)
         self._log_shed_ops(records, [rid])
-        self._journal_shed(records)
-        for rec in records:
-            self._note_request(rid, rec.jid, "shed", rec.time)
+        self._journal_shed(records, [rid])
         return None
 
     def stats(self) -> Dict[str, Any]:
@@ -899,70 +895,98 @@ class TenantShard:
     # Recovery
     # ------------------------------------------------------------------
     def recover(self, crash: BaseException) -> None:
-        """Restore the last periodic snapshot and re-apply the op log.
-
-        The fresh engine gets exactly the accepted jobs the snapshot
-        knows about (in admission order); restoring re-verifies the WAL
-        tail.  Ops recorded at or past the snapshot's dispatch count are
-        the ones applied after it was taken — admissions and fault
-        pushes the snapshot cannot contain — and are re-applied in
-        order.  Everything else (events between the snapshot and the
-        crash) re-materialises lazily on the next ``run_until``,
-        verified record-by-record against the journal."""
-        snapshot = getattr(crash, "snapshot", None)
-        if snapshot is None:
-            snapshot = self.kernel.last_snapshot
+        """Restore the last periodic snapshot and re-apply the op log
+        (:meth:`_restore`); the journal verifies the re-run record by
+        record from the snapshot on."""
+        snapshot = getattr(crash, "snapshot", None) or (
+            self.kernel.last_snapshot
+        )
         if snapshot is None:
             raise RecoveryError(
                 f"tenant {self.tenant!r} crashed before the first "
                 "snapshot; nothing to restore from"
             ) from crash
-        jobs = [
-            job for job in self._accepted if job.jid in snapshot.status
-        ]
-        engine = self._build_engine(jobs)
-        engine.restore(snapshot)
-        kernel = engine.kernel
-        base = snapshot.dispatch_count
-        for dc, kind, data in self._ops:
-            if dc < base:
-                continue
-            if kind == "admit":
-                kernel.admit_job(data)
-            else:  # "push"
-                kernel.push_fault_event(*data)
-        self._engine = engine
+        self._restore(snapshot, self._ops)
         self.metrics.counter("service.recoveries").inc()
         octx = _obs.current()
         if octx is not None:
             octx.emit(
                 "service.recover",
-                kernel.now,
+                self.kernel.now,
                 {
                     "tenant": self.tenant,
-                    "snapshot_dispatch": base,
-                    "ops_reapplied": sum(
-                        1 for dc, _, _ in self._ops if dc >= base
-                    ),
+                    "snapshot_dispatch": snapshot.dispatch_count,
+                    "ops_reapplied": len(self._ops),
                 },
                 replay=False,
             )
+
+    def _restore(
+        self,
+        snapshot: Optional[EngineSnapshot],
+        ops: Sequence[Tuple[int, str, Any, Optional[str]]],
+    ) -> None:
+        """Rebuild the engine from a snapshot (or a fresh world) and
+        re-apply the ops at or past its dispatch count, each at the count
+        it was first applied at: ops only ever apply between instants,
+        so whole instants dispatch until the kernel re-reaches it.  A
+        re-run that skips the count or meets it with another journal
+        digest diverged from the logged run."""
+        if snapshot is None:
+            engine = self._build_engine([])
+            engine.kernel.start()
+            base = 0
+        else:
+            engine = self._build_engine(
+                [job for job in self._accepted if job.jid in snapshot.status]
+            )
+            engine.restore(snapshot)
+            base = snapshot.dispatch_count
+        kernel = engine.kernel
+        self._ops = [op for op in ops if op[0] >= base]
+        for dc, kind, data, digest in self._ops:
+            while kernel.dispatch_count < dc and not kernel.ended:
+                # The queue holds the END event until the kernel ends.
+                t = kernel.next_event_time
+                kernel.run_until(math.nextafter(t, math.inf))
+            if kernel.dispatch_count != dc or digest not in (
+                None,
+                self._journal.digest.hex(),
+            ):
+                raise RecoveryError(
+                    f"tenant {self.tenant!r}: the re-run diverged from the "
+                    f"op log at the op applied at dispatch {dc} (the re-run "
+                    f"is at dispatch {kernel.dispatch_count})"
+                )
+            if kind == "admit":
+                kernel.admit_job(data)
+            else:  # "push"
+                kernel.push_fault_event(*data)
+        self._engine = engine
 
     # ------------------------------------------------------------------
     # Durable persistence (store-backed shards only)
     # ------------------------------------------------------------------
     def maybe_persist(self) -> None:
-        """Commit the kernel's newest periodic snapshot to the store.
+        """Commit the kernel's newest periodic snapshot to the store (if
+        any), then drop the journal records and op entries it supersedes
+        — recovery restores it or a newer one.
 
         Called after every handled message; a no-op until the kernel has
-        cut a snapshot newer than the last durable anchor, so persist
-        frequency tracks ``snapshot_every`` dispatches, not messages."""
-        if self._store is None or self._closed:
-            return
+        cut a snapshot newer than the last anchor, so this tracks
+        ``snapshot_every`` dispatches, not messages."""
         snap = self.kernel.last_snapshot
-        if snap is None or snap.dispatch_count <= self._persist_anchor:
+        if (
+            self._closed
+            or snap is None
+            or snap.dispatch_count <= self._persist_anchor
+        ):
             return
-        self._persist(snap)
+        if self._store is not None:
+            self._persist(snap)
+        self._persist_anchor = base = snap.dispatch_count
+        self._journal.trim(base)
+        self._ops = [op for op in self._ops if op[0] >= base]
 
     def persist_now(self) -> None:
         """Drain path: decide the open group, cut a snapshot at the
@@ -976,18 +1000,20 @@ class TenantShard:
         # same-dispatch-count ops are already inside it: anchor past the
         # whole op log and persist no re-apply tail.
         self._persist(snap, include_tail=False)
+        self._persist_anchor = snap.dispatch_count
 
     def _persist(self, snap: EngineSnapshot, *, include_tail: bool = True) -> None:
         base = snap.dispatch_count
         tail: List[List[Any]] = []
         if include_tail:
-            for dc, kind, data in self._ops:
+            for dc, kind, data, digest in self._ops:
                 if dc < base:
                     continue
                 if kind == "admit":
-                    tail.append([dc, "admit", _job_to_dict(data)])
+                    data = _job_to_dict(data)
                 else:  # "push"
-                    tail.append([dc, "push", [data[0], list(data[1])]])
+                    data = [data[0], list(data[1])]
+                tail.append([dc, kind, data, digest])
         payload = {
             "version": 2,
             "engine": snap,
@@ -1004,21 +1030,24 @@ class TenantShard:
             "rid_jids": dict(self._rid_jid),
         }
         self._store.write_snapshot(payload, op_seq=self._store.op_seq)
-        self._persist_anchor = base
 
     def _resume_from_store(self) -> None:
         """Cold start: rebuild the live shard from disk alone.
 
         The snapshot payload carries everything decided up to its op-log
-        anchor; op records at or past the anchor are folded back in.
-        The engine restores from the pickled kernel image and re-applies
-        the post-snapshot op tail — exactly the in-process
-        :meth:`recover` dance, with the disk as the only witness."""
+        anchor; op records at or past the anchor are folded back in, and
+        the cold start refuses if any of them was lost.
+        The engine restores from the pickled kernel image — which seeds
+        the journal with the image's digest — and re-applies the
+        post-snapshot op tail exactly as the in-process :meth:`recover`
+        does, with the logged digests as the only witness.  An image
+        from before digests existed takes its digest, and its tail's
+        record-by-record check, from the store's retired WAL."""
         store = self._store
         assert store is not None
         loaded = store.load_snapshot()
         snap: Optional[EngineSnapshot] = None
-        tail: List[Tuple[int, str, Any]] = []
+        tail: List[Tuple[int, str, Any, Optional[str]]] = []
         anchor_seq = 0
         if loaded is not None:
             payload, anchor_seq = loaded
@@ -1042,15 +1071,23 @@ class TenantShard:
             self.metrics.merge(payload_metrics(payload))
             snap = payload["engine"]
             by_jid = {job.jid: job for job in self._accepted}
-            for dc, kind, data in payload["ops_tail"]:
+            for dc, kind, data, *digest in payload["ops_tail"]:
                 if kind == "admit":
                     # Re-bind to the accepted-list Job so identity is
                     # shared between the admission record and the op.
-                    tail.append((int(dc), "admit", by_jid[int(data["jid"])]))
+                    data = by_jid[int(data["jid"])]
                 else:
-                    tail.append(
-                        (int(dc), "push", (float(data[0]), tuple(data[1])))
-                    )
+                    data = (float(data[0]), tuple(data[1]))
+                tail.append((int(dc), kind, data, (digest or [None])[0]))
+        # Rot that quarantined an acked op, or a fallback to an older
+        # image whose ops were compacted, must not cold-start without them.
+        oplog = store.oplog
+        if oplog.base_seq > anchor_seq or oplog.quarantine_reaches(anchor_seq):
+            raise RecoveryError(
+                f"tenant {self.tenant!r}: op records at or past the snapshot "
+                f"anchor (op {anchor_seq}) are missing or quarantined as "
+                "corrupt; refusing to cold start (see oplog/*.quarantine)"
+            )
 
         outcome_by_op = {
             "admit": "accepted",
@@ -1068,12 +1105,12 @@ class TenantShard:
                 jid = job.jid
                 self._accepted.append(job)
                 self._accepted_jids.add(job.jid)
-                tail.append((int(doc["dc"]), "admit", job))
+                tail.append((int(doc["dc"]), "admit", job, doc.get("digest")))
                 self.metrics.observe(job.release, "service.admitted")
             elif op == "push":
                 entry = (float(doc["time"]), tuple(doc["payload"]))
                 self._injected.append(entry)
-                tail.append((int(doc["dc"]), "push", entry))
+                tail.append((int(doc["dc"]), "push", entry, doc.get("digest")))
                 self.metrics.observe(
                     entry[0], "service.injected." + str(entry[1][0])
                 )
@@ -1102,43 +1139,9 @@ class TenantShard:
         # Undecided buffering (pending groups) is never durable, so
         # every reconstructed submission is a decided one.
         self._submitted = len(self._accepted) + len(self._shed)
-        self._ops = list(tail)
-
-        if snap is None:
-            # Never persisted a snapshot: replay the whole op log onto a
-            # fresh world (the WAL starts over with it).
-            self._journal = self._fresh_journal()
-            engine = self._build_engine([])
-            engine.kernel.start()
-            for _dc, kind, data in tail:
-                if kind == "admit":
-                    engine.kernel.admit_job(data)
-                else:
-                    engine.kernel.push_fault_event(*data)
-        else:
-            self._journal = EventJournal(store.wal)
-            if len(self._journal) < snap.dispatch_count:
-                raise RecoveryError(
-                    f"tenant {self.tenant!r}: WAL holds "
-                    f"{len(self._journal)} records but the snapshot was "
-                    f"cut at dispatch {snap.dispatch_count} — the journal "
-                    "tail was lost (power loss under --no-fsync?)"
-                )
-            jobs = [
-                job for job in self._accepted if job.jid in snap.status
-            ]
-            engine = self._build_engine(jobs)
-            engine.restore(snap)
-            base = snap.dispatch_count
-            for dc, kind, data in tail:
-                if dc < base:
-                    continue
-                if kind == "admit":
-                    engine.kernel.admit_job(data)
-                else:
-                    engine.kernel.push_fault_event(*data)
-
-        self._engine = engine
+        if snap is not None and snap.journal_digest is None:
+            self._journal = EventJournal(store.legacy_wal() or ())
+        self._restore(snap, tail)
         self._persist_anchor = -1 if snap is None else snap.dispatch_count
         # The depth gauge is deliberately *not* refreshed here: the
         # restored values are the persisted ones, so drain → cold start
@@ -1149,12 +1152,12 @@ class TenantShard:
         if octx is not None:
             octx.emit(
                 "service.cold_start",
-                engine.kernel.now,
+                self.kernel.now,
                 {
                     "tenant": self.tenant,
                     "accepted": len(self._accepted),
                     "shed": len(self._shed),
-                    "ops_reapplied": len(tail),
+                    "ops_reapplied": len(self._ops),
                     "had_snapshot": snap is not None,
                 },
                 replay=False,

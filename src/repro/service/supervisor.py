@@ -8,8 +8,8 @@ recover and backpressure independently.
 The restart ladder (docs/ROBUSTNESS.md §10): a
 :class:`~repro.errors.SimulatedCrash` (or any unhandled kernel
 exception) triggers ``shard.recover`` — restore the last periodic
-snapshot, replay the WAL tail, re-apply the op log — then the failed
-message is retried after a capped exponential backoff
+snapshot, re-apply the op log while the journal verifies the re-run —
+then the failed message is retried after a capped exponential backoff
 (``base · factor^k``, clamped to ``cap``).  A
 :class:`~repro.kernel.recovery.CrashLoopDetector` cuts livelocks short
 (two consecutive crashes at the same position), and once a single
@@ -23,7 +23,7 @@ and every shard writes through a :class:`~repro.store.tenant.TenantStore`
 under ``<store_dir>/<tenant>/``.  :meth:`ScheduleService.cold_start`
 rebuilds a whole service from such a directory after a ``SIGKILL``, and
 :meth:`ScheduleService.drain` is the graceful half: refuse new work
-(``draining`` acks), flush every tenant's snapshot + op log + WAL, and
+(``draining`` acks), flush every tenant's snapshot + op log, and
 leave a store a cold start recovers from with zero accepted-job loss.
 """
 
@@ -114,7 +114,11 @@ class TenantSupervisor:
             return "degraded"
         return "ok"
 
-    def _trip_breaker(self, reason: str) -> None:
+    def _trip_breaker(
+        self, reason: str, message: Message
+    ) -> Optional[TenantReport]:
+        """Open the breaker; a ``Close`` still gets the tenant report."""
+        self.restarting = False
         self.breaker_open = True
         self.breaker_reason = reason
         self.shard.shed_all_pending("circuit_open")
@@ -127,6 +131,7 @@ class TenantSupervisor:
                 {"tenant": self.tenant, "reason": reason},
                 replay=False,
             )
+        return self.shard.report() if isinstance(message, Close) else None
 
     async def handle(
         self, message: Message
@@ -157,10 +162,7 @@ class TenantSupervisor:
         attempts = 0
         while True:
             try:
-                if isinstance(message, Close):
-                    result = self.shard.close()
-                else:
-                    result = self.shard.handle(message)
+                result = self.shard.handle(message)
                 self.restarting = False
                 return result
             except MessageError:
@@ -170,11 +172,10 @@ class TenantSupervisor:
                 self.restarting = True
                 attempts += 1
                 if attempts > self.policy.max_restarts:
-                    self.restarting = False
-                    self._trip_breaker(
-                        f"restart budget exhausted ({self.policy.max_restarts})"
+                    return self._trip_breaker(
+                        f"restart budget exhausted ({self.policy.max_restarts})",
+                        message,
                     )
-                    return self.shard.report() if isinstance(message, Close) else None
                 try:
                     if not forced:
                         # Forced (ingress-injected) crashes are operator
@@ -183,9 +184,7 @@ class TenantSupervisor:
                         self._detector.observe(crash)
                     self.shard.recover(crash)
                 except RecoveryError as exc:
-                    self.restarting = False
-                    self._trip_breaker(str(exc))
-                    return self.shard.report() if isinstance(message, Close) else None
+                    return self._trip_breaker(str(exc), message)
                 self.restarts += 1
                 delay = self.policy.delay(attempts)
                 self.backoffs.append(delay)
@@ -199,9 +198,7 @@ class TenantSupervisor:
                     return None
                 # Deterministic retry: recovery left the message unapplied.
             except (RecoveryError, ServiceError) as exc:
-                self.restarting = False
-                self._trip_breaker(str(exc))
-                return self.shard.report() if isinstance(message, Close) else None
+                return self._trip_breaker(str(exc), message)
 
     def _count_restart(self, delay: float) -> None:
         octx = _obs.current()
@@ -210,11 +207,8 @@ class TenantSupervisor:
             octx.metrics.histogram("service.restart_backoff_s").observe(delay)
 
     def final_report(self) -> TenantReport:
-        report = (
-            self.shard.report()
-            if self.shard.closed or self.breaker_open
-            else self.shard.close()
-        )
+        shard = self.shard
+        report = shard.report() if self.breaker_open else shard.close()
         report.restarts = self.restarts
         report.backoffs = tuple(self.backoffs)
         return report
@@ -262,7 +256,7 @@ class ScheduleService:
     ) -> "ScheduleService":
         """A service rebuilt purely from a store directory: every tenant
         subdirectory with a valid spec is resumed from its snapshot +
-        op log + WAL.  ``await start()`` performs the actual recovery."""
+        op log.  ``await start()`` performs the actual recovery."""
         root = Path(store_dir)
         specs: List[TenantSpec] = []
         if root.is_dir():
@@ -416,8 +410,8 @@ class ScheduleService:
 
     async def drain(self) -> Dict[str, Dict[str, Any]]:
         """Graceful SIGTERM path: refuse new submits/faults, finish the
-        queued backlog, then flush every tenant's snapshot + op log +
-        WAL to its store.  Returns per-tenant stats recorded *after* the
+        queued backlog, then flush every tenant's snapshot + op log to
+        its store.  Returns per-tenant stats recorded *after* the
         flush — the zero-loss baseline a cold start must reproduce."""
         if not self._started:
             raise ServiceError("service not started")

@@ -14,7 +14,7 @@ column layout:
   row.  The event loop reads and writes these one scalar at a time, and
   CPython list indexing both beats numpy scalar indexing (which boxes every
   element into ``np.float64``) and guarantees native ``float``/``int``
-  values at the serialization boundaries (the journal's WAL records,
+  values at the serialization boundaries (encoded journal records,
   pickle in snapshots).  Vector views are materialized on demand by
   :meth:`remaining_array` / :meth:`status_array`.
 

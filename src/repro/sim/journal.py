@@ -1,4 +1,4 @@
-"""Write-ahead event journal and engine snapshots (crash recovery).
+"""Event journal and engine snapshots (crash recovery).
 
 The recovery story (docs/ROBUSTNESS.md) has two cooperating artifacts:
 
@@ -13,15 +13,15 @@ The recovery story (docs/ROBUSTNESS.md) has two cooperating artifacts:
   the horizon yields a :class:`~repro.sim.metrics.SimulationResult`
   bit-identical to the uncrashed run.
 
-* :class:`EventJournal` — a write-ahead log of dispatched events.  The
-  engine appends a :class:`JournalRecord` *before* dispatching each event,
-  so after a crash the journal extends past the last snapshot; on restore
-  the engine replays forward and *verifies* each re-dispatched event
-  against the journaled record, raising
+* :class:`EventJournal` — an in-memory write-ahead log of dispatched
+  events.  The engine appends a :class:`JournalRecord` *before*
+  dispatching each event, so after a crash the journal extends past the
+  last snapshot; on restore the engine replays forward and *verifies*
+  each re-dispatched event against the journaled record, raising
   :class:`~repro.errors.RecoveryError` on any divergence (which would
-  indicate non-determinism or a corrupted snapshot).  A service tenant's
-  journal also frames every record into its store's ``wal/``
-  :class:`~repro.store.log.SegmentedLog`, the one durable log format.
+  indicate non-determinism or a corrupted snapshot).  Its rolling digest
+  names the whole dispatch prefix in 16 bytes, so snapshots and a
+  service tenant's op records carry it instead of the records.
 
 Determinism is what makes this work: the engine consults no wall clock and
 no RNG of its own, and capacity paths are materialised lazily in
@@ -31,16 +31,14 @@ approximate.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RecoveryError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.store.log import SegmentedLog
 
 __all__ = [
     "JournalRecord",
@@ -51,8 +49,15 @@ __all__ = [
     "results_bit_identical",
 ]
 
-#: WAL record payload prefix: time, kind, version (the key follows).
-_WAL_RECORD = struct.Struct("<dBq")
+#: Encoded record prefix: time, kind, version (the key follows).
+_RECORD = struct.Struct("<dBq")
+
+#: The digest of an empty dispatch prefix.
+DIGEST_SEED = bytes(16)
+
+
+def _chain(digest: bytes, record: "JournalRecord") -> bytes:
+    return hashlib.blake2b(digest + record.encode(), digest_size=16).digest()
 
 
 def describe_payload(kind: int, payload: Any) -> str:
@@ -96,13 +101,7 @@ class JournalRecord:
     version: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "time": self.time,
-            "kind": self.kind,
-            "key": self.key,
-            "version": self.version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "JournalRecord":
@@ -115,81 +114,98 @@ class JournalRecord:
         )
 
     def encode(self) -> bytes:
-        """WAL payload: time, kind and version packed, then the key
-        (the index is the log sequence number)."""
-        return _WAL_RECORD.pack(self.time, self.kind, self.version) + (
+        """Time, kind and version packed, then the key (the index is the
+        record's position, so it is not encoded)."""
+        return _RECORD.pack(self.time, self.kind, self.version) + (
             self.key.encode()
         )
 
     @classmethod
     def decode(cls, index: int, payload: bytes) -> "JournalRecord":
-        time, kind, version = _WAL_RECORD.unpack_from(payload)
+        time, kind, version = _RECORD.unpack_from(payload)
         return cls(
-            index, time, kind, payload[_WAL_RECORD.size :].decode(), version
+            index, time, kind, payload[_RECORD.size :].decode(), version
         )
 
 
 class EventJournal:
-    """Append-only write-ahead log of dispatched events.
+    """In-memory write-ahead log of dispatched events.
 
-    In-memory always.  With a ``log`` (a :class:`~repro.store.log.
-    SegmentedLog` — the tenant store's ``wal/``) every append is also
-    framed into it, and opening over a non-empty log loads its records
-    first, so a cold-started kernel verifies its re-dispatches against
-    them and extends the same log past them.  The log's sequence number
-    *is* the dispatch index, so records store no index of their own.
-    Appends reach the OS at once (they survive ``SIGKILL``); power-loss
-    durability is the store's business — :meth:`~repro.store.tenant.
-    TenantStore.write_snapshot` syncs the WAL before it commits a
-    recovery anchor.
+    :meth:`append` runs once per dispatch at :attr:`position` (the
+    kernel's dispatch count): past the stored records it appends, below
+    their end — after :meth:`rewind` — it verifies.  Either way
+    :attr:`digest`, blake2b-128 chained over :meth:`JournalRecord.encode`,
+    names the first ``position`` dispatches.
     """
 
-    def __init__(self, log: "SegmentedLog | None" = None) -> None:
-        self._records: List[JournalRecord] = []
-        self._log = log
-        if log is not None:
-            if log.base_seq != 0:
-                raise RecoveryError(
-                    f"WAL starts at dispatch {log.base_seq}, not 0 — its "
-                    "head segments are missing"
-                )
-            self._records = [
-                JournalRecord.decode(seq, payload)
-                for seq, payload in log.entries()
-            ]
+    def __init__(self, records: Sequence[JournalRecord] = ()) -> None:
+        self._records: List[JournalRecord] = list(records)
+        self._base, self.position, self.digest = 0, 0, DIGEST_SEED
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Dispatches journaled so far (the end of the stored records)."""
+        return self._base + len(self._records)
 
     @property
     def records(self) -> Tuple[JournalRecord, ...]:
+        """The records kept, from index ``len(self) - len(records)`` on."""
         return tuple(self._records)
 
     def append(self, record: JournalRecord) -> None:
-        if record.index != len(self._records):
+        position = self.position
+        if record.index != position:
             raise RecoveryError(
                 f"journal append out of order: got index {record.index}, "
-                f"expected {len(self._records)}"
+                f"expected {position}"
             )
-        if self._log is not None:
-            self._log.append(record.encode(), sync=False)
-        self._records.append(record)
-
-    def flush(self, *, sync: bool = False) -> None:
-        """Appends already reach the OS; ``sync=True`` also forces the
-        log to stable storage (a no-op for in-memory journals)."""
-        if sync and self._log is not None:
-            self._log.sync()
+        if position < len(self):
+            expected = self.get(position)
+            if record != expected:
+                raise RecoveryError(
+                    f"journal replay diverged at dispatch #{position}: "
+                    f"live {record} != journaled {expected}"
+                )
+        else:
+            self._records.append(record)
+        self.digest = _chain(self.digest, record)
+        self.position = position + 1
 
     def get(self, index: int) -> JournalRecord:
-        return self._records[index]
+        return self._records[index - self._base]
+
+    def rewind(self, count: int, digest: Optional[bytes] = None) -> None:
+        """Move to a restored snapshot's dispatch ``count`` and chain
+        ``digest`` (derived from records kept since dispatch 0 if None);
+        a journal holding no records is seeded there."""
+        if digest is not None and not self._records:
+            self._base = count
+        elif not self._base <= count <= len(self) or (
+            digest is None and self._base
+        ):
+            raise RecoveryError(
+                f"journal holds dispatches {self._base}..{len(self)} but "
+                f"the snapshot was cut at dispatch {count} (was its "
+                "journal lost?)"
+            )
+        elif digest is None:
+            digest = DIGEST_SEED
+            for record in self._records[:count]:
+                digest = _chain(digest, record)
+        self.position, self.digest = count, digest
+
+    def trim(self, count: int) -> None:
+        """Drop the records a snapshot at dispatch ``count`` (at most
+        :attr:`position`) supersedes."""
+        if count > self._base:
+            del self._records[: count - self._base]
+            self._base = count
 
 
 def legacy_wal_payloads(data: bytes) -> List[bytes]:
     """Read-only importer for the retired JSON-lines WAL (``wal.jsonl``:
     a header line, then one record per line).
 
-    Returns the records as WAL log payloads, in order.  A torn
+    Returns the records as encoded payloads, in order.  A torn
     (undecodable) *final* line is the crash signature and is dropped; a
     bad line anywhere else raises :class:`~repro.errors.RecoveryError`.
     """
@@ -266,6 +282,8 @@ class EngineSnapshot:
     stale_hint: int = 0
     #: events dispatched so far (aligns with the journal index)
     dispatch_count: int = 0
+    #: journal digest at ``dispatch_count`` (None: no journal, or older)
+    journal_digest: Optional[bytes] = None
     #: per-processor trace accumulators (one segment list per processor)
     trace_segments: List[List[Tuple[float, float, int, float]]] = field(
         default_factory=lambda: [[]]

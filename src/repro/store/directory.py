@@ -25,9 +25,10 @@ Three implementations:
   above and injects torn writes / bit flips / ``ENOSPC`` / lying fsyncs
   (see :mod:`repro.store.faults`).
 
-Simplification, stated: subdirectory *creation* is treated as durable
-immediately (the store lays out its directory tree once, at open time,
-long before any interesting write), and ``SIGKILL``-style process death
+Simplification, stated: subdirectory creation and removal are treated
+as durable immediately (the store lays out its directory tree once, at
+open time, long before any interesting write, and removes only a
+retired one), and ``SIGKILL``-style process death
 — as opposed to power loss — loses nothing that reached the OS, which
 the in-memory model can emulate by fsync-ing everything before
 :meth:`crash`.
@@ -73,7 +74,7 @@ class Directory(Protocol):
 
     def rename(self, old: str, new: str) -> None: ...
 
-    def remove(self, name: str) -> None: ...
+    def remove(self, name: str) -> None: ...  # a file or empty subdir
 
     def truncate(self, name: str, size: int) -> None: ...
 
@@ -141,7 +142,11 @@ class OsDirectory:
         os.replace(self._path / old, self._path / new)
 
     def remove(self, name: str) -> None:
-        (self._path / name).unlink()
+        path = self._path / name
+        if path.is_dir():
+            path.rmdir()
+        else:
+            path.unlink()
 
     def truncate(self, name: str, size: int) -> None:
         with (self._path / name).open("r+b") as fh:
@@ -247,7 +252,7 @@ class MemoryDirectory:
         return bytes(self._files[name].content)
 
     def exists(self, name: str) -> bool:
-        return name in self._files
+        return name in self._files or name in self._children
 
     def listdir(self) -> List[str]:
         return sorted(self._files)
@@ -258,6 +263,8 @@ class MemoryDirectory:
         self._files[new] = self._files.pop(old)
 
     def remove(self, name: str) -> None:
+        if self._children.pop(name, None) is not None:
+            return
         if name not in self._files:
             raise StorageError(f"no such file {name!r}")
         del self._files[name]

@@ -29,9 +29,8 @@ Invariants the layout buys:
   are superseded by); the partially-covered segment stays.
 * **No in-memory copy** — the log keeps segment names and record
   counts only; :meth:`entries` reads the records back from the segment
-  files, so a long-lived log (the kernel WAL) costs no memory per
-  record.  Whoever needs the records in memory keeps its own decoded
-  copy.
+  files, so a long-lived log costs no memory per record.  Whoever needs
+  the records in memory keeps its own decoded copy.
 
 Durability contract: ``append(..., sync=True)`` returns only after the
 frame is fsynced — a ``SIGKILL`` after the call loses nothing, a power
@@ -216,6 +215,25 @@ class SegmentedLog:
             offset = end
         return payloads, offset, "clean"
 
+    def quarantine_reaches(self, seq: int) -> bool:
+        """True if a ``*.quarantine`` segment (from any open) may have held
+        a record at sequence ``seq`` or later: frames are counted by their
+        lengths, CRCs ignored, and unparseable ones may hold anything."""
+        for name in self._dir.listdir():
+            if not name.endswith(".seg.quarantine"):
+                continue
+            data = self._dir.read_bytes(name)
+            if len(data) < _HEADER_LEN or data[: len(_MAGIC)] != _MAGIC:
+                return True
+            (end,) = _HEADER.unpack_from(data, len(_MAGIC))
+            offset = _HEADER_LEN
+            while offset + _FRAME.size <= len(data):
+                offset += _FRAME.size + _FRAME.unpack_from(data, offset)[0]
+                end += 1
+            if offset != len(data) or end > seq:
+                return True
+        return False
+
     def _quarantine(self, names: List[str]) -> None:
         for name in names:
             self._dir.rename(name, name + ".quarantine")
@@ -280,11 +298,6 @@ class SegmentedLog:
         self._handle.close()
         self._new_segment(self.next_seq)
 
-    def sync(self) -> None:
-        """Force everything appended so far to stable storage."""
-        if self._handle is not None:
-            self._handle.fsync()
-
     # -- maintenance ----------------------------------------------------
     def compact(self, min_seq: int) -> int:
         """Drop whole segments entirely below ``min_seq``; returns how
@@ -304,23 +317,12 @@ class SegmentedLog:
         return removed
 
     def rebase(self, first_seq: int) -> None:
-        """Restart an *empty* log at a given sequence (used when a
-        catastrophically corrupt log was quarantined wholesale but a
-        snapshot still anchors the op-sequence space)."""
-        if self._count:
-            raise StorageError("rebase is only valid on an empty log")
-        self._restart(first_seq)
-
-    def reset(self) -> None:
-        """Drop every record and restart the log empty at sequence 0
-        (a WAL whose run is about to be regenerated from scratch)."""
-        if self.next_seq:
-            self._restart(0)
-
-    def _restart(self, first_seq: int) -> None:
-        """Remove every segment (newest first, so a crash part-way leaves
-        a prefix of the old log) and begin a fresh one at ``first_seq``;
+        """Restart the log at ``first_seq``, dropping records that all
+        precede it (a snapshot anchored there supersedes what rot left):
+        its segments are removed and a fresh one begins at ``first_seq``;
         the new segment's birth dir-fsyncs the removals."""
+        if self.next_seq > first_seq:
+            raise StorageError(f"rebase to {first_seq} would drop records")
         if self._handle is not None:
             self._handle.close()
         for seg in reversed(self._segments):

@@ -1,29 +1,27 @@
-"""Per-tenant durable state: spec + op log + WAL + snapshots, one directory.
+"""Per-tenant durable state: spec + op log + snapshots, one directory.
 
 Layout under ``<store_dir>/<tenant>/``::
 
     spec.json        # the TenantSpec as checksummed JSON (written once)
     oplog/           # SegmentedLog of JSON op records (admits, pushes,
                      #   sheds, crash marks, dedup entries)
-    wal/             # SegmentedLog of the kernel's write-ahead
-                     #   EventJournal records, one per dispatch
     snaps/           # SnapshotStore of pickled shard state images
 
-Both logs share one format and one crash model (:mod:`repro.store.log`);
-a store written before the WAL moved into ``wal/`` still holds a
-``wal.jsonl`` (and a ``shed.jsonl`` sidecar), which opening imports once
-and removes.
-
-The shard (:mod:`repro.service.shard`) writes *op records first, state
+The op log is the one durable stream a service decision writes.  The
+shard (:mod:`repro.service.shard`) writes *op records first, state
 mutation second*: an admit/push/shed is fsynced into the op log before
 the kernel sees it, so the disk is always ahead of (or equal to) the
 process — ``SIGKILL`` at any instant loses at most acked-but-undecided
 buffering, never a decision.  Snapshots anchor the op sequence: a state
 image recorded at op sequence ``s`` supersedes every op with
 ``seq < s``, and :meth:`write_snapshot` compacts the op log accordingly.
-The WAL is never compacted — replay verification compares the whole of
-it — but a snapshot must never outrun it: :meth:`write_snapshot` syncs
-the WAL before it commits the anchor.
+The kernel's dispatches are not stored: admit/push records and state
+images carry the journal digest at their dispatch count instead
+(:class:`~repro.sim.journal.EventJournal`).
+
+A store from before digests may still hold the retired kernel WAL
+(``wal/``, or ``wal.jsonl`` with its ``shed.jsonl`` sidecar): a cold
+start reads it (:meth:`legacy_wal`), and the first commit removes it.
 
 This module is deliberately spec-schema agnostic: the tenant spec and
 the op payloads are opaque JSON documents; (de)serialising them to
@@ -40,7 +38,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import StorageError
+from repro.errors import RecoveryError, StorageError
 from repro.store.directory import Directory, OsDirectory
 from repro.store.log import SegmentedLog
 from repro.store.snapshots import SnapshotStore
@@ -48,9 +46,12 @@ from repro.store.snapshots import SnapshotStore
 __all__ = ["TenantStore"]
 
 SPEC_FILE = "spec.json"
-#: The retired JSON-lines WAL and shed sidecar (imported/removed on open).
+#: The retired kernel WALs (segment log, then JSON lines) and the shed
+#: sidecar that rode with the JSON-lines one.
+LEGACY_WAL_DIR = "wal"
 LEGACY_WAL_FILE = "wal.jsonl"
 LEGACY_SHED_FILE = "shed.jsonl"
+_LEGACY = (LEGACY_WAL_DIR, LEGACY_WAL_FILE, LEGACY_SHED_FILE)
 
 
 class TenantStore:
@@ -76,46 +77,48 @@ class TenantStore:
         self.snapshots = SnapshotStore(
             self._dir.subdir("snaps"), keep=snapshot_keep, fsync=fsync
         )
-        #: The kernel WAL (:class:`~repro.sim.journal.EventJournal`
-        #: frames its records here).
-        self.wal = SegmentedLog(
-            self._dir.subdir("wal"), segment_bytes=segment_bytes, fsync=fsync
-        )
-        #: Optional ``callable(seconds)`` timing each durability point —
-        #: a synced op append, a WAL sync — for the service's SLO fsync
-        #: histogram (wall clock; never in the replay domain).
+        #: Optional ``callable(seconds)`` timing each synced op append,
+        #: for the service's fsync histogram (wall clock; never in the
+        #: replay domain).
         self.sync_observer: Optional[Callable[[float], None]] = None
-        self._import_legacy_wal()
+        self._legacy = [name for name in _LEGACY if self._dir.exists(name)]
 
     @property
     def path(self) -> Optional[Path]:
         """The tenant directory (None for in-memory directories)."""
         return self._dir.path
 
-    def _import_legacy_wal(self) -> None:
-        """Move a retired ``wal.jsonl`` into ``wal/`` and drop it (and
-        the shed sidecar, whose records the op log already owns).  The
-        old file stays the source of truth until its removal is durable,
-        so a crash mid-import just imports again."""
-        if self._dir.exists(LEGACY_WAL_FILE):
-            from repro.sim.journal import legacy_wal_payloads
+    def legacy_wal(self) -> "Optional[List[Any]]":
+        """The retired WAL's records, or None; none is added.
+        ``wal.jsonl`` wins: older code crashed mid-import into ``wal/``."""
+        from repro.sim.journal import JournalRecord, legacy_wal_payloads
 
-            payloads = legacy_wal_payloads(
-                self._dir.read_bytes(LEGACY_WAL_FILE)
-            )
-            self.wal.reset()
-            for payload in payloads:
-                self.wal.append(payload, sync=False)
-            self.wal.sync()
-        stale = [
-            name
-            for name in (LEGACY_WAL_FILE, LEGACY_SHED_FILE)
-            if self._dir.exists(name)
-        ]
-        for name in stale:
+        if LEGACY_WAL_FILE in self._legacy:
+            data = self._dir.read_bytes(LEGACY_WAL_FILE)
+            payloads = list(enumerate(legacy_wal_payloads(data)))
+        elif LEGACY_WAL_DIR in self._legacy:
+            log = SegmentedLog(self._dir.subdir(LEGACY_WAL_DIR))
+            payloads = log.entries()
+            log.close()
+            if log.base_seq:
+                raise RecoveryError(
+                    f"WAL starts at dispatch {log.base_seq}, not 0 — its "
+                    "head segments are missing"
+                )
+        else:
+            return None
+        return [JournalRecord.decode(i, p) for i, p in payloads]
+
+    def _remove_legacy(self) -> None:
+        """Delete the retired WAL files."""
+        for name in self._legacy:
+            if name == LEGACY_WAL_DIR:
+                wal = self._dir.subdir(name)
+                for seg in wal.listdir():
+                    wal.remove(seg)
             self._dir.remove(name)
-        if stale:
-            self._dir.fsync_dir()
+        self._dir.fsync_dir()
+        self._legacy = []
 
     # -- tenant spec -----------------------------------------------------
     def ensure_spec(self, spec_doc: Dict[str, Any], normalize=None) -> None:
@@ -202,22 +205,14 @@ class TenantStore:
     # -- snapshots -------------------------------------------------------
     def write_snapshot(self, state: Any, *, op_seq: int) -> int:
         """Commit one state image anchored at ``op_seq`` and compact the
-        op log behind it.
-
-        The image's kernel was cut at a dispatch count the WAL already
-        holds (records are appended before their event dispatches), so
-        syncing the WAL first keeps every committed anchor covered by
-        the WAL on disk — under the store's ``fsync`` flag, like every
-        other durability point here."""
-        if self._fsync:
-            t0 = perf_counter()
-            self.wal.sync()
-            if self.sync_observer is not None:
-                self.sync_observer(perf_counter() - t0)
+        op log behind it.  The image carries the journal digest a
+        retired WAL stood in for, so committing it retires that WAL."""
         seq = self.snapshots.write(
             pickle.dumps(state), {"op_seq": int(op_seq)}
         )
         self.oplog.compact(int(op_seq))
+        if self._legacy:
+            self._remove_legacy()
         return seq
 
     def load_snapshot(self) -> Optional[Tuple[Any, int]]:
@@ -227,10 +222,10 @@ class TenantStore:
             return None
         _seq, meta, payload = loaded
         op_seq = int(meta.get("op_seq", 0))
-        if self.oplog.next_seq < op_seq and not len(self.oplog):
-            # The op log was quarantined wholesale (catastrophic rot):
-            # re-anchor its sequence space at the snapshot so post-resume
-            # appends stay ahead of the anchor.
+        if self.oplog.next_seq < op_seq:
+            # The op log lost its tail below the anchor (rot quarantined
+            # it), so the snapshot supersedes every record left: re-anchor
+            # the sequence space there so later appends stay ahead of it.
             self.oplog.rebase(op_seq)
         return pickle.loads(payload), op_seq
 
@@ -240,4 +235,3 @@ class TenantStore:
 
     def close(self) -> None:
         self.oplog.close()
-        self.wal.close()

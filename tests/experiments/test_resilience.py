@@ -6,6 +6,7 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ def _keep_records(ckpt, n: int) -> None:
     first ``n`` records (the header included), drop the rest."""
     log = SegmentedLog(OsDirectory(ckpt))
     payloads = [payload for _seq, payload in log.entries()[:n]]
-    log.reset()
+    log.close()
+    for segment in Path(ckpt).glob("*.seg"):
+        segment.unlink()
+    log = SegmentedLog(OsDirectory(ckpt))
     for payload in payloads:
         log.append(payload)
     log.close()

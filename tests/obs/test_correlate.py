@@ -70,9 +70,27 @@ class TestStoreCorrelation:
         assert result["outcome"] == "accepted"
         stage_kinds = {s["stage"] for s in result["stages"]}
         assert "admission" in stage_kinds
-        assert "journal" in stage_kinds  # dispatch records via the WAL
+        assert "journal" in stage_kinds  # dispatch records via the replay
         text = render_request_trace(result)
         assert "request 'r0'" in text and "[journal]" in text
+        assert "source=replay" in text
+
+    def test_refused_cold_start_reaches_the_result(self, tmp_path):
+        store = TenantStore(tmp_path / "t0", fsync=False)
+        shard = TenantShard(_spec(snapshot_every=10_000), store=store)
+        for i in range(3):  # each later release flushes the group before
+            shard.handle(Submit("t0", _job(i, release=1.0 + i), rid=f"r{i}"))
+        store.close()
+        # Rot r1's acked admit: the op log quarantines it.
+        (segment,) = (tmp_path / "t0" / "oplog").glob("*.seg")
+        data = bytearray(segment.read_bytes())
+        data[data.index(b'"rid": "r1"') + 10] ^= 0x01
+        segment.write_bytes(bytes(data))
+        result = correlate_request("r0", store_dir=tmp_path)
+        assert result["outcome"] == "accepted" and result["jid"] == 0
+        (stage,) = [s for s in result["stages"] if s["stage"] == "journal"]
+        assert "quarantined as corrupt" in stage["error"]
+        assert "[journal] error=" in render_request_trace(result)
 
     def test_shed_request_reports_reason(self, tmp_path):
         shard = _populate(tmp_path)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,6 @@ from repro.service import (
     tenant_spec_to_dict,
 )
 from repro.sim.job import Job
-from repro.sim.journal import EventJournal
 from repro.store.tenant import TenantStore
 
 
@@ -241,39 +241,39 @@ class TestColdStartParity:
             )
 
 
+PARENT_STORES = Path(__file__).parent / "parent_stores"
+#: Decision facts both stores hold (their writer's last stat; write_stores.py).
+PARENT_FACTS = {"accepted": 18, "shed": 4, "accepted_crc": 3702410901}
+
+
+def _parent_store(tmp_path, layout):
+    """A copy of a store written while the kernel WAL was stored
+    (``wal_segments`` or ``wal_jsonl``); returns its tenant directory."""
+    shutil.copytree(PARENT_STORES / layout, tmp_path / layout)
+    return tmp_path / layout / "t0"
+
+
+def _cold_start(path):
+    store = TenantStore(path)
+    return TenantShard(
+        tenant_spec_from_dict(store.load_spec()), store=store, resume=True
+    )
+
+
+def _assert_parent_facts(shard):
+    stats = shard.stats()
+    for key, value in PARENT_FACTS.items():
+        assert stats[key] == value, key
+    # The one undecided submission was never durable.
+    assert stats["submitted"] == stats["accepted"] + stats["shed"]
+
+
 class TestPreSegmentStores:
     """Stores written while the WAL was a JSON-lines file: their spec
-    docs carry the retired ``flush_every``/``fsync`` knobs, and the
+    docs may carry the retired ``flush_every``/``fsync`` knobs, and the
     tenant directory holds ``wal.jsonl`` and a ``shed.jsonl`` sidecar."""
 
     OLD_KNOBS = {"flush_every": 8, "fsync": False}
-    #: No periodic anchors: only persist_now commits a snapshot.
-    SPEC = _spec(queue_budget=3, snapshot_every=10_000)
-
-    def _old_store(self, path, *, n=12):
-        """Drive a shard, then rewrite its directory into the retired
-        layout; returns (stats before, journal records)."""
-        store = TenantStore(path)
-        spec = self.SPEC
-        store.ensure_spec(dict(tenant_spec_to_dict(spec), **self.OLD_KNOBS))
-        shard = TenantShard(spec, store=store)
-        for i in range(6):  # one contention group: the budget sheds 3
-            shard.handle(Submit("t0", _job(100 + i, 1.0), rid=f"g{i}"))
-        _drive(shard, n=n)
-        shard.persist_now()
-        # Traffic past the last anchor: its WAL records are the tail.
-        shard.handle(Submit("t0", _job(n, float(n) + 4.0), rid="tail"))
-        shard.handle(Advance("t0", float(n) + 12.0))
-        before, records = shard.stats(), shard.report().journal.records
-        store.close()
-        lines = [json.dumps({"kind": "event_journal", "schema": 1})]
-        lines += [json.dumps(r.to_dict()) for r in records]
-        (path / "wal.jsonl").write_text("\n".join(lines) + "\n")
-        (path / "shed.jsonl").write_text(
-            "".join(json.dumps(r.to_dict()) + "\n" for r in shard.report().shed)
-        )
-        shutil.rmtree(path / "wal")
-        return before, records
 
     def test_spec_with_retired_wal_knobs_resumes(self, tmp_path):
         store = TenantStore(tmp_path / "t0")
@@ -290,41 +290,281 @@ class TestPreSegmentStores:
             assert revived.stats()[key] == before[key], key
 
     def test_jsonl_wal_imported_once_then_removed(self, tmp_path):
-        path = tmp_path / "t0"
-        before, records = self._old_store(path)
-        assert before["shed"] > 0  # the sidecar held real records
-        revived = TenantShard(self.SPEC, store=TenantStore(path), resume=True)
-        after = revived.stats()
-        for key in ("submitted", "accepted", "shed", "accepted_crc"):
-            assert after[key] == before[key], key
-        assert not (path / "wal.jsonl").exists()
-        assert not (path / "shed.jsonl").exists()
-        assert EventJournal(TenantStore(path).wal).records == records
-        report = revived.close()
+        path = _parent_store(tmp_path, "wal_jsonl")
+        revived = _cold_start(path)
+        _assert_parent_facts(revived)
+        # Read, not moved: the old files stay until an image carrying a
+        # journal digest commits.
+        assert (path / "wal.jsonl").exists() and (path / "shed.jsonl").exists()
+        revived.persist_now()
+        assert sorted(p.name for p in path.iterdir()) == [
+            "oplog", "snaps", "spec.json",
+        ]
+        again = _cold_start(path)
+        _assert_parent_facts(again)
+        report = again.close()
         check = replay_tenant(report)
         assert check.ok, check.failures
         assert report.lost_jids == ()
 
     def test_jsonl_wal_torn_tail_dropped(self, tmp_path):
-        path = tmp_path / "t0"
-        _before, records = self._old_store(path)
+        path = _parent_store(tmp_path, "wal_jsonl")
         data = (path / "wal.jsonl").read_bytes()
         (path / "wal.jsonl").write_bytes(data[:-7])  # torn final line
-        revived = TenantShard(self.SPEC, store=TenantStore(path), resume=True)
-        assert revived.report().journal.records[: len(records) - 1] == (
-            records[:-1]
-        )
+        revived = _cold_start(path)
+        records = revived.report().journal.records
+        assert len(records) >= 31  # 31 survive; the lost one is re-run
         assert replay_tenant(revived.close()).ok
 
     def test_jsonl_wal_mid_file_corruption_refuses(self, tmp_path):
-        path = tmp_path / "t0"
-        self._old_store(path)
+        path = _parent_store(tmp_path, "wal_jsonl")
         lines = (path / "wal.jsonl").read_text().splitlines()
         lines[3] = '{"index": 2, BROKEN'
         (path / "wal.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(RecoveryError, match="corrupt record at line 4"):
-            TenantStore(path)
+            _cold_start(path)
         assert (path / "wal.jsonl").exists()  # nothing was dropped
+
+
+class TestParentStores:
+    """A store with a segment-log ``wal/``, a snapshot from before
+    journal digests (payload op tail included), a post-snapshot op-log
+    tail and WAL records past the snapshot migrates read-only."""
+
+    def test_cold_start_verifies_the_wal_tail(self, tmp_path):
+        path = _parent_store(tmp_path, "wal_segments")
+        revived = _cold_start(path)
+        _assert_parent_facts(revived)
+        journal = revived.report().journal
+        # Re-applying the op tail re-ran and verified every WAL record.
+        assert len(journal) == journal.position == 32
+        check = replay_tenant(revived.close())
+        assert check.ok, check.failures
+
+    def test_diverging_wal_tail_refuses(self, tmp_path):
+        from repro.sim.journal import JournalRecord
+        from repro.store.log import SegmentedLog
+        from repro.store.directory import OsDirectory
+
+        path = _parent_store(tmp_path, "wal_segments")
+        log = SegmentedLog(OsDirectory(path / "wal"))
+        records = [JournalRecord.decode(i, p) for i, p in log.entries()]
+        log.close()
+        for segment in (path / "wal").glob("*.seg"):
+            segment.unlink()
+        log = SegmentedLog(OsDirectory(path / "wal"))
+        for record in records[:30]:
+            log.append(record.encode())
+        bad = records[30]
+        log.append(JournalRecord(30, bad.time, bad.kind, "jid:999").encode())
+        log.close()
+        with pytest.raises(RecoveryError, match="diverged at dispatch #30"):
+            _cold_start(path)
+
+    def test_wal_removed_only_after_a_digest_snapshot_commits(
+        self, tmp_path, monkeypatch
+    ):
+        path = _parent_store(tmp_path, "wal_segments")
+        # A crash before any commit: the next cold start migrates again.
+        _cold_start(path).handle(Stat("t0"))
+        assert (path / "wal").is_dir()
+        revived = _cold_start(path)
+        # A crash between the commit and the removal: the committed
+        # image carries a digest, so the WAL is never read again (even
+        # broken) and the next commit removes it.
+        monkeypatch.setattr(
+            TenantStore, "_remove_legacy", lambda self: 1 / 0
+        )
+        with pytest.raises(ZeroDivisionError):
+            revived.persist_now()
+        monkeypatch.undo()
+        assert (path / "wal").is_dir()
+        min((path / "wal").glob("*.seg")).write_bytes(b"garbage")
+        again = _cold_start(path)
+        _assert_parent_facts(again)
+        again.persist_now()
+        assert sorted(p.name for p in path.iterdir()) == [
+            "oplog", "snaps", "spec.json",
+        ]
+        final = _cold_start(path)
+        _assert_parent_facts(final)
+        check = replay_tenant(final.close())
+        assert check.ok, check.failures
+
+
+class TestDivergenceGuard:
+    """The cold start's witness: op records carry the journal digest at
+    their dispatch count, so a re-run that departs from the logged run
+    is refused as soon as it re-reaches an acked op past the departure.
+
+    Each case plants one divergence into an abandoned store — a
+    perturbed capacity path for the cold-started kernel, a dropped
+    fsynced admit, two swapped same-instant admits — with an acked admit
+    after it.  A store kept its kernel WAL for this until the digests
+    replaced it; that WAL caught all three too, one re-dispatch later.
+    Rot that quarantines an acked op needs no later op: the quarantine
+    refuses the cold start unless the snapshot supersedes it."""
+
+    SPEC = _spec(snapshot_every=10_000)  # only persist_now anchors
+
+    def _abandoned(self, path):
+        """Snapshot, then an op tail: two same-instant admits whose
+        releases dispatch, then a later admit (the witness)."""
+        store = TenantStore(path)
+        shard = TenantShard(self.SPEC, store=store)
+        _drive(shard, n=6)
+        shard.persist_now()
+        shard.handle(Submit("t0", _job(20, 10.0), rid="a"))
+        shard.handle(Submit("t0", _job(21, 10.0, workload=2.0), rid="b"))
+        shard.handle(Advance("t0", 12.0))
+        shard.handle(Submit("t0", _job(22, 13.0), rid="c"))
+        shard.handle(Advance("t0", 14.0))
+        store.close()  # never closed: the kill -9 stand-in
+        return path
+
+    @staticmethod
+    def _edit_tail(path, edit):
+        """Rewrite the op-log records past the snapshot anchor."""
+        store = TenantStore(path)
+        _payload, anchor = store.load_snapshot()
+        ops, base = store.ops(), store.oplog.base_seq
+        store.close()
+        for segment in (path / "oplog").glob("*.seg"):
+            segment.unlink()
+        store = TenantStore(path)
+        store.oplog.rebase(base)
+        docs = [doc for seq, doc in ops if seq < anchor]
+        docs += edit([doc for seq, doc in ops if seq >= anchor])
+        store.append_ops(docs)
+        store.close()
+
+    def _cold_start(self, path):
+        return TenantShard(self.SPEC, store=TenantStore(path), resume=True)
+
+    def test_unplanted_store_cold_starts_and_replays(self, tmp_path):
+        path = self._abandoned(tmp_path / "t0")
+        check = replay_tenant(self._cold_start(path).close())
+        assert check.ok, check.failures
+
+    def test_perturbed_capacity_path_refused(self, tmp_path):
+        import pickle
+
+        from repro.capacity.piecewise import PiecewiseConstantCapacity
+
+        path = self._abandoned(tmp_path / "t0")
+        store = TenantStore(path)
+        payload, anchor = store.load_snapshot()
+        engine = payload["engine"]
+        engine.capacity_blob = pickle.dumps(
+            [PiecewiseConstantCapacity([0.0, engine.now], [1.0, 2.0])]
+        )
+        store.write_snapshot(payload, op_seq=anchor)
+        store.close()
+        with pytest.raises(RecoveryError, match="diverged from the op log"):
+            self._cold_start(path)
+
+    def test_dropped_admit_refused(self, tmp_path):
+        path = self._abandoned(tmp_path / "t0")
+        self._edit_tail(
+            path, lambda docs: [d for d in docs if d.get("rid") != "a"]
+        )
+        with pytest.raises(RecoveryError, match="diverged from the op log"):
+            self._cold_start(path)
+
+    def test_swapped_same_instant_admits_refused(self, tmp_path):
+        def swap(docs):
+            rids = [d.get("rid") for d in docs]
+            i, j = rids.index("a"), rids.index("b")
+            docs[i], docs[j] = docs[j], docs[i]
+            return docs
+
+        path = self._abandoned(tmp_path / "t0")
+        self._edit_tail(path, swap)
+        with pytest.raises(RecoveryError, match="diverged from the op log"):
+            self._cold_start(path)
+
+    @staticmethod
+    def _rot(path, needle):
+        """Flip one bit of the op-log record holding ``needle``."""
+        (segment,) = (path / "oplog").glob("*.seg")
+        data = bytearray(segment.read_bytes())
+        data[data.index(needle) + len(needle) - 1] ^= 0x01
+        segment.write_bytes(bytes(data))
+
+    def test_rotted_final_admit_refused(self, tmp_path):
+        """Rot in the last acked admit — no op or snapshot after it —
+        quarantines it, and no later digest is left to miss it: the
+        quarantine itself refuses the cold start, on every retry."""
+        path = self._abandoned(tmp_path / "t0")
+        self._rot(path, b'"rid": "c"')
+        for _attempt in range(2):
+            with pytest.raises(RecoveryError, match="quarantined as corrupt"):
+                self._cold_start(path)
+
+    def test_rot_in_superseded_ops_still_cold_starts(self, tmp_path):
+        path = tmp_path / "t0"
+        store = TenantStore(path)
+        shard = TenantShard(self.SPEC, store=store)
+        _drive(shard, n=6)
+        shard.persist_now()
+        before = shard.stats()
+        store.close()
+        self._rot(path, b'"rid": "r3"')  # the image supersedes it
+        store = TenantStore(path)
+        revived = TenantShard(self.SPEC, store=store, resume=True)
+        for key in ("submitted", "accepted", "shed", "accepted_crc"):
+            assert revived.stats()[key] == before[key], key
+        # A decision made after it lands past the anchor and survives
+        # the next cold start.
+        revived.handle(Submit("t0", _job(30, 20.0), rid="late"))
+        revived.handle(Advance("t0", 21.0))
+        store.close()
+        again = self._cold_start(path)
+        assert again.dedup_outcome("late") == "accepted"
+        check = replay_tenant(again.close())
+        assert check.ok, check.failures
+
+    def test_fallback_past_compacted_ops_refused(self, tmp_path):
+        """Rot in the newest image falls back to the older one, whose
+        op tail the newer image's compaction already dropped."""
+        path = tmp_path / "t0"
+        store = TenantStore(path, segment_bytes=256)
+        shard = TenantShard(self.SPEC, store=store)
+        _drive(shard, n=4)
+        shard.persist_now()
+        for i in range(12):
+            shard.handle(Submit("t0", _job(10 + i, 6.0 + i), rid=f"x{i}"))
+        shard.handle(Advance("t0", 19.0))
+        shard.persist_now()
+        store.close()
+        newest = max((path / "snaps").glob("snap-*.bin"))
+        newest.write_bytes(newest.read_bytes()[:-1] + b"?")
+        with pytest.raises(RecoveryError, match="are missing or"):
+            TenantShard(
+                self.SPEC,
+                store=TenantStore(path, segment_bytes=256),
+                resume=True,
+            )
+
+    def test_perturbation_past_the_last_op_fails_replay(self, tmp_path):
+        """No acked op follows this departure, so the cold start has
+        nothing to check it against; the closed tenant's replay does."""
+        import pickle
+
+        from repro.capacity.piecewise import PiecewiseConstantCapacity
+
+        path = self._abandoned(tmp_path / "t0")
+        store = TenantStore(path)
+        payload, anchor = store.load_snapshot()
+        engine = payload["engine"]
+        engine.capacity_blob = pickle.dumps(
+            [PiecewiseConstantCapacity([0.0, 13.5], [1.0, 2.0])]
+        )
+        store.write_snapshot(payload, op_seq=anchor)
+        store.close()
+        check = replay_tenant(self._cold_start(path).close())
+        assert not check.ok
+        assert not check.journals_identical and not check.results_identical
 
 
 class TestIdempotency:

@@ -104,6 +104,44 @@ class TestEndpoints:
         assert posted[0] == 405
         assert head[0] == 200 and head[2] == ""  # HEAD: headers only
 
+    def test_oversized_request_lines_are_answered(self):
+        """A request line past the limit is answered 414, a header line
+        past it 431 — whether the newline is buffered or still arriving
+        — and the listener keeps serving."""
+
+        async def request(port, raw):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(raw)
+            await writer.drain()
+            head = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return int(head.split()[1]) if head else None
+
+        async def run():
+            service = ScheduleService([_spec()])
+            await service.start()
+            expo = TelemetryExposition(service)
+            await expo.start(port=0)
+            get = b"GET /%s HTTP/1.0\r\n\r\n"
+            statuses = [
+                await request(expo.port, get % (b"x" * 10_000)),
+                await request(expo.port, get % (b"x" * 200_000)),
+                await request(
+                    expo.port,
+                    b"GET /health HTTP/1.0\r\nX-Pad: " + b"y" * 200_000
+                    + b"\r\n\r\n",
+                ),
+            ]
+            health = await _http_get(expo.port, "/health")
+            await expo.stop()
+            await service.close()
+            return statuses, health
+
+        statuses, health = _run(run())
+        assert statuses == [414, 414, 431]
+        assert health[0] == 200
+
     def test_stop_releases_the_port(self):
         async def run():
             service = ScheduleService([_spec()])

@@ -7,12 +7,14 @@ import json
 
 from repro.service import (
     CapacitySpec,
+    InjectFault,
     ScheduleService,
     ServiceIngress,
     Submit,
     TenantSpec,
     encode_message,
 )
+from repro.service.ingress import MAX_LINE_BYTES
 from repro.sim.job import Job
 
 
@@ -105,6 +107,43 @@ class TestHandleLine:
         assert report.lost_jids == ()
 
 
+class TestClosedTenant:
+    def test_messages_after_close_are_refused(self):
+        """A closed tenant refuses submits and faults with an error ack;
+        it neither counts them nor trips its breaker, and ``stat`` and
+        ``close`` still answer."""
+
+        async def run():
+            service = ScheduleService([_spec()])
+            await service.start()
+            ingress = ServiceIngress(service)
+            close = json.dumps({"type": "close", "tenant": "t0"})
+            lines = [
+                _submit_line("t0", 1, 2.0),
+                close,
+                _submit_line("t0", 2, 3.0),
+                _submit_line("t0", 3, 4.0),
+                encode_message(InjectFault("t0", "kill", 5.0)),
+                json.dumps({"type": "stat", "tenant": "t0"}),
+                json.dumps({"type": "health", "tenant": "t0"}),
+                close,
+            ]
+            acks = await ingress.run_lines(lines)
+            reports = await service.close()
+            return acks, reports["t0"], ingress
+
+        acks, report, ingress = _run(run())
+        oks = [True, True, False, False, False, True, True, True]
+        assert [a["ok"] for a in acks] == oks
+        assert all("closed" in a["error"] for a in acks[2:5])
+        stat, health, again = acks[5:]
+        assert (stat["submitted"], stat["accepted"], stat["shed"]) == (1, 1, 0)
+        assert health["health"] == "ok"
+        assert again["closed"] == "t0" and again["accepted"] == 1
+        assert len(report.injected) == 0
+        assert ingress.rejected_lines == 3
+
+
 class TestTcp:
     def test_tcp_round_trip(self):
         async def run():
@@ -177,3 +216,39 @@ class TestNonFiniteLines:
         assert after["submitted"] == before["submitted"] == 1
         assert [job.jid for job in report.accepted] == [1, 2]
         assert report.lost_jids == ()
+
+
+class TestOversizedLines:
+    def test_acked_counted_and_the_connection_keeps_reading(self):
+        """A line past the listener's limit gets an error ack — whether
+        its newline is already buffered or still arriving — and the
+        next line on the same connection is served."""
+
+        async def run():
+            service = ScheduleService([_spec()])
+            await service.start()
+            ingress = ServiceIngress(service)
+            server = await ingress.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            stat = json.dumps({"type": "stat", "tenant": "t0"})
+            acks = []
+            for size in (MAX_LINE_BYTES + 10, 5 * MAX_LINE_BYTES):
+                writer.write(b"x" * size + b"\n" + stat.encode() + b"\n")
+                await writer.drain()
+                acks.append(json.loads(await reader.readline()))
+                acks.append(json.loads(await reader.readline()))
+            writer.write(_submit_line("t0", 1, 2.0).encode() + b"\n")
+            await writer.drain()
+            acks.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            await ingress.stop_tcp()
+            await service.close()
+            return acks, ingress
+
+        acks, ingress = _run(run())
+        assert [a["ok"] for a in acks] == [False, True, False, True, True]
+        assert f"longer than {MAX_LINE_BYTES} bytes" in acks[0]["error"]
+        assert acks[1]["tenant"] == "t0"
+        assert ingress.rejected_lines == 2

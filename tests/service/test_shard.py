@@ -19,7 +19,7 @@ from repro.service import (
 )
 from repro.sim.engine import simulate
 from repro.sim.job import Job
-from repro.sim.journal import EventJournal, results_bit_identical
+from repro.sim.journal import results_bit_identical
 from repro.store.tenant import TenantStore
 
 
@@ -252,8 +252,10 @@ class TestShedBookkeeping:
         assert check.ok, check.failures
 
     def test_journal_and_shed_log_written(self, tmp_path):
-        """With a store the WAL lands in its ``wal/`` log and every shed
-        decision in its op log (the one durable shed record)."""
+        """With a store every decision lands in its op log, the one
+        durable stream: admits carry the journal digest at their
+        dispatch count, sheds their record.  No kernel WAL is written;
+        the journal stays in memory."""
         store = TenantStore(tmp_path / "t0")
         shard = TenantShard(_spec(queue_budget=1), store=store)
         for i in range(3):
@@ -272,10 +274,116 @@ class TestShedBookkeeping:
         report = shard.close()
         store.close()
         reopened = TenantStore(tmp_path / "t0")
-        assert EventJournal(reopened.wal).records == report.journal.records
+        docs = [doc for _seq, doc in reopened.ops()]
+        (admit,) = [doc for doc in docs if doc["op"] == "admit"]
+        assert len(bytes.fromhex(admit["digest"])) == 16
         assert len(report.journal) > 0
-        sheds = [doc for _seq, doc in reopened.ops() if doc["op"] == "shed"]
+        sheds = [doc for doc in docs if doc["op"] == "shed"]
         assert len(sheds) == len(report.shed) == 2
         assert sorted(p.name for p in tmp_path.joinpath("t0").iterdir()) == [
-            "oplog", "snaps", "spec.json", "wal",
+            "oplog", "snaps", "spec.json",
         ]
+
+
+class TestClosedTenant:
+    def test_messages_after_close_are_refused(self):
+        shard = TenantShard(_spec())
+        job = _jobs(1)[0]
+        shard.handle(Submit("t0", job, rid="r1"))
+        shard.handle(Close("t0"))
+        for message in (
+            Submit("t0", _jobs(2)[1], rid="r2"),
+            InjectFault("t0", "kill", 5.0, rid="f1"),
+            Advance("t0", 5.0),
+        ):
+            with pytest.raises(MessageError, match="closed"):
+                shard.handle(message)
+        # close and stat still answer
+        assert shard.handle(Close("t0")).accepted == (job,)
+        stats = shard.stats()
+        assert (stats["submitted"], stats["accepted"]) == (1, 1)
+
+
+def _decision_stream(n_submits=600, advance_every=10):
+    """A deterministic rid'd wire stream: Poisson submits (seed 2011),
+    periodic advances and a few injected kills."""
+    import random
+
+    rng = random.Random(2011)
+    msgs = []
+    t = 0.0
+    for i in range(n_submits):
+        t += rng.expovariate(4.0)
+        workload = rng.uniform(0.2, 1.2)
+        msgs.append(
+            Submit(
+                "t0",
+                Job(
+                    jid=i,
+                    release=t,
+                    workload=workload,
+                    deadline=t + workload + rng.uniform(0.5, 6.0),
+                    value=rng.uniform(1.0, 10.0),
+                ),
+                rid=f"bench-{i}",
+            )
+        )
+        if i % 97 == 41:
+            msgs.append(
+                InjectFault("t0", "kill", time=t + 0.1, rid=f"kill-{i}")
+            )
+        if i % advance_every == advance_every - 1:
+            msgs.append(Advance("t0", t))
+    return msgs
+
+
+def _stream_spec():
+    return TenantSpec(
+        tenant="t0",
+        horizon=1e9,
+        scheduler="edf",
+        capacity=CapacitySpec("constant", {"rate": 2.0}),
+        queue_budget=8,
+    )
+
+
+class TestDecisionStream:
+    #: The stream's decision facts, as recorded in
+    #: benchmarks/results/BENCH_telemetry.json (accepted, shed,
+    #: accepted_crc) and measured before metrics became unconditional
+    #: (submitted, frontier).
+    RECORDED = {
+        "submitted": 600,
+        "accepted": 455,
+        "shed": 145,
+        "accepted_crc": 410519317,
+        "frontier": 160.0834357144526,
+    }
+
+    def test_decision_facts(self):
+        shard = TenantShard(_stream_spec())
+        for msg in _decision_stream():
+            shard.handle(msg)
+        stats = shard.stats()
+        for key, value in self.RECORDED.items():
+            assert stats[key] == value, key
+        counters = stats["metrics"]["counters"]
+        assert counters["service.admitted"] == stats["accepted"]
+        assert counters["service.shed"] == stats["shed"]
+
+    def test_history_is_bounded_by_the_newest_snapshot(self):
+        """A long-lived tenant keeps only what its newest kernel snapshot
+        does not supersede: journal records and op entries from its
+        dispatch count on — never its whole history."""
+        shard = TenantShard(_stream_spec())
+        retained = 0
+        for msg in _decision_stream(n_submits=3000):
+            shard.handle(msg)
+            base = shard.kernel.last_snapshot.dispatch_count
+            records = shard._journal.records
+            assert len(records) <= shard.kernel.dispatch_count - base
+            assert all(dc >= base for dc, *_ in shard._ops)
+            retained = max(retained, len(records) + len(shard._ops))
+        report = shard.report()
+        assert len(report.journal) > 100 * shard.spec.snapshot_every
+        assert retained < (len(report.accepted) + len(report.injected)) / 10

@@ -7,7 +7,7 @@ forced kernel crashes.  The assertions are the service's acceptance
 criteria verbatim: zero accepted-then-lost jobs, restarts within the
 backoff cap, and every tenant's surviving journal replaying
 bit-identically through the closed-horizon engine — shed accounting
-included.  Per-tenant stores (op log, WAL, snapshots) are written under
+included.  Per-tenant stores (op log, snapshots) are written under
 ``test-results/soak/`` so a CI failure ships the evidence as artifacts.
 """
 
@@ -61,8 +61,13 @@ class TestSoakSmoke:
             assert outcome.check.ok, (
                 f"{tenant}: replay parity failed: {outcome.check.failures}"
             )
-            wal = ARTIFACT_DIR / tenant / "wal"
-            assert any(p.suffix == ".seg" for p in wal.iterdir())
+            # One durable stream per decision: the op log (plus spec
+            # and snapshots) is all a tenant's store holds.
+            store = ARTIFACT_DIR / tenant
+            assert sorted(p.name for p in store.iterdir()) == [
+                "oplog", "snaps", "spec.json",
+            ]
+            assert any(p.suffix == ".seg" for p in (store / "oplog").iterdir())
         assert report.ok
         assert report.failures() == []
 
@@ -135,7 +140,7 @@ class TestKill9Smoke:
 
     Runs as its own CI step (``-m kill_soak_smoke``); the store
     directory lands under ``test-results/kill9/`` so a failure ships
-    the WAL, op log and snapshots as artifacts."""
+    the op log and snapshots as artifacts."""
 
     def test_kill9_soak_passes(self):
         from repro.experiments.soak import Kill9Config, run_kill9

@@ -1,6 +1,7 @@
-"""EventJournal / JournalRecord / describe_payload unit tests, the WAL
-over :class:`~repro.store.log.SegmentedLog`, and the read-only importer
-for the retired JSON-lines WAL."""
+"""EventJournal / JournalRecord / describe_payload unit tests, the
+journal's digest chain, the op log's batch durability, and the
+read-only readers for the retired on-disk WALs (``wal/`` segment log and
+``wal.jsonl``)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,11 @@ import pytest
 from repro.errors import RecoveryError, StorageFault
 from repro.sim import EventJournal, Job, JournalRecord
 from repro.sim.events import EventKind
-from repro.sim.journal import describe_payload, legacy_wal_payloads
+from repro.sim.journal import (
+    DIGEST_SEED,
+    describe_payload,
+    legacy_wal_payloads,
+)
 from repro.store import MemoryDirectory, OsDirectory, SegmentedLog, TenantStore
 from repro.store.faults import StorageFaultSpec
 
@@ -73,13 +78,12 @@ class TestEventJournal:
             journal.append(_record(2))
 
     def test_file_roundtrip(self, tmp_path):
-        log = SegmentedLog(OsDirectory(tmp_path / "wal"))
-        journal = EventJournal(log)
-        for i in range(4):
-            journal.append(_record(i, key=f"alarm:{i}:claxity", version=i))
-        log.close()
-        loaded = EventJournal(SegmentedLog(OsDirectory(tmp_path / "wal")))
-        assert loaded.records == journal.records
+        # Records framed into a retired ``wal/`` read back unchanged.
+        records = [
+            _record(i, key=f"alarm:{i}:claxity", version=i) for i in range(4)
+        ]
+        _old_wal(tmp_path, records)
+        assert TenantStore(tmp_path).legacy_wal() == records
 
     def test_torn_final_line_tolerated(self):
         data = _legacy_bytes(4)
@@ -114,73 +118,127 @@ def _legacy_bytes(n: int) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _mem_journal():
-    """A journal over a WAL log on an in-memory, power-loss-modelling
-    directory."""
-    mem = MemoryDirectory()
-    return mem, EventJournal(SegmentedLog(mem))
+def _old_wal(path, records, **kw):
+    """A tenant directory holding the retired segment-log WAL."""
+    log = SegmentedLog(OsDirectory(path / "wal"), **kw)
+    for record in records:
+        log.append(record.encode())
+    log.close()
+    return path / "wal"
 
 
-def _recovered(mem) -> tuple:
-    return EventJournal(SegmentedLog(mem)).records
+class TestDigest:
+    def test_chain_names_the_prefix(self):
+        a, b = EventJournal(), EventJournal()
+        assert a.digest == DIGEST_SEED
+        for i in range(5):
+            a.append(_record(i))
+            b.append(_record(i))
+            assert a.digest == b.digest and a.position == i + 1
+        c = EventJournal()
+        for i in range(5):
+            c.append(_record(i, key="jid:99") if i == 3 else _record(i))
+        assert c.digest != a.digest
+
+    def test_swapped_records_change_the_digest(self):
+        a, b = EventJournal(), EventJournal()
+        for i, key in enumerate(("jid:1", "jid:2")):
+            a.append(_record(i, key=key))
+        for i, key in enumerate(("jid:2", "jid:1")):
+            b.append(_record(i, key=key))
+        assert a.digest != b.digest
+
+    def test_rewind_verifies_and_rederives(self):
+        journal = EventJournal()
+        for i in range(6):
+            journal.append(_record(i))
+        at3 = EventJournal(journal.records[:3])
+        at3.rewind(3)
+        journal.rewind(3)  # no digest: derived from the records
+        assert journal.digest == at3.digest and len(journal) == 6
+        for i in range(3, 6):
+            journal.append(_record(i))  # verified, not appended
+        assert len(journal) == 6 and journal.position == 6
+        journal.rewind(3, at3.digest)
+        with pytest.raises(RecoveryError, match="diverged at dispatch #3"):
+            journal.append(_record(3, key="jid:99"))
+
+    def test_empty_journal_seeds_at_a_snapshot(self):
+        full = EventJournal()
+        for i in range(8):
+            full.append(_record(i))
+        mid = EventJournal(full.records[:5])
+        mid.rewind(5)
+        seeded = EventJournal()
+        seeded.rewind(5, mid.digest)
+        for i in range(5, 8):
+            seeded.append(_record(i))
+        assert seeded.digest == full.digest and len(seeded) == 8
+        assert seeded.records == full.records[5:]
+        with pytest.raises(RecoveryError, match="was its journal lost"):
+            EventJournal().rewind(5)  # no digest, nothing to derive it
+
+    def test_trim_keeps_the_chain(self):
+        journal, witness = EventJournal(), EventJournal()
+        for i in range(4):
+            journal.append(_record(i))
+            witness.append(_record(i))
+        journal.trim(4)
+        assert journal.records == () and len(journal) == 4
+        for i in range(4, 7):
+            journal.append(_record(i))
+            witness.append(_record(i))
+        assert journal.digest == witness.digest
+        journal.rewind(5, witness.digest)  # any digest: not re-derived
+        assert journal.get(5) == _record(5) and journal.position == 5
+        for bad in (3, 8):  # trimmed away; never journaled
+            with pytest.raises(RecoveryError, match="was its journal lost"):
+                journal.rewind(bad, witness.digest)
+        with pytest.raises(RecoveryError, match="was its journal lost"):
+            journal.rewind(5)  # no digest and no records from dispatch 0
 
 
 class TestFlushBatching:
-    def test_flush_is_noop_in_memory(self):
-        journal = EventJournal()
-        journal.append(_record(0))
-        journal.flush()  # must not raise without a log
-        journal.flush(sync=True)
+    """The op log — the one durable stream — takes a contention group's
+    decisions as one batch with one fsync after its last record."""
+
+    @staticmethod
+    def _recovered(mem) -> list:
+        return [doc["i"] for _seq, doc in TenantStore(mem).ops()]
 
     def test_batched_appends_buffered_until_boundary(self):
         """Appends reach the OS at once (SIGKILL loses none), but only a
-        ``flush(sync=True)`` boundary makes them survive power loss."""
-        mem, journal = _mem_journal()
-        for i in range(6):
-            journal.append(_record(i))
-            if i == 3:
-                journal.flush(sync=True)
-        mem.crash()  # power loss: records 4, 5 were never synced
-        assert _recovered(mem) == journal.records[:4]
+        batch's fsync makes it survive power loss."""
+        mem = MemoryDirectory()
+        store = TenantStore(mem)
+        store.append_ops([{"i": i} for i in range(4)])
+        store.append_ops([{"i": 4}, {"i": 5}], sync=False)
+        mem.crash()  # power loss: the unsynced batch is gone
+        assert self._recovered(mem) == [0, 1, 2, 3]
 
-        mem, journal = _mem_journal()
-        for i in range(6):
-            journal.append(_record(i))
+        mem = MemoryDirectory()
+        store = TenantStore(mem)
+        store.append_ops([{"i": i} for i in range(4)])
+        store.append_ops([{"i": 4}, {"i": 5}], sync=False)
         mem.sync_all()  # SIGKILL: the page cache survives
         mem.crash()
-        assert _recovered(mem) == journal.records
+        assert self._recovered(mem) == [0, 1, 2, 3, 4, 5]
 
     def test_torn_tail_at_flush_boundary(self):
-        """A write torn mid-record after a sync boundary: recovery keeps
+        """A write torn mid-record after a batch's fsync: recovery keeps
         every synced record and drops only the tear."""
         mem = MemoryDirectory()
         spy = StorageFaultSpec("torn_write", at=10**9).apply(mem)
-        journal = EventJournal(SegmentedLog(spy))
-        for i in range(6):
-            journal.append(_record(i))
-        journal.flush(sync=True)
-        tear_at = spy.bytes_written + 9  # inside record 6's frame
+        TenantStore(spy).append_ops([{"i": i} for i in range(6)])
+        tear_at = spy.bytes_written + 9  # inside the next batch's frame
         mem = MemoryDirectory()
         torn = StorageFaultSpec("torn_write", at=tear_at).apply(mem)
-        journal = EventJournal(SegmentedLog(torn))
-        for i in range(6):
-            journal.append(_record(i))
-        journal.flush(sync=True)
+        store = TenantStore(torn)
+        store.append_ops([{"i": i} for i in range(6)])
         with pytest.raises(StorageFault):
-            journal.append(_record(6))
+            store.append_ops([{"i": 6}, {"i": 7}])
         mem.crash()
-        assert _recovered(mem) == tuple(_record(i) for i in range(6))
-
-    def test_explicit_sync_flush(self):
-        mem, journal = _mem_journal()
-        for i in range(3):
-            journal.append(_record(i))
-        journal.flush()  # no sync: still volatile
-        journal.flush(sync=True)
-        journal.append(_record(3))
-        journal.flush(sync=False)
-        mem.crash()
-        assert len(_recovered(mem)) == 3
+        assert self._recovered(mem) == [0, 1, 2, 3, 4, 5]
 
 
 class _CountingDirectory(MemoryDirectory):
@@ -194,53 +252,46 @@ class _CountingDirectory(MemoryDirectory):
 
 
 class TestDirFsync:
-    """Regression: a freshly created WAL *file entry* is only durable
+    """Regression: a freshly created log *file entry* is only durable
     once its directory is fsynced — which the log does once per segment
     birth, before any record lands in it."""
 
     def test_eager_dir_sync_with_fsync_true(self):
         mem = MemoryDirectory()
-        store = TenantStore(mem, fsync=True)
-        EventJournal(store.wal)
+        TenantStore(mem, fsync=True)
         mem.crash()  # nothing appended or synced since the open
-        assert TenantStore(mem, fsync=True).wal.entries() == []
-        assert mem.subdir("wal").listdir() == ["log-000000000000.seg"]
-
-    def test_in_memory_journal_never_needs_it(self):
-        journal = EventJournal()
-        journal.append(_record(0))
-        journal.flush(sync=True)  # no log: a no-op, not an error
+        assert TenantStore(mem, fsync=True).ops() == []
+        assert mem.subdir("oplog").listdir() == ["log-000000000000.seg"]
 
     def test_sync_dir_is_one_time(self):
-        wal = _CountingDirectory()
-        journal = EventJournal(SegmentedLog(wal))
-        births = wal.dir_syncs
+        directory = _CountingDirectory()
+        log = SegmentedLog(directory)
+        births = directory.dir_syncs
         assert births == 1
         for i in range(5):
-            journal.append(_record(i))
-            journal.flush(sync=True)  # must not re-sync the directory
-        assert wal.dir_syncs == births
+            log.append(_record(i).encode(), sync=True)
+        assert directory.dir_syncs == births
 
 
 class TestResume:
+    """A retired ``wal/`` seeds a journal that verifies, then extends, its
+    records in memory."""
+
     def _written(self, tmp_path, n=3):
-        log = SegmentedLog(OsDirectory(tmp_path / "wal"))
-        journal = EventJournal(log)
-        for i in range(n):
-            journal.append(_record(i))
-        log.close()
-        return tmp_path / "wal"
+        return _old_wal(tmp_path, [_record(i) for i in range(n)])
 
     @staticmethod
     def _reopen(path):
-        return EventJournal(SegmentedLog(OsDirectory(path)))
+        journal = EventJournal(TenantStore(path.parent).legacy_wal())
+        journal.rewind(len(journal))
+        return journal
 
     def test_clean_resume_appends_in_place(self, tmp_path):
         path = self._written(tmp_path, n=3)
         journal = self._reopen(path)
         assert len(journal) == 3
         journal.append(_record(3))
-        assert [r.index for r in self._reopen(path).records] == [0, 1, 2, 3]
+        assert [r.index for r in journal.records] == [0, 1, 2, 3]
 
     def test_torn_final_line_truncated_then_extended(self, tmp_path):
         path = self._written(tmp_path, n=3)
@@ -250,20 +301,19 @@ class TestResume:
         journal = self._reopen(path)
         assert len(journal) == 3  # the three complete records
         journal.append(_record(3))
-        # The tear is gone from disk; the log parses cleanly end to end.
-        assert [r.index for r in self._reopen(path).records] == [0, 1, 2, 3]
+        assert [r.index for r in journal.records] == [0, 1, 2, 3]
 
     def test_record_missing_newline_truncated(self, tmp_path):
         # The framed analog of a record missing its newline: the final
-        # record short by its last byte.  Reopening truncates it, and the
-        # next append (the kernel regenerating it) lands cleanly.
+        # record short by its last byte is left out, and the kernel
+        # regenerates it.
         path = self._written(tmp_path, n=3)
         (seg,) = path.glob("*.seg")
         seg.write_bytes(seg.read_bytes()[:-1])
         journal = self._reopen(path)
         assert len(journal) == 2
         journal.append(_record(2))
-        assert [r.index for r in self._reopen(path).records] == [0, 1, 2]
+        assert [r.index for r in journal.records] == [0, 1, 2]
 
     def test_mid_file_corruption_refuses(self):
         lines = _legacy_bytes(3).decode().splitlines()
@@ -282,11 +332,9 @@ class TestResume:
 
     def test_missing_file_refuses(self, tmp_path):
         # A WAL whose head segment is gone no longer starts at dispatch 0.
-        log = SegmentedLog(OsDirectory(tmp_path / "wal"), segment_bytes=64)
-        for i in range(6):
-            log.append(_record(i).encode())
-        log.close()
-        head = min((tmp_path / "wal").glob("*.seg"))
-        head.unlink()
+        path = _old_wal(
+            tmp_path, [_record(i) for i in range(6)], segment_bytes=64
+        )
+        min(path.glob("*.seg")).unlink()
         with pytest.raises(RecoveryError, match="head segments are missing"):
-            self._reopen(tmp_path / "wal")
+            self._reopen(path)

@@ -162,6 +162,30 @@ class TestCorruptQuarantine:
         for p in segs[1:]:
             assert (tmp_path / (p.name + ".quarantine")).exists()
 
+    def test_quarantine_reaches(self, tmp_path):
+        d = OsDirectory(tmp_path)
+        log = SegmentedLog(d)
+        for payload in (b"alpha", b"beta", b"gamma"):
+            log.append(payload)
+        log.close()
+        name = "log-000000000000.seg"
+        self._flip(tmp_path / name, 33)  # rot "beta"
+        reopened = SegmentedLog(d)
+        # The set-aside segment held sequences 0-2, CRCs aside.
+        assert reopened.quarantine_reaches(2)
+        assert not reopened.quarantine_reaches(3)
+        reopened.close()
+        # A quarantine from an earlier open still counts.
+        again = SegmentedLog(d)
+        assert again.quarantined == [] and again.quarantine_reaches(2)
+        again.close()
+        # Framing that does not parse may have held any sequence.
+        quarantined = tmp_path / (name + ".quarantine")
+        quarantined.write_bytes(quarantined.read_bytes()[:-1])
+        final = SegmentedLog(d)
+        assert final.quarantine_reaches(10**9)
+        final.close()
+
     def test_bad_magic_quarantines(self, tmp_path):
         d = OsDirectory(tmp_path)
         log = SegmentedLog(d)
@@ -232,8 +256,18 @@ class TestCompaction:
     def test_rebase_nonempty_rejected(self, tmp_path):
         log = SegmentedLog(OsDirectory(tmp_path))
         log.append(b"x")
-        with pytest.raises(StorageError, match="empty"):
-            log.rebase(5)
+        log.append(b"y")
+        with pytest.raises(StorageError, match="would drop records"):
+            log.rebase(1)
+
+    def test_rebase_drops_records_below_it(self, tmp_path):
+        d = OsDirectory(tmp_path)
+        log = SegmentedLog(d)
+        log.append(b"x")
+        log.rebase(5)
+        assert (len(log), log.base_seq, log.append(b"y")) == (0, 5, 5)
+        log.close()
+        assert SegmentedLog(d).entries() == [(5, b"y")]
 
 
 class TestPowerLoss:

@@ -13,7 +13,7 @@ byte offset *k* — for *every* k the run ever writes:
 
 The deterministic loops below literally enumerate every offset — for a
 bare log, a tenant store, and a store-backed ``TenantShard`` whose op
-log and kernel WAL share one directory tree; the
+log and snapshots share one directory tree; the
 hypothesis block (skipped when hypothesis is not installed, e.g. the
 minimal CI environment) randomises payload shapes, segment bounds and
 snapshot cadence on top.
@@ -251,10 +251,10 @@ class _RecordingStore(TenantStore):
 
 
 class TestShardEveryOffset:
-    """End-to-end through a store-backed :class:`TenantShard`: op log,
-    kernel WAL and snapshots on one power-loss-modelling directory, torn
-    at every byte offset of the op-log and WAL writes (and at a stride
-    across the snapshot and spec bytes), then power loss, cold start and
+    """End-to-end through a store-backed :class:`TenantShard`: op log
+    and snapshots on one power-loss-modelling directory, torn at every
+    byte offset of the op-log writes (and at a stride across the
+    snapshot and spec bytes), then power loss, cold start and
     ``close()``.  The recovered decisions are exactly those whose fsynced
     op append returned — plus, at most, a prefix of the one batch in
     flight, which a segment rotation's seal can make durable early — and
@@ -307,7 +307,7 @@ class TestShardEveryOffset:
         assert len(store.returned) == 6  # every decision made it
         offsets, at = [], 0
         for tag, size in writes:
-            every = tag in ("oplog", "wal")
+            every = tag == "oplog"
             offsets += [
                 k for k in range(at, at + size)
                 if every or k % self.STRIDE == 0
@@ -348,7 +348,7 @@ class TestShardEveryOffset:
             ], where
             check = replay_tenant(report)
             assert check.ok, (where, check.failures)
-        assert layers == {"spec", "oplog", "wal", "snaps"}
+        assert layers == {"spec", "oplog", "snaps"}
 
 
 # ----------------------------------------------------------------------

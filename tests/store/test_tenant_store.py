@@ -40,9 +40,9 @@ class TestSpec:
     def test_paths(self, tmp_path):
         store = TenantStore(tmp_path / "t0")
         assert store.path == tmp_path / "t0"
-        # Both append logs (op log, kernel WAL) are segment directories.
+        # One append log (the op log) and the snapshot directory.
         assert sorted(p.name for p in store.path.iterdir()) == [
-            "oplog", "snaps", "wal",
+            "oplog", "snaps",
         ]
         assert TenantStore(MemoryDirectory()).path is None
 
