@@ -491,6 +491,15 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
+    def drain(self, finished: "set[int]") -> list:
+        """Hand over the closed regular intervals and forget finished
+        jobs' labels (a finished job takes no further alarm, eviction or
+        completion, so nothing reads them again)."""
+        closed, self._intervals = self._intervals, []
+        self._zero_cl_ids -= finished
+        self._abandoned_ids -= finished
+        return [(iv.start, iv.end, iv.regval, iv.clval) for iv in closed]
+
     def _policy_state(self) -> dict:
         return {
             "rate": self._rate,

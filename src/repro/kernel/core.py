@@ -240,6 +240,12 @@ class SchedulingKernel:
                 f"snapshot_every must be >= 1, got {snapshot_every!r}"
             )
         self._snapshot_every = snapshot_every
+        #: ``callable(delta)`` a service tenant sets: every periodic
+        #: snapshot first hands it the terminal history (:meth:`drain`),
+        #: so the image holds live state only.  None (closed-horizon runs)
+        #: never drains.
+        self.history_sink: Optional[Callable[[dict], None]] = None
+        self._drains = 0
         self._event_crashes: List[Tuple[int, int]] = []  # (at_event, fault idx)
         self._dispatch_count = 0
         self._last_snapshot: Optional[EngineSnapshot] = None
@@ -343,10 +349,6 @@ class SchedulingKernel:
 
     def running(self) -> Tuple[Optional[Job], ...]:
         return tuple(self._current)
-
-    def job_status(self, jid: int) -> Optional[JobStatus]:
-        """Diagnostic view of a job's lifecycle state."""
-        return self._table.status_of(jid)
 
     # ------------------------------------------------------------------
     # Lazy-deletion hygiene: which queued events are provably dead
@@ -832,7 +834,7 @@ class SchedulingKernel:
             self._watchdog.start(self.owner)
         self._started = True
         if self._snapshot_every is not None:
-            self._checkpoint()
+            self.checkpoint()
 
     def _maybe_crash_at_event(self) -> None:
         """Fire any event-indexed crash plan scheduled for the *next*
@@ -1059,7 +1061,7 @@ class SchedulingKernel:
                         snapshot_every is not None
                         and self._dispatch_count % snapshot_every == 0
                     ):
-                        self._checkpoint()
+                        self.checkpoint()
                 if peek() != t:
                     break
                 if has_event_crashes:
@@ -1070,11 +1072,96 @@ class SchedulingKernel:
                     self._ended = True
                     return
 
-    def _checkpoint(self) -> None:
-        """Take the periodic snapshot.  It stays in memory: a service
-        tenant's store makes it a durable recovery anchor
+    def checkpoint(self) -> EngineSnapshot:
+        """Take the periodic snapshot (draining into :attr:`history_sink`
+        first, when one is set).  It stays in memory: a service tenant's
+        store makes it a durable recovery anchor
         (:meth:`repro.store.tenant.TenantStore.write_snapshot`)."""
-        self._last_snapshot = self.snapshot()
+        sink = self.history_sink
+        if sink is not None:
+            sink(self.drain())
+        self._last_snapshot = snapshot = self.snapshot()
+        return snapshot
+
+    def drain(self) -> dict:
+        """Hand over the terminal history and evict what nothing names.
+
+        Moves out of the live trace every closed segment (the last one
+        per processor stays: it merges when its job runs on
+        seamlessly), every outcome and completion time, every value
+        point (the running total stays as the trace's ``value_base``, so
+        later points sum on bit-identically) and finished jobs'
+        ``lost_work`` (a live job's can still grow); the scheduler hands
+        over its closed history too (:meth:`Scheduler.drain
+        <repro.sim.scheduler.Scheduler.drain>`).  Then the rows of
+        finished jobs that no queued event names leave the table,
+        ``_by_id`` and the version maps — a stale event still moves
+        ``now`` when it pops and the no-op filter reads its job's row,
+        so those rows stay until their events pop.
+
+        Returns the delta as plain data: ``segments`` (one list of
+        ``(start, end, jid, work)`` per processor), ``outcomes``
+        (``(jid, status name)``), ``completion_times`` (``(jid, t)``),
+        ``value_points``, ``lost_work`` (``(jid, amount)``), ``policy``
+        and ``cursor`` (drains so far) — plus ``finished``, the finished
+        :class:`Job` objects in outcome order, for the caller's own
+        accounting."""
+        segments = []
+        for trace in self._traces:
+            closed = trace.segments[:-1]
+            del trace.segments[:-1]
+            segments.append([(g.start, g.end, g.jid, g.work) for g in closed])
+        out = self._outcomes
+        outcomes, out.outcomes = out.outcomes, {}
+        times, out.completion_times = out.completion_times, {}
+        points, out.value_points = out.value_points, []
+        if points:
+            out.value_base = points[-1][1]
+        by_id = self._by_id
+        finished = [by_id[jid] for jid in outcomes]
+        lost = [
+            (jid, out.lost_work.pop(jid))
+            for jid in list(out.lost_work)
+            if jid in outcomes
+        ]
+        drain_policy = getattr(self._scheduler, "drain", None)
+        policy = [] if drain_policy is None else drain_policy(set(outcomes))
+
+        named = set()
+        for _t, _k, _s, event in self._events.dump():
+            payload = event.payload
+            kind = event.kind
+            if kind is EventKind.ALARM:
+                named.add(payload[0].jid)
+            elif kind is EventKind.COMPLETION and isinstance(payload, tuple):
+                named.add(payload[1].jid)
+            elif kind in (
+                EventKind.RELEASE, EventKind.COMPLETION, EventKind.DEADLINE
+            ):
+                named.add(payload.jid)
+        st = self._st
+        keep: List[int] = []
+        for row, job in enumerate(self._table.jobs):
+            if st[row] < _TERMINAL_MIN or job.jid in named:
+                keep.append(row)
+            else:
+                del by_id[job.jid]
+                self._completion_version.pop(job.jid, None)
+                self._alarm_version.pop(job.jid, None)
+        if len(keep) < len(self._table):
+            self._table.retain(keep)
+            self._jobs = list(self._table.jobs)
+        self._drains += 1
+        return {
+            "segments": segments,
+            "outcomes": [(jid, status.name) for jid, status in outcomes.items()],
+            "completion_times": list(times.items()),
+            "value_points": points,
+            "lost_work": lost,
+            "policy": policy,
+            "cursor": self._drains,
+            "finished": finished,
+        }
 
     def _journal_event(self, event: Event) -> None:
         """Journal (or, during post-restore replay, verify) one live event
@@ -1145,7 +1232,7 @@ class SchedulingKernel:
         if snapshot_every is not None and (
             self._dispatch_count // snapshot_every != base // snapshot_every
         ):
-            self._checkpoint()
+            self.checkpoint()
 
     def _pop_group_checked(self, key: Tuple[float, int]):
         """Lazily pop a ``(time, kind)`` group one event at a time, taking
@@ -1474,7 +1561,9 @@ class SchedulingKernel:
 
         The mutable job state is copied straight off the table's columns
         (one pass each); the jid-keyed dict layout of the snapshot schema
-        (2, unchanged) is materialized only here."""
+        (2, unchanged) is materialized only here.  On a draining kernel
+        the table, version maps and trace hold live state only, so the
+        image does too (:meth:`drain`)."""
         events = [
             (time, kind, seq, self._encode_payload(ev.kind, ev.payload), ev.version)
             for time, kind, seq, ev in self._events.dump()
@@ -1511,6 +1600,16 @@ class SchedulingKernel:
             trace_completion_times=dict(self._outcomes.completion_times),
             trace_value_points=list(self._outcomes.value_points),
             trace_lost_work=dict(self._outcomes.lost_work),
+            trace_value_base=self._outcomes.value_base,
+            history_cursor=self._drains,
+            jobs=(
+                None
+                if self.history_sink is None
+                else [
+                    (j.jid, j.release, j.workload, j.deadline, j.value)
+                    for j in self._table.jobs
+                ]
+            ),
             scheduler_state=self._scheduler.get_state(),
             capacity_blob=pickle.dumps(list(self._caps)),
             fired_faults=tuple(
@@ -1610,6 +1709,9 @@ class SchedulingKernel:
         outcomes.completion_times = dict(snapshot.trace_completion_times)
         outcomes.value_points = [tuple(p) for p in snapshot.trace_value_points]
         outcomes.lost_work = dict(snapshot.trace_lost_work)
+        self._drains = snapshot.history_cursor
+        if self._drains:
+            outcomes.value_base = snapshot.trace_value_base
         self._traces = traces
         self._outcomes = outcomes
 

@@ -121,8 +121,3 @@ def run_with_recovery(
                 ) from crash
             engine = build()
             engine.restore(snapshot)
-
-
-def recoveries_or_zero(recoveries: Optional[int]) -> int:
-    """Small helper for result plumbing: ``None``-safe recovery count."""
-    return int(recoveries or 0)

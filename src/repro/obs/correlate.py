@@ -10,10 +10,14 @@ correlation survive a ``kill -9``: this module reconstructs the path
 from the tenant store alone (no live process required), optionally
 enriched by a lifecycle trace export.
 
-The reconstruction reads, per tenant directory:
+The reconstruction reads, per tenant directory — through an in-memory
+copy of it, so that nothing is written to the store (opening one runs
+its logs' recovery, and the dispatch stage cold-starts a shard on it),
+even while a live daemon appends to it:
 
-* the **snapshot payload** — the dedup map (rid → outcome) and the
-  rid → jid index, which survive op-log compaction;
+* the **history** the snapshot leaves out — each decision's rid →
+  outcome and rid → jid entries, which survive op-log compaction
+  (older payloads carried them in the snapshot itself);
 * the **op log** — surviving ``admit``/``shed``/``push``/``crash_mark``
   records carrying the rid (the admission stage);
 * the **dispatch stage** — every release/completion/deadline record
@@ -63,84 +67,110 @@ def _tenant_dirs(store_dir: Path, tenant: Optional[str]) -> List[Path]:
 def _scan_tenant_store(
     tenant_dir: Path, rid: str
 ) -> Optional[Dict[str, Any]]:
-    """One tenant's view of a request id, from disk alone."""
-    from repro.obs.telemetry import payload_metrics
+    """One tenant's view of a request id, from disk alone, read through
+    an in-memory copy of its directory (the files stay untouched)."""
+    from repro.store.directory import MemoryDirectory
     from repro.store.tenant import TenantStore
 
-    store = TenantStore(tenant_dir, fsync=False)
+    store = TenantStore(MemoryDirectory.copy_of(tenant_dir), fsync=False)
     try:
-        stages: List[Dict[str, Any]] = []
-        outcome: Optional[str] = None
-        jid: Optional[int] = None
-        recoveries: Optional[int] = None
-
-        loaded = store.load_snapshot()
-        if loaded is not None:
-            payload, _anchor = loaded
-            if isinstance(payload, dict):
-                counters = payload_metrics(payload).get("counters") or {}
-                recoveries = int(counters.get("service.recoveries", 0))
-                dedup = payload.get("dedup") or {}
-                if rid in dedup:
-                    outcome = str(dedup[rid])
-                rid_jids = payload.get("rid_jids") or {}
-                if rid in rid_jids:
-                    jid = int(rid_jids[rid])
-
-        for seq, doc in store.ops():
-            if doc.get("rid") != rid:
-                continue
-            op = str(doc.get("op"))
-            stage: Dict[str, Any] = {"stage": "admission", "op": op, "seq": seq}
-            if op == "admit":
-                job = doc.get("job") or {}
-                jid = int(job.get("jid", -1))
-                stage.update(
-                    jid=jid,
-                    release=job.get("release"),
-                    deadline=job.get("deadline"),
-                    value=job.get("value"),
-                    dc=doc.get("dc"),
-                )
-                outcome = outcome or "accepted"
-            elif op == "shed":
-                rec = doc.get("rec") or {}
-                jid = int(rec.get("jid", -1))
-                stage.update(
-                    jid=jid,
-                    reason=rec.get("reason"),
-                    time=rec.get("time"),
-                )
-                outcome = outcome or "shed"
-            elif op == "push":
-                stage.update(
-                    time=doc.get("time"), payload=doc.get("payload")
-                )
-                outcome = outcome or "injected"
-            elif op == "crash_mark":
-                outcome = outcome or "crash"
-            stages.append(stage)
-
-        if outcome is None and not stages:
-            return None
-
-        if jid is not None and jid >= 0:
-            stages.extend(_dispatch_stages(store, jid))
-        return {
-            "tenant": tenant_dir.name,
-            "jid": jid,
-            "outcome": outcome,
-            "recoveries": recoveries,
-            "stages": stages,
-        }
+        return _scan_store(store, tenant_dir.name, rid)
     finally:
         store.close()
 
 
+def _decided(store, payload: Mapping[str, Any], rid: str):
+    """``(outcome, jid)`` the snapshot side records for ``rid``: in the
+    history records a version-3 image leaves out, or in an older
+    payload's own maps."""
+    from repro.service.history import HistoryRecord
+
+    if payload.get("version") == 3:
+        try:
+            for data in store.history_records(int(payload["history"])):
+                for r, outcome, jid in HistoryRecord.decode(data).requests:
+                    if r == rid:
+                        return outcome, jid
+        except ReproError:
+            pass  # the dispatch stage reports the broken store
+        return None, None
+    outcome = (payload.get("dedup") or {}).get(rid)
+    jid = (payload.get("rid_jids") or {}).get(rid)
+    return (
+        None if outcome is None else str(outcome),
+        None if jid is None else int(jid),
+    )
+
+
+def _scan_store(store, name: str, rid: str) -> Optional[Dict[str, Any]]:
+    from repro.obs.telemetry import payload_metrics
+
+    stages: List[Dict[str, Any]] = []
+    outcome: Optional[str] = None
+    jid: Optional[int] = None
+    recoveries: Optional[int] = None
+
+    loaded = store.load_snapshot()
+    if loaded is not None:
+        payload, _anchor = loaded
+        if isinstance(payload, dict):
+            counters = payload_metrics(payload).get("counters") or {}
+            recoveries = int(counters.get("service.recoveries", 0))
+            outcome, jid = _decided(store, payload, rid)
+
+    for seq, doc in store.ops():
+        if doc.get("rid") != rid:
+            continue
+        op = str(doc.get("op"))
+        stage: Dict[str, Any] = {"stage": "admission", "op": op, "seq": seq}
+        if op == "admit":
+            job = doc.get("job") or {}
+            jid = int(job.get("jid", -1))
+            stage.update(
+                jid=jid,
+                release=job.get("release"),
+                deadline=job.get("deadline"),
+                value=job.get("value"),
+                dc=doc.get("dc"),
+            )
+            outcome = outcome or "accepted"
+        elif op == "shed":
+            rec = doc.get("rec") or {}
+            jid = int(rec.get("jid", -1))
+            stage.update(
+                jid=jid,
+                reason=rec.get("reason"),
+                time=rec.get("time"),
+            )
+            outcome = outcome or "shed"
+        elif op == "push":
+            stage.update(
+                time=doc.get("time"), payload=doc.get("payload")
+            )
+            outcome = outcome or "injected"
+        elif op == "crash_mark":
+            outcome = outcome or "crash"
+        stages.append(stage)
+
+    if outcome is None and not stages:
+        return None
+
+    if jid is not None and jid >= 0:
+        stages.extend(_dispatch_stages(store, jid))
+    return {
+        "tenant": name,
+        "jid": jid,
+        "outcome": outcome,
+        "recoveries": recoveries,
+        "stages": stages,
+    }
+
+
 def _dispatch_stages(store, jid: int) -> List[Dict[str, Any]]:
     """Journal records for a jid, up to the store's dispatch frontier
-    (cold start + close + replay; nothing is written back), or the
-    error that stopped the rebuild (a diverged store's RecoveryError)."""
+    (cold start + close + replay, on the caller's copy of the store), or
+    the error that stopped the rebuild (a diverged store's
+    RecoveryError)."""
     from repro.service.replay import replay_tenant
     from repro.service.shard import TenantShard, tenant_spec_from_dict
 

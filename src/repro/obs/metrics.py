@@ -116,13 +116,31 @@ class WindowRing:
         self.dropped_buckets = 0
         self._buckets: Dict[int, Dict[str, float]] = {}
 
+    def bucket_of(self, t: float) -> int:
+        """The bucket index an observation at time ``t`` lands in."""
+        return int(math.floor(float(t) / self.width))
+
     def observe(self, t: float, name: str, value: float = 1.0) -> None:
-        index = int(math.floor(float(t) / self.width))
+        index = self.bucket_of(t)
         bucket = self._buckets.get(index)
         if bucket is None:
             bucket = self._buckets[index] = {}
             self._prune()
         bucket[name] = bucket.get(name, 0.0) + float(value)
+
+    def observe_count(self, index: int, name: str, count: int) -> None:
+        """``count`` unit observations landing in bucket ``index``, at the
+        cost of one: the same ring as ``count`` :meth:`observe` calls
+        there (a bucket pruned as it is created is pruned again by each
+        of them)."""
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = {}
+            self._prune()
+            if index not in self._buckets:
+                self.dropped_buckets += count - 1
+                return
+        bucket[name] = bucket.get(name, 0.0) + float(count)
 
     def _prune(self) -> None:
         while len(self._buckets) > self.slots:

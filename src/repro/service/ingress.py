@@ -22,6 +22,7 @@ restarted service.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 from dataclasses import replace as _replace
 from typing import AsyncIterator, Dict, Iterable, List, Optional
@@ -148,11 +149,18 @@ class ServiceIngress:
         from repro.service.replay import replay_tenant
 
         check = replay_tenant(report)
-        return {
+        verdict = {
             "parity": bool(check.ok),
             "parity_failures": list(check.failures),
             "lost": sorted(report.lost_jids),
         }
+        # The replay's engine, kernel and scheduler context reference one
+        # another, so its O(jobs) state is cyclic garbage that would
+        # outlive the ack until a full collection: collect it now, so a
+        # daemon closing tenant after tenant holds one replay at a time.
+        del check
+        gc.collect()
+        return verdict
 
     async def run_lines(
         self, lines: "Iterable[str] | AsyncIterator[str]"

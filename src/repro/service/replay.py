@@ -23,6 +23,11 @@ The check passes iff:
 * shed accounting balances: ``submitted == accepted + shed``, no shed
   jid appears in the outcomes, and no accepted job is lost.
 
+The replay takes no periodic snapshots: it cannot crash (start faults
+refuse crash plans, and the recorded log holds only kills and evicts),
+and an image every ``snapshot_every`` dispatches of a closed-horizon run
+costs O(jobs) each — quadratic over a long tenant.
+
 The :class:`RecordedFaultLog` must be armed **last**: live ingress
 pushes happen after the start faults armed their own events, so putting
 the log last reproduces the FAULT-event seq order exactly.
@@ -100,7 +105,6 @@ def replay_tenant(report: TenantReport) -> ReplayCheck:
         horizon=spec.horizon,
         faults=faults,
         journal=replay_journal,
-        snapshot_every=spec.snapshot_every,
         event_queue="heap",
     )
 

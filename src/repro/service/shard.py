@@ -45,11 +45,17 @@ double-admitting.
 
 Journal records and op entries the newest kernel snapshot supersedes
 are dropped as soon as it is cut, so memory tracks recent dispatches.
+The kernel drains its terminal history at every periodic snapshot, so
+the images a shard commits hold live state only; each commit first
+hands what drained, with the decisions since the previous commit, to
+history (:mod:`repro.service.history`) — written once, read back only
+by a cold start, ``close()``/``report()`` and ``repro obs trace``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -75,6 +81,7 @@ from repro.faults.execution import (
 )
 from repro.faults.spec import FaultSpec
 from repro.service.admission import AdmissionController, ShedRecord
+from repro.service.history import HistoryRecord, fold_history
 from repro.service.messages import (
     Advance,
     Close,
@@ -378,8 +385,106 @@ class TenantReport:
         )
 
 
+#: CPython 3.12+ sums floats with Neumaier compensation; :class:`_WorkSum`
+#: carries the compensation term so a running total stays equal to one
+#: ``sum()`` over every segment.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+class _WorkSum:
+    """``sum()`` of segment work, kept running across drains: equal to
+    one ``sum()`` over every segment added so far, on this interpreter."""
+
+    __slots__ = ("total", "comp")
+
+    def __init__(self, total: float = 0, comp: float = 0.0) -> None:
+        self.total = total  # int 0 until the first segment, as in sum()
+        self.comp = comp
+
+    def add(self, x: float) -> None:
+        total = self.total
+        if isinstance(total, int):
+            self.total = total + x
+            return
+        s = total + x
+        if _COMPENSATED_SUM:
+            if abs(total) >= abs(x):
+                self.comp += (total - s) + x
+            else:
+                self.comp += (x - s) + total
+        self.total = s
+
+    def value(self, more: Sequence[float] = ()) -> float:
+        """The sum so far, continued over ``more``."""
+        acc = _WorkSum(self.total, self.comp)
+        for x in more:
+            acc.add(x)
+        if _COMPENSATED_SUM and acc.comp and math.isfinite(acc.comp):
+            return acc.total + acc.comp
+        return acc.total
+
+
+class _Drained:
+    """Kernel-derived counters over a tenant's drained history.
+
+    ``depth`` and :meth:`TenantShard.slo_view` add the live trace's share
+    at read time, so they read the same as over the whole trace.  The
+    scrape window's observations are kept as runs of ``[bucket index,
+    count]`` in observation order (completion order, then deadline
+    order), which a fresh ring replays exactly
+    (:meth:`~repro.obs.metrics.WindowRing.observe_count`)."""
+
+    def __init__(self, doc: Optional[Mapping[str, Any]] = None) -> None:
+        doc = doc or {}
+        self.outcomes = int(doc.get("outcomes", 0))
+        self.completions = int(doc.get("completions", 0))
+        self.misses = int(doc.get("misses", 0))
+        self.work = _WorkSum(*doc.get("work", (0, 0.0)))
+        windows = doc.get("windows") or {}
+        self.windows: Dict[str, List[List[int]]] = {
+            name: [list(run) for run in windows.get(name, ())]
+            for name in ("completions", "deadline_misses")
+        }
+
+    def doc(self) -> Dict[str, Any]:
+        return {
+            "outcomes": self.outcomes,
+            "completions": self.completions,
+            "misses": self.misses,
+            "work": (self.work.total, self.work.comp),
+            "windows": self.windows,
+        }
+
+    def _observe(self, name: str, index: int) -> None:
+        runs = self.windows[name]
+        if runs and runs[-1][0] == index:
+            runs[-1][1] += 1
+        else:
+            runs.append([index, 1])
+
+    def add(self, delta: dict, ring: WindowRing) -> None:
+        for (_jid, name), job in zip(delta["outcomes"], delta["finished"]):
+            self.outcomes += 1
+            if name == "COMPLETED":
+                self.completions += 1
+            elif name in ("FAILED", "ABANDONED"):
+                self.misses += 1
+                self._observe("deadline_misses", ring.bucket_of(job.deadline))
+        for _jid, t in delta["completion_times"]:
+            self._observe("completions", ring.bucket_of(t))
+        for seg in delta["segments"][0]:
+            self.work.add(seg[3])
+
+
 class TenantShard:
-    """One tenant's live kernel plus its admission and op-log state."""
+    """One tenant's live kernel plus its admission and op-log state.
+
+    Live state only stays resident: per finished job a tenant keeps its
+    dedup and correlation entries and its jid in the duplicate set.  The
+    decisions and terminal kernel history behind them go to history at
+    each snapshot commit (:mod:`repro.service.history`) — the store's
+    ``history/`` log, or the encoded records in memory without a store.
+    """
 
     def __init__(
         self,
@@ -394,8 +499,8 @@ class TenantShard:
         # telemetry): each service decision increments one instrument.
         self.metrics = SloTracker(spec.horizon)
         # request id -> decided jid (admission correlation index; rides
-        # the snapshot payload so `repro obs trace` survives op-log
-        # compaction and kill -9).
+        # the history so `repro obs trace` survives op-log compaction and
+        # kill -9).
         self._rid_jid: Dict[str, int] = {}
         if store is not None:
             # Round-tripping the stored doc fills in spec fields added
@@ -416,10 +521,17 @@ class TenantShard:
             c_lower=capacity.lower,
         )
 
-        self._accepted: List[Job] = []
+        # Decision counters; the decisions themselves wait in _record for
+        # the next commit.  accepted_crc runs over the accepted jids.
         self._accepted_jids: set = set()
-        self._shed: List[ShedRecord] = []
-        self._injected: List[Tuple[float, tuple]] = []
+        self._n_accepted = 0
+        self._accepted_crc = 0
+        self._n_shed = 0
+        self._record = HistoryRecord()
+        # Committed history: its length, and (store-less) its records.
+        self._history_len = 0
+        self._history_bytes: List[bytes] = []
+        self._drained = _Drained()
         # Op log: (dispatch_count at application, kind, data, hex journal
         # digest there).  Recovery re-applies every op at or past the
         # restored snapshot's count; older ones are dropped.
@@ -427,7 +539,6 @@ class TenantShard:
         self._journal = EventJournal()
         self._pending: List[Job] = []
         self._submitted = 0
-        self._result: Optional[SimulationResult] = None
         self._closed = False
         # Idempotency: decided request ids -> outcome ("accepted" |
         # "shed" | "injected" | "crash"); in-flight ids sit in
@@ -435,8 +546,8 @@ class TenantShard:
         self._dedup: Dict[str, str] = {}
         self._pending_rids: Dict[str, int] = {}
         self._rid_queue: Dict[int, List[str]] = {}
-        # Dispatch count of the newest kernel snapshot persisted (with a
-        # store) and trimmed behind.
+        # Dispatch count of the newest kernel snapshot committed and
+        # trimmed behind.
         self._persist_anchor = -1
 
         if resume and store is not None and store.has_state():
@@ -465,7 +576,7 @@ class TenantShard:
         caps = apply_fault_transforms(
             [capacity], self._built_faults, self.spec.horizon
         )
-        return SimulationEngine(
+        engine = SimulationEngine(
             jobs,
             self.spec.wrap_sensors(caps[0]),
             self.spec.build_scheduler(),
@@ -475,6 +586,14 @@ class TenantShard:
             snapshot_every=self.spec.snapshot_every,
             event_queue="heap",
         )
+        engine.kernel.history_sink = self._on_drain
+        return engine
+
+    def _on_drain(self, delta: dict) -> None:
+        """The kernel drained at a periodic snapshot: the delta waits in
+        the record for the commit that persists that snapshot."""
+        self._record.add_delta(delta)
+        self._drained.add(delta, self.metrics.decisions)
 
     # -- accessors ------------------------------------------------------
     @property
@@ -492,11 +611,15 @@ class TenantShard:
     @property
     def depth(self) -> int:
         """Live backlog: accepted jobs without a recorded outcome."""
-        return len(self._accepted) - len(self.kernel.trace.outcomes)
+        return (
+            self._n_accepted
+            - self._drained.outcomes
+            - len(self.kernel.trace.outcomes)
+        )
 
     @property
     def shed_count(self) -> int:
-        return len(self._shed)
+        return self._n_shed
 
     # -- decision bookkeeping -------------------------------------------
     def _note_request(
@@ -513,6 +636,9 @@ class TenantShard:
         self._dedup[rid] = outcome
         if jid is not None:
             self._rid_jid[rid] = int(jid)
+        self._record.requests.append(
+            (rid, outcome, None if jid is None else int(jid))
+        )
         octx = _obs.current()
         if octx is not None:
             data: Dict[str, Any] = {
@@ -524,10 +650,19 @@ class TenantShard:
                 data["jid"] = int(jid)
             octx.emit("service.request", float(time), data, replay=False)
 
+    def _count_accepted(self, jid: int) -> None:
+        """Count one accepted jid: the CRC continues over the same
+        comma-joined jid text a whole-list CRC would read."""
+        text = str(jid) if self._n_accepted == 0 else "," + str(jid)
+        self._accepted_crc = zlib.crc32(text.encode(), self._accepted_crc)
+        self._n_accepted += 1
+        self._accepted_jids.add(jid)
+
     def _journal_shed(
         self, records: Sequence[ShedRecord], rids: Sequence[Optional[str]]
     ) -> None:
-        self._shed.extend(records)
+        self._record.shed.extend(records)
+        self._n_shed += len(records)
         octx = _obs.current()
         for record, rid in zip(records, rids):
             self._observe_shed(record)
@@ -703,7 +838,7 @@ class TenantShard:
                 ]
             )
         kernel.push_fault_event(time, payload)
-        self._injected.append((time, payload))
+        self._record.injected.append((time, payload))
         self._ops.append((dc, "push", (time, payload), digest))
         self.metrics.observe(time, "service.injected." + op)
         self._note_request(rid, None, "injected", time)
@@ -712,27 +847,50 @@ class TenantShard:
     def close(self) -> TenantReport:
         """Finish the tenant: run to the horizon and build the report
         (a closed tenant just reports again)."""
-        if self._closed:
-            return self.report()
-        self._flush_pending()
-        self._result = self._engine.run()
-        self._closed = True
+        if not self._closed:
+            self._flush_pending()
+            self._engine.run()
+            self._closed = True
         return self.report()
 
     def report(self) -> TenantReport:
+        """The tenant's whole run: its history, record by record, then
+        the live state (kept nowhere — each call decodes it again)."""
+        accepted, shed, injected, trace = fold_history(
+            self._history_records(), self.kernel.trace
+        )
+        result = None
+        if self._closed:
+            result = SimulationResult(
+                scheduler_name=self.kernel.scheduler.name,
+                jobs=accepted,
+                horizon=self.kernel.horizon,
+                trace=trace,
+            )
         count = self.metrics.counter_value
         return TenantReport(
             tenant=self.tenant,
             spec=self.spec,
-            result=self._result,
-            accepted=tuple(self._accepted),
-            shed=tuple(self._shed),
-            injected=tuple(self._injected),
+            result=result,
+            accepted=tuple(accepted),
+            shed=tuple(shed),
+            injected=tuple(injected),
             submitted=self._submitted,
             recoveries=count("service.recoveries"),
             forced_crashes=count("service.injected.crash"),
             journal=self._journal,
         )
+
+    def _history_records(self):
+        """Committed history records, decoded one at a time, then the
+        record still waiting for the next commit."""
+        if self._store is None:
+            encoded = self._history_bytes
+        else:
+            encoded = self._store.history_records(self._history_len)
+        for data in encoded:
+            yield HistoryRecord.decode(data)
+        yield self._record
 
     # ------------------------------------------------------------------
     def _flush_pending(self) -> None:
@@ -783,8 +941,8 @@ class TenantShard:
         for job, rid in zip(admit, admit_rids):
             self._ops.append((dc, "admit", job, digest))
             kernel.admit_job(job)
-            self._accepted.append(job)
-            self._accepted_jids.add(job.jid)
+            self._record.accepted.append(job)
+            self._count_accepted(job.jid)
             self.metrics.observe(job.release, "service.admitted")
             self._note_request(rid, job.jid, "accepted", release)
         self.metrics.gauge("service.depth").set(self.depth)
@@ -830,15 +988,14 @@ class TenantShard:
         mutation).  ``accepted_crc`` fingerprints the accepted jid
         sequence so restart-boundary audits compare one integer;
         ``metrics`` is the tenant's registry snapshot."""
-        blob = ",".join(str(job.jid) for job in self._accepted)
         count = self.metrics.counter_value
         return {
             "tenant": self.tenant,
             "submitted": self._submitted,
-            "accepted": len(self._accepted),
-            "shed": len(self._shed),
+            "accepted": self._n_accepted,
+            "shed": self._n_shed,
             "pending": len(self._pending),
-            "accepted_crc": zlib.crc32(blob.encode()) & 0xFFFFFFFF,
+            "accepted_crc": self._accepted_crc,
             "recoveries": count("service.recoveries"),
             "forced_crashes": count("service.injected.crash"),
             "frontier": self.kernel.now,
@@ -850,31 +1007,42 @@ class TenantShard:
         """The scrape-time SLO document: a ``"live"`` block of
         kernel-derived facts (completions, deadline misses, attained
         value per executed work, and their decision-window buckets).  It
-        is a pure function of the kernel trace — computed here on
+        is a pure function of the kernel trace — the counters drained
+        with its history plus the live trace's share, computed here on
         demand, so a snapshot restore can never double-count it."""
         trace = self.kernel.trace
-        completions = 0
-        misses = 0
+        drained = self._drained
+        completions = drained.completions
+        misses = drained.misses
         for status in trace.outcomes.values():
             if status is JobStatus.COMPLETED:
                 completions += 1
             elif status in (JobStatus.FAILED, JobStatus.ABANDONED):
                 misses += 1
         decided = completions + misses
-        attained = trace.value_points[-1][1] if trace.value_points else 0.0
-        executed = trace.total_work()
+        attained = (
+            trace.value_points[-1][1] if trace.value_points else trace.value_base
+        )
+        executed = drained.work.value([seg.work for seg in trace.segments])
         # Windowed kernel outcomes over the decision window's geometry
-        # (recomputed per scrape — deterministic in virtual time).
+        # (recomputed per scrape — deterministic in virtual time): every
+        # completion, then every deadline miss, in the order they were
+        # recorded.
         ring = self.metrics.decisions
         win = WindowRing(ring.width, ring.slots)
+        for index, count in drained.windows["completions"]:
+            win.observe_count(index, "completions", count)
         for t in trace.completion_times.values():
             win.observe(t, "completions")
-        by_jid = {job.jid: job for job in self._accepted}
-        for jid, status in trace.outcomes.items():
-            if status in (JobStatus.FAILED, JobStatus.ABANDONED):
-                job = by_jid.get(jid)
-                if job is not None:
-                    win.observe(job.deadline, "deadline_misses")
+        for index, count in drained.windows["deadline_misses"]:
+            win.observe_count(index, "deadline_misses", count)
+        if misses > drained.misses:
+            by_jid = self.kernel.jobs_by_id
+            for jid, status in trace.outcomes.items():
+                if status in (JobStatus.FAILED, JobStatus.ABANDONED):
+                    job = by_jid.get(jid)
+                    if job is not None:
+                        win.observe(job.deadline, "deadline_misses")
         return {
             "live": {
                 "completions": completions,
@@ -897,7 +1065,9 @@ class TenantShard:
     def recover(self, crash: BaseException) -> None:
         """Restore the last periodic snapshot and re-apply the op log
         (:meth:`_restore`); the journal verifies the re-run record by
-        record from the snapshot on."""
+        record from the snapshot on.  Drains happen only at periodic
+        snapshots, so the history handed over so far is exactly what
+        that snapshot leaves out."""
         snapshot = getattr(crash, "snapshot", None) or (
             self.kernel.last_snapshot
         )
@@ -937,9 +1107,7 @@ class TenantShard:
             engine.kernel.start()
             base = 0
         else:
-            engine = self._build_engine(
-                [job for job in self._accepted if job.jid in snapshot.status]
-            )
+            engine = self._build_engine([Job(*p) for p in snapshot.jobs])
             engine.restore(snapshot)
             base = snapshot.dispatch_count
         kernel = engine.kernel
@@ -965,16 +1133,17 @@ class TenantShard:
         self._engine = engine
 
     # ------------------------------------------------------------------
-    # Durable persistence (store-backed shards only)
+    # Commits: history record, then (with a store) the live image
     # ------------------------------------------------------------------
     def maybe_persist(self) -> None:
-        """Commit the kernel's newest periodic snapshot to the store (if
-        any), then drop the journal records and op entries it supersedes
-        — recovery restores it or a newer one.
+        """Commit the kernel's newest periodic snapshot (with its
+        history record), then drop the journal records and op entries it
+        supersedes — recovery restores it or a newer one.
 
         Called after every handled message; a no-op until the kernel has
         cut a snapshot newer than the last anchor, so this tracks
-        ``snapshot_every`` dispatches, not messages."""
+        ``snapshot_every`` dispatches, not messages.  A store-less shard
+        commits too: it keeps the encoded record."""
         snap = self.kernel.last_snapshot
         if (
             self._closed
@@ -982,11 +1151,7 @@ class TenantShard:
             or snap.dispatch_count <= self._persist_anchor
         ):
             return
-        if self._store is not None:
-            self._persist(snap)
-        self._persist_anchor = base = snap.dispatch_count
-        self._journal.trim(base)
-        self._ops = [op for op in self._ops if op[0] >= base]
+        self._commit(snap)
 
     def persist_now(self) -> None:
         """Drain path: decide the open group, cut a snapshot at the
@@ -995,53 +1160,85 @@ class TenantShard:
         if self._store is None or self._closed:
             return
         self._flush_pending()
-        snap = self._engine.snapshot()
+        # The kernel's last snapshot from here on, so an in-process
+        # recovery never re-runs (and re-drains) what this commit holds.
+        snap = self.kernel.checkpoint()
         # This snapshot is cut *after* every logged op took effect, so
         # same-dispatch-count ops are already inside it: anchor past the
         # whole op log and persist no re-apply tail.
-        self._persist(snap, include_tail=False)
-        self._persist_anchor = snap.dispatch_count
+        self._ops = []
+        self._commit(snap)
 
-    def _persist(self, snap: EngineSnapshot, *, include_tail: bool = True) -> None:
+    def _commit(self, snap: EngineSnapshot) -> None:
+        """Append the waiting history record, then (with a store) commit
+        the image that leaves it out — history first, so an image never
+        names a record the disk lacks — and drop the journal records and
+        op entries the image supersedes."""
+        record = self._record
+        record.cursor = snap.history_cursor
+        data = record.encode()
+        if self._store is None:
+            self._history_bytes.append(data)
+        else:
+            self._store.append_history(data, seq=self._history_len)
+            self._write_image(snap)
+        self._history_len += 1
+        self._record = HistoryRecord()
+        self._persist_anchor = base = snap.dispatch_count
+        self._journal.trim(base)
+        self._ops = [op for op in self._ops if op[0] >= base]
+
+    def _write_image(self, snap: EngineSnapshot) -> None:
         base = snap.dispatch_count
         tail: List[List[Any]] = []
-        if include_tail:
-            for dc, kind, data, digest in self._ops:
-                if dc < base:
-                    continue
-                if kind == "admit":
-                    data = _job_to_dict(data)
-                else:  # "push"
-                    data = [data[0], list(data[1])]
-                tail.append([dc, kind, data, digest])
+        for dc, kind, data, digest in self._ops:
+            if dc < base:
+                continue
+            if kind == "admit":
+                data = _job_to_dict(data)
+            else:  # "push"
+                data = [data[0], list(data[1])]
+            tail.append([dc, kind, data, digest])
         payload = {
-            "version": 2,
+            "version": 3,
             "engine": snap,
-            "accepted": [_job_to_dict(job) for job in self._accepted],
-            "injected": [[t, list(p)] for t, p in self._injected],
-            "shed": [rec.to_dict() for rec in self._shed],
-            "dedup": dict(self._dedup),
             "ops_tail": tail,
             # The metrics snapshot is anchored at the same op_seq as the
-            # rest, so the cold-start refold of post-anchor ops is exact;
-            # the rid → jid correlation index (absent from pre-telemetry
-            # payloads, read back via .get) rides along.
+            # rest, so the cold-start refold of post-anchor ops is exact.
             "metrics": self.metrics.snapshot(),
-            "rid_jids": dict(self._rid_jid),
+            # History records this image leaves out (with this commit's).
+            "history": self._history_len + 1,
+            "drained": self._drained.doc(),
         }
         self._store.write_snapshot(payload, op_seq=self._store.op_seq)
+
+    def _fold_decisions(self, record: HistoryRecord) -> None:
+        """Count a record's decisions and index its request ids."""
+        for job in record.accepted:
+            self._count_accepted(job.jid)
+        self._n_shed += len(record.shed)
+        for rid, outcome, jid in record.requests:
+            self._dedup[rid] = outcome
+            if jid is not None:
+                self._rid_jid[rid] = jid
 
     def _resume_from_store(self) -> None:
         """Cold start: rebuild the live shard from disk alone.
 
-        The snapshot payload carries everything decided up to its op-log
-        anchor; op records at or past the anchor are folded back in, and
-        the cold start refuses if any of them was lost.
-        The engine restores from the pickled kernel image — which seeds
-        the journal with the image's digest — and re-applies the
+        The newest image names how many history records it leaves out;
+        their decisions rebuild the dedup and correlation indexes and
+        the counters, one record at a time.  Op records at or past the
+        image's op-log anchor are folded back in as decisions the next
+        commit will write, and the cold start refuses if any of them was
+        lost.  The engine restores from the live kernel image — which
+        seeds the journal with the image's digest — and re-applies the
         post-snapshot op tail exactly as the in-process :meth:`recover`
-        does, with the logged digests as the only witness.  An image
-        from before digests existed takes its digest, and its tail's
+        does, with the logged digests as the only witness.
+
+        A version 1 or 2 payload (from before history) converts
+        read-only as "nothing drained yet": its decisions wait for the
+        first commit, which writes them as history record 0.  An image
+        from before digests takes its digest, and its tail's
         record-by-record check, from the store's retired WAL."""
         store = self._store
         assert store is not None
@@ -1051,31 +1248,22 @@ class TenantShard:
         anchor_seq = 0
         if loaded is not None:
             payload, anchor_seq = loaded
-            if not isinstance(payload, dict) or payload.get("version") not in (1, 2):
+            version = payload.get("version") if isinstance(payload, dict) else None
+            if version not in (1, 2, 3):
                 raise RecoveryError(
                     f"tenant {self.tenant!r}: unrecognised snapshot "
                     "payload (schema drift?)"
                 )
-            self._accepted = [Job(**d) for d in payload["accepted"]]
-            self._accepted_jids = {job.jid for job in self._accepted}
-            self._injected = [
-                (float(t), tuple(p)) for t, p in payload["injected"]
-            ]
-            self._shed = [ShedRecord(**r) for r in payload["shed"]]
-            self._dedup = dict(payload["dedup"])
-            self._rid_jid = {
-                str(k): int(v)
-                for k, v in (payload.get("rid_jids") or {}).items()
-            }
             # Merging into the fresh registry restores it exactly.
             self.metrics.merge(payload_metrics(payload))
             snap = payload["engine"]
-            by_jid = {job.jid: job for job in self._accepted}
+            if version == 3:
+                self._resume_history(payload, snap)
+            else:
+                self._convert_payload(payload, snap)
             for dc, kind, data, *digest in payload["ops_tail"]:
                 if kind == "admit":
-                    # Re-bind to the accepted-list Job so identity is
-                    # shared between the admission record and the op.
-                    data = by_jid[int(data["jid"])]
+                    data = Job(**data)
                 else:
                     data = (float(data[0]), tuple(data[1]))
                 tail.append((int(dc), kind, data, (digest or [None])[0]))
@@ -1095,6 +1283,7 @@ class TenantShard:
             "shed": "shed",
             "crash_mark": "crash",
         }
+        record = self._record
         for seq, doc in store.ops():
             if seq < anchor_seq:
                 continue
@@ -1103,13 +1292,13 @@ class TenantShard:
             if op == "admit":
                 job = Job(**doc["job"])
                 jid = job.jid
-                self._accepted.append(job)
-                self._accepted_jids.add(job.jid)
+                record.accepted.append(job)
+                self._count_accepted(job.jid)
                 tail.append((int(doc["dc"]), "admit", job, doc.get("digest")))
                 self.metrics.observe(job.release, "service.admitted")
             elif op == "push":
                 entry = (float(doc["time"]), tuple(doc["payload"]))
-                self._injected.append(entry)
+                record.injected.append(entry)
                 tail.append((int(doc["dc"]), "push", entry, doc.get("digest")))
                 self.metrics.observe(
                     entry[0], "service.injected." + str(entry[1][0])
@@ -1117,7 +1306,8 @@ class TenantShard:
             elif op == "shed":
                 rec = ShedRecord(**doc["rec"])
                 jid = rec.jid
-                self._shed.append(rec)
+                record.shed.append(rec)
+                self._n_shed += 1
                 self._observe_shed(rec)
             elif op == "crash_mark":
                 when = doc.get("time")
@@ -1132,13 +1322,15 @@ class TenantShard:
                 )
             rid = doc.get("rid")
             if rid:
-                self._dedup[str(rid)] = outcome_by_op[op]
+                rid = str(rid)
+                self._dedup[rid] = outcome_by_op[op]
                 if jid is not None:
-                    self._rid_jid[str(rid)] = int(jid)
+                    self._rid_jid[rid] = int(jid)
+                record.requests.append((rid, outcome_by_op[op], jid))
 
         # Undecided buffering (pending groups) is never durable, so
         # every reconstructed submission is a decided one.
-        self._submitted = len(self._accepted) + len(self._shed)
+        self._submitted = self._n_accepted + self._n_shed
         if snap is not None and snap.journal_digest is None:
             self._journal = EventJournal(store.legacy_wal() or ())
         self._restore(snap, tail)
@@ -1155,10 +1347,56 @@ class TenantShard:
                 self.kernel.now,
                 {
                     "tenant": self.tenant,
-                    "accepted": len(self._accepted),
-                    "shed": len(self._shed),
+                    "accepted": self._n_accepted,
+                    "shed": self._n_shed,
                     "ops_reapplied": len(self._ops),
                     "had_snapshot": snap is not None,
                 },
                 replay=False,
             )
+
+    def _resume_history(
+        self, payload: Mapping[str, Any], snap: EngineSnapshot
+    ) -> None:
+        """Fold the history records a version 3 image leaves out."""
+        self._history_len = int(payload["history"])
+        self._drained = _Drained(payload["drained"])
+        cursor = 0
+        for data in self._store.history_records(self._history_len):
+            record = HistoryRecord.decode(data)
+            self._fold_decisions(record)
+            cursor = record.cursor
+        if cursor != snap.history_cursor:
+            raise RecoveryError(
+                f"tenant {self.tenant!r}: the history log ends at drain "
+                f"{cursor} but the snapshot image follows drain "
+                f"{snap.history_cursor}"
+            )
+
+    def _convert_payload(
+        self, payload: Mapping[str, Any], snap: EngineSnapshot
+    ) -> None:
+        """Read a version 1/2 payload as "nothing drained yet": its
+        decisions become the waiting record, and the image (not written
+        back) gains the parameters of the jobs it holds."""
+        accepted = [Job(**d) for d in payload["accepted"]]
+        rid_jids = payload.get("rid_jids") or {}
+        self._record = HistoryRecord(
+            accepted=accepted,
+            shed=[ShedRecord(**r) for r in payload["shed"]],
+            injected=[(float(t), tuple(p)) for t, p in payload["injected"]],
+            requests=[
+                (
+                    str(rid),
+                    str(outcome),
+                    None if rid_jids.get(rid) is None else int(rid_jids[rid]),
+                )
+                for rid, outcome in payload["dedup"].items()
+            ],
+        )
+        self._fold_decisions(self._record)
+        snap.jobs = [
+            (j.jid, j.release, j.workload, j.deadline, j.value)
+            for j in accepted
+            if j.jid in snap.status
+        ]

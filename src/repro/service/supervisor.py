@@ -241,7 +241,6 @@ class ScheduleService:
         self._supervisors: Dict[str, TenantSupervisor] = {}
         self._queues: Dict[str, asyncio.Queue] = {}
         self._workers: List[asyncio.Task] = []
-        self._reports: Dict[str, TenantReport] = {}
         self._started = False
         self._draining = False
 
@@ -326,18 +325,26 @@ class ScheduleService:
             if item is None:
                 queue.task_done()
                 return
-            message, future = item
             try:
-                result = await supervisor.handle(message)
-                if isinstance(result, TenantReport):
-                    self._reports[tenant] = result
-                if not future.done():
-                    future.set_result(result)
-            except Exception as exc:  # noqa: BLE001 - routed to the sender
-                if not future.done():
-                    future.set_exception(exc)
+                await self._serve(supervisor, *item)
             finally:
+                # The worker idles in queue.get() holding its locals: a
+                # closed tenant's report (its whole decoded history) must
+                # not outlive the ack.
+                item = None
                 queue.task_done()
+
+    @staticmethod
+    async def _serve(
+        supervisor: TenantSupervisor, message: Message, future: asyncio.Future
+    ) -> None:
+        try:
+            result = await supervisor.handle(message)
+            if not future.done():
+                future.set_result(result)
+        except Exception as exc:  # noqa: BLE001 - routed to the sender
+            if not future.done():
+                future.set_exception(exc)
 
     async def dispatch(self, message: Message):
         """Route one message to its tenant's worker and await the outcome.
@@ -432,10 +439,13 @@ class ScheduleService:
             octx.metrics.counter("service.drains").inc()
 
     async def close(self) -> Dict[str, TenantReport]:
-        """Close every tenant (if not already closed) and stop workers."""
+        """Close every tenant (if not already closed) and stop workers.
+
+        Reports are built here, from the closed shards: a report decodes
+        its tenant's history, so none is kept between a Close and this."""
         for tenant in self.tenants:
             supervisor = self._supervisors[tenant]
-            if tenant not in self._reports and not supervisor.shard.closed:
+            if not supervisor.shard.closed:
                 try:
                     await self.dispatch(Close(tenant=tenant))
                 except (MessageError, CircuitOpenError):
@@ -443,13 +453,7 @@ class ScheduleService:
         for tenant, queue in self._queues.items():
             await queue.put(None)
         await asyncio.gather(*self._workers, return_exceptions=True)
-        reports: Dict[str, TenantReport] = {}
-        for tenant in self.tenants:
-            supervisor = self._supervisors[tenant]
-            report = self._reports.get(tenant)
-            if report is None:
-                report = supervisor.final_report()
-            report.restarts = supervisor.restarts
-            report.backoffs = tuple(supervisor.backoffs)
-            reports[tenant] = report
-        return reports
+        return {
+            tenant: self._supervisors[tenant].final_report()
+            for tenant in self.tenants
+        }

@@ -103,9 +103,6 @@ class Event:
         self.payload = payload
         self.version = version
 
-    def sort_key(self, seq: int) -> tuple:
-        return (self.time, int(self.kind), seq)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented

@@ -120,11 +120,12 @@ class JobTable:
         """Grow the table by one job (live-service admission).
 
         The immutable parameter columns are rebuilt (``np.append`` copies,
-        O(n)) — admission is the cold path and nothing holds references to
-        them.  The mutable hot columns and the ``row_of`` map are extended
-        *in place*: the kernel aliases those (``_rem``/``_st``/``_row``)
-        and the aliases must survive admission, exactly as they survive
-        :meth:`load_state_columns`.
+        O(rows) — a service kernel's rows are its live jobs, since
+        :meth:`retain` evicts finished ones) — admission is the cold path
+        and nothing holds references to them.  The mutable hot columns
+        and the ``row_of`` map are extended *in place*: the kernel aliases
+        those (``_rem``/``_st``/``_row``) and the aliases must survive
+        admission, exactly as they survive :meth:`load_state_columns`.
         """
         if job.jid in self.row_of:
             raise SimulationError(f"duplicate job id {job.jid} in JobTable")
@@ -139,12 +140,25 @@ class JobTable:
         self.remaining.append(0.0)
         self.status.append(_PENDING)
 
+    def retain(self, rows: Sequence[int]) -> None:
+        """Keep only ``rows`` (ascending), renumbered in their order — the
+        service kernel's eviction of finished jobs.  In place for the
+        aliased ``row_of`` map and hot columns, like :meth:`append_job`."""
+        keep = np.asarray(rows, dtype=np.int64)
+        self.jobs = tuple(self.jobs[r] for r in rows)
+        self.row_of.clear()
+        self.row_of.update((job.jid, row) for row, job in enumerate(self.jobs))
+        self.jid = self.jid[keep]
+        self.release = self.release[keep]
+        self.workload = self.workload[keep]
+        self.deadline = self.deadline[keep]
+        self.value = self.value[keep]
+        self.remaining[:] = [self.remaining[r] for r in rows]
+        self.status[:] = [self.status[r] for r in rows]
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.jobs)
-
-    def job_at(self, row: int) -> Job:
-        return self.jobs[row]
 
     def status_of(self, jid: int) -> Optional[JobStatus]:
         """Status as the enum (``None`` for unknown jids) — the diagnostic

@@ -257,6 +257,13 @@ class EngineSnapshot:
     of per-processor segment lists, and ``capacity_blob`` pickles the
     *list* of capacity models.  The single-processor engine is simply the
     ``n_procs == 1`` case (element 0 everywhere).
+
+    A service tenant's kernel drains its terminal history at every
+    periodic snapshot, so its images are *live* images: the rows still
+    unfinished or named by a queued event (with their parameters in
+    ``jobs``), the trace since the last drain, and the drain count in
+    ``history_cursor``.  Closed-horizon images never drain and leave
+    those three fields at their defaults.
     """
 
     schema: int = 2
@@ -292,6 +299,16 @@ class EngineSnapshot:
     trace_completion_times: Dict[int, float] = field(default_factory=dict)
     trace_value_points: List[Tuple[float, float]] = field(default_factory=list)
     trace_lost_work: Dict[int, float] = field(default_factory=dict)
+    #: cumulative value drained out of ``trace_value_points``
+    trace_value_base: float = 0.0
+    #: drains before this image (:meth:`SchedulingKernel.drain
+    #: <repro.kernel.core.SchedulingKernel.drain>`): the history cursor.
+    #: 0 for every closed-horizon image
+    history_cursor: int = 0
+    #: ``(jid, release, workload, deadline, value)`` of every imaged row
+    #: — set on a draining (service) kernel, whose rows are not an
+    #: instance the restorer holds; None: the restorer supplies the jobs
+    jobs: Optional[List[Tuple[int, float, float, float, float]]] = None
     #: :meth:`repro.sim.scheduler.Scheduler.get_state`
     scheduler_state: Dict[str, Any] = field(default_factory=dict)
     #: ``pickle.dumps(list_of_capacities)``

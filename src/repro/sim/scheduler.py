@@ -304,6 +304,13 @@ class Scheduler(abc.ABC):
         self._sensor_health = dict(state["sensor_health"])
         self._restore_policy_state(state["policy"], jobs_by_id)
 
+    def drain(self, finished: "set[int]") -> list:
+        """Hand over closed per-run history and forget the ``finished``
+        jids (service tenants, at each snapshot; closed-horizon runs never
+        call it).  Returns picklable records; policies that keep no
+        history return ``[]``."""
+        return []
+
     def _policy_state(self) -> dict:
         """Subclass hook: capture policy-specific per-run state (queues,
         rate estimates, accumulators) as a picklable, jid-keyed dict."""

@@ -61,6 +61,11 @@ class ScheduleTrace:
     #: job may have to redo work it already received; that work *was*
     #: legally executed, so the validator budgets for it)
     lost_work: Dict[int, float] = field(default_factory=dict)
+    #: cumulative value before ``value_points[0]`` — nonzero only on a
+    #: service tenant's live trace, whose older points were drained into
+    #: its history (:meth:`repro.kernel.core.SchedulingKernel.drain`); a
+    #: class attribute, so a closed-horizon trace never carries it
+    value_base = 0.0
 
     # ------------------------------------------------------------------
     # Recording API (used by the engine)
@@ -92,7 +97,9 @@ class ScheduleTrace:
         self.outcomes[job.jid] = status
         if status is JobStatus.COMPLETED:
             self.completion_times[job.jid] = t
-            prev = self.value_points[-1][1] if self.value_points else 0.0
+            prev = (
+                self.value_points[-1][1] if self.value_points else self.value_base
+            )
             self.value_points.append((t, prev + job.value))
 
     # ------------------------------------------------------------------

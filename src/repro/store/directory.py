@@ -284,6 +284,27 @@ class MemoryDirectory:
             self._children[name] = child
         return child
 
+    @classmethod
+    def copy_of(cls, path: "str | Path") -> "MemoryDirectory":
+        """A durable in-memory copy of the directory tree at ``path``,
+        read once and never written back — a store opened on it runs
+        its recovery on the copy.  A file that vanishes mid-copy (a live
+        writer compacting or rotating) is left out."""
+        mem = cls()
+        for entry in sorted(Path(path).iterdir()):
+            try:
+                if entry.is_dir():
+                    mem._children[entry.name] = cls.copy_of(entry)
+                elif entry.is_file():
+                    f = _MemFile()
+                    f.durable = entry.read_bytes()
+                    f.content = bytearray(f.durable)
+                    mem._files[entry.name] = f
+            except FileNotFoundError:
+                continue
+        mem._durable_entries = dict(mem._files)
+        return mem
+
     # -- the power cord ---------------------------------------------------
     def crash(self) -> None:
         """Simulate power loss: volatile entries and content vanish."""

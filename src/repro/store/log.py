@@ -332,6 +332,32 @@ class SegmentedLog:
         self._base_seq = first_seq
         self._new_segment(first_seq)
 
+    def truncate(self, end_seq: int) -> None:
+        """Drop the records at or past ``end_seq`` — appended ahead of a
+        commit that never completed.  Later segments are removed and the
+        one holding ``end_seq`` is rewritten with its prefix (atomically,
+        as in :meth:`_recover`)."""
+        if end_seq >= self.next_seq:
+            return
+        if end_seq < self._base_seq:
+            raise StorageError(f"truncate to {end_seq} would drop the log")
+        assert self._handle is not None
+        self._handle.close()
+        while len(self._segments) > 1 and self._segments[-1].first_seq >= end_seq:
+            seg = self._segments.pop()
+            self._dir.remove(seg.name)
+            self._count -= seg.count
+        seg = self._segments[-1]
+        keep = end_seq - seg.first_seq
+        payloads, _end, _verdict = self._scan_frames(
+            self._dir.read_bytes(seg.name)
+        )
+        self._write_segment(seg.name, seg.first_seq, payloads[:keep])
+        self._count -= seg.count - keep
+        seg.count = keep
+        self._size = len(self._dir.read_bytes(seg.name))
+        self._handle = self._dir.open_append(seg.name)
+
     def close(self) -> None:
         if self._closed:
             return

@@ -14,7 +14,9 @@ The write protocol makes a partial snapshot impossible to observe:
 2. only then is ``MANIFEST`` replaced the same way (``MANIFEST.tmp`` →
    rename → dir-fsync), atomically repointing readers at the new file;
 3. only *after* the manifest is durable are snapshots beyond the keep
-   window deleted.
+   window deleted — without a directory fsync of their own: a deletion
+   lost to power failure only brings back an older, unreferenced
+   snapshot, which the next commit deletes again.
 
 A crash between (1) and (2) leaves a complete-but-unreferenced snapshot
 file and an old manifest still pointing at the previous one: readers
@@ -162,7 +164,6 @@ class SnapshotStore:
             seq = self._parse_seq(name)
             if seq is not None and seq < floor:
                 self._dir.remove(name)
-        self._dir.fsync_dir()
 
     # -- read -----------------------------------------------------------
     def load(self) -> Optional[Tuple[int, Dict, bytes]]:

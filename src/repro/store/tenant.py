@@ -5,7 +5,9 @@ Layout under ``<store_dir>/<tenant>/``::
     spec.json        # the TenantSpec as checksummed JSON (written once)
     oplog/           # SegmentedLog of JSON op records (admits, pushes,
                      #   sheds, crash marks, dedup entries)
-    snaps/           # SnapshotStore of pickled shard state images
+    snaps/           # SnapshotStore of pickled *live* shard state images
+    history/         # SegmentedLog of encoded history records, one per
+                     #   snapshot commit (never compacted)
 
 The op log is the one durable stream a service decision writes.  The
 shard (:mod:`repro.service.shard`) writes *op records first, state
@@ -18,6 +20,13 @@ image recorded at op sequence ``s`` supersedes every op with
 The kernel's dispatches are not stored: admit/push records and state
 images carry the journal digest at their dispatch count instead
 (:class:`~repro.sim.journal.EventJournal`).
+
+A state image holds live state only; what it leaves out is history,
+written once: each commit first appends (and fsyncs) one history record
+— the decisions since the previous commit and the terminal kernel
+history the image no longer holds — and the image names how many
+records it covers.  A record appended ahead of an image that never
+committed is dropped before the next append (:meth:`append_history`).
 
 A store from before digests may still hold the retired kernel WAL
 (``wal/``, or ``wal.jsonl`` with its ``shed.jsonl`` sidecar): a cold
@@ -76,6 +85,11 @@ class TenantStore:
         )
         self.snapshots = SnapshotStore(
             self._dir.subdir("snaps"), keep=snapshot_keep, fsync=fsync
+        )
+        self.history = SegmentedLog(
+            self._dir.subdir("history"),
+            segment_bytes=segment_bytes,
+            fsync=fsync,
         )
         #: Optional ``callable(seconds)`` timing each synced op append,
         #: for the service's fsync histogram (wall clock; never in the
@@ -202,6 +216,31 @@ class TenantStore:
             for seq, payload in self.oplog.entries()
         ]
 
+    # -- history ---------------------------------------------------------
+    def append_history(self, record: bytes, *, seq: int) -> None:
+        """Append history record number ``seq`` (fsynced), first dropping
+        any record at or past it: those were appended ahead of an image
+        that never committed, and the re-run re-drains what they held."""
+        self.history.truncate(seq)
+        if self.history.next_seq != seq:
+            raise RecoveryError(
+                f"history log ends at record {self.history.next_seq}; "
+                f"cannot append record {seq}"
+            )
+        self.history.append(record)
+
+    def history_records(self, end: int) -> List[bytes]:
+        """History records ``0 .. end-1`` (an image covering ``end`` of
+        them names exactly these); raises if any is missing."""
+        log = self.history
+        if log.base_seq > 0 or log.next_seq < end:
+            raise RecoveryError(
+                f"history log holds records {log.base_seq}..{log.next_seq} "
+                f"but the snapshot covers {end} (rot quarantined some? see "
+                "history/*.quarantine); refusing to lose decided history"
+            )
+        return [payload for seq, payload in log.entries() if seq < end]
+
     # -- snapshots -------------------------------------------------------
     def write_snapshot(self, state: Any, *, op_seq: int) -> int:
         """Commit one state image anchored at ``op_seq`` and compact the
@@ -235,3 +274,4 @@ class TenantStore:
 
     def close(self) -> None:
         self.oplog.close()
+        self.history.close()

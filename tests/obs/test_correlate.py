@@ -140,6 +140,60 @@ class TestStoreCorrelation:
         ] is True
 
 
+def _tree(root):
+    """Every file's bytes, and every entry, under ``root``."""
+    return (
+        {str(p.relative_to(root)): p.read_bytes()
+         for p in root.rglob("*") if p.is_file()},
+        sorted(str(p.relative_to(root)) for p in root.rglob("*")),
+    )
+
+
+class TestReadOnly:
+    def test_store_is_never_written(self, tmp_path):
+        """A store whose op log has a rotted record and a torn tail — the
+        two things opening it repairs in place — keeps every file's
+        bytes and its directory listing through ``correlate_request``,
+        and the stages are those the read-write scan reports on a copy."""
+        import shutil
+
+        from repro.obs.correlate import _scan_store
+        from repro.service import Advance
+
+        root = tmp_path / "store"
+        shard = _populate(root)
+        shard.handle(Submit("t0", _job(30, release=5.0), rid="tail0"))
+        shard.handle(Submit("t0", _job(31, release=5.5), rid="tail1"))
+        shard.handle(Advance("t0", 6.0))
+        (segment,) = (root / "t0" / "oplog").glob("*.seg")
+        data = bytearray(segment.read_bytes())
+        at = data.index(b'"rid": "tail0"')
+        data[at + 9] ^= 0x01
+        segment.write_bytes(bytes(data[:-5]))
+        before = _tree(root)
+        repaired = 0
+        for rid in ("r0", "r5", "f0", "tail0", "tail1", "nope"):
+            result = correlate_request(rid, store_dir=root)
+            assert _tree(root) == before, rid
+            copy = tmp_path / f"copy-{rid}"
+            shutil.copytree(root, copy)
+            store = TenantStore(copy / "t0", fsync=False)
+            try:
+                want = _scan_store(store, "t0", rid)
+            finally:
+                store.close()
+            repaired += _tree(copy) != before
+            if want is None:
+                assert result["found"] is False, rid
+                continue
+            assert result["stages"] == want["stages"], rid
+            assert (result["jid"], result["outcome"]) == (
+                want["jid"], want["outcome"]
+            ), rid
+        # The read-write scan did repair each copy in place.
+        assert repaired == 6
+
+
 class TestTraceCorrelation:
     def test_lifecycle_events_join_the_path(self, tmp_path):
         # A lifecycle trace (service.request events carry the rid) can be

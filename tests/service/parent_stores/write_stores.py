@@ -1,18 +1,25 @@
 """Write the tenant stores in this directory.
 
-They are stores as the service wrote them while it kept a second durable
-stream, the kernel WAL: ``wal_segments/`` holds a segment-log ``wal/``
-(snapshots every 7 dispatches, payload op tails, a post-snapshot op-log
-tail, WAL records past the snapshot); ``wal_jsonl/`` holds the older
-``wal.jsonl`` plus its ``shed.jsonl`` sidecar.  Both end as a ``kill
+The ``wal`` stores are stores as the service wrote them while it kept a
+second durable stream, the kernel WAL: ``wal_segments/`` holds a
+segment-log ``wal/`` (snapshots every 7 dispatches, payload op tails, a
+post-snapshot op-log tail, WAL records past the snapshot);
+``wal_jsonl/`` holds the older ``wal.jsonl`` plus its ``shed.jsonl``
+sidecar.  The ``digest`` stores are stores as the service wrote them
+before history: every snapshot a version-2 payload holding the whole
+run.  ``digest_v2/`` takes the same traffic as ``wal_segments/`` (a
+post-snapshot op-log tail past a payload op tail); ``slo_v2/`` is the
+metrics tests' tenant, drained.  All but ``slo_v2/`` end as a ``kill
 -9`` leaves them: the shard abandoned, never closed.  ``expected.json``
 keeps the writing shard's last ``stat`` (its ``submitted`` counts one
-still-undecided submission) and its WAL length.
+still-undecided submission) and its journal length.
 
-The script only runs against the code of commit 4d5d56a, the last one
-with a kernel WAL::
+The ``wal`` stores need the code of commit 4d5d56a, the last one with a
+kernel WAL, and the ``digest`` stores that of ee30b0a, the last one
+before history::
 
-    PYTHONPATH=<checkout of 4d5d56a>/src python write_stores.py OUT
+    PYTHONPATH=<checkout of 4d5d56a>/src python write_stores.py OUT wal
+    PYTHONPATH=<checkout of ee30b0a>/src python write_stores.py OUT digest
 """
 import json
 import shutil
@@ -75,18 +82,64 @@ def drive(path, every):
     return stats, records
 
 
-def write_expected(out, stats, records):
+def write_expected(out, stats, records, key="wal_records"):
     doc = {
         "stats": {k: stats[k] for k in STAT_KEYS},
-        "wal_records": len(records),
+        key: len(records),
     }
     (out / "expected.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True) + "\n"
     )
 
 
-def main(out):
-    shutil.rmtree(out, ignore_errors=True)
+def drive_slo(path):
+    """tests/service/test_slo.py's tenant and traffic, then a drain."""
+    from repro.errors import SimulatedCrash
+
+    spec = TenantSpec(
+        tenant="t0",
+        horizon=40.0,
+        scheduler="edf",
+        capacity=CapacitySpec("constant", {"rate": 1.0}),
+        queue_budget=6,
+        snapshot_every=4,
+    )
+    store = TenantStore(path, fsync=False)
+    shard = TenantShard(spec, store=store)
+    for i in range(10):
+        release = 1.0 + 0.2 * i
+        shard.handle(
+            Submit(
+                "t0",
+                Job(jid=i, release=release, workload=1.0,
+                    deadline=release + 5.0, value=1.0),
+                rid=f"r{i}",
+            )
+        )
+    shard.handle(InjectFault("t0", "kill", time=2.5, rid="f0"))
+    try:
+        shard.handle(InjectFault("t0", "crash", time=3.0, rid="c0"))
+    except SimulatedCrash as crash:
+        shard.recover(crash)
+    shard.handle(Advance("t0", 6.0))
+    shard.persist_now()
+    store.close()
+
+
+def write_digest(out):
+    for name in ("digest_v2", "slo_v2"):
+        shutil.rmtree(out / name, ignore_errors=True)
+    stats, records = drive(out / "digest_v2" / "t0", every=7)
+    write_expected(out / "digest_v2", stats, records, key="journal_records")
+    drive_slo(out / "slo_v2" / "t0")
+
+
+def main(out, which):
+    if which == "digest":
+        write_digest(out)
+        return
+    for name in ("wal_segments", "wal_jsonl"):
+        shutil.rmtree(out / name, ignore_errors=True)
     # Periodic anchors (payload op tails), an op-log tail past the last
     # anchor and WAL records past its snapshot.
     stats, records = drive(out / "wal_segments" / "t0", every=7)
@@ -108,4 +161,4 @@ def main(out):
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]))
+    main(Path(sys.argv[1]), sys.argv[2])

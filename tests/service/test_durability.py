@@ -298,7 +298,7 @@ class TestPreSegmentStores:
         assert (path / "wal.jsonl").exists() and (path / "shed.jsonl").exists()
         revived.persist_now()
         assert sorted(p.name for p in path.iterdir()) == [
-            "oplog", "snaps", "spec.json",
+            "history", "oplog", "snaps", "spec.json",
         ]
         again = _cold_start(path)
         _assert_parent_facts(again)
@@ -384,12 +384,76 @@ class TestParentStores:
         _assert_parent_facts(again)
         again.persist_now()
         assert sorted(p.name for p in path.iterdir()) == [
-            "oplog", "snaps", "spec.json",
+            "history", "oplog", "snaps", "spec.json",
         ]
         final = _cold_start(path)
         _assert_parent_facts(final)
         check = replay_tenant(final.close())
         assert check.ok, check.failures
+
+
+class TestDigestStores:
+    """A store written before history (``digest_v2``): version-2
+    payloads that hold the whole run, the newest with a payload op tail,
+    and an op-log tail past it.  It converts read-only as "nothing
+    drained yet", and its first commit writes the new layout."""
+
+    @staticmethod
+    def _payload(path):
+        store = TenantStore(path)
+        payload, _anchor = store.load_snapshot()
+        store.close()
+        return payload
+
+    def test_cold_start_then_first_commit(self, tmp_path):
+        from repro.service.history import HistoryRecord
+
+        path = _parent_store(tmp_path, "digest_v2")
+        assert self._payload(path)["version"] == 2
+        revived = _cold_start(path)
+        _assert_parent_facts(revived)
+        before = revived.stats()
+        revived.persist_now()
+        payload = self._payload(path)
+        assert payload["version"] == 3 and payload["history"] == 1
+        store = TenantStore(path)
+        (record,) = [
+            HistoryRecord.decode(d) for d in store.history_records(1)
+        ]
+        store.close()
+        # The converted decisions, written once: every accepted job and
+        # shed record of the run so far.
+        assert len(record.accepted) == PARENT_FACTS["accepted"]
+        assert len(record.shed) == PARENT_FACTS["shed"]
+        assert sorted(p.name for p in path.iterdir()) == [
+            "history", "oplog", "snaps", "spec.json",
+        ]
+        again = _cold_start(path)
+        _assert_parent_facts(again)
+        after = again.stats()
+        for key in ("submitted", "accepted", "shed", "accepted_crc",
+                    "frontier"):
+            assert after[key] == before[key], key
+        check = replay_tenant(again.close())
+        assert check.ok, check.failures
+
+    def test_replay_without_a_commit(self, tmp_path):
+        check = replay_tenant(
+            _cold_start(_parent_store(tmp_path, "digest_v2")).close()
+        )
+        assert check.ok, check.failures
+
+    @pytest.mark.parametrize("layout", ["digest_v2", "wal_segments", "wal_jsonl"])
+    def test_obs_trace_reads_every_old_store(self, tmp_path, layout):
+        from repro.obs.correlate import correlate_request
+
+        path = _parent_store(tmp_path, layout)
+        result = correlate_request("r3", store_dir=path.parent)
+        assert result["found"] and result["jid"] == 3
+        assert result["outcome"] == "accepted"
+        journal = [s for s in result["stages"] if s["stage"] == "journal"]
+        assert journal and all("error" not in s for s in journal)
+        assert {s["event"] for s in journal} >= {"release", "completion"}
 
 
 class TestDivergenceGuard:
@@ -545,6 +609,22 @@ class TestDivergenceGuard:
                 store=TenantStore(path, segment_bytes=256),
                 resume=True,
             )
+
+    def test_rotted_history_record_refused(self, tmp_path):
+        """History is held once: a record the image names but rot set
+        aside is a lost decision, so the cold start refuses."""
+        path = tmp_path / "t0"
+        store = TenantStore(path)
+        shard = TenantShard(_spec(), store=store)  # periodic commits
+        _drive(shard, n=12)
+        shard.persist_now()
+        store.close()
+        (segment,) = (path / "history").glob("*.seg")
+        data = bytearray(segment.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        segment.write_bytes(bytes(data))
+        with pytest.raises(RecoveryError, match="refusing to lose decided"):
+            TenantShard(_spec(), store=TenantStore(path), resume=True)
 
     def test_perturbation_past_the_last_op_fails_replay(self, tmp_path):
         """No acked op follows this departure, so the cold start has

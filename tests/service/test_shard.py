@@ -281,7 +281,7 @@ class TestShedBookkeeping:
         sheds = [doc for doc in docs if doc["op"] == "shed"]
         assert len(sheds) == len(report.shed) == 2
         assert sorted(p.name for p in tmp_path.joinpath("t0").iterdir()) == [
-            "oplog", "snaps", "spec.json",
+            "history", "oplog", "snaps", "spec.json",
         ]
 
 
@@ -387,3 +387,57 @@ class TestDecisionStream:
         report = shard.report()
         assert len(report.journal) > 100 * shard.spec.snapshot_every
         assert retained < (len(report.accepted) + len(report.injected)) / 10
+
+
+class TestReplaySnapshots:
+    def test_replay_takes_no_snapshots(self, monkeypatch):
+        """A closed-horizon replay cannot crash, so it images nothing;
+        its verdict and digest are those of a replay that snapshots."""
+        from repro.faults.execution import (
+            RecordedFaultLog,
+            apply_fault_transforms,
+        )
+        from repro.kernel.core import SchedulingKernel
+        from repro.sim.journal import EventJournal
+
+        shard = TenantShard(_stream_spec())
+        for msg in _decision_stream():
+            shard.handle(msg)
+        report = shard.close()
+
+        taken = []
+        checkpoint = SchedulingKernel.checkpoint
+
+        def counting(self):
+            taken.append(self.dispatch_count)
+            return checkpoint(self)
+
+        monkeypatch.setattr(SchedulingKernel, "checkpoint", counting)
+        check = replay_tenant(report)
+        assert taken == []
+        assert check.ok, check.failures
+        assert (len(check.replay_journal), check.replay_journal.digest) == (
+            len(report.journal), report.journal.digest,
+        )
+
+        spec = report.spec
+        faults = spec.build_start_faults() + [
+            RecordedFaultLog(report.injected)
+        ]
+        caps = apply_fault_transforms(
+            [spec.build_capacity()], faults, spec.horizon
+        )
+        journal = EventJournal()
+        snapshotting = simulate(
+            list(report.accepted),
+            spec.wrap_sensors(caps[0]),
+            spec.build_scheduler(),
+            horizon=spec.horizon,
+            faults=faults,
+            journal=journal,
+            snapshot_every=spec.snapshot_every,
+            event_queue="heap",
+        )
+        assert len(taken) > 10
+        assert journal.digest == check.replay_journal.digest
+        assert results_bit_identical(snapshotting, check.replay_result)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import shutil
+from pathlib import Path
 
 from repro.obs.telemetry import SloTracker, slo_parity_view
 from repro.service import (
@@ -149,16 +151,28 @@ class TestTrackingOn:
 
 class TestDurability:
     def test_slo_rides_the_snapshot_payload(self, tmp_path):
+        """The metrics ride the (live) image; the decisions and their
+        request ids ride the history it leaves out."""
+        from repro.service.history import HistoryRecord
+
         shard = TenantShard(_spec(), store=_store(tmp_path))
         _drive(shard)
         shard.persist_now()
         store = _store(tmp_path)
         payload, _anchor = store.load_snapshot()
+        records = [
+            HistoryRecord.decode(data)
+            for data in store.history_records(payload["history"])
+        ]
         store.close()
-        assert payload["version"] == 2
-        assert not {"slo", "recoveries", "forced_crashes"} & set(payload)
+        assert payload["version"] == 3
+        assert not {
+            "slo", "recoveries", "forced_crashes",
+            "accepted", "shed", "injected", "dedup", "rid_jids",
+        } & set(payload)
         assert payload["metrics"] == shard.stats()["metrics"]
-        assert "r0" in payload["rid_jids"]
+        requests = {rid: jid for r in records for rid, _o, jid in r.requests}
+        assert requests["r0"] == 0
         shard.close()
 
     def test_kill9_cold_start_slo_parity(self, tmp_path):
@@ -196,9 +210,6 @@ class TestDurability:
         # gone (only the op-log tail refolds), so decision counters start
         # at the resume point; the payload's recoveries/forced_crashes
         # seed their counters.
-        shard = TenantShard(_spec(), store=_store(tmp_path))
-        _drive(shard)
-        shard.persist_now()
         _as_version_1(tmp_path, slo=None, recoveries=1, forced_crashes=1)
 
         revived = TenantShard(_spec(), store=_store(tmp_path), resume=True)
@@ -215,9 +226,16 @@ class TestDurability:
         revived.close()
 
 
+#: parent_stores/slo_v2: this module's _spec() and _drive(), then a
+#: drain, written by the code before history (version-2 payloads).
+SLO_V2 = Path(__file__).parent / "parent_stores" / "slo_v2" / "t0"
+
+
 def _as_version_1(tmp_path, *, slo, recoveries, forced_crashes):
-    """Rewrite the newest snapshot into the version-1 payload layout
-    (tracker doc under ``slo``, counts beside it) and pickle it back."""
+    """Copy the version-2 store SLO_V2 and rewrite its newest snapshot
+    into the version-1 payload layout (tracker doc under ``slo``, counts
+    beside it)."""
+    shutil.copytree(SLO_V2, tmp_path / "t0")
     store = _store(tmp_path)
     payload, anchor = store.load_snapshot()
     old = {k: v for k, v in payload.items() if k != "metrics"}
@@ -262,9 +280,6 @@ _V1_SLO = {
 
 class TestVersion1Payloads:
     def test_tracker_doc_converted_on_cold_start(self, tmp_path):
-        shard = TenantShard(_spec(), store=_store(tmp_path))
-        _drive(shard)
-        shard.persist_now()
         _as_version_1(tmp_path, slo=_V1_SLO, recoveries=3, forced_crashes=2)
 
         revived = TenantShard(_spec(), store=_store(tmp_path), resume=True)
@@ -299,7 +314,7 @@ class TestVersion1Payloads:
             }],
         ]
         # Counting continues on the converted names; the next persist
-        # writes version 2.
+        # writes version 3.
         revived.handle(Submit("t0", _job(60, release=8.0), rid="r60"))
         revived.handle(Advance("t0", 9.0))
         assert revived.stats()["metrics"]["counters"]["service.admitted"] == 8
@@ -307,7 +322,7 @@ class TestVersion1Payloads:
         store = _store(tmp_path)
         payload, _ = store.load_snapshot()
         store.close()
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["metrics"]["counters"]["service.admitted"] == 8
         revived.close()
 
@@ -315,9 +330,6 @@ class TestVersion1Payloads:
         # A tracker restored from a tracker-less store undercounted
         # crashes and recoveries; the payload's own counts are the
         # authoritative ones.
-        shard = TenantShard(_spec(), store=_store(tmp_path))
-        _drive(shard)
-        shard.persist_now()
         stale = dict(_V1_SLO, counters={"recoveries": 1.0, "crashes": 0.0})
         _as_version_1(tmp_path, slo=stale, recoveries=5, forced_crashes=3)
 

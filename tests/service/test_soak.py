@@ -61,11 +61,12 @@ class TestSoakSmoke:
             assert outcome.check.ok, (
                 f"{tenant}: replay parity failed: {outcome.check.failures}"
             )
-            # One durable stream per decision: the op log (plus spec
-            # and snapshots) is all a tenant's store holds.
+            # One durable stream per decision: the op log (plus spec,
+            # live snapshots and the history they leave out) is all a
+            # tenant's store holds.
             store = ARTIFACT_DIR / tenant
             assert sorted(p.name for p in store.iterdir()) == [
-                "oplog", "snaps", "spec.json",
+                "history", "oplog", "snaps", "spec.json",
             ]
             assert any(p.suffix == ".seg" for p in (store / "oplog").iterdir())
         assert report.ok

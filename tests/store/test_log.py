@@ -270,6 +270,36 @@ class TestCompaction:
         assert SegmentedLog(d).entries() == [(5, b"y")]
 
 
+class TestTruncate:
+    @pytest.mark.parametrize("end", [0, 2, 3, 4, 8, 9, 12])
+    def test_truncate_drops_the_tail(self, tmp_path, end):
+        d = OsDirectory(tmp_path)
+        log = SegmentedLog(d, segment_bytes=64)
+        payloads = _fill(log, 9)  # 3 per segment
+        log.truncate(end)
+        kept = payloads[:end]
+        assert _records(log) == kept and log.next_seq == len(kept)
+        assert log.append(b"new") == len(kept)
+        log.close()
+        reopened = SegmentedLog(d, segment_bytes=64)
+        assert _records(reopened) == kept + [b"new"]
+
+    def test_truncate_below_the_base_rejected(self, tmp_path):
+        log = SegmentedLog(OsDirectory(tmp_path), segment_bytes=64)
+        _fill(log, 9)
+        log.compact(6)
+        with pytest.raises(StorageError, match="would drop the log"):
+            log.truncate(2)
+
+    def test_truncation_is_durable(self):
+        mem = MemoryDirectory()
+        log = SegmentedLog(mem, segment_bytes=64)
+        payloads = _fill(log, 7)
+        log.truncate(4)
+        mem.crash()
+        assert _records(SegmentedLog(mem, segment_bytes=64)) == payloads[:4]
+
+
 class TestPowerLoss:
     def test_synced_appends_survive_power_loss(self):
         mem = MemoryDirectory()

@@ -251,11 +251,11 @@ class _RecordingStore(TenantStore):
 
 
 class TestShardEveryOffset:
-    """End-to-end through a store-backed :class:`TenantShard`: op log
-    and snapshots on one power-loss-modelling directory, torn at every
-    byte offset of the op-log writes (and at a stride across the
-    snapshot and spec bytes), then power loss, cold start and
-    ``close()``.  The recovered decisions are exactly those whose fsynced
+    """End-to-end through a store-backed :class:`TenantShard`: op log,
+    history log and snapshots on one power-loss-modelling directory,
+    torn at every byte offset of the op-log and history writes (and at
+    a stride across the snapshot and spec bytes), then power loss, cold
+    start and ``close()``.  The recovered decisions are exactly those whose fsynced
     op append returned — plus, at most, a prefix of the one batch in
     flight, which a segment rotation's seal can make durable early — and
     the closed tenant replays bit-identically."""
@@ -307,7 +307,7 @@ class TestShardEveryOffset:
         assert len(store.returned) == 6  # every decision made it
         offsets, at = [], 0
         for tag, size in writes:
-            every = tag == "oplog"
+            every = tag in ("oplog", "history")
             offsets += [
                 k for k in range(at, at + size)
                 if every or k % self.STRIDE == 0
@@ -348,7 +348,108 @@ class TestShardEveryOffset:
             ], where
             check = replay_tenant(report)
             assert check.ok, (where, check.failures)
-        assert layers == {"spec", "oplog", "snaps"}
+        assert layers == {"spec", "oplog", "snaps", "history"}
+
+
+class _PowerCut(Exception):
+    pass
+
+
+class _CutStore(TenantStore):
+    """A TenantStore whose ``cut_at``-th snapshot commit never happens:
+    power fails after the history record was appended and fsynced."""
+
+    def __init__(self, *args, cut_at, **kwargs):
+        self.cut_at, self.commits = cut_at, 0
+        super().__init__(*args, **kwargs)
+
+    def write_snapshot(self, state, *, op_seq):
+        self.commits += 1
+        if self.commits == self.cut_at:
+            raise _PowerCut()
+        return super().write_snapshot(state, op_seq=op_seq)
+
+
+class TestHistoryAppendWithoutCommit:
+    """Power fails between a commit's history append and its snapshot:
+    the record on disk names drains no committed image covers.  Every
+    cold start must read it not at all — each acked decision exactly
+    once, replay parity, the same stats on each of two cold starts —
+    and the next commit replaces it."""
+
+    SPEC = TestShardEveryOffset.SPEC
+
+    def _messages(self):
+        return TestShardEveryOffset()._messages() + [
+            Submit("t0", TestShardEveryOffset._job(5, 7.5), rid="s5"),
+            Advance("t0", 11.0),
+        ]
+
+    def _commits(self):
+        store = _CutStore(MemoryDirectory(), cut_at=0, fsync=True)
+        shard = TenantShard(self.SPEC, store=store)
+        for message in self._messages():
+            shard.handle(message)
+        return store.commits
+
+    @staticmethod
+    def _decided(report):
+        return [job.jid for job in report.accepted], [
+            rec.jid for rec in report.shed
+        ]
+
+    def test_every_commit_cut(self):
+        total = self._commits()
+        assert total >= 3
+        for cut_at in range(1, total + 1):
+            mem = MemoryDirectory()
+            store = _CutStore(mem, cut_at=cut_at, fsync=True)
+            shard = TenantShard(self.SPEC, store=store)
+            acked = []
+            messages = self._messages()
+            for i, message in enumerate(messages):
+                try:
+                    shard.handle(message)
+                except _PowerCut:
+                    break
+                acked.append(message)
+            mem.crash()
+            assert len(store.history) >= cut_at  # the orphan is on disk
+            where = f"cut at commit {cut_at}"
+
+            first = TenantShard(
+                self.SPEC, store=TenantStore(mem, fsync=True), resume=True
+            )
+            stats = first.stats()
+            accepted, shed = self._decided(first.report())
+            assert len(set(accepted)) == len(accepted), where
+            assert len(set(shed)) == len(shed), where
+            for message in acked:
+                rid = getattr(message, "rid", None)
+                if rid is not None:
+                    assert first.dedup_outcome(rid), (where, rid)
+            check = replay_tenant(first.close())
+            assert check.ok, (where, check.failures)
+
+            second = TenantShard(
+                self.SPEC, store=TenantStore(mem, fsync=True), resume=True
+            )
+            assert second.stats() == stats, where
+            assert self._decided(second.report()) == (accepted, shed), where
+            # Resending the rest commits over the orphan record; a third
+            # cold start sees the whole stream once.
+            for message in messages[len(acked):]:
+                second.handle(message)
+            final = second.stats()
+            mem.sync_all()
+            mem.crash()
+            third = TenantShard(
+                self.SPEC, store=TenantStore(mem, fsync=True), resume=True
+            )
+            for key in ("submitted", "accepted", "shed", "accepted_crc"):
+                assert third.stats()[key] == final[key], (where, key)
+            check = replay_tenant(third.close())
+            assert check.ok, (where, check.failures)
 
 
 # ----------------------------------------------------------------------

@@ -40,9 +40,10 @@ class TestSpec:
     def test_paths(self, tmp_path):
         store = TenantStore(tmp_path / "t0")
         assert store.path == tmp_path / "t0"
-        # One append log (the op log) and the snapshot directory.
+        # Two append logs (the op log and the history the snapshots
+        # leave out) and the snapshot directory.
         assert sorted(p.name for p in store.path.iterdir()) == [
-            "oplog", "snaps",
+            "history", "oplog", "snaps",
         ]
         assert TenantStore(MemoryDirectory()).path is None
 
