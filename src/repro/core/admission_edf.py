@@ -14,25 +14,25 @@ by arrival order, not by value), so it fixes EDF's wasted-work pathology
 but still forfeits value under overload, which is exactly the gap the
 Dover family's value-based triage closes.
 
-Batch protocol: a same-instant release burst first tries **one** feasibility
-chain containing every newcomer (:meth:`_chain_admissible`).  Because the
-chain terms are non-negative and ``np.add.accumulate`` sums strictly
-left-to-right, dropping jobs from an admissible chain never increases any
-remaining completion instant — so a full-chain pass implies every per-event
-prefix test of the scalar path passes too, and the group folds through the
-plain EDF placement logic with zero per-event chain evaluations.  Only when
-the full chain fails does the group fall back to the per-event fold (some
-prefix may still be admissible), which reproduces the scalar decisions
-bit-for-bit.
+Batch protocol: an untraced same-instant release burst first tries **one**
+feasibility chain containing every newcomer (:meth:`_chain_admissible`).
+Because the chain terms are non-negative and ``np.add.accumulate`` sums
+strictly left-to-right, dropping jobs from an admissible chain never
+increases any remaining completion instant — so a full-chain pass implies
+every per-event prefix test of the scalar path passes too, and the group
+folds through the plain EDF placement logic with zero per-event chain
+evaluations.  Only when the full chain fails does the group fall back to
+the per-event fold (some prefix may still be admissible), which reproduces
+the scalar decisions bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.sim.batchproto import BatchDecisions, BatchScheduler, BatchView
+from repro.sim.batchproto import BatchScheduler, BatchView
 from repro.sim.job import Job
 from repro.sim.queues import JobQueue, edf_key
 from repro.sim.scheduler import Scheduler
@@ -107,48 +107,50 @@ class AdmissionEDFScheduler(BatchScheduler, Scheduler):
         return self._chain_admissible([newcomer], current)
 
     # ------------------------------------------------------------------
-    def _place_admitted(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _place_admitted(self, cur: Optional[Job], job: Job) -> Optional[Job]:
         """EDF placement of an already-admitted newcomer."""
+        obs = self.ctx.obs
         if cur is None:
-            return job, (self.name, "admit.idle", job.jid, None)
+            if obs is not None:
+                obs.decision(self.name, "admit.idle", self.ctx.now(), job.jid)
+            return job
         if edf_key(job) < edf_key(cur):
             self._ready.insert(cur)
-            return job, (
-                self.name,
-                "preempt.edf",
-                job.jid,
-                {"preempted": cur.jid},
-            )
+            if obs is not None:
+                obs.decision(
+                    self.name, "preempt.edf", self.ctx.now(), job.jid,
+                    preempted=cur.jid,
+                )
+            return job
         self._ready.insert(job)
-        return cur, (self.name, "admit.enqueue", job.jid, None)
+        if obs is not None:
+            obs.decision(self.name, "admit.enqueue", self.ctx.now(), job.jid)
+        return cur
 
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
         if not self._admissible_with(job, cur):
             self._rejected.add(job.jid)
-            return cur, (self.name, "reject.admission", job.jid, None)
+            obs = self.ctx.obs
+            if obs is not None:
+                obs.decision(
+                    self.name, "reject.admission", self.ctx.now(), job.jid
+                )
+            return cur
         return self._place_admitted(cur, job)
 
     def on_release(self, job: Job) -> Optional[Job]:
-        cur, payload = self._on_release_from(self.ctx.current_job(), job)
-        self._emit_decision(payload)
-        return cur
+        return self._on_release_from(self.ctx.current_job(), job)
 
-    def on_releases(self, view: BatchView) -> BatchDecisions:
+    def on_releases(self, view: BatchView) -> List[Optional[Job]]:
         cur = self.ctx.current_job()
         if len(view) > 1 and self._chain_admissible(list(view.jobs), cur):
             # Group fast path: one chain proved the whole burst feasible,
             # so every newcomer admits — fold the placement logic only.
             desired: List[Optional[Job]] = []
-            payloads: List[Optional[tuple]] = []
             for job in view.jobs:
-                cur, payload = self._place_admitted(cur, job)
+                cur = self._place_admitted(cur, job)
                 desired.append(cur)
-                payloads.append(payload)
-            return BatchDecisions(desired, payloads)
+            return desired
         return super().on_releases(view)
 
     def on_completions(self, view: BatchView) -> None:

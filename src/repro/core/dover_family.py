@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import EstimateError, SchedulingError
 from repro.sim.batchproto import BatchScheduler, BatchView
@@ -126,15 +126,6 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         self._beta = float(beta)
         self._rate_cfg = rate_estimate
         self._supplement_enabled = bool(supplement)
-
-    @property
-    def batch_obs_exact(self) -> bool:
-        # Sensed mode re-reads the capacity sensor inside every handler;
-        # the degradation ladder's health accounting must interleave with
-        # trace emissions exactly as the scalar path does, so the kernel
-        # keeps sensed runs on per-event dispatch whenever observability
-        # is active.
-        return self._rate_cfg != "sensed"
 
     # ------------------------------------------------------------------
     # Per-run state
@@ -269,32 +260,27 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
     # ------------------------------------------------------------------
     # Handler B: job release
     # ------------------------------------------------------------------
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
         self._refresh_rate()
+        obs = self.ctx.obs
 
         if cur is None:  # lines B.1–B.4: processor idle
             self._cslack = self._claxity(job)
-            return (
-                self._dispatch_regular(job),
-                (self.name, "admit.idle", job.jid, None),
-            )
+            if obs is not None:
+                obs.decision(self.name, "admit.idle", self.ctx.now(), job.jid)
+            return self._dispatch_regular(job)
 
         if self._is_supplement(cur):  # lines B.13–B.15
             # Regular arrivals preempt supplement work immediately.
             self._qsupp.insert(cur)
             self._stats["supplement_preemptions"] += 1
             self._cslack = self._claxity(job)
-            return (
-                self._dispatch_regular(job),
-                (
-                    self.name,
-                    "preempt.supplement",
-                    job.jid,
-                    {"preempted": cur.jid},
-                ),
-            )
+            if obs is not None:
+                obs.decision(
+                    self.name, "preempt.supplement", self.ctx.now(), job.jid,
+                    preempted=cur.jid,
+                )
+            return self._dispatch_regular(job)
 
         # Current is regular: EDF comparison, lines B.6–B.12.
         if job.deadline < cur.deadline and self._cslack >= self._tc(job):
@@ -304,18 +290,20 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             self._arm_zero_laxity(cur)
             self._cslack = min(self._cslack - self._tc(job), self._claxity(job))
             self._stats["edf_preemptions"] += 1
-            return (
-                self._dispatch_regular(job),
-                (self.name, "preempt.edf", job.jid, {"preempted": cur.jid}),
-            )
+            if obs is not None:
+                obs.decision(
+                    self.name, "preempt.edf", self.ctx.now(), job.jid,
+                    preempted=cur.jid,
+                )
+            return self._dispatch_regular(job)
 
         self._enqueue_other(job)  # line B.11
-        return cur, (self.name, "enqueue.other", job.jid, None)
+        if obs is not None:
+            obs.decision(self.name, "enqueue.other", self.ctx.now(), job.jid)
+        return cur
 
     def on_release(self, job: Job) -> Optional[Job]:
-        cur, payload = self._on_release_from(self.ctx.current_job(), job)
-        self._emit_decision(payload)
-        return cur
+        return self._on_release_from(self.ctx.current_job(), job)
 
     # ------------------------------------------------------------------
     # Handler C: job completion or failure (of the running job)

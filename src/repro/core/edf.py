@@ -12,7 +12,7 @@ earliest, starving everything else.  The adversarial generators in
 :mod:`repro.workload.instances` exhibit this; Dover/V-Dover exist to fix it.
 
 Batch protocol: the release logic is factored into
-:meth:`_on_release_from` (current job passed explicitly), so a
+:meth:`_on_release_from` (current job passed explicitly), so an untraced
 same-instant release burst folds through one
 :meth:`~repro.sim.batchproto.BatchScheduler.plan` call — bit-identical
 decisions, minus the per-event kernel dispatch overhead.
@@ -20,7 +20,7 @@ decisions, minus the per-event kernel dispatch overhead.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.sim.batchproto import BatchScheduler, BatchView
 from repro.sim.job import Job
@@ -41,21 +41,27 @@ class EDFScheduler(BatchScheduler, Scheduler):
     def reset(self) -> None:
         self._ready: JobQueue[Job] = JobQueue(edf_key, name="edf-ready")
 
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
+        obs = self.ctx.obs
         if cur is None:
-            return job, (self.name, "admit.idle", job.jid, None)
+            if obs is not None:
+                obs.decision(self.name, "admit.idle", self.ctx.now(), job.jid)
+            return job
         if edf_key(job) < edf_key(cur):
             self._ready.insert(cur)
-            return job, (self.name, "preempt.edf", job.jid, {"preempted": cur.jid})
+            if obs is not None:
+                obs.decision(
+                    self.name, "preempt.edf", self.ctx.now(), job.jid,
+                    preempted=cur.jid,
+                )
+            return job
         self._ready.insert(job)
-        return cur, (self.name, "enqueue.ready", job.jid, None)
+        if obs is not None:
+            obs.decision(self.name, "enqueue.ready", self.ctx.now(), job.jid)
+        return cur
 
     def on_release(self, job: Job) -> Optional[Job]:
-        cur, payload = self._on_release_from(self.ctx.current_job(), job)
-        self._emit_decision(payload)
-        return cur
+        return self._on_release_from(self.ctx.current_job(), job)
 
     def on_releases_fast(self, job_view) -> Optional[Job]:
         # Only the min-key newcomer can end up on the processor, so the

@@ -9,7 +9,7 @@ deadline-blind policy (pure greedy) wastes work on jobs that cannot finish.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 from repro.sim.batchproto import BatchScheduler, BatchView
 from repro.sim.job import Job
@@ -36,26 +36,27 @@ class _PriorityPreemptiveScheduler(BatchScheduler, Scheduler):
     def reset(self) -> None:
         self._ready: JobQueue[Job] = JobQueue(self._key, name=f"{self.name}-ready")
 
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
+        obs = self.ctx.obs
         if cur is None:
-            return job, (self.name, "admit.idle", job.jid, None)
+            if obs is not None:
+                obs.decision(self.name, "admit.idle", self.ctx.now(), job.jid)
+            return job
         if self._key(job) < self._key(cur):
             self._ready.insert(cur)
-            return job, (
-                self.name,
-                "preempt.priority",
-                job.jid,
-                {"preempted": cur.jid},
-            )
+            if obs is not None:
+                obs.decision(
+                    self.name, "preempt.priority", self.ctx.now(), job.jid,
+                    preempted=cur.jid,
+                )
+            return job
         self._ready.insert(job)
-        return cur, (self.name, "enqueue.ready", job.jid, None)
+        if obs is not None:
+            obs.decision(self.name, "enqueue.ready", self.ctx.now(), job.jid)
+        return cur
 
     def on_release(self, job: Job) -> Optional[Job]:
-        cur, payload = self._on_release_from(self.ctx.current_job(), job)
-        self._emit_decision(payload)
-        return cur
+        return self._on_release_from(self.ctx.current_job(), job)
 
     def on_completions(self, view: BatchView) -> None:
         remove = self._ready.remove
@@ -162,18 +163,19 @@ class FCFSScheduler(BatchScheduler, Scheduler):
             lambda job: (job.release, job.jid), name="fcfs-fifo"
         )
 
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
+        obs = self.ctx.obs
         if cur is None:
-            return job, (self.name, "admit.idle", job.jid, None)
+            if obs is not None:
+                obs.decision(self.name, "admit.idle", self.ctx.now(), job.jid)
+            return job
         self._fifo.insert(job)
-        return cur, (self.name, "enqueue.fifo", job.jid, None)
+        if obs is not None:
+            obs.decision(self.name, "enqueue.fifo", self.ctx.now(), job.jid)
+        return cur
 
     def on_release(self, job: Job) -> Optional[Job]:
-        cur, payload = self._on_release_from(self.ctx.current_job(), job)
-        self._emit_decision(payload)
-        return cur
+        return self._on_release_from(self.ctx.current_job(), job)
 
     def on_completions(self, view: BatchView) -> None:
         remove = self._fifo.remove

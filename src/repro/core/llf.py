@@ -22,7 +22,7 @@ unbounded rate).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.sim.batchproto import BatchScheduler
 from repro.sim.job import Job
@@ -93,52 +93,49 @@ class LLFScheduler(BatchScheduler, Scheduler):
         delay = max(gap + self._eta, self._eta)
         self.ctx.set_alarm(waiter, self.ctx.now() + delay, tag="llf-cross")
 
-    def _elect_from(
-        self, current: Optional[Job]
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _elect_from(self, current: Optional[Job]) -> Optional[Job]:
         """Pick the least-lax job among ``current`` + waiting, with
         hysteresis favouring the running job.
 
         The current job is passed explicitly so a batch fold can thread the
-        hypothetical current through the group; the decision record is
-        returned as a payload rather than emitted (laxities, crossing
-        timers and queue moves are bit-identical either way — the group
-        shares one timestamp, so no work elapses between fold steps)."""
+        hypothetical current through the group (laxities, crossing timers
+        and queue moves are bit-identical either way — the group shares one
+        timestamp, so no work elapses between fold steps)."""
         if not self._ready:
-            return current, None
+            return current
         waiter = self._ready.first()
+        obs = self.ctx.obs
         if current is None:
             chosen = self._ready.dequeue()
             self._arm_crossing_timer(chosen)
-            return chosen, (self.name, "admit.idle", chosen.jid, None)
+            if obs is not None:
+                obs.decision(self.name, "admit.idle", self.ctx.now(), chosen.jid)
+            return chosen
         if self._laxity(waiter) < self._laxity(current) - self._eta:
             self._ready.remove(waiter)
             self._ready.insert(current)
             self._arm_crossing_timer(waiter)
-            return waiter, (
-                self.name,
-                "preempt.llf",
-                waiter.jid,
-                {"preempted": current.jid},
-            )
+            if obs is not None:
+                obs.decision(
+                    self.name, "preempt.llf", self.ctx.now(), waiter.jid,
+                    preempted=current.jid,
+                )
+            return waiter
         self._arm_crossing_timer(current)
-        return current, (self.name, "keep.current", current.jid, None)
+        if obs is not None:
+            obs.decision(self.name, "keep.current", self.ctx.now(), current.jid)
+        return current
 
     def _elect(self) -> Optional[Job]:
-        chosen, payload = self._elect_from(self.ctx.current_job())
-        self._emit_decision(payload)
-        return chosen
+        return self._elect_from(self.ctx.current_job())
 
     # ------------------------------------------------------------------
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
         self._ready.insert(job)
         return self._elect_from(cur)
 
     def on_release(self, job: Job) -> Optional[Job]:
-        self._ready.insert(job)
-        return self._elect()
+        return self._on_release_from(self.ctx.current_job(), job)
 
     def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
         self._ready.remove(job)

@@ -42,14 +42,9 @@ import numpy as np
 from repro import obs as _obs
 from repro.capacity.base import CapacityFunction
 from repro.capacity.markov import TwoStateMarkovCapacity
-from repro.errors import (
-    ExperimentError,
-    ReplicationTimeout,
-    ReproError,
-    SimulatedCrash,
-)
-from repro.multi.engine import MultiprocessorEngine, simulate_multi
-from repro.sim.engine import SimulationEngine, simulate
+from repro.errors import ExperimentError, ReplicationTimeout, ReproError
+from repro.multi.engine import simulate_multi
+from repro.sim.engine import simulate
 from repro.sim.job import Job, total_value
 from repro.sim.scheduler import Scheduler
 from repro.workload.base import WorkloadGenerator
@@ -73,10 +68,6 @@ __all__ = [
 #: an invalid instance) would fail identically on every retry and are
 #: recorded as failures immediately.
 TRANSIENT_EXCEPTIONS = (ReplicationTimeout, OSError)
-
-#: Upper bound on snapshot resumes per replication (a crash plan that
-#: somehow re-fires forever must not wedge the worker).
-_MAX_CRASH_RESUMES = 16
 
 
 def default_mc_runs(fallback: int) -> int:
@@ -217,9 +208,6 @@ class FailedReplication:
     message: str
     attempts: int  #: total attempts, including retries
     traceback: str = ""
-    #: last engine snapshot when the failure was an unrecoverable
-    #: simulated crash (in-memory only; never serialized to checkpoints)
-    snapshot: object = field(default=None, compare=False, repr=False)
     #: the last N trace events preceding the failure (JSON-ready dicts)
     #: when the replication ran inside an obs session — what turned
     #: "replication #317 raised" into a diagnosable record
@@ -372,44 +360,16 @@ def _fresh_seed(seed_seq: np.random.SeedSequence) -> np.random.SeedSequence:
     )
 
 
-class _ReplicationCrash(Exception):
-    """Internal: a :class:`~repro.errors.SimulatedCrash` escaped one
-    scheduler's run inside a replication.
-
-    Carries everything :func:`_run_one` needs to *resume* — which
-    scheduler crashed, the paired values already banked for earlier
-    schedulers, and the crash (whose snapshot the resumed engine
-    restores) — so the crash-isolation loop continues the replication
-    from the last snapshot instead of re-running it from scratch."""
-
-    def __init__(
-        self,
-        spec_index: int,
-        values: dict,
-        completed: dict,
-        recovered: int,
-        crash: SimulatedCrash,
-    ) -> None:
-        super().__init__(str(crash))
-        self.spec_index = spec_index
-        self.values = values
-        self.completed = completed
-        self.recovered = recovered
-        self.crash = crash
-
-
-def _run_one(args: tuple, resume: "_ReplicationCrash | None" = None) -> ReplicationOutcome:
+def _run_one(args: tuple) -> ReplicationOutcome:
     """Worker: one replication — one instance, all schedulers (paired).
 
     Instance factories may expose ``make_with_faults(rng) -> (jobs,
     capacity, faults)`` to arm execution faults (:mod:`repro.faults.
     execution`) on every scheduler's run; plain factories keep the
-    fault-free ``make(rng)`` contract.  A :class:`~repro.errors.
-    SimulatedCrash` escaping a run is wrapped in :class:`_ReplicationCrash`
-    with the partial paired results; when ``resume`` carries such a crash,
-    the affected scheduler restores the crash's snapshot and the earlier
-    schedulers' banked values are kept (jobs and capacity re-derive
-    bit-identically from the replication seed)."""
+    fault-free ``make(rng)`` contract.  Each run survives a
+    :class:`~repro.errors.SimulatedCrash` by restoring the crash's
+    snapshot (``simulate(..., recover=True)``); the outcome counts the
+    crashes survived."""
     factory, specs, seed_seq = args
     rng = np.random.default_rng(_fresh_seed(seed_seq))
     make_with_faults = getattr(factory, "make_with_faults", None)
@@ -418,56 +378,32 @@ def _run_one(args: tuple, resume: "_ReplicationCrash | None" = None) -> Replicat
     else:
         jobs, capacity = factory.make(rng)
         faults = ()
-    gen_value = total_value(jobs)
+    # A factory returning a *list* of capacities selects the
+    # multiprocessor engine; schedulers are then MultiScheduler specs.
+    if isinstance(capacity, (list, tuple)):
+        run, capacity = simulate_multi, list(capacity)
+    else:
+        run = simulate
 
-    start_index = 0
     values: dict[str, float] = {}
     completed: dict[str, int] = {}
     recovered = 0
-    pending_snapshot = None
-    if resume is not None:
-        start_index = resume.spec_index
-        values = dict(resume.values)
-        completed = dict(resume.completed)
-        recovered = resume.recovered + 1  # the crash now being survived
-        pending_snapshot = resume.crash.snapshot
-
-    for i, spec in enumerate(specs):
-        if i < start_index:
-            continue
-        # A factory returning a *list* of capacities selects the
-        # multiprocessor engine; schedulers are then MultiScheduler specs.
-        is_multi = isinstance(capacity, (list, tuple))
-        try:
-            if i == start_index and pending_snapshot is not None:
-                if is_multi:
-                    engine = MultiprocessorEngine(
-                        jobs, list(capacity), spec.build(), faults=faults
-                    )
-                else:
-                    engine = SimulationEngine(
-                        jobs, capacity, spec.build(), faults=faults
-                    )
-                engine.restore(pending_snapshot)
-                result = engine.run()
-            else:
-                # Crash plans keep a ``fired`` latch; clear it so every
-                # scheduler in the paired comparison sees the same fault.
-                for fault in faults:
-                    if getattr(fault, "is_crash_plan", False):
-                        fault.fired = False
-                if is_multi:
-                    result = simulate_multi(
-                        jobs, list(capacity), spec.build(), faults=faults
-                    )
-                else:
-                    result = simulate(jobs, capacity, spec.build(), faults=faults)
-        except SimulatedCrash as crash:
-            raise _ReplicationCrash(i, values, completed, recovered, crash)
+    for spec in specs:
+        # Crash plans keep a ``fired`` latch; clear it so every scheduler
+        # in the paired comparison sees the same fault.
+        for fault in faults:
+            if getattr(fault, "is_crash_plan", False):
+                fault.fired = False
+        # 16 recoveries bound a crash plan that somehow re-fires forever.
+        result = run(
+            jobs, capacity, spec.build(), faults=faults, recover=True,
+            max_recoveries=16,
+        )
         values[spec.name] = result.value
         completed[spec.name] = result.n_completed
+        recovered += result.recoveries
     return ReplicationOutcome(
-        generated_value=gen_value,
+        generated_value=total_value(jobs),
         n_jobs=len(jobs),
         values=values,
         completed=completed,
@@ -502,14 +438,8 @@ def _run_one_safe(
     abandoned one.  Successful outcomes carry the registry snapshot (plus
     a ``mc.replication_wall_s`` wall-time observation); failures carry the
     trailing trace events."""
-    if len(payload) == 5:  # pre-obs payload shape (kept for direct callers)
-        index, factory, specs, seed_seq, policy = payload
-        obs_spec: "_obs.ObsSpec | None" = None
-    else:
-        index, factory, specs, seed_seq, policy, obs_spec = payload
+    index, factory, specs, seed_seq, policy, obs_spec = payload
     attempts = 0
-    resume: _ReplicationCrash | None = None
-    crash_resumes = 0
     octx: "_obs.ObsContext | None" = None
     if obs_spec is not None:
         octx = _obs.enable(ring=obs_spec.ring, profile=obs_spec.profile)
@@ -519,7 +449,7 @@ def _run_one_safe(
             attempts += 1
             try:
                 with _replication_deadline(policy.timeout):
-                    outcome = _run_one((factory, specs, seed_seq), resume=resume)
+                    outcome = _run_one((factory, specs, seed_seq))
                 if octx is not None:
                     octx.metrics.histogram("mc.replication_wall_s").observe(
                         time.perf_counter() - wall_start
@@ -528,35 +458,11 @@ def _run_one_safe(
                 return index, outcome
             except KeyboardInterrupt:  # pragma: no cover - user interrupt
                 raise
-            except _ReplicationCrash as crashed:
-                # A simulated engine crash: resume from its snapshot rather
-                # than re-running the whole replication.  Resumes do not
-                # consume the transient-retry budget (they make progress).
-                crash_resumes += 1
-                if crashed.crash.snapshot is not None and crash_resumes <= _MAX_CRASH_RESUMES:
-                    resume = crashed
-                    attempts -= 1
-                    continue
-                reason = (
-                    "crash carries no snapshot (snapshotting disabled?)"
-                    if crashed.crash.snapshot is None
-                    else f"gave up after {_MAX_CRASH_RESUMES} snapshot resumes"
-                )
-                return index, FailedReplication(
-                    index=index,
-                    error_type=type(crashed.crash).__qualname__,
-                    message=f"{crashed.crash} — {reason}",
-                    attempts=attempts,
-                    traceback=traceback_module.format_exc(),
-                    snapshot=crashed.crash.snapshot,
-                    trace_tail=_trace_tail(octx, obs_spec.tail if obs_spec else 0),
-                )
             except Exception as exc:
                 transient = isinstance(exc, TRANSIENT_EXCEPTIONS)
                 if transient and attempts <= policy.max_retries:
                     if policy.backoff > 0.0:
                         time.sleep(policy.backoff * attempts)
-                    resume = None  # retries restart the replication from scratch
                     if octx is not None:
                         # Fresh session: the retried attempt is bit-identical
                         # to a first-try success, so its trace/metrics must

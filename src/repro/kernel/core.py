@@ -43,11 +43,13 @@ COMPLETION predicted at exactly ``t``), which must precede the remaining
 batch.
 
 A same-instant group of releases (or of deadlines of waiting jobs) is
-several of the paper's interrupts at one ``t``.  When the scheduler can
-decide such a group in one call (:mod:`repro.sim.batchproto`) and the
-kernel can show the result is bit-identical to handling the interrupts
-one at a time, the loop gathers the group and hands it over whole; every
-other event takes its own scheduler decision.
+several of the paper's interrupts at one ``t``.  When no observability
+session is open, the scheduler can decide such a group in one call
+(:mod:`repro.sim.batchproto`) and the kernel can show the result is
+bit-identical to handling the interrupts one at a time, the loop gathers
+the group and hands it over whole; every other event — and every event of
+a traced, metrics-only or profiled run — takes its own scheduler
+decision.
 
 Provably-dead events (stale version token, or a job event whose job is
 already terminal) are filtered *before* journaling — ~20–35 % of pops on
@@ -950,9 +952,9 @@ class SchedulingKernel:
         whole group goes to the scheduler in one call
         (:meth:`_dispatch_gathered`).  The kernel gathers only when the
         result is bit-identical to dispatching the group event by event:
-        the scheduler is ``batch_capable``; tracing is off, or on with
-        ``batch_obs_exact`` and without profiling (which samples
-        per-event latencies); and the ``_batch_unsafe`` latch is clear."""
+        the scheduler is ``batch_capable``, the ``_batch_unsafe`` latch is
+        clear, and no observability session is open (a traced run records
+        the interrupt stream one event at a time)."""
         events = self._events
         pop = events.pop
         peek = events.peek_time
@@ -972,13 +974,7 @@ class SchedulingKernel:
         owner = self.owner
         octx = self._obs
         scheduler = self._scheduler
-        gather = bool(getattr(scheduler, "batch_capable", False)) and (
-            octx is None
-            or (
-                bool(getattr(scheduler, "batch_obs_exact", False))
-                and not octx.profile
-            )
-        )
+        gather = bool(getattr(scheduler, "batch_capable", False)) and octx is None
         gather_deadlines = gather and bool(
             getattr(scheduler, "batch_pure_completions", False)
         )
@@ -989,7 +985,6 @@ class SchedulingKernel:
             and watchdog is None
             and snapshot_every is None
             and not has_event_crashes
-            and octx is None
         )
 
         while len(events):
@@ -1201,7 +1196,6 @@ class SchedulingKernel:
         gather time matches the pop-by-pop filter exactly."""
         kind = first.kind
         journal = self._journal
-        octx = self._obs
         noop = self._event_is_noop
         base = self._dispatch_count
         if self._event_crashes:
@@ -1214,8 +1208,6 @@ class SchedulingKernel:
         group = [first]
         for event in rest:
             if noop(event):
-                if octx is not None:
-                    octx.metrics.counter("kernel.events.skipped_stale").inc()
                 continue
             if journal is not None:
                 self._journal_event(event)
@@ -1251,31 +1243,10 @@ class SchedulingKernel:
         of the group's (or a higher) priority can be pushed mid-group, so
         popping one event at a time would yield exactly these events in
         this order."""
-        octx = self._obs
         watchdog = self._watchdog
         owner = self.owner
         dispatch = self._dispatch
-        base = self._dispatch_count - len(group)
-        if octx is None:
-            for i, event in enumerate(group):
-                dispatch(event)
-                if watchdog is not None:
-                    watchdog.after_event(owner, event)
-            return
-        sink = octx.sink
-        metrics = octx.metrics
-        events_c = metrics.counter("kernel.events")
-        gauge = metrics.gauge("kernel.heap_size")
-        heap_len = len(self._events)
-        last = len(group) - 1
-        for i, event in enumerate(group):
-            if sink is not None:
-                sink.current_dispatch = base + i
-            events_c.inc()
-            metrics.counter("kernel.events." + event.kind.name).inc()
-            # Per-event dispatch pops one event at a time: at event i the
-            # rest of the group is still in the heap.
-            gauge.set(float(len(self._events) + (last - i)))
+        for event in group:
             dispatch(event)
             if watchdog is not None:
                 watchdog.after_event(owner, event)
@@ -1286,20 +1257,19 @@ class SchedulingKernel:
         """One ``plan()`` call for a same-instant release burst.
 
         The jobs are marked READY (and their remaining initialised) up
-        front so the scheduler sees the whole group's columns; decisions
-        are then applied one event at a time — each release emitted, its
-        decision record emitted, its assignment applied — so segments and
-        traces are bit-identical to per-event dispatch.
+        front so the scheduler sees the whole group's columns; the
+        returned assignments are then applied one event at a time, so
+        segments and journals are bit-identical to per-event dispatch.
 
         ``net=True`` (nothing attached: no journal, watchdog, snapshot
-        cadence, crash plan or observability) applies just the group's
-        *final* assignment instead.  Same-instant intermediate
-        switches are observably inert without journal/obs/snapshots: they
-        fold zero work (``remaining`` bit-unchanged), their zero-length
-        segments are dropped by ``ScheduleTrace.add_segment``, and the
-        completion events they push are orphaned within the same group —
-        so skipping them changes only internal version counters and heap
-        churn, never results or traces."""
+        cadence or crash plan) applies just the group's *final*
+        assignment instead.  Same-instant intermediate switches are
+        observably inert without journal/snapshots: they fold zero work
+        (``remaining`` bit-unchanged), their zero-length segments are
+        dropped by ``ScheduleTrace.add_segment``, and the completion
+        events they push are orphaned within the same group — so skipping
+        them changes only internal version counters and heap churn, never
+        results or traces."""
         from repro.sim.batchproto import BatchView
 
         scheduler = self._scheduler
@@ -1321,76 +1291,31 @@ class SchedulingKernel:
             if planner is not None:
                 self._apply(planner(view), t)
             else:
-                self._apply(scheduler.plan(view).desired[-1], t)
+                self._apply(scheduler.plan(view)[-1], t)
             return
-        decisions = scheduler.plan(view)
-        desired = decisions.desired
-        payloads = decisions.obs
+        desired = scheduler.plan(view)
         if len(desired) != len(jobs):
             raise SchedulingError(
                 f"plan() returned {len(desired)} decisions for "
                 f"{len(jobs)} releases"
             )
         apply = self._apply
-        octx = self._obs
         watchdog = self._watchdog
-        owner = self.owner
-        if octx is None:
-            if watchdog is None:
-                for want in desired:
-                    apply(want, t)
-            else:
-                for i, event in enumerate(group):
-                    apply(desired[i], t)
-                    watchdog.after_event(owner, event)
-            return
-        # Traced batch (batch_obs_exact schedulers only): the group's
-        # emissions land in one ring container (exploded lazily on
-        # export), interleaved per event exactly as per-event dispatch
-        # interleaves them.
-        sink = octx.sink
-        metrics = octx.metrics
-        events_c = metrics.counter("kernel.events")
-        kind_c = metrics.counter("kernel.events.RELEASE")
-        gauge = metrics.gauge("kernel.heap_size")
-        emit = octx.emit
-        decision = octx.decision
-        base = self._dispatch_count - len(group)
-        last = len(group) - 1
-        with octx.decisions(t):
-            for i, job in enumerate(jobs):
-                if sink is not None:
-                    sink.current_dispatch = base + i
-                events_c.inc()
-                kind_c.inc()
-                gauge.set(float(len(self._events) + (last - i)))
-                emit(
-                    "job.release",
-                    t,
-                    {
-                        "jid": job.jid,
-                        "deadline": job.deadline,
-                        "workload": job.workload,
-                        "value": job.value,
-                    },
-                )
-                payload = payloads[i]
-                if payload is not None:
-                    policy, action, jid, extra = payload
-                    if extra:
-                        decision(policy, action, t, jid, **extra)
-                    else:
-                        decision(policy, action, t, jid)
-                apply(desired[i], t)
-                if watchdog is not None:
-                    watchdog.after_event(owner, group[i])
+        if watchdog is None:
+            for want in desired:
+                apply(want, t)
+        else:
+            owner = self.owner
+            for want, event in zip(desired, group):
+                apply(want, t)
+                watchdog.after_event(owner, event)
 
     def _dispatch_deadline_group(self, group: List[Event], t: float) -> None:
         """One ``on_completions()`` purge for a same-instant deadline
         sweep of *waiting* jobs.
 
         Batched only when no job of the group is running (then the
-        per-event path per job is: mark FAILED, record, emit, then a silent
+        per-event path per job is: mark FAILED, record, then a silent
         queue-purge ``on_job_end`` that keeps the current assignment — no
         applies, so the fold is one purge call).  Otherwise the gathered
         group falls back to per-event dispatch, which handles the
@@ -1412,48 +1337,19 @@ class SchedulingKernel:
         row_of = self._row
         st = self._st
         outcomes = self._outcomes
-        octx = self._obs
         watchdog = self._watchdog
         owner = self.owner
         jobs: List[Job] = []
         rows: List[int] = []
         for event in group:
             job = event.payload
+            row = row_of[job.jid]
+            st[row] = _FAILED
+            outcomes.record_outcome(job, JobStatus.FAILED, t)
+            if watchdog is not None:
+                watchdog.after_event(owner, event)
             jobs.append(job)
-            rows.append(row_of[job.jid])
-        if octx is None:
-            for i, job in enumerate(jobs):
-                st[rows[i]] = _FAILED
-                outcomes.record_outcome(job, JobStatus.FAILED, t)
-                if watchdog is not None:
-                    watchdog.after_event(owner, group[i])
-        else:
-            sink = octx.sink
-            metrics = octx.metrics
-            events_c = metrics.counter("kernel.events")
-            kind_c = metrics.counter("kernel.events.DEADLINE")
-            miss_c = metrics.counter("kernel.deadline_misses")
-            gauge = metrics.gauge("kernel.heap_size")
-            emit = octx.emit
-            base = self._dispatch_count - len(group)
-            last = len(group) - 1
-            with octx.decisions(t):
-                for i, job in enumerate(jobs):
-                    if sink is not None:
-                        sink.current_dispatch = base + i
-                    events_c.inc()
-                    kind_c.inc()
-                    gauge.set(float(len(self._events) + (last - i)))
-                    st[rows[i]] = _FAILED
-                    outcomes.record_outcome(job, JobStatus.FAILED, t)
-                    miss_c.inc()
-                    emit(
-                        "job.deadline_miss",
-                        t,
-                        {"jid": job.jid, "value": job.value},
-                    )
-                    if watchdog is not None:
-                        watchdog.after_event(owner, group[i])
+            rows.append(row)
         self._scheduler.on_completions(
             BatchView(t, EventKind.DEADLINE, jobs, rows, self._table)
         )

@@ -85,9 +85,7 @@ class PartitionedScheduler(MultiScheduler):
 
     name = "Partitioned"
 
-    #: Release bursts fold through :meth:`plan`; the sub-schedulers emit
-    #: their decision records directly mid-fold, so tracing keeps the
-    #: per-event path (``batch_obs_exact`` stays ``False``).
+    #: Untraced release bursts fold through :meth:`plan`.
     batch_capable = True
 
     def __init__(
@@ -126,18 +124,16 @@ class PartitionedScheduler(MultiScheduler):
         self._proc_of[job.jid] = proc
         return self._assignment_with(proc, self._subs[proc].on_release(job))
 
-    def plan(self, view) -> "object":
+    def plan(self, view) -> list:
         """Incremental re-plan of one release burst: route each newcomer,
         fold it through its partition's sub-scheduler against the
-        hypothetical running vector, and emit one assignment snapshot per
+        hypothetical running vector, and return one assignment snapshot per
         event — bit-identical to dispatching the releases one at a time
         (the dispatchers read only the job and their own routing state)."""
-        from repro.errors import SchedulingError as _SE
-        from repro.sim.batchproto import BatchDecisions
         from repro.sim.events import EventKind
 
         if view.kind != EventKind.RELEASE:
-            raise _SE(
+            raise SchedulingError(
                 f"{type(self).__name__} batches release groups only, "
                 f"got {view.kind!r}"
             )
@@ -146,7 +142,7 @@ class PartitionedScheduler(MultiScheduler):
         views = self._views
         for pv in views:
             pv._hypo_running = running
-        desired: "list" = []
+        desired = []
         try:
             for job in view.jobs:
                 proc = self._dispatcher.route(job)
@@ -160,7 +156,7 @@ class PartitionedScheduler(MultiScheduler):
         finally:
             for pv in views:
                 pv._hypo_running = None
-        return BatchDecisions(desired)
+        return desired
 
     def on_job_end(self, job: Job, completed: bool) -> Assignment:
         proc = self._proc_of.get(job.jid)

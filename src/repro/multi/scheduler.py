@@ -98,7 +98,6 @@ class MultiScheduler(abc.ABC):
     #: by setting ``batch_capable`` and implementing it with assignment
     #: decisions.
     batch_capable = False
-    batch_obs_exact = False
     batch_pure_completions = False
 
     def __init__(self) -> None:
@@ -261,21 +260,12 @@ class SingleProcessorAdapter(MultiScheduler):
         return bool(getattr(self.inner, "batch_capable", False))
 
     @property
-    def batch_obs_exact(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.inner, "batch_obs_exact", False))
-
-    @property
     def batch_pure_completions(self) -> bool:  # type: ignore[override]
         return bool(getattr(self.inner, "batch_pure_completions", False))
 
     def plan(self, view):
         """Lift the inner policy's batch decisions to one-slot assignments."""
-        from repro.sim.batchproto import BatchDecisions
-
-        decisions = self.inner.plan(view)
-        return BatchDecisions(
-            [[d] for d in decisions.desired], decisions.obs
-        )
+        return [[d] for d in self.inner.plan(view)]
 
     def on_completions(self, view) -> None:
         self.inner.on_completions(view)

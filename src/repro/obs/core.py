@@ -127,28 +127,6 @@ class ObsContext:
             sink.emit("decision", t, data)
         self.metrics.counter("scheduler.decisions." + action).inc()
 
-    @contextmanager
-    def decisions(self, t: float) -> Iterator[None]:
-        """Batch every trace emission in the block into **one** ring record.
-
-        The batch kernel wraps each multi-event interrupt group in this
-        context: releases, decision records and segment transitions emitted
-        while it is open are buffered into a single ``kind="decisions"``
-        container event (one ring slot per batch).  The container is
-        exploded lazily on read/export (:class:`~repro.obs.trace.TraceSink`),
-        so exported traces stay byte-identical with the scalar per-event
-        path.  Metrics counters are unaffected — they increment per call as
-        always.  No-op in metrics-only sessions (no sink)."""
-        sink = self.sink
-        if sink is None:
-            yield
-            return
-        sink.begin_group(t)
-        try:
-            yield
-        finally:
-            sink.end_group()
-
     def snapshot_metrics(self) -> Dict[str, Any]:
         return self.metrics.snapshot()
 

@@ -42,24 +42,8 @@ def _tally_table(title: str, tally: Mapping[str, int]) -> List[str]:
 def decision_stream(
     events: Iterable[Mapping[str, Any]],
 ) -> List[Dict[str, Any]]:
-    """The ordered list of ``decision`` events from a trace event list.
-
-    Batched-protocol traces may carry ``kind="decisions"`` *container*
-    events (one ring slot per same-instant interrupt batch, see
-    :meth:`repro.obs.trace.TraceSink.begin_group`).  Containers are
-    exploded here so diffs and decision-mix tallies see every individual
-    decision — a whole batch is never one opaque event.
-    """
-    out: List[Dict[str, Any]] = []
-    for e in events:
-        kind = e.get("kind")
-        if kind == "decision":
-            out.append(dict(e))
-        elif kind == "decisions":
-            for item in (e.get("data") or {}).get("items") or ():
-                if item.get("kind") == "decision":
-                    out.append(dict(item))
-    return out
+    """The ordered list of ``decision`` events from a trace event list."""
+    return [dict(e) for e in events if e.get("kind") == "decision"]
 
 
 # ----------------------------------------------------------------------

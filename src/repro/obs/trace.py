@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ObservabilityError
 
@@ -127,10 +127,6 @@ class TraceSink:
         #: dispatch index stamped onto emitted events (kernel-maintained)
         self.current_dispatch = -1
         self._epoch = -1
-        #: open batched-decision group (``None`` outside a group); see
-        #: :meth:`begin_group`
-        self._group: Optional[List[Dict[str, Any]]] = None
-        self._group_t = 0.0
 
     # ------------------------------------------------------------------
     # Recording
@@ -139,7 +135,6 @@ class TraceSink:
         """Open a new run epoch (one engine bootstrap); returns it."""
         self._epoch += 1
         self.current_dispatch = -1
-        self._group = None
         return self._epoch
 
     @property
@@ -156,124 +151,24 @@ class TraceSink:
         replay: bool = True,
     ) -> None:
         """Append one event (stamped with the current run + dispatch)."""
-        group = self._group
-        if group is not None:
-            item: Dict[str, Any] = {"kind": kind, "t": t, "d": self.current_dispatch}
-            if not replay:
-                item["life"] = True
-            if data:
-                item["data"] = data
-            group.append(item)
-            return
         if len(self._events) == self.ring:
             self.dropped += 1
         self._events.append(
             TraceEvent(kind, t, self._epoch, self.current_dispatch, replay, data)
         )
 
-    # ------------------------------------------------------------------
-    # Batched decision groups (repro.sim.batchproto)
-    # ------------------------------------------------------------------
-    def begin_group(self, t: float) -> None:
-        """Start buffering emissions into one ``kind="decisions"`` record.
-
-        The batch kernel opens a group around each multi-event interrupt
-        batch: every :meth:`emit` until :meth:`end_group` is stored as an
-        *item* of a single container event, so a thousand-release burst
-        costs one ring slot instead of several thousand.  The container is
-        exploded back into its constituent events lazily — by
-        :meth:`events`, :meth:`tail` and :meth:`export_jsonl` — so exported
-        traces are byte-identical to the per-event scalar path."""
-        if self._group is not None:
-            raise ObservabilityError("trace decision group already open")
-        self._group = []
-        self._group_t = t
-
-    def end_group(self) -> None:
-        """Close the open group, appending its container record (if any
-        emissions happened)."""
-        items = self._group
-        if items is None:
-            raise ObservabilityError("no trace decision group open")
-        self._group = None
-        if not items:
-            return
-        if len(self._events) == self.ring:
-            self.dropped += 1
-        self._events.append(
-            TraceEvent(
-                "decisions",
-                self._group_t,
-                self._epoch,
-                items[0]["d"],
-                True,
-                {"items": items, "n": len(items)},
-            )
-        )
-
-    @staticmethod
-    def _exploded(events: Iterable[TraceEvent]) -> List[TraceEvent]:
-        """Expand ``kind="decisions"`` containers into their items."""
-        out: List[TraceEvent] = []
-        for e in events:
-            data = e.data
-            if e.kind == "decisions" and data is not None and "items" in data:
-                run = e.run
-                for item in data["items"]:
-                    out.append(
-                        TraceEvent(
-                            item["kind"],
-                            item["t"],
-                            run,
-                            item["d"],
-                            not item.get("life", False),
-                            item.get("data"),
-                        )
-                    )
-            else:
-                out.append(e)
-        return out
-
     def truncate_replay(self, dispatch_count: int) -> int:
         """Drop the *current run's* replay events with ``dispatch >=
         dispatch_count`` (snapshot restore: journal replay will re-emit
         them identically).  Lifecycle events and other runs' events are
-        kept.  Returns the number of events removed (container items count
-        individually)."""
+        kept.  Returns the number of events removed."""
         epoch = self._epoch
-        kept: List[TraceEvent] = []
-        removed = 0
-        for e in self._events:
-            data = e.data
-            if (
-                e.replay
-                and e.run == epoch
-                and e.kind == "decisions"
-                and data is not None
-                and "items" in data
-            ):
-                # Batched container: truncate item-wise — a snapshot taken
-                # mid-group must not drop the verified prefix of the batch.
-                items = data["items"]
-                live = [it for it in items if it["d"] < dispatch_count]
-                removed += len(items) - len(live)
-                if len(live) == len(items):
-                    kept.append(e)
-                elif live:
-                    kept.append(
-                        TraceEvent(
-                            "decisions",
-                            e.t,
-                            e.run,
-                            live[0]["d"],
-                            True,
-                            {"items": live, "n": len(live)},
-                        )
-                    )
-            elif e.replay and e.run == epoch and e.dispatch >= dispatch_count:
-                removed += 1
-            else:
-                kept.append(e)
+        kept = [
+            e
+            for e in self._events
+            if not (e.replay and e.run == epoch and e.dispatch >= dispatch_count)
+        ]
+        removed = len(self._events) - len(kept)
         if removed:
             self._events.clear()
             self._events.extend(kept)
@@ -292,17 +187,16 @@ class TraceSink:
         return len(self._events)
 
     def events(self, *, replay_only: bool = False) -> List[TraceEvent]:
-        events = self._exploded(self._events)
         if replay_only:
-            return [e for e in events if e.replay]
-        return events
+            return [e for e in self._events if e.replay]
+        return list(self._events)
 
     def tail(self, n: int) -> List[Dict[str, Any]]:
         """The last ``n`` events as JSON-ready dicts (diagnostics: attached
         to :class:`~repro.experiments.runner.FailedReplication`)."""
         if n <= 0:
             return []
-        return [e.to_dict() for e in self._exploded(self._events)[-n:]]
+        return [e.to_dict() for e in list(self._events)[-n:]]
 
     # ------------------------------------------------------------------
     # Export

@@ -480,7 +480,7 @@ class TenantShard:
     """One tenant's live kernel plus its admission and op-log state.
 
     Live state only stays resident: per finished job a tenant keeps its
-    dedup and correlation entries and its jid in the duplicate set.  The
+    dedup entry and its jid in the duplicate set.  The
     decisions and terminal kernel history behind them go to history at
     each snapshot commit (:mod:`repro.service.history`) — the store's
     ``history/`` log, or the encoded records in memory without a store.
@@ -498,10 +498,6 @@ class TenantShard:
         # The tenant's metrics (docs/OBSERVABILITY.md §live service
         # telemetry): each service decision increments one instrument.
         self.metrics = SloTracker(spec.horizon)
-        # request id -> decided jid (admission correlation index; rides
-        # the history so `repro obs trace` survives op-log compaction and
-        # kill -9).
-        self._rid_jid: Dict[str, int] = {}
         if store is not None:
             # Round-tripping the stored doc fills in spec fields added
             # after the store was written (at their defaults), so old
@@ -629,13 +625,11 @@ class TenantShard:
         outcome: str,
         time: float,
     ) -> None:
-        """Record a request id's decision: dedup outcome, rid → jid
-        correlation index, and a lifecycle (never replay) trace event."""
+        """Record a request id's decision: dedup outcome, the history's
+        rid → jid entry, and a lifecycle (never replay) trace event."""
         if rid is None:
             return
         self._dedup[rid] = outcome
-        if jid is not None:
-            self._rid_jid[rid] = int(jid)
         self._record.requests.append(
             (rid, outcome, None if jid is None else int(jid))
         )
@@ -1217,17 +1211,15 @@ class TenantShard:
         for job in record.accepted:
             self._count_accepted(job.jid)
         self._n_shed += len(record.shed)
-        for rid, outcome, jid in record.requests:
+        for rid, outcome, _jid in record.requests:
             self._dedup[rid] = outcome
-            if jid is not None:
-                self._rid_jid[rid] = jid
 
     def _resume_from_store(self) -> None:
         """Cold start: rebuild the live shard from disk alone.
 
         The newest image names how many history records it leaves out;
-        their decisions rebuild the dedup and correlation indexes and
-        the counters, one record at a time.  Op records at or past the
+        their decisions rebuild the dedup index and the counters, one
+        record at a time.  Op records at or past the
         image's op-log anchor are folded back in as decisions the next
         commit will write, and the cold start refuses if any of them was
         lost.  The engine restores from the live kernel image — which
@@ -1324,8 +1316,6 @@ class TenantShard:
             if rid:
                 rid = str(rid)
                 self._dedup[rid] = outcome_by_op[op]
-                if jid is not None:
-                    self._rid_jid[rid] = int(jid)
                 record.requests.append((rid, outcome_by_op[op], jid))
 
         # Undecided buffering (pending groups) is never durable, so

@@ -1,67 +1,58 @@
 """Batch scheduler contract: whole-interrupt-group policy decisions.
 
 The paper's online model delivers one stream of interrupts; a same-instant
-group is several of them at one ``t`` (e.g. a burst of releases).  The
-kernel (:class:`~repro.kernel.SchedulingKernel`) gathers such groups and,
-when the scheduler supports it, hands each one over in a single call
-instead of one handler call per interrupt.  This module defines that side
-of the scheduler contract:
+group is several of them at one ``t`` (e.g. a burst of releases).  When no
+observability session is open, the kernel
+(:class:`~repro.kernel.SchedulingKernel`) gathers such groups and, when the
+scheduler supports it, hands each one over in a single call instead of one
+handler call per interrupt.  Traced, metrics-only and profiled runs
+dispatch one event at a time, so a trace records the interrupt stream
+itself.  This module defines the batch side of the scheduler contract:
 
 * :class:`BatchView` — one same-``(time, kind)`` interrupt group, exposed as
   the :class:`Job` views plus their table rows so handlers can read whole
   columns (laxities, deadlines, remaining) in one vectorized expression.
   The ready-set scan is computed at most once per group and cached
   (:attr:`BatchView.ready_rows`).
-* :class:`BatchDecisions` — the aligned decision array a batch handler
-  returns: ``desired[i]`` is the job that should occupy the processor once
-  interrupt ``i`` of the group is handled, and ``obs[i]`` is the decision
-  record the per-event handler would have emitted at that point (or
-  ``None``).  With a journal, watchdog, snapshots or tracing attached the
-  kernel applies the decisions *per event*, so traces, segments and
-  journals are byte-identical to per-event dispatch.
-* :class:`BatchScheduler` — mixin implementing ``plan(view)`` by routing to
-  ``on_releases`` / ``on_completions``.  Policies implement
-  ``_on_release_from(cur, job)`` — their release handler factored to take
-  the (hypothetical) current job explicitly — and get the group fold for
-  free; policies with a cheaper whole-group formulation (AdmissionEDF's
-  single feasibility chain) override ``on_releases`` outright.
+* :class:`BatchScheduler` — mixin implementing ``plan(view)`` for release
+  groups: it returns the list of desired assignments, ``desired[i]`` being
+  the job that should occupy the processor once interrupt ``i`` of the
+  group is handled.  Policies implement ``_on_release_from(cur, job)`` —
+  their release handler factored to take the (hypothetical) current job
+  explicitly — and get the group fold for free; policies with a cheaper
+  whole-group formulation (AdmissionEDF's single feasibility chain)
+  override ``on_releases`` outright.  With a journal, watchdog, snapshots
+  or crash plans attached the kernel applies the list per event, so
+  segments and journals are byte-identical to per-event dispatch.
 
 A scheduler without ``plan()`` keeps one handler call per interrupt.
 
 Equivalence contract (pinned by the golden decision corpus in
 ``tests/golden/``, checked by ``tests/properties/test_property_batchproto.py``):
-gathering produces bit-identical results, byte-identical journals and
-byte-identical exported traces versus one handler call per interrupt —
-including under crash-resume.
+gathering produces bit-identical results and byte-identical journals
+versus one handler call per interrupt — including under crash-resume.
 
-Three class flags gate what the kernel may gather:
+Two class flags gate what the kernel may gather:
 
 ``batch_capable``
     The scheduler implements ``plan``; ``False`` (the base default) keeps
     the kernel on per-event dispatch.
-``batch_obs_exact``
-    The batch handlers reproduce the per-event observability emissions
-    exactly (via the returned ``obs`` payloads).  When ``False`` — e.g.
-    sensed-rate Dover, whose sensor emissions happen mid-handler, or the
-    partitioned multiprocessor adapter, whose sub-schedulers emit directly
-    — the kernel falls back to per-event dispatch whenever tracing is
-    active.
 ``batch_pure_completions``
     ``on_job_end`` for a *waiting* job is a pure queue purge (no
     emissions, no election, no alarms), so a same-instant deadline sweep
     may be folded into one ``on_completions`` call.  ``False`` for LLF,
-    which re-elects (and emits) on every job end.
+    which re-elects on every job end.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import SchedulingError
 from repro.sim.events import EventKind
 from repro.sim.job import Job
 
-__all__ = ["BatchView", "BatchDecisions", "BatchScheduler"]
+__all__ = ["BatchView", "BatchScheduler"]
 
 
 class BatchView:
@@ -113,42 +104,6 @@ class BatchView:
         )
 
 
-class BatchDecisions:
-    """Aligned decision arrays returned by a batch handler.
-
-    ``desired[i]`` is the processor assignment after interrupt ``i`` (a
-    :class:`Job` or ``None`` for idle; on the multiprocessor kernel a full
-    assignment sequence).  ``obs[i]`` is the decision-record payload the
-    per-event handler would have emitted while handling interrupt ``i`` — a
-    ``(policy, action, jid, extra)`` tuple or ``None`` — which the kernel
-    emits at the exact per-event ring position when tracing is active.
-    """
-
-    __slots__ = ("desired", "obs")
-
-    def __init__(
-        self,
-        desired: Sequence[Optional[Job]],
-        obs: Optional[Sequence[Optional[tuple]]] = None,
-    ) -> None:
-        self.desired = list(desired)
-        if obs is None:
-            self.obs = [None] * len(self.desired)
-        else:
-            self.obs = list(obs)
-            if len(self.obs) != len(self.desired):
-                raise SchedulingError(
-                    "BatchDecisions desired/obs length mismatch: "
-                    f"{len(self.desired)} != {len(self.obs)}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.desired)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BatchDecisions(n={len(self.desired)})"
-
-
 class BatchScheduler:
     """Mixin providing the batch contract on top of a per-event policy.
 
@@ -158,50 +113,43 @@ class BatchScheduler:
     job, producing decisions bit-identical to dispatching the events one
     at a time."""
 
-    #: See the module docstring for the three-flag gating contract.
+    #: See the module docstring for the two-flag gating contract.
     batch_capable = True
-    batch_obs_exact = True
     batch_pure_completions = True
 
-    def plan(self, view: BatchView) -> BatchDecisions:
-        """Decide the whole interrupt group in one call."""
-        if view.kind == EventKind.RELEASE:
-            return self.on_releases(view)
-        if view.kind == EventKind.DEADLINE:
-            self.on_completions(view)
-            n = len(view)
-            cur = self.ctx.current_job()
-            return BatchDecisions([cur] * n)
-        raise SchedulingError(
-            f"{type(self).__name__} has no batch handler for {view.kind!r}"
-        )
+    def plan(self, view: BatchView) -> List[Optional[Job]]:
+        """Decide a whole release group in one call: the desired
+        assignment after each of its interrupts."""
+        if view.kind != EventKind.RELEASE:
+            raise SchedulingError(
+                f"{type(self).__name__} has no batch handler for {view.kind!r}"
+            )
+        return self.on_releases(view)
 
-    def on_releases(self, view: BatchView) -> BatchDecisions:
+    def on_releases(self, view: BatchView) -> List[Optional[Job]]:
         """Fold the factored release handler over the group."""
         cur = self.ctx.current_job()
         fold = self._on_release_from
         desired: List[Optional[Job]] = []
-        payloads: List[Optional[tuple]] = []
         for job in view.jobs:
-            cur, payload = fold(cur, job)
+            cur = fold(cur, job)
             desired.append(cur)
-            payloads.append(payload)
-        return BatchDecisions(desired, payloads)
+        return desired
 
     def on_releases_fast(self, view: BatchView) -> Optional[Job]:
         """Final assignment after the whole release group.
 
         Called only when nothing is attached to the kernel (no journal,
-        watchdog, snapshots, crash plans or tracing), which then applies
-        the group's net decision once instead of per event (intermediate
-        same-instant switches are observably inert there — zero-length
-        segments are dropped and zero work folds bit-identically).  The
-        default routes through :meth:`on_releases` so policies with
-        overridden group handlers (admission chains, alarm bookkeeping)
-        keep their side effects; policies whose final
-        decision is cheaper than the per-event decision array override
+        watchdog, snapshots, crash plans or observability session), which
+        then applies the group's net decision once instead of per event
+        (intermediate same-instant switches are observably inert there —
+        zero-length segments are dropped and zero work folds
+        bit-identically).  The default routes through :meth:`on_releases`
+        so policies with overridden group handlers (admission chains,
+        alarm bookkeeping) keep their side effects; policies whose final
+        decision is cheaper than the per-event decision list override
         this with a direct computation."""
-        return self.on_releases(view).desired[-1]
+        return self.on_releases(view)[-1]
 
     def on_completions(self, view: BatchView) -> None:
         """Purge a same-instant sweep of departed *waiting* jobs.
@@ -213,16 +161,13 @@ class BatchScheduler:
             f"{type(self).__name__} does not implement on_completions"
         )
 
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
+    def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
         """Release logic with the current job passed explicitly.
 
         Must behave exactly like ``on_release`` would if ``cur`` were on
-        the processor, except the decision record is *returned* as a
-        ``(policy, action, jid, extra)`` payload instead of emitted — the
-        caller (the ``on_release`` wrapper or the kernel) emits it at the
-        right ring position."""
+        the processor, decision record included (emitted only when an
+        observability session is open, so never inside a gathered
+        group)."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement _on_release_from"
         )

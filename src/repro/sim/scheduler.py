@@ -123,9 +123,6 @@ class Scheduler(abc.ABC):
     #: other one event by event, so policies without a batch handler never
     #: see a ``plan`` call.
     batch_capable: bool = False
-    #: Whether the batch handlers reproduce per-event observability
-    #: emissions exactly; only consulted when ``batch_capable`` is true.
-    batch_obs_exact: bool = True
     #: Whether ``on_job_end`` for a waiting job is a pure queue purge;
     #: only consulted when ``batch_capable`` is true.
     batch_pure_completions: bool = True
@@ -217,25 +214,6 @@ class Scheduler(abc.ABC):
             reading = min(max(reading, lo), hi)
         self._sensor_last_good = reading
         return reading
-
-    def _emit_decision(self, payload: "tuple | None") -> None:
-        """Emit a ``(policy, action, jid, extra)`` decision payload.
-
-        Factored release handlers (:mod:`repro.sim.batchproto`) *return*
-        their decision record instead of emitting it; the scalar wrapper
-        emits here — at the same ring position as before the refactor —
-        while the batch kernel emits the payloads itself, interleaved with
-        the group's release events."""
-        if payload is None:
-            return
-        obs = self.ctx.obs
-        if obs is None:
-            return
-        policy, action, jid, extra = payload
-        if extra:
-            obs.decision(policy, action, self.ctx.now(), jid, **extra)
-        else:
-            obs.decision(policy, action, self.ctx.now(), jid)
 
     # ------------------------------------------------------------------
     # Interrupt handlers: each returns the job that should run next

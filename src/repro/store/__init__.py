@@ -10,9 +10,9 @@ Layered bottom-up (each layer is testable on its own):
 * :mod:`repro.store.log` — :class:`SegmentedLog`, CRC32-framed records
   in bounded segments with torn-tail truncation and corrupt-segment
   quarantine;
-* :mod:`repro.store.snapshots` — :class:`SnapshotStore`, manifest-
-  committed snapshot blobs (partial snapshots invisible by
-  construction) anchoring op-log compaction;
+* :mod:`repro.store.snapshots` — :class:`SnapshotStore`, snapshot
+  blobs each committed by the rename of its fsynced file (partial
+  snapshots invisible by construction) anchoring op-log compaction;
 * :mod:`repro.store.tenant` — :class:`TenantStore`, one tenant's spec +
   op log + snapshots, the unit :class:`repro.service.shard.TenantShard`
   persists through and :meth:`repro.service.supervisor.ScheduleService.

@@ -1,29 +1,27 @@
-"""Snapshot files with a checksummed manifest: partial = invisible.
+"""Snapshot files committed by their rename: partial = invisible.
 
 A :class:`SnapshotStore` holds the durable anchors of a tenant's state:
 opaque payload blobs (the shard pickles its state image) written under
-monotonically numbered names, with a ``MANIFEST`` file pointing at the
-newest *complete* snapshot.
+monotonically numbered names.  The newest ``snap-<n>.bin`` that validates
+is the committed state.
 
 The write protocol makes a partial snapshot impossible to observe:
 
-1. the snapshot file is written to ``snap-<n>.bin.tmp``, fsynced, and
-   renamed to ``snap-<n>.bin`` (directory fsynced) — so a visible
-   ``snap-*.bin`` always carries its full, self-validating content
-   (magic, meta block, payload block, each length+CRC32 framed);
-2. only then is ``MANIFEST`` replaced the same way (``MANIFEST.tmp`` →
-   rename → dir-fsync), atomically repointing readers at the new file;
-3. only *after* the manifest is durable are snapshots beyond the keep
-   window deleted — without a directory fsync of their own: a deletion
-   lost to power failure only brings back an older, unreferenced
-   snapshot, which the next commit deletes again.
+1. the snapshot file is written to ``snap-<n>.bin.tmp`` and fsynced;
+2. it is renamed to ``snap-<n>.bin`` — the commit point — and the
+   directory fsynced, so a visible ``snap-*.bin`` always carries its
+   full, self-validating content (magic, meta block, payload block, each
+   length+CRC32 framed);
+3. only then are snapshots beyond the keep window deleted — without a
+   directory fsync of their own: a deletion lost to power failure only
+   brings back an older snapshot, which the next commit deletes again.
 
-A crash between (1) and (2) leaves a complete-but-unreferenced snapshot
-file and an old manifest still pointing at the previous one: readers
-never see the new state until it is fully committed.  Loading validates
-the manifest's own checksum and the pointed file's framing; on bit rot
-the damaged artifact is renamed ``*.quarantine`` and the store falls
-back to the newest remaining snapshot that validates.
+A crash before the rename leaves a ``.tmp`` file that readers never see
+(reopening the store removes it); a crash after it leaves the new
+snapshot committed, or — power lost before the directory fsync — the
+previous one.  Loading tries the numbered files newest first; on bit rot
+the damaged file is renamed ``*.quarantine`` and the next one is tried.
+A ``MANIFEST`` file left by older versions of this store is never read.
 """
 
 from __future__ import annotations
@@ -40,20 +38,15 @@ __all__ = ["SnapshotStore"]
 
 _MAGIC = b"RSNP"
 _BLOCK = struct.Struct("<II")  # length, crc32
-MANIFEST = "MANIFEST"
 
 
 def _snap_name(seq: int) -> str:
     return f"snap-{seq:012d}.bin"
 
 
-def _manifest_crc(doc: Dict) -> int:
-    body = {k: v for k, v in sorted(doc.items()) if k != "crc"}
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode()) & 0xFFFFFFFF
-
-
 class SnapshotStore:
-    """Numbered snapshot blobs behind an atomically-replaced manifest."""
+    """Numbered, self-validating snapshot blobs; the newest valid one is
+    the committed state."""
 
     def __init__(self, directory: Directory, *, keep: int = 2,
                  fsync: bool = True) -> None:
@@ -124,39 +117,23 @@ class SnapshotStore:
 
     def write(self, payload: bytes, meta: Optional[Dict] = None) -> int:
         """Commit one snapshot; returns its sequence number."""
-        meta = dict(meta or {})
         seq = self._next_seq
         name = _snap_name(seq)
-        self._write_atomic(name, self._encode(meta, payload))
-
-        manifest = {
-            "kind": "snapshot_manifest",
-            "seq": seq,
-            "snapshot": name,
-        }
-        manifest["crc"] = _manifest_crc(manifest)
-        self._write_atomic(
-            MANIFEST, (json.dumps(manifest, sort_keys=True) + "\n").encode()
-        )
-
-        # Only after the manifest durably points elsewhere may the old
-        # snapshots go.
-        self._prune(seq)
-        self._next_seq = seq + 1
-        return seq
-
-    def _write_atomic(self, name: str, data: bytes) -> None:
         tmp = name + ".tmp"
         h = self._dir.create(tmp)
-        h.write(data)
+        h.write(self._encode(dict(meta or {}), payload))
         if self._fsync:
             h.fsync()
         else:
             h.flush()
         h.close()
-        self._dir.rename(tmp, name)
+        self._dir.rename(tmp, name)  # the commit point
         if self._fsync:
             self._dir.fsync_dir()
+        # Only once the new snapshot is durable may the old ones go.
+        self._prune(seq)
+        self._next_seq = seq + 1
+        return seq
 
     def _prune(self, newest_seq: int) -> None:
         floor = newest_seq - self._keep + 1
@@ -169,55 +146,15 @@ class SnapshotStore:
     def load(self) -> Optional[Tuple[int, Dict, bytes]]:
         """Newest complete snapshot as ``(seq, meta, payload)``, or
         ``None`` when the store has never committed one.  Damaged
-        artifacts are quarantined and older valid snapshots tried."""
-        target: Optional[str] = None
-        if self._dir.exists(MANIFEST):
+        files are quarantined and older valid snapshots tried."""
+        names = [n for n in self._dir.listdir() if self._parse_seq(n) is not None]
+        for name in sorted(names, reverse=True):
             try:
-                doc = json.loads(self._dir.read_bytes(MANIFEST).decode())
-                if (
-                    doc.get("kind") != "snapshot_manifest"
-                    or doc.get("crc") != _manifest_crc(doc)
-                ):
-                    raise StorageError("manifest corrupt")
-                target = str(doc["snapshot"])
-            except (StorageError, ValueError, KeyError):
-                self._set_aside(MANIFEST)
-                target = None
-
-        if target is not None:
-            loaded = self._try_load(target)
-            if loaded is not None:
-                return loaded
-
-        # Fallback: newest self-validating snapshot file on disk.
-        candidates = sorted(
-            (
-                name
-                for name in self._dir.listdir()
-                if self._parse_seq(name) is not None
-            ),
-            reverse=True,
-        )
-        for name in candidates:
-            loaded = self._try_load(name)
-            if loaded is not None:
-                return loaded
+                meta, payload = self._decode(self._dir.read_bytes(name))
+            except StorageError:
+                self._dir.rename(name, name + ".quarantine")
+                self._dir.fsync_dir()
+                self.quarantined.append(name)
+                continue
+            return self._parse_seq(name), meta, payload
         return None
-
-    def _try_load(self, name: str) -> Optional[Tuple[int, Dict, bytes]]:
-        if not self._dir.exists(name):
-            return None
-        seq = self._parse_seq(name)
-        if seq is None:
-            return None
-        try:
-            meta, payload = self._decode(self._dir.read_bytes(name))
-        except StorageError:
-            self._set_aside(name)
-            return None
-        return seq, meta, payload
-
-    def _set_aside(self, name: str) -> None:
-        self._dir.rename(name, name + ".quarantine")
-        self._dir.fsync_dir()
-        self.quarantined.append(name)

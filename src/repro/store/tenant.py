@@ -188,20 +188,18 @@ class TenantStore:
         return spec_doc
 
     # -- op log ----------------------------------------------------------
-    def append_ops(
-        self, docs: "List[Dict[str, Any]]", *, sync: bool = True
-    ) -> int:
+    def append_ops(self, docs: "List[Dict[str, Any]]") -> int:
         """Append op records (JSON docs); returns the next sequence
-        after the batch.  With ``sync`` the whole batch is fsynced
-        before returning (one fsync, after the last frame)."""
+        after the batch.  A store opened with ``fsync`` fsyncs the whole
+        batch before returning (one fsync, after the last frame)."""
         t0 = perf_counter()
+        last = len(docs) - 1
         for i, doc in enumerate(docs):
-            last = i == len(docs) - 1
             self.oplog.append(
                 json.dumps(doc, sort_keys=True).encode(),
-                sync=sync and last,
+                sync=None if i == last else False,
             )
-        if sync and self.sync_observer is not None:
+        if self._fsync and docs and self.sync_observer is not None:
             self.sync_observer(perf_counter() - t0)
         return self.oplog.next_seq
 

@@ -11,8 +11,11 @@ mismatch.
 
 The corpus was recorded from the per-event dispatch loop (one handler call
 per interrupt, the paper's procedure A) before the kernel gathered
-same-instant groups unconditionally; the gathering kernel matched it on
-every case, which is what licensed deleting the per-event-only loops.
+same-instant groups; the gathering kernel matched it on every case, which
+is what licensed deleting the per-event-only loops.  Traced runs dispatch
+per event again, so each journaled + traced case is also re-run journaled
+only (``run_case(name, traced=False)``) to check the gathering kernel
+against the same digests.
 
 Cases:
 
@@ -384,21 +387,25 @@ def case_names() -> List[str]:
     return names
 
 
-def run_case(name: str) -> dict:
-    """Recompute one case's record."""
+def run_case(name: str, *, traced: bool = True) -> dict:
+    """Recompute one case's record.  ``traced=False`` runs a journaled +
+    traced case journaled only, so its record has no ``trace`` digest."""
     parts = name.split("/")
     family = parts[0]
     if family == "tie":
         _, policy, queue, mode = parts
         return run_journaled(
             tie_heavy_instance(), small_capacity(), POLICIES[policy](), queue,
-            crash=mode == "crash",
+            crash=mode == "crash", traced=traced,
         )
     if family in GROUP_EDGE_INSTANCES:
         _, policy, mode = parts
         make_jobs, make_cap = GROUP_EDGE_INSTANCES[family]
-        run = run_bare if mode == "uninstrumented" else run_journaled
-        return run(make_jobs(), make_cap(), POLICIES[policy]())
+        if mode == "uninstrumented":
+            return run_bare(make_jobs(), make_cap(), POLICIES[policy]())
+        return run_journaled(
+            make_jobs(), make_cap(), POLICIES[policy](), traced=traced
+        )
     if family == "uninstrumented":
         _, instance, policy = parts
         jobs = (

@@ -4,7 +4,6 @@ telemetry PR)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -13,8 +12,6 @@ from repro.experiments.runner import (
     MonteCarloRunner,
     PaperInstanceFactory,
     SchedulerSpec,
-    _RetryPolicy,
-    _run_one_safe,
 )
 from repro.workload import PoissonWorkload
 
@@ -121,13 +118,3 @@ class TestFailureTraceTail:
         runner = self._failing_runner()
         report = runner.run_report(1, seed=0, workers=1)
         assert report.failure_records()[0].trace_tail == ()
-
-
-class TestWorkerPayloadCompat:
-    def test_legacy_five_tuple(self, runner):
-        seed = np.random.SeedSequence(3).spawn(1)[0]
-        index, outcome = _run_one_safe(
-            (0, runner.factory, runner.specs, seed, _RetryPolicy())
-        )
-        assert index == 0
-        assert outcome.metrics is None

@@ -8,7 +8,6 @@ from repro import obs
 from repro.capacity import TwoStateMarkovCapacity
 from repro.core import DoverScheduler, EDFScheduler, VDoverScheduler
 from repro.obs import diff_traces, load_trace, render_report, render_tail
-from repro.obs.report import decision_stream
 from repro.sim import simulate
 from repro.workload import PoissonWorkload
 
@@ -74,87 +73,3 @@ class TestDiff:
         # And it is not decision #0 — the early admits behave identically.
         assert "first divergence at decision #0:" not in text
 
-
-def _decision(t, jid, action="admit"):
-    return {
-        "kind": "decision",
-        "t": t,
-        "data": {"action": action, "jid": jid, "policy": "EDF"},
-    }
-
-
-def _container(t, items):
-    """A batched-protocol ``decisions`` container as the trace ring holds
-    it (item shape from :meth:`repro.obs.trace.TraceSink.end_group`)."""
-    return {
-        "kind": "decisions",
-        "t": t,
-        "data": {
-            "items": [
-                {"kind": "decision", "t": it["t"], "d": i, "data": it["data"]}
-                for i, it in enumerate(items)
-            ],
-            "n": len(items),
-        },
-    }
-
-
-class TestBatchedDecisionContainers:
-    """The batched scheduler protocol packs same-instant decision bursts
-    into one ``kind="decisions"`` container event.  Diff and decision-mix
-    tooling must see through the container — a whole batch is never one
-    opaque event."""
-
-    def test_decision_stream_explodes_containers(self):
-        events = [
-            _decision(1.0, 1),
-            _container(2.0, [_decision(2.0, 2), _decision(2.0, 3, "evict")]),
-            {"kind": "job.release", "t": 3.0, "data": {"jid": 9}},
-            _decision(4.0, 4),
-        ]
-        stream = decision_stream(events)
-        assert len(stream) == 4
-        assert [d["data"]["jid"] for d in stream] == [1, 2, 3, 4]
-        assert all(d["kind"] == "decision" for d in stream)
-
-    def test_container_without_items_is_skipped(self):
-        assert decision_stream([{"kind": "decisions", "t": 0.0}]) == []
-        assert decision_stream(
-            [{"kind": "decisions", "t": 0.0, "data": {"items": []}}]
-        ) == []
-
-    def test_diff_pinpoints_divergence_inside_a_batch(self):
-        # The second item of the second batch differs; the diff must name
-        # the individual decision index (#2), not the container.
-        a = {
-            "events": [
-                _container(1.0, [_decision(1.0, 1)]),
-                _container(2.0, [_decision(2.0, 2), _decision(2.0, 3)]),
-            ]
-        }
-        b = {
-            "events": [
-                _container(1.0, [_decision(1.0, 1)]),
-                _container(
-                    2.0, [_decision(2.0, 2), _decision(2.0, 3, "evict")]
-                ),
-            ]
-        }
-        text = diff_traces(a, b, names=("batched-a", "batched-b"))
-        assert "batched-a: 3 decision(s); batched-b: 3 decision(s)" in text
-        assert "first divergence at decision #2:" in text
-
-    def test_diff_scalar_vs_batched_same_decisions_agree(self):
-        # A scalar-protocol trace and its batched twin must diff clean.
-        scalar = {
-            "events": [_decision(1.0, 1), _decision(2.0, 2), _decision(2.0, 3)]
-        }
-        batched = {
-            "events": [
-                _decision(1.0, 1),
-                _container(2.0, [_decision(2.0, 2), _decision(2.0, 3)]),
-            ]
-        }
-        assert "traces agree on all 3 decision(s)" in diff_traces(
-            scalar, batched
-        )

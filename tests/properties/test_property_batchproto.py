@@ -1,20 +1,23 @@
 """Same-instant group dispatch ≡ the golden decision corpus.
 
-The kernel hands a same-instant interrupt group (a burst of releases, a
-sweep of waiting jobs' deadlines) to a ``batch_capable`` scheduler in one
-``plan()`` call (:mod:`repro.sim.batchproto`).  The contract is
-*bit-identity* with handling the interrupts one at a time: results,
-write-ahead journals and exported observability traces, byte for byte —
-including across a crash/restore resume.  The golden corpus
+When no observability session is open, the kernel hands a same-instant
+interrupt group (a burst of releases, a sweep of waiting jobs' deadlines)
+to a ``batch_capable`` scheduler in one ``plan()`` call
+(:mod:`repro.sim.batchproto`).  The contract is *bit-identity* with
+handling the interrupts one at a time: results and journals, byte for
+byte — including across a crash/restore resume.  The golden corpus
 (``tests/golden/``) was recorded from one-handler-call-per-interrupt
 dispatch; this suite re-runs every corpus case and demands an exact match.
-The tie-heavy instance (integer release grid) puts a multi-event group at
-every timestamp, so the grouped paths are the ones being checked.
+Traced runs dispatch per event, so every journaled + traced case is also
+run journaled only, where the kernel gathers.  The tie-heavy instance
+(integer release grid) puts a multi-event group at every timestamp, so the
+grouped paths are the ones being checked.
 
 Also here:
 
 * per-event dispatch of the same groups (a scheduler with the batch
-  contract switched off) reproduces the corpus too;
+  contract switched off) reproduces the corpus too, and a traced run's
+  export matches it event for event even when the trace ring overflows;
 * same-instant deadline groups and runs that trip the gather latch;
 * the burst benchmark instances reproduce the values and dispatch counts
   recorded in ``benchmarks/results/BENCH_policyproto.json``;
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.core import EDFScheduler
 from repro.sim import simulate
 from repro.sim.batchproto import BatchView
@@ -80,15 +84,21 @@ class TestScalarBatchBitIdentity:
 
     @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
     def test_untraced_results_identical(self, name):
-        """Journaled but untraced: groups are gathered for every policy
-        (``batch_obs_exact`` is not consulted) and applied per event."""
-        live = corpus.run_journaled(
-            corpus.tie_heavy_instance(), corpus.small_capacity(),
-            POLICIES[name](), traced=False,
-        )
-        golden = dict(GOLDEN[f"tie/{name}/heap/plain"])
-        del golden["trace"]
-        assert live == golden
+        """Every journaled + traced case of the policy, run journaled but
+        untraced, matches its digests minus the trace.  A traced run
+        dispatches per event, so this is where gathering meets a journal,
+        an event-indexed crash inside a group (``tie/*/crash``), deadline
+        groups (``deadline_grid``) and the gather latch (``latch``)."""
+        cases = [
+            case
+            for case in sorted(GOLDEN)
+            if "trace" in GOLDEN[case] and case.split("/")[1] == name
+        ]
+        assert len(cases) == 6
+        for case in cases:
+            golden = dict(GOLDEN[case])
+            del golden["trace"]
+            assert corpus.run_case(case, traced=False) == golden, case
 
     @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
     def test_per_event_dispatch_matches_corpus(self, name):
@@ -100,6 +110,60 @@ class TestScalarBatchBitIdentity:
             corpus.tie_heavy_instance(), corpus.small_capacity(), scheduler
         )
         assert live == GOLDEN[f"tie/{name}/heap/plain"]
+
+
+class _PerEventEDF(EDFScheduler):
+    """EDF without the batch contract: one handler call per interrupt."""
+
+    batch_capable = False
+
+
+class TestTracedRunsDispatchPerEvent:
+    """An open observability session keeps the kernel on per-event
+    dispatch, so a trace records the interrupt stream itself: one ring
+    slot per event, and the same ``dropped`` count once the ring
+    overflows."""
+
+    def test_ring_overflow_matches_per_event(self, tmp_path):
+        make_cap = corpus.BENCH_INSTANCES["bursty_quantized"][1]
+        exports = []
+        for scheduler in (EDFScheduler(), _PerEventEDF()):
+            with obs.session(ring=2000) as octx:
+                simulate(
+                    corpus.bursty_instance(instants=20, per_instant=32),
+                    make_cap(),
+                    scheduler,
+                )
+            path = tmp_path / f"{len(exports)}.jsonl"
+            octx.sink.export_jsonl(path)
+            exports.append((path.read_bytes(), octx.sink.dropped))
+        assert exports[0][1] > 0  # the ring overflowed
+        assert exports[0] == exports[1]
+
+    @pytest.mark.parametrize(
+        "session, gathers",
+        [(None, True), ({"trace": False}, False), ({"profile": True}, False)],
+        ids=["no_session", "metrics_only", "profiled"],
+    )
+    def test_any_session_disables_gathering(self, session, gathers):
+        groups = []
+
+        class _CountingEDF(EDFScheduler):
+            def plan(self, view):
+                groups.append(len(view))
+                return super().plan(view)
+
+            def on_releases_fast(self, view):
+                groups.append(len(view))
+                return super().on_releases_fast(view)
+
+        jobs, cap = corpus.tie_heavy_instance(), corpus.small_capacity()
+        if session is None:
+            simulate(jobs, cap, _CountingEDF())
+        else:
+            with obs.session(**session):
+                simulate(jobs, cap, _CountingEDF())
+        assert bool(groups) is gathers
 
 
 class _CountingJobTable(JobTable):
@@ -120,12 +184,6 @@ class _CountingJobTable(JobTable):
     def rows_ready(self):
         self.counts["ready"] += 1
         return super().rows_ready()
-
-
-class _PerEventEDF(EDFScheduler):
-    """EDF without the batch contract: one handler call per interrupt."""
-
-    batch_capable = False
 
 
 class TestScanCounts:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from repro.service import (
     tenant_spec_to_dict,
 )
 from repro.sim.job import Job
+from repro.store.directory import MemoryDirectory
 from repro.store.tenant import TenantStore
 
 
@@ -266,6 +268,68 @@ def _assert_parent_facts(shard):
         assert stats[key] == value, key
     # The one undecided submission was never durable.
     assert stats["submitted"] == stats["accepted"] + stats["shed"]
+
+
+class TestSnapshotCommit:
+    """A store-backed commit appends its history record, then commits the
+    image by renaming its fsynced file into place (no manifest)."""
+
+    SPEC = _spec(snapshot_every=10_000)  # commits only via persist_now
+
+    def test_commit_is_three_fsyncs(self, tmp_path, monkeypatch):
+        shard = TenantShard(self.SPEC, store=TenantStore(tmp_path / "t0"))
+        _drive(shard, n=12)
+        calls = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        shard.persist_now()  # rotates and compacts no segment
+        # The history record, the image file and the snaps/ directory.
+        assert len(calls) == 3
+
+    def test_death_right_after_the_image_rename(self, monkeypatch):
+        class _Died(RuntimeError):
+            pass
+
+        mem = MemoryDirectory()
+        shard = TenantShard(self.SPEC, store=TenantStore(mem))
+        _drive(shard, n=12)
+        shard.persist_now()
+        for i in range(12, 18):
+            shard.handle(Submit("t0", _job(i, release=float(i) + 2.0), rid=f"r{i}"))
+        shard.handle(Advance("t0", 24.0))
+        before = shard.stats()
+        renamed = []
+        real_rename = MemoryDirectory.rename
+
+        def rename_then_die(self, old, new):
+            real_rename(self, old, new)
+            if new.startswith("snap-"):
+                renamed.append(new)
+                raise _Died()
+
+        monkeypatch.setattr(MemoryDirectory, "rename", rename_then_die)
+        with pytest.raises(_Died):
+            shard.persist_now()  # dies before the directory fsync
+        monkeypatch.undo()
+        (name,) = renamed
+        mem.sync_all()  # SIGKILL: everything the process wrote survives
+        mem.crash()
+
+        store = TenantStore(mem)
+        revived = TenantShard(self.SPEC, store=store, resume=True)
+        # Cold-started from that image, not the one before it.
+        assert store.snapshots.load()[0] == int(name[5:-4]) > 0
+        after = revived.stats()
+        assert after["recoveries"] == before["recoveries"] + 1
+        for key in ("recoveries", "metrics"):
+            del after[key], before[key]
+        assert after == before
+        assert replay_tenant(revived.close()).ok
 
 
 class TestPreSegmentStores:

@@ -206,20 +206,26 @@ class TestFlushBatching:
     def _recovered(mem) -> list:
         return [doc["i"] for _seq, doc in TenantStore(mem).ops()]
 
+    @staticmethod
+    def _unsynced_batch(store) -> None:
+        """Records 4 and 5 written, their batch's fsync not yet made."""
+        for i in (4, 5):
+            store.oplog.append(json.dumps({"i": i}).encode(), sync=False)
+
     def test_batched_appends_buffered_until_boundary(self):
         """Appends reach the OS at once (SIGKILL loses none), but only a
         batch's fsync makes it survive power loss."""
         mem = MemoryDirectory()
         store = TenantStore(mem)
         store.append_ops([{"i": i} for i in range(4)])
-        store.append_ops([{"i": 4}, {"i": 5}], sync=False)
+        self._unsynced_batch(store)
         mem.crash()  # power loss: the unsynced batch is gone
         assert self._recovered(mem) == [0, 1, 2, 3]
 
         mem = MemoryDirectory()
         store = TenantStore(mem)
         store.append_ops([{"i": i} for i in range(4)])
-        store.append_ops([{"i": 4}, {"i": 5}], sync=False)
+        self._unsynced_batch(store)
         mem.sync_all()  # SIGKILL: the page cache survives
         mem.crash()
         assert self._recovered(mem) == [0, 1, 2, 3, 4, 5]

@@ -148,7 +148,7 @@ class TestTenantStoreEveryOffset:
             store = TenantStore(directory, segment_bytes=96, fsync=True)
             store.ensure_spec({"tenant": "t", "seed": 1})
             for i in range(self.N_OPS):
-                store.append_ops([{"i": i}], sync=True)
+                store.append_ops([{"i": i}])
                 completed.append(i)
                 if (i + 1) % self.SNAP_EVERY == 0:
                     store.write_snapshot(list(completed),
@@ -243,9 +243,9 @@ class _RecordingStore(TenantStore):
         self.attempted, self.returned = [], []
         super().__init__(*args, **kwargs)
 
-    def append_ops(self, docs, *, sync=True):
+    def append_ops(self, docs):
         self.attempted.extend(docs)
-        seq = super().append_ops(docs, sync=sync)
+        seq = super().append_ops(docs)
         self.returned.extend(docs)
         return seq
 
@@ -493,7 +493,7 @@ def test_random_tenant_store_crash(n_ops, snap_every, offset, op_size):
         try:
             store = TenantStore(directory, segment_bytes=96, fsync=True)
             for i in range(n_ops):
-                store.append_ops([{"i": i, "blob": blob}], sync=True)
+                store.append_ops([{"i": i, "blob": blob}])
                 completed.append(i)
                 if (i + 1) % snap_every == 0:
                     store.write_snapshot(completed[:], op_seq=store.op_seq)

@@ -1,14 +1,12 @@
-"""SnapshotStore: manifest atomicity, partial invisibility, quarantine."""
+"""SnapshotStore: commit by rename, partial invisibility, quarantine."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.errors import StorageError
 from repro.store.directory import MemoryDirectory, OsDirectory
-from repro.store.snapshots import MANIFEST, SnapshotStore
+from repro.store.snapshots import SnapshotStore
 
 
 class TestRoundtrip:
@@ -54,34 +52,34 @@ class TestRoundtrip:
 
 class TestPartialInvisible:
     def test_crash_before_manifest_keeps_old_state(self):
-        # A complete-but-unreferenced snapshot file must stay invisible
-        # behind the old manifest (write protocol step 1 without step 2)
-        # ... unless the old manifest is gone entirely, in which case the
-        # newest *self-validating* file is the best truth available.
-        mem = MemoryDirectory()
-        store = SnapshotStore(mem, fsync=True)
-        store.write(b"committed")
-
+        # The rename of the fsynced file into place is the commit point
+        # (the store keeps no manifest): a process that dies just before
+        # it leaves a complete ``.tmp`` file that readers never see.
         class _Boom(RuntimeError):
             pass
 
-        # Fail the write after the snapshot file lands but before the
-        # manifest is replaced.
-        original = store._write_atomic
+        class _DiesAtRename(MemoryDirectory):
+            armed = False
 
-        def explode(name, data):
-            if name == MANIFEST:
-                raise _Boom()
-            original(name, data)
+            def rename(self, old, new):
+                if self.armed:
+                    raise _Boom()
+                super().rename(old, new)
 
-        store._write_atomic = explode
+        mem = _DiesAtRename()
+        store = SnapshotStore(mem, fsync=True)
+        store.write(b"committed")
+        mem.armed = True
         with pytest.raises(_Boom):
             store.write(b"uncommitted")
-        mem.crash()  # power loss right there
+        mem.armed = False
+        mem.sync_all()  # SIGKILL: everything written reached the OS
+        mem.crash()
+        assert "snap-000000000001.bin.tmp" in mem.listdir()
 
-        loaded = SnapshotStore(mem).load()
-        assert loaded is not None
-        assert loaded[2] == b"committed"  # reader still sees the old state
+        reopened = SnapshotStore(mem)
+        assert reopened.load()[2] == b"committed"  # the old state
+        assert "snap-000000000001.bin.tmp" not in mem.listdir()
 
     def test_tmp_leftovers_removed_on_open(self, tmp_path):
         store = SnapshotStore(OsDirectory(tmp_path))
@@ -110,23 +108,14 @@ class TestQuarantine:
         assert name in reopened.quarantined
         assert (tmp_path / (name + ".quarantine")).exists()
 
-    def test_rotten_manifest_falls_back_to_newest_file(self, tmp_path):
+    def test_old_manifest_is_never_read(self, tmp_path):
         store = SnapshotStore(OsDirectory(tmp_path))
-        store.write(b"state")
-        (tmp_path / MANIFEST).write_bytes(b"{garbage")
+        store.write(b"older")
+        store.write(b"newer")
+        (tmp_path / "MANIFEST").write_bytes(b"{garbage")
         reopened = SnapshotStore(OsDirectory(tmp_path))
-        assert reopened.load()[2] == b"state"
-        assert MANIFEST in reopened.quarantined
-
-    def test_manifest_crc_mismatch_detected(self, tmp_path):
-        store = SnapshotStore(OsDirectory(tmp_path))
-        store.write(b"state")
-        doc = json.loads((tmp_path / MANIFEST).read_text())
-        doc["seq"] = 99  # tampered field, stale crc
-        (tmp_path / MANIFEST).write_text(json.dumps(doc))
-        reopened = SnapshotStore(OsDirectory(tmp_path))
-        assert reopened.load()[2] == b"state"  # via the file fallback
-        assert MANIFEST in reopened.quarantined
+        assert reopened.load()[2] == b"newer"
+        assert reopened.quarantined == []
 
     def test_everything_rotten_loads_none(self, tmp_path):
         store = SnapshotStore(OsDirectory(tmp_path), keep=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import StorageError
@@ -116,8 +118,35 @@ class TestOpsAndSnapshots:
         store = TenantStore(mem, fsync=True)
         store.ensure_spec(SPEC)
         for i in range(4):
-            store.append_ops([{"i": i}], sync=True)
+            store.append_ops([{"i": i}])
         mem.crash()
         recovered = TenantStore(mem)
         assert recovered.load_spec() == SPEC
         assert [doc["i"] for _s, doc in recovered.ops()] == [0, 1, 2, 3]
+
+
+class TestFsyncFlag:
+    """The store's ``fsync`` flag alone decides whether op appends fsync
+    (``repro serve --no-fsync`` opens its stores with ``fsync=False``),
+    and the fsync histogram observes only appends that fsynced."""
+
+    @pytest.mark.parametrize("fsync, expected", [(False, 0), (True, 3)])
+    def test_one_fsync_per_batch_only_when_asked(
+        self, tmp_path, monkeypatch, fsync, expected
+    ):
+        store = TenantStore(tmp_path / "t0", fsync=fsync)
+        observed = []
+        store.sync_observer = observed.append
+        calls = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        for batch in ([{"i": 0}], [{"i": 1}, {"i": 2}], [{"i": 3}] * 3):
+            store.append_ops(batch)
+        assert len(calls) == expected
+        assert len(observed) == expected
+        assert len(store.ops()) == 6
