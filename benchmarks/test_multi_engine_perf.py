@@ -8,8 +8,9 @@ and regenerates ``benchmarks/results/multi_engine_perf.txt``:
 * ``simulate_multi`` on an m=4 heterogeneous fleet with indexed
   trajectories vs the same fleet wrapped in :class:`_NaiveCapacity`
   (which forces the kernel onto the pre-index linear-scan reference,
-  ``naive_integrate`` / ``naive_advance``) — same values, measured
-  speedup;
+  ``naive_integrate`` / ``naive_advance``) — same values; the indexed
+  run walks no capacity pieces at all while the naive run walks them
+  (counted, asserted), with both wall times reported;
 * the m=1 façade comparison: ``simulate`` vs ``simulate_multi`` with a
   single processor, quantifying the adapter overhead of running a
   single-processor policy through the multiprocessor façade.
@@ -89,6 +90,20 @@ def multi_instance():
     return jobs, horizon
 
 
+def _count_pieces(monkeypatch) -> list:
+    """Count the capacity pieces the linear scan walks (one-cell list)."""
+    walked = [0]
+    pieces = TwoStateMarkovCapacity.pieces
+
+    def counted(self, t0, t1):
+        for piece in pieces(self, t0, t1):
+            walked[0] += 1
+            yield piece
+
+    monkeypatch.setattr(TwoStateMarkovCapacity, "pieces", counted)
+    return walked
+
+
 def _timed(fn, repeat: int = 3):
     best, out = float("inf"), None
     for _ in range(repeat):
@@ -123,23 +138,30 @@ def test_perf_multi_gvdover_indexed(multi_instance, benchmark):
 
 
 @pytest.mark.perf_smoke
-def test_perf_multi_artifact(multi_instance, archive):
+def test_perf_multi_artifact(multi_instance, archive, monkeypatch):
     """Regenerate ``results/multi_engine_perf.txt``: indexed vs naive
     capacity math through the shared kernel on an m=4 fleet, plus the
     m=1 façade-overhead comparison.  Values must agree between the two
     capacity paths (the naive wrapper only changes *how* work integrals
-    are computed, never the physics)."""
+    are computed, never the physics).  The fast path engaging is asserted
+    as a count — the indexed run walks zero capacity pieces, the naive
+    run walks them — not as a wall-clock race: on this instance's short
+    paths the scan is cheap and the two wall times overlap."""
     jobs, horizon = multi_instance
     m = 4
+    walked = _count_pieces(monkeypatch)
 
     rows = []
     for name, make in (
         ("Global-EDF", lambda: GlobalEDFScheduler()),
         ("Global-V-Dover", lambda: GlobalVDoverScheduler(k=7.0)),
     ):
+        walked[0] = 0
         fast_res, t_fast = _timed(
             lambda make=make: simulate_multi(jobs, _fleet(m, horizon), make())
         )
+        fast_pieces = walked[0]
+        walked[0] = 0
         naive_res, t_naive = _timed(
             lambda make=make: simulate_multi(
                 jobs,
@@ -148,6 +170,7 @@ def test_perf_multi_artifact(multi_instance, archive):
             ),
             repeat=1,
         )
+        naive_pieces = walked[0]
         assert naive_res.value == pytest.approx(fast_res.value, rel=1e-9)
         assert naive_res.completed_ids == fast_res.completed_ids
         rows.append(
@@ -157,6 +180,8 @@ def test_perf_multi_artifact(multi_instance, archive):
                 t_fast,
                 fast_res.value,
                 naive_res.value == fast_res.value,
+                fast_pieces,
+                naive_pieces,
             )
         )
 
@@ -189,13 +214,15 @@ def test_perf_multi_artifact(multi_instance, archive):
         f"({len(jobs)} jobs); naive column wraps every trajectory in",
         "_NaiveCapacity (pre-index linear piece-scan reference).",
         "",
-        f"{'policy':24s} {'naive':>10s} {'indexed':>10s} {'speedup':>8s} {'values':>10s}",
+        f"{'policy':24s} {'naive':>10s} {'indexed':>10s} {'speedup':>8s} "
+        f"{'values':>10s} {'pieces naive/indexed':>21s}",
     ]
-    for name, t_naive, t_fast, value, bitwise in rows:
+    for name, t_naive, t_fast, value, bitwise, fast_p, naive_p in rows:
         lines.append(
             f"{name:24s} {t_naive:9.2f}ms {t_fast:9.2f}ms "
             f"{t_naive / t_fast:7.1f}x "
-            f"{'identical' if bitwise else 'approx'}"
+            f"{'identical' if bitwise else 'approx':>10s} "
+            f"{naive_p:>12d} / {fast_p:<6d}"
         )
     lines += [
         "",
@@ -208,8 +235,11 @@ def test_perf_multi_artifact(multi_instance, archive):
         "",
         "Acceptance: indexed and naive capacity math agree on every",
         "policy's total value; the indexed path is the default for all",
-        "supports_prefix_index trajectories on every processor.",
+        "supports_prefix_index trajectories on every processor (it walks",
+        "no capacity pieces; the naive path walks them).",
+        "Wall times are reported, not asserted.",
     ]
     archive("multi_engine_perf", "\n".join(lines))
-    for name, t_naive, t_fast, _value, _bitwise in rows:
-        assert t_fast <= t_naive, f"{name}: indexed slower than naive scan"
+    for name, _t_naive, _t_fast, _value, _bitwise, fast_p, naive_p in rows:
+        assert fast_p == 0, f"{name}: indexed run scanned {fast_p} pieces"
+        assert naive_p > 0, f"{name}: naive run scanned no pieces"

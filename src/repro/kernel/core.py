@@ -11,9 +11,10 @@ lives here once, parameterised over a *processor set*:
   completion re-prediction are O(log n) on every processor;
 * a single global event queue ordered by ``(time, kind priority, seq)``
   with per-job version tokens for lazy deletion and automatic compaction
-  (:meth:`~repro.sim.events.EventQueue.note_stale`) — a binary heap by
-  default, or a bucketed calendar queue in high-λ regimes
-  (:func:`~repro.sim.events.make_event_queue`, ``event_queue="auto"``);
+  (:meth:`~repro.sim.events.EventQueue.note_stale`): one binary heap,
+  with unreleased jobs' release/deadline pairs seeded beside it in
+  release order (:meth:`~repro.sim.events.EventQueue.seed`), so the heap
+  holds only released jobs' events;
 * one *decision protocol* flag: ``single=True`` means scheduler handlers
   return ``Optional[Job]`` (the paper's single-processor interface) and
   the kernel applies it to processor 0; ``single=False`` means handlers
@@ -79,7 +80,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro import obs as _obs
-from repro.sim.events import Event, EventKind, make_event_queue
+from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.job import (
     CODE_STATUS,
     STATUS_CODE,
@@ -133,11 +134,6 @@ class SchedulingKernel:
         bootstrap and again at restore (fresh bind).
     horizon, faults, watchdog, journal, snapshot_every:
         As on the façades (see :class:`~repro.sim.engine.SimulationEngine`).
-    event_queue:
-        ``"auto"`` (default), ``"heap"`` or ``"calendar"`` — the event
-        queue layout (:func:`~repro.sim.events.make_event_queue`).  All
-        three produce bit-identical runs; the choice is constant-factor
-        only.
     single:
         Selects the decision protocol (see above).  In single mode the
         kernel's combined ``outcomes`` trace *is* ``traces[0]`` (one
@@ -156,7 +152,6 @@ class SchedulingKernel:
         watchdog: "object | None" = None,
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
-        event_queue: str = "auto",
         single: bool = False,
     ) -> None:
         validate_jobs(jobs)
@@ -212,12 +207,7 @@ class SchedulingKernel:
         self._proc_of: Dict[int, int] = {}  # jid -> processor while running
 
         # Event bookkeeping.
-        self._events = make_event_queue(
-            event_queue,
-            stale=self._event_is_stale,
-            horizon=self._horizon,
-            expected_events=2 * len(self._jobs) + 1,
-        )
+        self._events = EventQueue(self._event_is_stale)
         self._completion_version: Dict[int, int] = {}
         self._alarm_version: Dict[int, int] = {}
         self._traces: List[ScheduleTrace] = [ScheduleTrace() for _ in range(m)]
@@ -819,16 +809,21 @@ class SchedulingKernel:
         # Seed release/deadline pairs for every job arriving inside the
         # horizon — the membership test is one vectorized pass over the
         # release column; rows come back in instance order, so sequence
-        # numbers match the historical per-job loop exactly.  push_many
-        # heapifies once (O(n)) instead of n× O(log n) pushes.
+        # numbers match the historical per-job loop exactly (release 2k,
+        # deadline 2k+1, END 2m).  The pairs wait beside the heap in
+        # release order; a job's deadline enters the heap at its release.
         jobs = self._table.jobs
-        seed: List[Event] = []
-        for r in self._table.rows_released_by(self._horizon).tolist():
-            job = jobs[r]
-            seed.append(Event(job.release, EventKind.RELEASE, job))
-            seed.append(Event(job.deadline, EventKind.DEADLINE, job))
-        seed.append(Event(self._horizon, EventKind.END))
-        self._events.push_many(seed)
+        released = (
+            jobs[r] for r in self._table.rows_released_by(self._horizon).tolist()
+        )
+        self._events.seed(
+            (
+                Event(job.release, EventKind.RELEASE, job),
+                Event(job.deadline, EventKind.DEADLINE, job),
+            )
+            for job in released
+        )
+        self._events.push(Event(self._horizon, EventKind.END))
 
         for i, fault in enumerate(self._faults):
             fault.arm(self.owner, i)
@@ -868,7 +863,8 @@ class SchedulingKernel:
 
         Mirrors bootstrap seeding exactly: the job joins the instance
         and, when it arrives inside the horizon, a RELEASE/DEADLINE pair
-        is pushed.  Because sequence numbers only break ties *within* one
+        is pushed (into the heap, with consecutive sequence numbers like
+        a seeded pair's).  Because sequence numbers only break ties *within* one
         ``(time, kind)`` class and releases/deadlines are pushed in
         admission order, a closed-horizon replay of the accepted jobs
         (in the same order) dispatches bit-identically — the service's

@@ -112,7 +112,6 @@ class MultiprocessorEngine:
         watchdog: "object | None" = None,
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
-        event_queue: str = "auto",
     ) -> None:
         self._validate = bool(validate)
         self._kernel = SchedulingKernel(
@@ -125,7 +124,6 @@ class MultiprocessorEngine:
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
             single=False,
         )
         # Faults and watchdog monitors observe *this* object (the public
@@ -248,7 +246,6 @@ def simulate_multi(
     watchdog: "object | None" = None,
     journal: "EventJournal | None" = None,
     snapshot_every: int | None = None,
-    event_queue: str = "auto",
     recover: bool = False,
     max_recoveries: int = 8,
 ) -> MultiSimulationResult:
@@ -272,7 +269,6 @@ def simulate_multi(
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
         )
 
     result, recoveries = run_with_recovery(

@@ -105,7 +105,6 @@ def replay_tenant(report: TenantReport) -> ReplayCheck:
         horizon=spec.horizon,
         faults=faults,
         journal=replay_journal,
-        event_queue="heap",
     )
 
     results_identical = results_bit_identical(report.result, replay_result)

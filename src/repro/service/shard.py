@@ -580,7 +580,6 @@ class TenantShard:
             faults=self._built_faults,
             journal=self._journal,
             snapshot_every=self.spec.snapshot_every,
-            event_queue="heap",
         )
         engine.kernel.history_sink = self._on_drain
         return engine

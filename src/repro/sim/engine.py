@@ -140,11 +140,11 @@ class SimulationEngine:
         Take an :class:`~repro.sim.journal.EngineSnapshot` every N
         dispatched events (kept as ``last_snapshot``).  Defaults to 64
         when a crash plan is armed, else off.
-    event_queue:
-        Event-queue layout: ``"auto"`` (default — a bucketed calendar
-        queue in high-λ regimes, a binary heap otherwise), ``"heap"`` or
-        ``"calendar"``.  Constant-factor only; runs are bit-identical
-        under every choice (:func:`repro.sim.events.make_event_queue`).
+
+    Events wait in one binary heap; jobs not yet released wait beside it
+    as seeded release/deadline pairs in release order
+    (:meth:`repro.sim.events.EventQueue.seed`), so the heap holds only
+    released jobs' events and pops in the same order one heap would.
 
     Same-instant interrupt groups reach a ``batch_capable`` scheduler as
     one :meth:`~repro.sim.batchproto.BatchScheduler.plan` call whenever
@@ -166,7 +166,6 @@ class SimulationEngine:
         watchdog: "object | None" = None,
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
-        event_queue: str = "auto",
     ) -> None:
         self._validate = bool(validate)
         self._kernel = SchedulingKernel(
@@ -179,7 +178,6 @@ class SimulationEngine:
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
             single=True,
         )
         # Faults and watchdog monitors observe *this* object (the public
@@ -290,7 +288,6 @@ def simulate(
     watchdog: "object | None" = None,
     journal: "EventJournal | None" = None,
     snapshot_every: int | None = None,
-    event_queue: str = "auto",
     recover: bool = False,
     max_recoveries: int = 8,
 ) -> SimulationResult:
@@ -318,7 +315,6 @@ def simulate(
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
         )
 
     result, recoveries = run_with_recovery(

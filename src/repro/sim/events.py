@@ -1,4 +1,4 @@
-"""Event types and the event queues for the discrete-event engine.
+"""Event types and the event queue for the discrete-event engine.
 
 Events are totally ordered by ``(time, kind priority, sequence)``.  The kind
 priority encodes the tie-breaking rules the paper's semantics require at a
@@ -19,27 +19,30 @@ events without an O(n) heap scan (lazy deletion, as recommended for heapq).
 Lazy deletion alone lets dead entries accumulate — schedulers that churn
 alarms (LLF crossing timers, Dover's zero-laxity interrupts) can grow the
 heap without bound — so the queue also supports *compaction*: when the
-caller has hinted that more than half the heap is dead
+caller has hinted that more than half the queue is dead
 (:meth:`EventQueue.note_stale`), the heap is filtered through the caller's
 staleness predicate and re-heapified.  Compaction preserves pop order
 exactly because every entry's ``(time, kind, seq)`` key is unique.
 
-Two implementations share one contract (push/pop/peek/compact/dump/load):
+:class:`EventQueue` is one binary heap plus a *seeded run*.  In the
+paper's online model a job is invisible until its release interrupt, so
+the kernel does not heap a closed-horizon instance's (RELEASE, DEADLINE)
+pairs at bootstrap: it hands them to :meth:`EventQueue.seed`, which keeps
+them in release-key order beside the heap.  Every pop takes the smaller of
+the heap head and the next seeded release, and taking a seeded release
+pushes its deadline into the heap.  A job's deadline is strictly after its
+release (:class:`~repro.sim.job.Job` enforces it), so that deadline is in
+the heap before anything keyed after the release can pop: the merged pop
+order is exactly the one-heap ``(time, kind, seq)`` order, while the heap
+holds only released jobs' events (docs/PERFORMANCE.md, "Seeded
+release/deadline pairs").  Everything observable counts an unreleased pair
+as its two queued entries — ``len()``, :meth:`~EventQueue.dump`, the
+compaction trigger and the ``stale_hint`` clamp — so snapshots, journals
+and compaction match the one-heap queue byte for byte.
 
-* :class:`EventQueue` — a single binary heap.  O(log n) everywhere, the
-  right default for paper-scale runs.
-* :class:`CalendarEventQueue` — a bucketed (calendar-queue) variant for
-  high-λ regimes: events hash into fixed-width time buckets (each bucket a
-  small heap over the full ``(time, kind, seq)`` key, bucket indices in a
-  second tiny heap), so pushes and pops touch a bucket of a few entries
-  instead of a deep global heap.  Pop order is *identical* to the binary
-  heap's by construction — buckets partition time, and within a bucket the
-  full unique key orders entries — which the equivalence property suite
-  pins down (``tests/sim/test_events_calendar.py``).
-
-:func:`make_event_queue` selects between them ("heap", "calendar", or
-"auto" on a seeded-event-density heuristic — see
-``docs/PERFORMANCE.md``).
+A bucketed calendar layout with the same pop order stays defined at the
+end of this module.  No run path builds it; it remains only while the
+benchmark harness (``perfbench/ledger.py``) names it.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ __all__ = [
     "EventKind",
     "Event",
     "EventQueue",
-    "CalendarEventQueue",
-    "make_event_queue",
 ]
 
 
@@ -128,6 +129,20 @@ class Event:
 #: compared.
 _Entry = Tuple[float, int, int, Event]
 
+#: Seeded-run entries are ``(release time, RELEASE, release seq, release
+#: event, deadline event)``; the deadline's key is ``(deadline time,
+#: DEADLINE, release seq + 1)``.  Compared by the same unique prefix as
+#: heap entries, so the run and the heap head compare directly.
+_Seeded = Tuple[float, int, int, Event, Event]
+
+_RELEASE = int(EventKind.RELEASE)
+_DEADLINE = int(EventKind.DEADLINE)
+
+
+def _deadline_entry(release_seq: int, deadline: Event) -> _Entry:
+    """The heap entry of a seeded pair's deadline."""
+    return (deadline.time, _DEADLINE, release_seq + 1, deadline)
+
 
 class EventQueue:
     """A priority queue of :class:`Event` with deterministic ordering.
@@ -142,12 +157,15 @@ class EventQueue:
 
     def __init__(self, stale: Callable[[Event], bool] | None = None) -> None:
         self._heap: List[_Entry] = []
+        #: Unreleased seeded pairs in *descending* key order: the next
+        #: release is the last element.
+        self._seeded: List[_Seeded] = []
         self._counter = itertools.count()
         self._stale = stale
         self._stale_hint = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + 2 * len(self._seeded)
 
     def push(self, event: Event) -> None:
         if event.time != event.time:  # NaN guard
@@ -155,31 +173,68 @@ class EventQueue:
         seq = next(self._counter)
         heapq.heappush(self._heap, (event.time, int(event.kind), seq, event))
 
-    def push_many(self, events: Iterable[Event]) -> None:
-        """Bulk push: append then re-heapify (O(n) instead of n pushes at
-        O(log n) each).  Sequence numbers are assigned in iteration order,
-        so the pop order is identical to pushing one by one."""
-        heap = self._heap
+    def seed(self, pairs: Iterable[Tuple[Event, Event]]) -> None:
+        """Queue jobs' ``(RELEASE, DEADLINE)`` event pairs beside the heap.
+
+        Sequence numbers are assigned in iteration order — release ``s``,
+        deadline ``s + 1`` — exactly as pushing each pair would.  A pair's
+        deadline enters the heap only when its release pops.  Each
+        deadline must fall strictly after its release: that is what keeps
+        the merged pop order identical to one heap's (module docstring).
+        """
         counter = self._counter
-        for event in events:
-            if event.time != event.time:  # NaN guard
-                raise SimulationError(f"event with NaN time: {event!r}")
-            heap.append((event.time, int(event.kind), next(counter), event))
-        heapq.heapify(heap)
+        run = self._seeded
+        for release, deadline in pairs:
+            if (
+                release.kind is not EventKind.RELEASE
+                or deadline.kind is not EventKind.DEADLINE
+            ):
+                raise SimulationError(
+                    f"seed takes (RELEASE, DEADLINE) pairs, got "
+                    f"({release.kind!r}, {deadline.kind!r})"
+                )
+            if not deadline.time > release.time:  # also rejects NaN
+                raise SimulationError(
+                    f"seeded deadline {deadline.time!r} is not after its "
+                    f"release {release.time!r}"
+                )
+            seq = next(counter)
+            next(counter)
+            run.append((release.time, _RELEASE, seq, release, deadline))
+        run.sort(reverse=True)
+
+    def _release_next(self) -> Event:
+        """Take the next seeded release; its deadline enters the heap."""
+        _t, _k, seq, release, deadline = self._seeded.pop()
+        heapq.heappush(self._heap, _deadline_entry(seq, deadline))
+        return release
 
     def pop(self) -> Event:
-        if not self._heap:
+        heap = self._heap
+        seeded = self._seeded
+        if seeded and (not heap or seeded[-1] < heap[0]):
+            event = self._release_next()
+        elif heap:
+            event = heapq.heappop(heap)[3]
+        else:
             raise SimulationError("pop from empty event queue")
-        time, kind, seq, event = heapq.heappop(self._heap)
         if self._stale_hint:
             # The popped entry may itself have been one of the hinted-dead
             # ones; keep the hint an upper bound rather than letting it
-            # exceed the heap size.
-            self._stale_hint = min(self._stale_hint, len(self._heap))
+            # exceed the queued total.
+            self._stale_hint = min(
+                self._stale_hint, len(heap) + 2 * len(seeded)
+            )
         return event
 
     def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        seeded = self._seeded
+        if seeded:
+            time = seeded[-1][0]
+            if not heap or time < heap[0][0]:
+                return time
+        return heap[0][0] if heap else None
 
     def peek_key(self) -> Optional[Tuple[float, int]]:
         """``(time, int(kind))`` of the head event without popping it.
@@ -187,8 +242,11 @@ class EventQueue:
         The batch dispatch path uses this to gather whole same-``(time,
         kind)`` groups; like :meth:`peek_time` it sees stale entries too
         (the caller filters them exactly as the scalar loop would)."""
-        head = self._heap[0] if self._heap else None
-        return None if head is None else (head[0], head[1])
+        heap = self._heap
+        seeded = self._seeded
+        if seeded and (not heap or seeded[-1] < heap[0]):
+            return (seeded[-1][0], _RELEASE)
+        return (heap[0][0], heap[0][1]) if heap else None
 
     def pop_group(self, time: float, kind_int: int) -> List[Event]:
         """Pop every consecutive head entry keyed exactly ``(time,
@@ -196,19 +254,30 @@ class EventQueue:
 
         Equivalent to repeated ``peek_key()``/``pop()`` — one call per
         gathered group instead of two per event, with the key comparison
-        done on the raw heap entry (no tuple allocation).  Stale entries
+        done on the raw entries (no tuple allocation).  Stale entries
         come out too; the caller filters them exactly as the scalar loop
         would."""
         heap = self._heap
+        seeded = self._seeded
         out: List[Event] = []
         heappop = heapq.heappop
-        while heap:
-            head = heap[0]
-            if head[0] != time or head[1] != kind_int:
+        while True:
+            if seeded and (not heap or seeded[-1] < heap[0]):
+                head = seeded[-1]
+                if head[0] != time or head[1] != kind_int:
+                    break
+                out.append(self._release_next())
+            elif heap:
+                head = heap[0]
+                if head[0] != time or head[1] != kind_int:
+                    break
+                out.append(heappop(heap)[3])
+            else:
                 break
-            out.append(heappop(heap)[3])
         if out and self._stale_hint:
-            self._stale_hint = min(self._stale_hint, len(heap))
+            self._stale_hint = min(
+                self._stale_hint, len(heap) + 2 * len(seeded)
+            )
         return out
 
     # -- compaction (lazy-deletion hygiene) ---------------------------------
@@ -218,8 +287,9 @@ class EventQueue:
 
         Called by the engine whenever it bumps a version token (cancelling
         an alarm or a completion).  When the hinted dead count exceeds half
-        the heap, :meth:`compact` runs automatically.  Returns the number of
-        entries removed (0 when no compaction was triggered).
+        the queued total (``len()``), :meth:`compact` runs automatically.
+        Returns the number of entries removed (0 when no compaction was
+        triggered).
         """
         self._stale_hint += int(n)
         if self._stale is not None and self._stale_hint * 2 > len(self):
@@ -231,7 +301,9 @@ class EventQueue:
 
         Safe at any point: pop order is fully determined by the unique
         ``(time, kind, seq)`` keys, so removing dead entries and rebuilding
-        the heap never changes which live event comes out next.
+        the heap never changes which live event comes out next.  Only the
+        heap is filtered: a seeded pair is never stale (a release never
+        is, and an unreleased job's deadline is not).
         """
         if self._stale is None:
             self._stale_hint = 0
@@ -249,8 +321,14 @@ class EventQueue:
 
         Used by engine snapshots; pair with :meth:`load` and
         :attr:`next_seq` / :attr:`stale_hint` to rebuild an identical queue.
+        Unreleased seeded pairs appear as their two entries.
         """
-        return sorted(self._heap)
+        entries = list(self._heap)
+        for time, kind, seq, release, deadline in self._seeded:
+            entries.append((time, kind, seq, release))
+            entries.append(_deadline_entry(seq, deadline))
+        entries.sort()
+        return entries
 
     def load(
         self,
@@ -262,10 +340,12 @@ class EventQueue:
 
         ``next_seq`` must be the original queue's :attr:`next_seq` so that
         sequence numbers assigned after the restore match the original run
-        exactly (bit-identical replay depends on it).
+        exactly (bit-identical replay depends on it).  Every entry goes
+        into the heap; the pop order is the same as from a seeded run.
         """
         self._heap = list(entries)
         heapq.heapify(self._heap)
+        self._seeded = []
         self._counter = itertools.count(int(next_seq))
         self._stale_hint = int(stale_hint)
 
@@ -285,7 +365,10 @@ class EventQueue:
 
 
 class CalendarEventQueue(EventQueue):
-    """Bucketed (calendar-queue) event queue for high-λ regimes.
+    """Bucketed (calendar-queue) event queue.
+
+    No run path builds it (see the module docstring); it stays only while
+    ``perfbench/ledger.py`` names it.
 
     Events hash into fixed-width time buckets; each bucket is a small heap
     over the full ``(time, kind, seq)`` entry, and a second heap orders the
@@ -297,8 +380,7 @@ class CalendarEventQueue(EventQueue):
     expected entries instead of one deep heap).
 
     ``bucket_width`` sets the time span per bucket; pick roughly
-    ``horizon / expected_events × 4`` so a bucket holds a few events
-    (:func:`make_event_queue` does this).
+    ``horizon / expected_events × 4`` so a bucket holds a few events.
     """
 
     def __init__(
@@ -332,6 +414,12 @@ class CalendarEventQueue(EventQueue):
     def push_many(self, events: Iterable[Event]) -> None:
         for event in events:
             self.push(event)
+
+    def seed(self, pairs: Iterable[Tuple[Event, Event]]) -> None:
+        """Buckets hold every entry: a seeded pair is simply pushed."""
+        for release, deadline in pairs:
+            self.push(release)
+            self.push(deadline)
 
     def _place(self, entry: _Entry) -> None:
         idx = self._bucket_of(entry[0])
@@ -435,49 +523,3 @@ class CalendarEventQueue(EventQueue):
         self._counter = itertools.count(int(next_seq))
         self._stale_hint = int(stale_hint)
 
-
-#: ``make_event_queue("auto")`` picks the calendar layout when the seeded
-#: event density (events per simulated time unit) reaches this bar *and*
-#: there are enough events for bucketing to matter.  Below it the single
-#: binary heap wins on constant factors.  (docs/PERFORMANCE.md)
-CALENDAR_DENSITY_THRESHOLD = 24.0
-CALENDAR_MIN_EVENTS = 4096
-
-#: Target expected entries per calendar bucket.
-_CALENDAR_FILL = 4.0
-
-
-def make_event_queue(
-    mode: str = "auto",
-    *,
-    stale: Callable[[Event], bool] | None = None,
-    horizon: float = 0.0,
-    expected_events: int = 0,
-) -> EventQueue:
-    """Build the event queue for a run.
-
-    ``mode`` is ``"heap"``, ``"calendar"`` or ``"auto"``; auto selects the
-    calendar layout for high-λ regimes (seeded-event density ≥
-    ``CALENDAR_DENSITY_THRESHOLD`` per time unit and at least
-    ``CALENDAR_MIN_EVENTS`` events), else the binary heap.  Both produce
-    bit-identical pop orders; the choice is purely a constant-factor one.
-    """
-    if mode not in ("auto", "heap", "calendar"):
-        raise SimulationError(
-            f"unknown event queue mode {mode!r} "
-            "(expected 'auto', 'heap' or 'calendar')"
-        )
-    if mode == "auto":
-        dense = (
-            horizon > 0.0
-            and expected_events >= CALENDAR_MIN_EVENTS
-            and expected_events / horizon >= CALENDAR_DENSITY_THRESHOLD
-        )
-        mode = "calendar" if dense else "heap"
-    if mode == "calendar":
-        if horizon > 0.0 and expected_events > 0:
-            width = max(horizon * _CALENDAR_FILL / expected_events, 1e-9)
-        else:
-            width = 1.0
-        return CalendarEventQueue(stale, bucket_width=width)
-    return EventQueue(stale)

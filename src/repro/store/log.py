@@ -36,7 +36,10 @@ Durability contract: ``append(..., sync=True)`` returns only after the
 frame is fsynced — a ``SIGKILL`` after the call loses nothing, a power
 loss after the call loses nothing (segment birth was dir-fsynced).
 ``sync=False`` hands the bytes to the OS (flush) without forcing them
-to media.
+to media.  A log opened with ``fsync=False`` fsyncs only appends that
+ask for it (``sync=True``): segment birth, rotation, rewrites,
+compaction, quarantine and close flush instead, so it survives
+``SIGKILL`` but promises nothing across power loss.
 """
 
 from __future__ import annotations
@@ -239,6 +242,17 @@ class SegmentedLog:
             self._dir.rename(name, name + ".quarantine")
             self.quarantined.append(name)
         if names:
+            self._sync_dir()
+
+    def _sync(self, handle: FileHandle) -> None:
+        """Seal ``handle``'s bytes: fsync, or flush on an unsynced log."""
+        if self._fsync:
+            handle.fsync()
+        else:
+            handle.flush()
+
+    def _sync_dir(self) -> None:
+        if self._fsync:
             self._dir.fsync_dir()
 
     def _write_segment(
@@ -253,10 +267,10 @@ class SegmentedLog:
                 _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
                 + payload
             )
-        h.fsync()
+        self._sync(h)
         h.close()
         self._dir.rename(tmp, name)
-        self._dir.fsync_dir()
+        self._sync_dir()
 
     def _new_segment(self, first_seq: int) -> None:
         name = _segment_name(first_seq)
@@ -294,7 +308,7 @@ class SegmentedLog:
 
     def _rotate(self) -> None:
         assert self._handle is not None
-        self._handle.fsync()  # seal the outgoing segment
+        self._sync(self._handle)  # seal the outgoing segment
         self._handle.close()
         self._new_segment(self.next_seq)
 
@@ -313,14 +327,15 @@ class SegmentedLog:
             self._segments.pop(0)
             removed += 1
         if removed:
-            self._dir.fsync_dir()
+            self._sync_dir()
         return removed
 
     def rebase(self, first_seq: int) -> None:
         """Restart the log at ``first_seq``, dropping records that all
         precede it (a snapshot anchored there supersedes what rot left):
         its segments are removed and a fresh one begins at ``first_seq``;
-        the new segment's birth dir-fsyncs the removals."""
+        the new segment's birth dir-fsyncs the removals (on a log opened
+        with ``fsync``)."""
         if self.next_seq > first_seq:
             raise StorageError(f"rebase to {first_seq} would drop records")
         if self._handle is not None:
@@ -362,7 +377,7 @@ class SegmentedLog:
         if self._closed:
             return
         if self._handle is not None:
-            self._handle.fsync()
+            self._sync(self._handle)
             self._handle.close()
             self._handle = None
         self._closed = True

@@ -19,11 +19,11 @@ against the same digests.
 
 Cases:
 
-* ``tie/<policy>/<queue>/<plain|crash>`` — the seven single-processor
+* ``tie/<policy>/heap/<plain|crash>`` — the seven single-processor
   policies on a tie-heavy instance (integer release grid, zero laxity at
-  release) on the binary heap and the calendar queue, journaled and
-  traced, uncrashed and with a crash at dispatch 40 resumed from the last
-  snapshot plus journal replay;
+  release), journaled and traced, uncrashed and with a crash at dispatch
+  40 resumed from the last snapshot plus journal replay (``heap`` stays
+  in the names so recorded cases keep their keys);
 * ``uninstrumented/<zero_laxity|slack>/<policy>`` — the same policies with
   nothing attached (no journal, watchdog, snapshots or tracing), where the
   kernel applies only a release group's net decision;
@@ -285,12 +285,11 @@ def _journal(journal: EventJournal) -> list:
 # Case runners
 # ----------------------------------------------------------------------
 def run_journaled(
-    jobs, capacity, scheduler, queue: str = "heap", *, crash: bool = False,
-    traced: bool = True,
+    jobs, capacity, scheduler, *, crash: bool = False, traced: bool = True,
 ) -> dict:
     """Journaled (and, with ``traced``, traced) run."""
     journal = EventJournal()
-    kw = dict(journal=journal, event_queue=queue)
+    kw = dict(journal=journal)
     if crash:
         kw.update(
             faults=[EngineCrashPlan(at_event=CRASH_AT_EVENT)],
@@ -306,7 +305,7 @@ def run_journaled(
     else:
         result = simulate(jobs, capacity, scheduler, **kw)
     if crash and result.recoveries < 1:
-        raise AssertionError(f"crash case {scheduler.name}/{queue} never crashed")
+        raise AssertionError(f"crash case {scheduler.name} never crashed")
     out = {
         "value": result.value,
         "dispatches": len(journal.records),
@@ -370,9 +369,8 @@ def _run_partitioned(journaled: bool) -> dict:
 def case_names() -> List[str]:
     names = []
     for policy in POLICIES:
-        for queue in ("heap", "calendar"):
-            for mode in ("plain", "crash"):
-                names.append(f"tie/{policy}/{queue}/{mode}")
+        for mode in ("plain", "crash"):
+            names.append(f"tie/{policy}/heap/{mode}")
     for instance in ("zero_laxity", "slack"):
         for policy in POLICIES:
             names.append(f"uninstrumented/{instance}/{policy}")
@@ -393,9 +391,9 @@ def run_case(name: str, *, traced: bool = True) -> dict:
     parts = name.split("/")
     family = parts[0]
     if family == "tie":
-        _, policy, queue, mode = parts
+        _, policy, _queue, mode = parts
         return run_journaled(
-            tie_heavy_instance(), small_capacity(), POLICIES[policy](), queue,
+            tie_heavy_instance(), small_capacity(), POLICIES[policy](),
             crash=mode == "crash", traced=traced,
         )
     if family in GROUP_EDGE_INSTANCES:

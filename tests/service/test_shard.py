@@ -110,7 +110,6 @@ class TestIncrementalParity:
             spec.build_capacity(),
             spec.build_scheduler(),
             horizon=spec.horizon,
-            event_queue="heap",
         )
         assert results_bit_identical(report.result, reference)
         assert report.lost_jids == ()
@@ -129,7 +128,6 @@ class TestIncrementalParity:
             spec.build_capacity(),
             spec.build_scheduler(),
             horizon=spec.horizon,
-            event_queue="heap",
         )
         assert results_bit_identical(report.result, reference)
 
@@ -201,7 +199,6 @@ class TestRecovery:
             spec.build_capacity(),
             spec.build_scheduler(),
             horizon=spec.horizon,
-            event_queue="heap",
         )
         assert results_bit_identical(report.result, reference)
         assert replay_tenant(report).ok
@@ -436,7 +433,6 @@ class TestReplaySnapshots:
             faults=faults,
             journal=journal,
             snapshot_every=spec.snapshot_every,
-            event_queue="heap",
         )
         assert len(taken) > 10
         assert journal.digest == check.replay_journal.digest

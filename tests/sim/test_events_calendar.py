@@ -1,25 +1,13 @@
 """Calendar-queue equivalence: the bucketed event queue must produce the
-exact pop sequence of the binary heap for any push/pop interleaving, and
-engine runs must be bit-identical under either layout."""
+exact pop sequence of the binary heap for any push/pop interleaving.  No
+run path builds the calendar queue; these tests stay with the class."""
 
 import random
 
 import pytest
 
-from repro.capacity import TwoStateMarkovCapacity
-from repro.core import EDFScheduler, VDoverScheduler
 from repro.errors import SimulationError
-from repro.sim import simulate
-from repro.sim.events import (
-    CALENDAR_DENSITY_THRESHOLD,
-    CALENDAR_MIN_EVENTS,
-    CalendarEventQueue,
-    Event,
-    EventKind,
-    EventQueue,
-    make_event_queue,
-)
-from repro.workload import PoissonWorkload
+from repro.sim.events import CalendarEventQueue, Event, EventKind, EventQueue
 
 
 def _random_events(rng, n, span=100.0):
@@ -83,6 +71,27 @@ class TestPopOrderEquivalence:
         ]
 
 
+    def test_seed_matches_heap(self):
+        rng = random.Random(17)
+        pairs = []
+        for j in range(50):
+            release = float(rng.randrange(0, 10))
+            deadline = release + rng.randrange(1, 5)
+            pairs.append(
+                (
+                    Event(release, EventKind.RELEASE, payload=j),
+                    Event(deadline, EventKind.DEADLINE, payload=j),
+                )
+            )
+        heap = EventQueue()
+        cal = CalendarEventQueue(bucket_width=2.0)
+        heap.seed(pairs)
+        cal.seed(pairs)
+        assert len(cal) == len(heap) == 100
+        assert cal.next_seq == heap.next_seq
+        assert [cal.pop() for _ in range(100)] == [heap.pop() for _ in range(100)]
+
+
 class TestCompactionAndSnapshots:
     def test_compact_equivalence(self):
         """Compacting mid-stream never changes the surviving pop order."""
@@ -126,51 +135,3 @@ class TestCompactionAndSnapshots:
         with pytest.raises(SimulationError):
             cal.push(Event(float("nan"), EventKind.TIMER, "x"))
 
-
-class TestSelectionHeuristic:
-    def test_modes(self):
-        assert isinstance(make_event_queue("heap"), EventQueue)
-        assert isinstance(make_event_queue("calendar"), CalendarEventQueue)
-        with pytest.raises(SimulationError):
-            make_event_queue("btree")
-
-    def test_auto_prefers_heap_at_paper_scale(self):
-        """Figure-1 density (~12 events/unit) stays on the binary heap."""
-        q = make_event_queue("auto", horizon=333.3, expected_events=4033)
-        assert type(q) is EventQueue
-
-    def test_auto_picks_calendar_when_dense(self):
-        n = CALENDAR_MIN_EVENTS
-        horizon = n / (2 * CALENDAR_DENSITY_THRESHOLD)
-        q = make_event_queue("auto", horizon=horizon, expected_events=n)
-        assert isinstance(q, CalendarEventQueue)
-
-    def test_auto_needs_enough_events(self):
-        q = make_event_queue(
-            "auto", horizon=1.0, expected_events=CALENDAR_MIN_EVENTS - 1
-        )
-        assert type(q) is EventQueue
-
-
-class TestEngineEquivalence:
-    """End-to-end: a full simulation is bit-identical under either layout."""
-
-    @pytest.mark.parametrize("make_sched", [
-        EDFScheduler,
-        lambda: VDoverScheduler(k=7.0),
-    ])
-    def test_run_bit_identical(self, make_sched):
-        h = 40.0
-        jobs = PoissonWorkload(lam=4.0, horizon=h).generate(13)
-
-        def run(mode):
-            cap = TwoStateMarkovCapacity(
-                1.0, 20.0, mean_sojourn=h / 4, rng=9
-            )
-            return simulate(jobs, cap, make_sched(), event_queue=mode)
-
-        base = run("heap")
-        alt = run("calendar")
-        assert alt.value == base.value
-        assert alt.trace.segments == base.trace.segments
-        assert alt.trace.outcomes == base.trace.outcomes

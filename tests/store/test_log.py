@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import StorageError
@@ -319,3 +321,32 @@ class TestPowerLoss:
         log.append(b"volatile", sync=False)
         mem.crash()
         assert _records(SegmentedLog(mem)) == [b"durable"]
+
+
+class TestFsyncFlag:
+    def test_unsynced_log_never_fsyncs(self, tmp_path, monkeypatch):
+        """``fsync=False``: segment birth, rotation, the truncation
+        rewrite, compaction, quarantine and close flush instead."""
+        calls = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        d = OsDirectory(tmp_path)
+        log = SegmentedLog(d, segment_bytes=64, fsync=False)
+        payloads = _fill(log, 10)
+        log.truncate(8)
+        assert log.compact(6) > 0
+        log.close()
+        first = sorted(n for n in d.listdir() if n.endswith(".seg"))[0]
+        data = bytearray((tmp_path / first).read_bytes())
+        data[-1] ^= 0x01  # rot the first live segment's last payload byte
+        (tmp_path / first).write_bytes(bytes(data))
+        reopened = SegmentedLog(d, segment_bytes=64, fsync=False)
+        assert reopened.quarantined
+        reopened.close()
+        assert calls == []
+        assert _records(SegmentedLog(d, segment_bytes=64))[:1] == payloads[6:7]

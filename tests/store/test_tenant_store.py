@@ -150,3 +150,34 @@ class TestFsyncFlag:
         assert len(calls) == expected
         assert len(observed) == expected
         assert len(store.ops()) == 6
+
+    @pytest.mark.parametrize("fsync, expected", [(False, 0), (True, 37)])
+    def test_rotation_compaction_and_close_follow_the_flag(
+        self, tmp_path, monkeypatch, fsync, expected
+    ):
+        """Every fsync the store's logs make — segment birth, rotation,
+        the rewrite behind a history truncation, compaction and close —
+        follows the flag.  ``expected`` for ``fsync=True`` is the count
+        the logs made before the flag reached those calls."""
+        calls = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        store = TenantStore(tmp_path / "t0", segment_bytes=256, fsync=fsync)
+        for i in range(20):
+            store.append_ops([{"i": i}])
+        assert len(store.oplog._segments) > 1  # rotated
+        store.append_history(b"h0", seq=0)
+        store.append_history(b"h1", seq=1)
+        store.append_history(b"h1-again", seq=1)  # truncate + rewrite
+        store.write_snapshot({"state": 1}, op_seq=store.op_seq)
+        assert len(store.oplog._segments) == 1  # compacted
+        store.close()
+        assert len(calls) == expected
+        reopened = TenantStore(tmp_path / "t0", segment_bytes=256)
+        assert reopened.history_records(2) == [b"h0", b"h1-again"]
+        assert reopened.load_snapshot() == ({"state": 1}, 20)
