@@ -1,8 +1,10 @@
 """Shared helpers for the benchmark/reproduction harness.
 
 Every benchmark regenerates one paper artifact (table/figure) or ablation,
-prints it, and archives it under ``benchmarks/results/`` so EXPERIMENTS.md
-can be refreshed from the latest run.  Scale knobs:
+prints it, and writes it under ``test-results/benchmarks/`` (untracked), so
+a run never rewrites the archived copies in ``benchmarks/results/``; copy a
+fresh artifact over its archived twin to refresh EXPERIMENTS.md.  Scale
+knobs:
 
 * ``REPRO_MC_RUNS``  — Monte-Carlo replications (default: laptop-friendly;
   the paper uses 800);
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "test-results" / "benchmarks"
 
 
 def expected_jobs(default: float = 1000.0) -> float:
@@ -28,13 +30,13 @@ def expected_jobs(default: float = 1000.0) -> float:
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
 
 @pytest.fixture
 def archive(results_dir):
-    """Print an artifact and save it under benchmarks/results/<name>.txt."""
+    """Print an artifact and save it under test-results/benchmarks/<name>.txt."""
 
     def _archive(name: str, text: str) -> None:
         print()

@@ -1,19 +1,16 @@
 """Multiprocessor engine benchmarks: indexed vs naive capacity math.
 
-Not a paper artifact — the multiprocessor engine shares the single-
-processor scheduling kernel (docs/ARCHITECTURE.md), so this file checks
-that the prefix-sum capacity fast path actually engages per processor
-and regenerates ``benchmarks/results/multi_engine_perf.txt``:
+Not a paper artifact — runs on m processors share the one scheduling
+kernel (docs/ARCHITECTURE.md), so this file checks that the prefix-sum
+capacity fast path actually engages per processor and regenerates the
+``multi_engine_perf.txt`` artifact (archived in ``benchmarks/results/``):
 
-* ``simulate_multi`` on an m=4 heterogeneous fleet with indexed
-  trajectories vs the same fleet wrapped in :class:`_NaiveCapacity`
-  (which forces the kernel onto the pre-index linear-scan reference,
-  ``naive_integrate`` / ``naive_advance``) — same values; the indexed
-  run walks no capacity pieces at all while the naive run walks them
-  (counted, asserted), with both wall times reported;
-* the m=1 façade comparison: ``simulate`` vs ``simulate_multi`` with a
-  single processor, quantifying the adapter overhead of running a
-  single-processor policy through the multiprocessor façade.
+``simulate`` on an m=4 heterogeneous fleet with indexed trajectories vs
+the same fleet wrapped in :class:`_NaiveCapacity` (which forces the kernel
+onto the pre-index linear-scan reference, ``naive_integrate`` /
+``naive_advance``) — same values; the indexed run walks no capacity
+pieces at all while the naive run walks them (counted, asserted), with
+both wall times reported.
 """
 
 from __future__ import annotations
@@ -25,13 +22,7 @@ import numpy as np
 import pytest
 
 from repro.capacity import TwoStateMarkovCapacity, naive_advance, naive_integrate
-from repro.core import VDoverScheduler
-from repro.multi import (
-    GlobalEDFScheduler,
-    GlobalVDoverScheduler,
-    SingleProcessorAdapter,
-    simulate_multi,
-)
+from repro.multi import GlobalEDFScheduler, GlobalVDoverScheduler
 from repro.sim import simulate
 from repro.workload import PoissonWorkload
 
@@ -118,7 +109,7 @@ def test_perf_multi_gedf_indexed(multi_instance, benchmark):
     jobs, horizon = multi_instance
 
     def run():
-        return simulate_multi(
+        return simulate(
             jobs, _fleet(4, horizon), GlobalEDFScheduler()
         ).value
 
@@ -130,7 +121,7 @@ def test_perf_multi_gvdover_indexed(multi_instance, benchmark):
     jobs, horizon = multi_instance
 
     def run():
-        return simulate_multi(
+        return simulate(
             jobs, _fleet(4, horizon), GlobalVDoverScheduler(k=7.0)
         ).value
 
@@ -140,10 +131,9 @@ def test_perf_multi_gvdover_indexed(multi_instance, benchmark):
 @pytest.mark.perf_smoke
 def test_perf_multi_artifact(multi_instance, archive, monkeypatch):
     """Regenerate ``results/multi_engine_perf.txt``: indexed vs naive
-    capacity math through the shared kernel on an m=4 fleet, plus the
-    m=1 façade-overhead comparison.  Values must agree between the two
-    capacity paths (the naive wrapper only changes *how* work integrals
-    are computed, never the physics).  The fast path engaging is asserted
+    capacity math through the shared kernel on an m=4 fleet.  Values
+    must agree between the two capacity paths (the naive wrapper only
+    changes *how* work integrals are computed, never the physics).  The fast path engaging is asserted
     as a count — the indexed run walks zero capacity pieces, the naive
     run walks them — not as a wall-clock race: on this instance's short
     paths the scan is cheap and the two wall times overlap."""
@@ -158,12 +148,12 @@ def test_perf_multi_artifact(multi_instance, archive, monkeypatch):
     ):
         walked[0] = 0
         fast_res, t_fast = _timed(
-            lambda make=make: simulate_multi(jobs, _fleet(m, horizon), make())
+            lambda make=make: simulate(jobs, _fleet(m, horizon), make())
         )
         fast_pieces = walked[0]
         walked[0] = 0
         naive_res, t_naive = _timed(
-            lambda make=make: simulate_multi(
+            lambda make=make: simulate(
                 jobs,
                 [_NaiveCapacity(c) for c in _fleet(m, horizon)],
                 make(),
@@ -185,26 +175,6 @@ def test_perf_multi_artifact(multi_instance, archive, monkeypatch):
             )
         )
 
-    # m=1 façade comparison: the *same* policy through both engines
-    # (V-Dover direct vs V-Dover behind the SingleProcessorAdapter, the
-    # configuration tests/multi/test_kernel_parity.py proves bit-identical).
-    single_res, t_single = _timed(
-        lambda: simulate(
-            jobs,
-            TwoStateMarkovCapacity(
-                1.0, 20.0, mean_sojourn=horizon / 4.0,
-                rng=np.random.default_rng(101),
-            ),
-            VDoverScheduler(k=7.0),
-        )
-    )
-    multi_res, t_multi = _timed(
-        lambda: simulate_multi(
-            jobs, _fleet(1, horizon), SingleProcessorAdapter(VDoverScheduler(k=7.0))
-        )
-    )
-    assert multi_res.value == single_res.value
-
     lines = [
         "Multiprocessor engine: shared-kernel capacity fast path",
         "=" * 62,
@@ -225,13 +195,6 @@ def test_perf_multi_artifact(multi_instance, archive, monkeypatch):
             f"{naive_p:>12d} / {fast_p:<6d}"
         )
     lines += [
-        "",
-        "m=1 facade overhead (same kernel, same policy, two engines):",
-        f"{'simulate (V-Dover)':38s} {t_single:9.2f}ms  value={single_res.value!r}",
-        f"{'simulate_multi m=1 (adapted V-Dover)':38s} {t_multi:9.2f}ms  "
-        f"value={multi_res.value!r}",
-        "(tests/multi/test_kernel_parity.py proves the m=1 engines",
-        " bit-identical event for event; this row just prices the facade)",
         "",
         "Acceptance: indexed and naive capacity math agree on every",
         "policy's total value; the indexed path is the default for all",

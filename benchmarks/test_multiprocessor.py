@@ -31,8 +31,8 @@ from repro.multi import (
     GlobalEDFScheduler,
     GlobalVDoverScheduler,
     PartitionedScheduler,
-    simulate_multi,
 )
+from repro.sim import simulate
 from repro.workload import PoissonWorkload
 
 M_PROCS = 4
@@ -72,7 +72,7 @@ def test_multiprocessor_extension(archive, benchmark):
                     )
                     for i in range(M_PROCS)
                 ]
-                result = simulate_multi(jobs, caps, make())
+                result = simulate(jobs, caps, make())
                 per_policy[name].append(result.value / generated)
         row = [f"{lam:g}"]
         for name, _ in _policies():
@@ -112,4 +112,4 @@ def test_multiprocessor_extension(archive, benchmark):
     caps = [
         TwoStateMarkovCapacity(1.0, 10.0, mean_sojourn=10.0, rng=i) for i in range(M_PROCS)
     ]
-    benchmark(lambda: simulate_multi(jobs, caps, GlobalEDFScheduler()).value)
+    benchmark(lambda: simulate(jobs, caps, GlobalEDFScheduler()).value)

@@ -12,6 +12,11 @@ Sweep the load and watch the crossover: migration wins while capacity is
 the bottleneck you can dodge; triage wins once overload makes *choosing*
 jobs matter more than *placing* them.
 
+Every run is the one ``simulate(jobs, capacities, policy)`` the
+single-processor examples use: a list of capacity trajectories gives one
+processor each, and the result's ``proc_traces`` hold each server's
+segments (``migrations()`` counts the processor changes across them).
+
 Run:  python examples/multiprocessor.py [runs]
 """
 
@@ -28,8 +33,8 @@ from repro.multi import (
     GlobalEDFScheduler,
     GlobalVDoverScheduler,
     PartitionedScheduler,
-    simulate_multi,
 )
+from repro.sim import simulate
 from repro.workload import PoissonWorkload
 
 M = 4
@@ -70,7 +75,7 @@ def main(runs: int = 6) -> None:
                     )
                     for i in range(M)
                 ]
-                result = simulate_multi(jobs, caps, make())
+                result = simulate(jobs, caps, make())
                 captured[name].append(100.0 * result.value / generated)
                 if name == "Global-EDF":
                     migrations.append(result.migrations() / max(1, len(jobs)))

@@ -63,26 +63,6 @@ class EDFScheduler(BatchScheduler, Scheduler):
     def on_release(self, job: Job) -> Optional[Job]:
         return self._on_release_from(self.ctx.current_job(), job)
 
-    def on_releases_fast(self, job_view) -> Optional[Job]:
-        # Only the min-key newcomer can end up on the processor, so the
-        # group's net effect is one comparison plus queue inserts for the
-        # losers.  Insert order differs from the scalar fold, but EDF keys
-        # are unique per job, so pop order and sorted snapshots agree.
-        jobs = job_view.jobs
-        best = min(jobs, key=edf_key)
-        cur = self.ctx.current_job()
-        insert = self._ready.insert
-        if cur is not None and edf_key(best) >= edf_key(cur):
-            for job in jobs:
-                insert(job)
-            return cur
-        if cur is not None:
-            insert(cur)
-        for job in jobs:
-            if job is not best:
-                insert(job)
-        return best
-
     def on_completions(self, view: BatchView) -> None:
         # Same-instant deadline sweep of waiting jobs: the scalar
         # on_job_end with a running current is a silent queue drop.

@@ -17,9 +17,9 @@ module packages two end-to-end demonstrations for the CLI and CI:
    crash each policy's engine mid-run via an
    :class:`~repro.faults.EngineCrashPlan`, resume from the last periodic
    snapshot with the write-ahead journal attached, and verify the
-   recovered :class:`~repro.multi.metrics.MultiSimulationResult` is
+   recovered :class:`~repro.sim.metrics.SimulationResult` is
    **bit-identical** to an uncrashed run
-   (:func:`~repro.multi.metrics.multi_results_bit_identical`).
+   (:func:`~repro.sim.journal.results_bit_identical`).
 
 Both run on the shared scheduling kernel (:mod:`repro.kernel`), so the
 snapshot/journal machinery exercised here is literally the same code the
@@ -36,16 +36,13 @@ from repro.analysis.stats import summarize
 from repro.cloud.cluster import LeastWorkDispatcher
 from repro.core.vdover import VDoverScheduler
 from repro.errors import ExperimentError
-from repro.faults.execution import EngineCrashPlan
-from repro.multi.engine import simulate_multi
 from repro.multi.global_policies import (
     GlobalDensityScheduler,
     GlobalEDFScheduler,
 )
 from repro.multi.global_vdover import GlobalVDoverScheduler
-from repro.multi.metrics import multi_results_bit_identical
 from repro.multi.partitioned import PartitionedScheduler
-from repro.sim.journal import EventJournal
+from repro.experiments.recovery_sweep import crash_resume_report
 from repro.experiments.runner import (
     MonteCarloRunner,
     MultiInstanceFactory,
@@ -167,24 +164,10 @@ def multi_crash_resume_equivalence(
     factory = multi_demo_factory(m, lam, k, expected_jobs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     jobs, capacities = factory.make(rng)
-    report: dict[str, dict] = {}
-    for spec in multi_policy_specs(k):
-        reference = simulate_multi(jobs, list(capacities), spec.build())
-
-        journal = EventJournal()  # in-memory write-ahead journal
-        recovered = simulate_multi(
-            jobs,
-            list(capacities),
-            spec.build(),
-            faults=[EngineCrashPlan(at_event=crash_at_event)],
-            journal=journal,
-            snapshot_every=snapshot_every,
-            recover=True,
-        )
-        report[spec.name] = {
-            "identical": multi_results_bit_identical(reference, recovered),
-            "recoveries": recovered.recoveries,
-            "value": recovered.value,
-            "events_journaled": len(journal),
-        }
-    return report
+    return crash_resume_report(
+        jobs,
+        capacities,
+        multi_policy_specs(k),
+        crash_at_event=crash_at_event,
+        snapshot_every=snapshot_every,
+    )

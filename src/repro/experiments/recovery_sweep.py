@@ -56,6 +56,7 @@ __all__ = [
     "default_recovery_rates",
     "run_recovery_sweep",
     "crash_resume_equivalence",
+    "crash_resume_report",
 ]
 
 #: Fault-rate grids per execution-fault kind (0 = fault-free anchor).
@@ -242,17 +243,35 @@ def crash_resume_equivalence(
     factory = _figure1_factory(lam, k, expected_jobs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     jobs, capacity = factory.make(rng)
+    return crash_resume_report(
+        jobs,
+        capacity,
+        _recovery_specs(k),
+        crash_at_event=crash_at_event,
+        snapshot_every=snapshot_every,
+    )
+
+
+def crash_resume_report(
+    jobs,
+    capacity,
+    specs,
+    *,
+    crash_at_event: int,
+    snapshot_every: int,
+) -> dict[str, dict]:
+    """Steps 1–3 of :func:`crash_resume_equivalence` for each spec on one
+    instance (``capacity`` is one trajectory or a list of them)."""
     report: dict[str, dict] = {}
-    for spec in _recovery_specs(k):
+    for spec in specs:
         reference = simulate(jobs, capacity, spec.build())
 
-        plan_faults = [EngineCrashPlan(at_event=crash_at_event)]
         journal = EventJournal()  # in-memory write-ahead journal
         recovered = simulate(
             jobs,
             capacity,
             spec.build(),
-            faults=plan_faults,
+            faults=[EngineCrashPlan(at_event=crash_at_event)],
             journal=journal,
             snapshot_every=snapshot_every,
             recover=True,

@@ -43,7 +43,6 @@ from repro import obs as _obs
 from repro.capacity.base import CapacityFunction
 from repro.capacity.markov import TwoStateMarkovCapacity
 from repro.errors import ExperimentError, ReplicationTimeout, ReproError
-from repro.multi.engine import simulate_multi
 from repro.sim.engine import simulate
 from repro.sim.job import Job, total_value
 from repro.sim.scheduler import Scheduler
@@ -133,9 +132,9 @@ class MultiInstanceFactory:
     """Multiprocessor instance distribution: one cluster-wide job stream,
     ``n_procs`` independent two-state CTMC capacity paths.
 
-    When :func:`_run_one` receives a *list* of capacities from a factory,
-    it runs every scheduler spec through the multiprocessor engine — crash
-    resume, fault arming and paired comparisons all work identically.
+    :func:`_run_one` hands the list to :func:`~repro.sim.engine.simulate`
+    as it is, so every scheduler spec runs on ``n_procs`` processors —
+    crash resume, fault arming and paired comparisons all work identically.
     Per-processor bands may be heterogeneous via ``lows`` / ``highs``
     (sequences of length ``n_procs``, overriding the scalar defaults).
     """
@@ -378,13 +377,6 @@ def _run_one(args: tuple) -> ReplicationOutcome:
     else:
         jobs, capacity = factory.make(rng)
         faults = ()
-    # A factory returning a *list* of capacities selects the
-    # multiprocessor engine; schedulers are then MultiScheduler specs.
-    if isinstance(capacity, (list, tuple)):
-        run, capacity = simulate_multi, list(capacity)
-    else:
-        run = simulate
-
     values: dict[str, float] = {}
     completed: dict[str, int] = {}
     recovered = 0
@@ -395,7 +387,7 @@ def _run_one(args: tuple) -> ReplicationOutcome:
             if getattr(fault, "is_crash_plan", False):
                 fault.fired = False
         # 16 recoveries bound a crash plan that somehow re-fires forever.
-        result = run(
+        result = simulate(
             jobs, capacity, spec.build(), faults=faults, recover=True,
             max_recoveries=16,
         )

@@ -94,7 +94,7 @@ class ExecutionFault:
 
     def _check_proc(self, engine) -> None:
         """Refuse to arm on an engine with fewer processors than targeted."""
-        n = int(getattr(engine, "n_procs", 1))
+        n = engine.n_procs
         if not 0 <= self.proc < n:
             raise FaultConfigError(
                 f"{type(self).__name__} targets processor {self.proc}, "

@@ -15,9 +15,11 @@ lives here once, parameterised over a *processor set*:
   with unreleased jobs' release/deadline pairs seeded beside it in
   release order (:meth:`~repro.sim.events.EventQueue.seed`), so the heap
   holds only released jobs' events;
-* one *decision protocol* flag: ``single=True`` means scheduler handlers
-  return ``Optional[Job]`` (the paper's single-processor interface) and
-  the kernel applies it to processor 0; ``single=False`` means handlers
+* one *decision protocol* flag, which the façade
+  (:class:`~repro.sim.engine.SimulationEngine`) derives from the policy's
+  base class: ``single=True`` means scheduler handlers return
+  ``Optional[Job]`` (the paper's single-processor interface) and the
+  kernel applies it to processor 0; ``single=False`` means handlers
   return a full :class:`~repro.multi.scheduler.Assignment` which the
   kernel diffs against the current one (free preemption and migration,
   no intra-job parallelism).
@@ -60,10 +62,8 @@ exactly after restore.
 
 Determinism contract: for a fixed instance and scheduler the run is
 bit-for-bit reproducible — ties break by insertion sequence, nothing
-consults a wall clock or an RNG — and with ``m = 1`` the kernel replays
-the historical single-processor engine *exactly* (same events, same
-sequence numbers, same float operations; the parity suite in
-``tests/multi/test_kernel_parity.py`` pins this down).
+consults a wall clock or an RNG.  The golden decision corpus
+(``tests/golden/``) pins every policy's outputs and journal digests.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class SchedulingKernel:
         Builds the scheduler-facing context from this kernel; called at
         bootstrap and again at restore (fresh bind).
     horizon, faults, watchdog, journal, snapshot_every:
-        As on the façades (see :class:`~repro.sim.engine.SimulationEngine`).
+        As on the façade (see :class:`~repro.sim.engine.SimulationEngine`).
     single:
         Selects the decision protocol (see above).  In single mode the
         kernel's combined ``outcomes`` trace *is* ``traces[0]`` (one
@@ -255,7 +255,7 @@ class SchedulingKernel:
         # path reduces to a single attribute-identity check.
         self._obs = _obs.current()
         #: The object faults and watchdog monitors observe (the façade);
-        #: defaults to the kernel itself, façades point it at themselves.
+        #: defaults to the kernel itself, the façade points it at itself.
         self.owner = self
 
     # ------------------------------------------------------------------
@@ -1283,11 +1283,7 @@ class SchedulingKernel:
             rows.append(row)
         view = BatchView(t, EventKind.RELEASE, jobs, rows, self._table)
         if net:
-            planner = getattr(scheduler, "on_releases_fast", None)
-            if planner is not None:
-                self._apply(planner(view), t)
-            else:
-                self._apply(scheduler.plan(view)[-1], t)
+            self._apply(scheduler.plan(view)[-1], t)
             return
         desired = scheduler.plan(view)
         if len(desired) != len(jobs):

@@ -1,13 +1,12 @@
-"""Generic crash→restore→resume loop shared by both engine façades.
+"""Generic crash→restore→resume loop behind ``simulate(..., recover=True)``.
 
-The resilience contract (docs/ROBUSTNESS.md §7) is the same for the
-single-processor and multiprocessor engines: a :class:`SimulatedCrash`
-raised mid-run carries the last *periodic* snapshot; recovery rebuilds a
-fresh engine, restores that snapshot (which re-verifies the write-ahead
-journal tail), and re-enters the event loop.  Previously this loop lived
-inline in :func:`repro.sim.engine.simulate`; it is now a kernel-level
-helper so :func:`repro.multi.engine.simulate_multi` gets bit-identical
-crash-resume for free.
+The resilience contract (docs/ROBUSTNESS.md §7) is the same on any
+number of processors: a :class:`SimulatedCrash` raised mid-run carries
+the last *periodic* snapshot; recovery rebuilds a fresh engine, restores
+that snapshot (which re-verifies the write-ahead journal tail), and
+re-enters the event loop.  :func:`repro.sim.engine.simulate` drives it
+for every run, and Monte-Carlo replications run through it as their one
+crash-resume loop.
 
 Livelock detection (docs/ROBUSTNESS.md §10): a crash that recurs at the
 *same position with no dispatch progress* will recur forever — the

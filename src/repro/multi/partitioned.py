@@ -1,4 +1,4 @@
-"""Partitioned multiprocessor scheduling inside the multi engine.
+"""Partitioned multiprocessor scheduling as one multiprocessor policy.
 
 Each processor runs its own single-processor scheduler (V-Dover by
 default); an online dispatcher (reusing the policies of
@@ -6,23 +6,25 @@ default); an online dispatcher (reusing the policies of
 jobs never migrate afterwards.
 
 Besides being the practical deployment mode (migration is rarely free in
-real clouds), this adapter is a powerful differential oracle: a
-partitioned run inside :class:`~repro.multi.engine.MultiprocessorEngine`
-must produce exactly the same outcome as running the same dispatcher +
-scheduler through :func:`repro.cloud.cluster.run_cluster` (m independent
-single-processor engines) — the cross-engine equivalence test in the suite
-leans on this.
+real clouds), this adapter is a powerful differential oracle: one
+``simulate(jobs, capacities, PartitionedScheduler(...))`` run over ``m``
+processors must produce exactly the same outcome as running the same
+dispatcher + scheduler through :func:`repro.cloud.cluster.run_cluster`
+(``m`` independent one-processor runs) — the cross-engine equivalence
+test in the suite leans on this.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.cloud.cluster import Dispatcher
 from repro.errors import SchedulingError
 from repro.sim.job import Job
 from repro.sim.scheduler import Scheduler, SchedulerContext
 from repro.multi.scheduler import Assignment, MultiScheduler, MultiSchedulerContext
+
+if TYPE_CHECKING:  # annotation only: the cluster module imports the engine
+    from repro.cloud.cluster import Dispatcher
 
 __all__ = ["PartitionedScheduler"]
 

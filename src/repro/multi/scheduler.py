@@ -15,15 +15,13 @@ but each handler returns a full **assignment**: a sequence of length
 (``None`` = idle).  A job may appear at most once per assignment (no
 intra-job parallelism — the kernel enforces it).
 
-Since the engines share one scheduling kernel (:mod:`repro.kernel`),
-multiprocessor policies also participate in crash recovery: they expose
-the same :meth:`~MultiScheduler.get_state` / :meth:`~MultiScheduler.set_state`
+One engine runs both contracts (:class:`~repro.sim.engine.
+SimulationEngine`, over the scheduling kernel :mod:`repro.kernel`): it
+hands a :class:`~repro.sim.scheduler.Scheduler` the single-processor
+contract and any other policy this one.  Multiprocessor policies also
+participate in crash recovery: they expose the same
+:meth:`~MultiScheduler.get_state` / :meth:`~MultiScheduler.set_state`
 jid-keyed snapshot protocol as the seven single-processor schedulers.
-
-:class:`SingleProcessorAdapter` lifts any single-processor
-:class:`~repro.sim.scheduler.Scheduler` to the ``m = 1`` multiprocessor
-interface — the kernel-parity suite uses it to prove the multi engine at
-``m = 1`` is bit-identical to the historical single-processor engine.
 """
 
 from __future__ import annotations
@@ -33,13 +31,11 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import RecoveryError
 from repro.sim.job import Job
-from repro.sim.scheduler import Scheduler, SchedulerContext
 
 __all__ = [
     "MultiSchedulerContext",
     "MultiScheduler",
     "Assignment",
-    "SingleProcessorAdapter",
 ]
 
 #: One job (or idle) per processor.
@@ -178,102 +174,3 @@ class MultiScheduler(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class _SingleProcessorView(SchedulerContext):
-    """Present processor 0 of a multiprocessor context as the whole world."""
-
-    def __init__(self, mctx: MultiSchedulerContext) -> None:
-        self._mctx = mctx
-        self.obs = mctx.obs  # pass the observability gate through the view
-
-    def now(self) -> float:
-        return self._mctx.now()
-
-    def remaining(self, job: Job) -> float:
-        return self._mctx.remaining(job)
-
-    def capacity_now(self) -> float:
-        return self._mctx.capacity_now(0)
-
-    @property
-    def bounds(self) -> Tuple[float, float]:
-        return self._mctx.bounds(0)
-
-    def current_job(self) -> Optional[Job]:
-        return self._mctx.running()[0]
-
-    def set_alarm(self, job: Job, time: float, tag: str = "claxity") -> None:
-        self._mctx.set_alarm(job, time, tag)
-
-    def cancel_alarm(self, job: Job) -> None:
-        self._mctx.cancel_alarm(job)
-
-    def set_timer(self, time: float, tag: str) -> None:
-        self._mctx.set_timer(time, tag)
-
-
-class SingleProcessorAdapter(MultiScheduler):
-    """Run a single-processor :class:`~repro.sim.scheduler.Scheduler` on
-    processor 0 of an ``m = 1`` multiprocessor engine.
-
-    Every interrupt is forwarded to the wrapped policy through a
-    processor-0 view of the context, and its ``Optional[Job]`` decision is
-    lifted to the one-slot assignment ``[decision]``.  Because the engines
-    share one kernel, the resulting run is *bit-identical* to the
-    single-processor engine driving the same policy (the parity suite in
-    ``tests/multi/test_kernel_parity.py`` pins this)."""
-
-    def __init__(self, inner: Scheduler) -> None:
-        super().__init__()
-        self.inner = inner
-        self.name = inner.name
-
-    def bind(self, ctx: MultiSchedulerContext) -> None:
-        if ctx.n_procs != 1:
-            raise RecoveryError(
-                f"SingleProcessorAdapter requires m = 1, got m = {ctx.n_procs}"
-            )
-        self.ctx = ctx
-        self.inner.bind(_SingleProcessorView(ctx))
-        self.name = self.inner.name
-        self.reset()
-
-    def on_release(self, job: Job) -> Assignment:
-        return [self.inner.on_release(job)]
-
-    def on_job_end(self, job: Job, completed: bool) -> Assignment:
-        return [self.inner.on_job_end(job, completed)]
-
-    def on_alarm(self, job: Job, tag: str) -> Assignment:
-        return [self.inner.on_alarm(job, tag)]
-
-    def on_timer(self, tag: str) -> Assignment:
-        return [self.inner.on_timer(tag)]
-
-    def on_eviction(self, job: Job) -> Assignment:
-        return [self.inner.on_eviction(job)]
-
-    # -- batch protocol (forwarded when the inner policy supports it) ----
-    @property
-    def batch_capable(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.inner, "batch_capable", False))
-
-    @property
-    def batch_pure_completions(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.inner, "batch_pure_completions", False))
-
-    def plan(self, view):
-        """Lift the inner policy's batch decisions to one-slot assignments."""
-        return [[d] for d in self.inner.plan(view)]
-
-    def on_completions(self, view) -> None:
-        self.inner.on_completions(view)
-
-    def _policy_state(self) -> dict:
-        return {"inner": self.inner.get_state()}
-
-    def _restore_policy_state(
-        self, state: dict, jobs_by_id: "dict[int, Job]"
-    ) -> None:
-        self.inner.set_state(state["inner"], jobs_by_id)

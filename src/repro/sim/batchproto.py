@@ -136,21 +136,6 @@ class BatchScheduler:
             desired.append(cur)
         return desired
 
-    def on_releases_fast(self, view: BatchView) -> Optional[Job]:
-        """Final assignment after the whole release group.
-
-        Called only when nothing is attached to the kernel (no journal,
-        watchdog, snapshots, crash plans or observability session), which
-        then applies the group's net decision once instead of per event
-        (intermediate same-instant switches are observably inert there —
-        zero-length segments are dropped and zero work folds
-        bit-identically).  The default routes through :meth:`on_releases`
-        so policies with overridden group handlers (admission chains,
-        alarm bookkeeping) keep their side effects; policies whose final
-        decision is cheaper than the per-event decision list override
-        this with a direct computation."""
-        return self.on_releases(view)[-1]
-
     def on_completions(self, view: BatchView) -> None:
         """Purge a same-instant sweep of departed *waiting* jobs.
 

@@ -1,13 +1,23 @@
-"""The single-processor simulation engine (m = 1 façade over the kernel).
+"""The simulation engine: one façade over the kernel for every m ≥ 1.
 
 The event loop itself — exact completion prediction on the prefix-indexed
 capacity, deadline policing, alarm/timer plumbing with lazy deletion,
 trace recording, fault dispatch, snapshot/restore with the write-ahead
 journal, and the invariant-watchdog hooks — lives in
-:class:`repro.kernel.SchedulingKernel`, shared with the multiprocessor
-engine.  This module instantiates the kernel at ``m = 1`` with the
-paper's single-processor decision protocol (scheduler handlers return
-``Optional[Job]``) and preserves the historical public API byte for byte:
+:class:`repro.kernel.SchedulingKernel`.  This module instantiates it over
+``m`` processors (one :class:`~repro.capacity.base.CapacityFunction`, or
+a list of them) and picks the decision protocol from the policy's base
+class:
+
+* a :class:`~repro.sim.scheduler.Scheduler` gets the paper's
+  single-processor contract — handlers return ``Optional[Job]`` — and
+  runs on exactly one processor (``m = 1`` is the paper's model);
+* any other policy (a :class:`~repro.multi.scheduler.MultiScheduler`)
+  returns a full assignment after every interrupt; the kernel diffs it
+  against the current one (free preemption and migration, no intra-job
+  parallelism).
+
+What the kernel guarantees on every processor:
 
 * **exact completion prediction** — when a job starts (or resumes) at time
   ``t`` with remaining workload ``w``, its completion instant is
@@ -22,14 +32,14 @@ paper's single-processor decision protocol (scheduler handlers return
 * **alarm plumbing** — schedulers arm per-job alarms (zero-conservative-
   laxity interrupts) and global timers through the context; stale alarms are
   version-dropped and the heap self-compacts;
-* **trace recording** — every maximal run segment is logged with the work
-  performed, so the schedule can be re-validated independently.
+* **trace recording** — every maximal run segment is logged per processor
+  with the work performed, so the schedule can be re-validated
+  independently.
 
 Determinism: for a fixed instance and scheduler the run is bit-for-bit
 reproducible — ties in the event heap break by (kind priority, insertion
-sequence) and nothing consults a clock or RNG.  The kernel-parity suite
-(``tests/multi/test_kernel_parity.py``) pins the m = 1 kernel to the
-historical engine's exact outputs.
+sequence) and nothing consults a clock or RNG.  The golden decision
+corpus (``tests/golden/``) pins the outputs of every policy.
 
 Crash recovery (docs/ROBUSTNESS.md): the engine can image its complete
 mid-run state into an :class:`~repro.sim.journal.EngineSnapshot`
@@ -42,17 +52,18 @@ dispatches against the journal (any divergence raises
 reproduces the uncrashed run bit-identically.  Execution faults
 (:mod:`repro.faults.execution`) inject ``FAULT`` events — mid-run job
 kills, VM revocations and scheduled process crashes
-(:class:`~repro.errors.SimulatedCrash`) — and an optional invariant
-watchdog (:mod:`repro.sim.invariants`) observes every dispatch.
+(:class:`~repro.errors.SimulatedCrash`), per processor — and an optional
+invariant watchdog (:mod:`repro.sim.invariants`) observes every dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.capacity.base import CapacityFunction
 from repro.kernel.core import SchedulingKernel
 from repro.kernel.recovery import run_with_recovery
+from repro.multi.scheduler import MultiSchedulerContext
 from repro.sim.job import Job
 from repro.sim.journal import EngineSnapshot, EventJournal
 from repro.sim.metrics import SimulationResult
@@ -61,20 +72,23 @@ from repro.sim.trace import ScheduleTrace
 
 __all__ = ["SimulationEngine", "simulate"]
 
+#: One trajectory (one processor) or one per processor.
+Capacities = Union[CapacityFunction, Sequence[CapacityFunction]]
 
-class _EngineContext(SchedulerContext):
-    """The kernel-backed implementation of the online information model.
+
+class _KernelContext:
+    """What both scheduler-facing contexts read off the kernel.
 
     Hot path: these methods fire on every scheduler decision, so they read
     the kernel's internals directly (``_now``, ``_current``) instead of
     going through its property accessors — each avoided descriptor call is
-    one fewer Python frame per event.  The capacity object is immutable for
+    one fewer Python frame per event.  The capacity list is immutable for
     the kernel's lifetime, so it is cached at bind time.
     """
 
     def __init__(self, kernel: SchedulingKernel) -> None:
         self._kernel = kernel
-        self._cap = kernel.capacity  # processor 0 == the whole world
+        self._caps = kernel.capacities
         self.obs = kernel._obs  # None when observability is disabled
 
     def now(self) -> float:
@@ -82,6 +96,20 @@ class _EngineContext(SchedulerContext):
 
     def remaining(self, job: Job) -> float:
         return self._kernel.remaining_of(job)
+
+    def cancel_alarm(self, job: Job) -> None:
+        self._kernel.cancel_alarm(job)
+
+    def set_timer(self, time: float, tag: str) -> None:
+        self._kernel.set_timer(time, tag)
+
+
+class _EngineContext(_KernelContext, SchedulerContext):
+    """The paper's online information model on the one processor."""
+
+    def __init__(self, kernel: SchedulingKernel) -> None:
+        super().__init__(kernel)
+        self._cap = self._caps[0]  # processor 0 == the whole world
 
     def capacity_now(self) -> float:
         return self._cap.value(self._kernel._now)
@@ -97,36 +125,55 @@ class _EngineContext(SchedulerContext):
     def set_alarm(self, job: Job, time: float, tag: str = "claxity") -> None:
         self._kernel.set_alarm(job, time, tag)
 
-    def cancel_alarm(self, job: Job) -> None:
-        self._kernel.cancel_alarm(job)
 
-    def set_timer(self, time: float, tag: str) -> None:
-        self._kernel.set_timer(time, tag)
+class _MultiContext(_KernelContext, MultiSchedulerContext):
+    """The online information model of a global multiprocessor policy."""
+
+    @property
+    def n_procs(self) -> int:
+        return len(self._caps)
+
+    def running(self) -> Tuple[Optional[Job], ...]:
+        return tuple(self._kernel._current)
+
+    def capacity_now(self, proc: int) -> float:
+        return self._caps[proc].value(self._kernel._now)
+
+    def bounds(self, proc: int) -> Tuple[float, float]:
+        cap = self._caps[proc]
+        return (cap.lower, cap.upper)
+
+    def set_alarm(self, job: Job, time: float, tag: str = "alarm") -> None:
+        self._kernel.set_alarm(job, time, tag)
 
 
 class SimulationEngine:
-    """Run one scheduler over one instance (jobs + capacity trajectory).
+    """Run one scheduler over one instance (jobs + capacity trajectories).
 
     Parameters
     ----------
     jobs:
         The instance's job set (ids must be unique).
     capacity:
-        The realized capacity trajectory.  The engine may query its future
-        (it is the physics of the world); the scheduler cannot.
+        The realized capacity trajectory, or one per processor.  The
+        engine may query its future (it is the physics of the world); the
+        scheduler cannot.
     scheduler:
-        The online policy under test.  ``bind`` is called on it, so a fresh
-        run starts from clean per-run state.
+        The online policy under test.  A :class:`~repro.sim.scheduler.
+        Scheduler` runs on exactly one processor and returns
+        ``Optional[Job]``; any other policy returns assignments (see the
+        module docstring).  ``bind`` is called on it, so a fresh run starts
+        from clean per-run state.
     horizon:
         End of simulated time.  Defaults to just past the latest deadline so
         every job resolves.  Jobs unresolved at the horizon are recorded as
         failed.
     validate:
-        When true, the produced trace is re-validated against the capacity
-        (work conservation, no overlap, deadline legality) before returning;
-        a violation raises :class:`~repro.errors.SimulationError`.  Cheap
-        enough to leave on in tests; off by default for Monte-Carlo
-        throughput.
+        When true, the produced result is re-validated against the
+        capacities (work conservation, no overlap, deadline legality, no
+        job on two processors at once) before returning; a violation
+        raises :class:`~repro.errors.SimulationError`.  Cheap enough to
+        leave on in tests; off by default for Monte-Carlo throughput.
     faults:
         Execution faults (:mod:`repro.faults.execution`) to arm on this
         run: job kills, revocation evictions, scheduled crashes.
@@ -157,8 +204,8 @@ class SimulationEngine:
     def __init__(
         self,
         jobs: Sequence[Job],
-        capacity: CapacityFunction,
-        scheduler: Scheduler,
+        capacity: Capacities,
+        scheduler,
         *,
         horizon: float | None = None,
         validate: bool = False,
@@ -168,17 +215,18 @@ class SimulationEngine:
         snapshot_every: int | None = None,
     ) -> None:
         self._validate = bool(validate)
+        single = isinstance(scheduler, Scheduler)
         self._kernel = SchedulingKernel(
             jobs,
-            [capacity],
+            [capacity] if isinstance(capacity, CapacityFunction) else capacity,
             scheduler,
-            make_context=_EngineContext,
+            make_context=_EngineContext if single else _MultiContext,
             horizon=horizon,
             faults=faults,
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            single=True,
+            single=single,
         )
         # Faults and watchdog monitors observe *this* object (the public
         # engine), which re-exports every kernel accessor they use.
@@ -196,15 +244,31 @@ class SimulationEngine:
         return self._kernel.horizon
 
     @property
+    def n_procs(self) -> int:
+        return self._kernel.n_procs
+
+    @property
     def capacity(self) -> CapacityFunction:
+        """Processor 0's trajectory (the whole world at m = 1)."""
         return self._kernel.capacity
 
     @property
+    def capacities(self) -> List[CapacityFunction]:
+        return self._kernel.capacities
+
+    @property
     def trace(self) -> ScheduleTrace:
+        """The combined outcome/value record (at m = 1 under a
+        :class:`~repro.sim.scheduler.Scheduler` it holds the segments
+        too: it *is* ``proc_traces[0]``)."""
         return self._kernel.trace
 
     @property
-    def scheduler(self) -> Scheduler:
+    def proc_traces(self) -> List[ScheduleTrace]:
+        return self._kernel.traces
+
+    @property
+    def scheduler(self):
         return self._kernel.scheduler
 
     @property
@@ -226,15 +290,15 @@ class SimulationEngine:
 
     @property
     def kernel(self) -> SchedulingKernel:
-        """The shared scheduling kernel this engine instantiates at m=1."""
+        """The scheduling kernel this engine instantiates."""
         return self._kernel
 
     # ------------------------------------------------------------------
     # Execution-fault plumbing (used by repro.faults.execution at arm time)
     # ------------------------------------------------------------------
     def push_fault_event(self, time: float, payload: tuple) -> None:
-        """Queue a FAULT event (payload: ``("kill", i, retain)``,
-        ``("evict", i)`` or ``("crash", i)``)."""
+        """Queue a FAULT event (payload: ``("kill", i, retain[, proc])``,
+        ``("evict", i[, proc])`` or ``("crash", i)``)."""
         self._kernel.push_fault_event(time, payload)
 
     def register_event_crash(self, fault_index: int, at_event: int) -> None:
@@ -247,20 +311,19 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute (or, after :meth:`restore`, resume) the simulation."""
-        self._kernel.run_loop()
-
-        if self._validate:
-            self._kernel.trace.validate(
-                self._kernel.jobs, self._kernel.capacity
-            )
+        kernel = self._kernel
+        kernel.run_loop()
 
         result = SimulationResult(
-            scheduler_name=self._kernel.scheduler.name,
-            jobs=self._kernel.jobs,
-            horizon=self._kernel.horizon,
-            trace=self._kernel.trace,
+            scheduler_name=kernel.scheduler.name,
+            jobs=kernel.jobs,
+            horizon=kernel.horizon,
+            trace=kernel.outcomes,
+            proc_traces=kernel.traces,
         )
-        self._kernel.after_run(result)
+        if self._validate:
+            result.validate(kernel.capacities)
+        kernel.after_run(result)
         return result
 
     def snapshot(self) -> EngineSnapshot:
@@ -279,8 +342,8 @@ class SimulationEngine:
 
 def simulate(
     jobs: Sequence[Job],
-    capacity: CapacityFunction,
-    scheduler: Scheduler,
+    capacity: Capacities,
+    scheduler,
     *,
     horizon: float | None = None,
     validate: bool = False,
@@ -293,9 +356,9 @@ def simulate(
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`SimulationEngine` and run it.
 
-    Every run goes through the kernel's one event loop, which hands
-    same-instant interrupt groups to a ``batch_capable`` scheduler in one
-    call (see :class:`SimulationEngine`).
+    ``capacity`` is one trajectory or a list of them (one per processor);
+    the policy's base class picks the decision protocol (see
+    :class:`SimulationEngine`).
 
     With ``recover=True`` a :class:`~repro.errors.SimulatedCrash` raised by
     an armed :class:`~repro.faults.EngineCrashPlan` is survived: a fresh

@@ -35,11 +35,9 @@ In default mode violations are *counted* (``watchdog.violations``,
 ``watchdog.counts``) and the run proceeds; in ``paranoid`` mode the first
 violation raises :class:`~repro.errors.InvariantViolationError`.
 
-Monitors work on both engines: on the multiprocessor engine they read the
-per-processor trace/capacity lists (``engine.proc_traces`` /
-``engine.capacities``); on the single-processor engine (or any test
-double exposing only ``trace`` / ``capacity``) they fall back to the
-one-processor view.
+Monitors read the engine's per-processor trace and capacity lists
+(``engine.proc_traces`` / ``engine.capacities``) on any number of
+processors, and its combined outcome record (``engine.trace``).
 """
 
 from __future__ import annotations
@@ -66,19 +64,6 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-6
-
-
-def _engine_traces(engine) -> list:
-    """Per-processor traces: ``proc_traces`` when present, else ``[trace]``."""
-    traces = getattr(engine, "proc_traces", None)
-    return [engine.trace] if traces is None else list(traces)
-
-
-def _engine_capacities(engine) -> list:
-    """Per-processor capacities: ``capacities`` when present, else
-    ``[capacity]``."""
-    caps = getattr(engine, "capacities", None)
-    return [engine.capacity] if caps is None else list(caps)
 
 
 @dataclass(frozen=True)
@@ -159,7 +144,7 @@ class DeadlineMonitor(InvariantMonitor):
     def _check(self, engine) -> List[InvariantViolation]:
         bad: List[InvariantViolation] = []
         jobs = engine.jobs_by_id
-        for proc, trace in enumerate(_engine_traces(engine)):
+        for proc, trace in enumerate(engine.proc_traces):
             segments = trace.segments
             seen = self._seen.get(proc, 0)
             for i in range(max(0, seen - 1), len(segments)):
@@ -222,8 +207,8 @@ class WorkConservationMonitor(InvariantMonitor):
 
     def _check(self, engine) -> List[InvariantViolation]:
         bad: List[InvariantViolation] = []
-        capacities = _engine_capacities(engine)
-        for proc, trace in enumerate(_engine_traces(engine)):
+        capacities = engine.capacities
+        for proc, trace in enumerate(engine.proc_traces):
             segments = trace.segments
             capacity = unwrap_faults(capacities[proc])
             seen = self._seen.get(proc, 0)
@@ -311,7 +296,7 @@ class CapacityBandMonitor(InvariantMonitor):
 
     def _check_at(self, engine, t: float) -> List[InvariantViolation]:
         bad: List[InvariantViolation] = []
-        for proc, wrapped in enumerate(_engine_capacities(engine)):
+        for proc, wrapped in enumerate(engine.capacities):
             capacity = unwrap_faults(wrapped)
             value = capacity.value(t)
             lo, hi = capacity.lower, capacity.upper
@@ -354,7 +339,7 @@ class AdmissibilityMonitor(InvariantMonitor):
         # *some* processor can guarantee it alone, i.e. against the best
         # single-machine floor c* = max_p c̲_p (matches Global-V-Dover).
         lower = max(
-            unwrap_faults(c).lower for c in _engine_capacities(engine)
+            unwrap_faults(c).lower for c in engine.capacities
         )
         if not job.is_individually_admissible(lower):
             return [

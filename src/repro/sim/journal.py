@@ -323,14 +323,19 @@ class EngineSnapshot:
 
 def results_bit_identical(a, b) -> bool:
     """True iff two :class:`~repro.sim.metrics.SimulationResult`\\ s are
-    bit-identical: same scheduler, horizon, segments (``==`` on floats, no
-    tolerance), outcomes, completion times and value points."""
+    bit-identical: same scheduler, horizon and processor count, the same
+    segments on every processor (``==`` on floats, no tolerance), and the
+    same outcomes, completion times, value points and lost work."""
     return (
         a.scheduler_name == b.scheduler_name
         and a.horizon == b.horizon
-        and a.trace.segments == b.trace.segments
+        and len(a.proc_traces) == len(b.proc_traces)
+        and all(
+            ta.segments == tb.segments
+            for ta, tb in zip(a.proc_traces, b.proc_traces)
+        )
         and a.trace.outcomes == b.trace.outcomes
         and a.trace.completion_times == b.trace.completion_times
         and a.trace.value_points == b.trace.value_points
-        and getattr(a.trace, "lost_work", {}) == getattr(b.trace, "lost_work", {})
+        and a.trace.lost_work == b.trace.lost_work
     )

@@ -1,16 +1,19 @@
 """Simulation outcome metrics.
 
-:class:`SimulationResult` is the value returned by every simulation run; it
-bundles the accrued value (the paper's objective), per-job outcomes, the
-trace, and derived statistics used by the experiment harness (normalized
-value for Table I, the cumulative series for Figure 1, utilisation, ...).
+:class:`SimulationResult` is the value returned by every simulation run,
+on any number of processors; it bundles the accrued value (the paper's
+objective), per-job outcomes, the per-processor traces, and derived
+statistics used by the experiment harness (normalized value for Table I,
+the cumulative series for Figure 1, utilisation, migrations, ...).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
+from repro.capacity.base import CapacityFunction
+from repro.errors import SimulationError
 from repro.sim.job import Job, JobStatus, total_value
 from repro.sim.trace import ScheduleTrace
 
@@ -19,7 +22,14 @@ __all__ = ["SimulationResult"]
 
 @dataclass
 class SimulationResult:
-    """Everything measured in one simulation run."""
+    """Everything measured in one simulation run.
+
+    ``trace`` is the combined outcome record (outcomes, completion times,
+    value points, lost work); ``proc_traces`` holds one execution trace
+    per processor.  At ``m = 1`` under a single-processor
+    :class:`~repro.sim.scheduler.Scheduler` they are one object: ``trace``
+    *is* ``proc_traces[0]`` and carries the segments too.  A result built
+    without ``proc_traces`` is that one-processor layout."""
 
     scheduler_name: str
     jobs: Sequence[Job]
@@ -28,6 +38,16 @@ class SimulationResult:
     #: simulated-process crashes survived to produce this result (0 for a
     #: run without :class:`~repro.faults.EngineCrashPlan` recovery)
     recoveries: int = 0
+    #: one execution trace per processor (defaults to ``[trace]``)
+    proc_traces: Optional[List[ScheduleTrace]] = None
+
+    def __post_init__(self) -> None:
+        if self.proc_traces is None:
+            self.proc_traces = [self.trace]
+
+    @property
+    def n_procs(self) -> int:
+        return len(self.proc_traces)
 
     # ------------------------------------------------------------------
     # Primary objective
@@ -96,25 +116,51 @@ class SimulationResult:
     # ------------------------------------------------------------------
     @property
     def busy_time(self) -> float:
-        return self.trace.busy_time()
+        """Processor-time spent running jobs, summed over processors."""
+        return sum(trace.busy_time() for trace in self.proc_traces)
 
     @property
     def utilization(self) -> float:
-        """Fraction of the horizon during which the processor was busy."""
-        return self.busy_time / self.horizon if self.horizon > 0.0 else 0.0
+        """Fraction of the horizon's processor-time that was busy."""
+        span = self.horizon * len(self.proc_traces)
+        return self.busy_time / span if span > 0.0 else 0.0
 
     @property
     def executed_work(self) -> float:
-        """Total workload pushed through the processor, including work
+        """Total workload pushed through the processors, including work
         spent on jobs that eventually failed (wasted work)."""
-        return self.trace.total_work()
+        return sum(trace.total_work() for trace in self.proc_traces)
 
     @property
     def wasted_work(self) -> float:
         """Work spent on jobs that did not complete."""
-        work = self.trace.work_by_job()
+        work = self.work_by_job()
         completed = set(self.completed_ids)
         return sum(w for jid, w in work.items() if jid not in completed)
+
+    def work_by_job(self) -> Dict[int, float]:
+        """Work each job received, summed over processors."""
+        acc: Dict[int, float] = {}
+        for trace in self.proc_traces:
+            for jid, work in trace.work_by_job().items():
+                acc[jid] = acc.get(jid, 0.0) + work
+        return acc
+
+    def migrations(self) -> int:
+        """Number of processor changes across all jobs (a job's segments
+        interleaved across processors, counted chronologically)."""
+        timeline: list[tuple[float, int, int]] = []
+        for proc, trace in enumerate(self.proc_traces):
+            for seg in trace.segments:
+                timeline.append((seg.start, seg.jid, proc))
+        timeline.sort()
+        last_proc: Dict[int, int] = {}
+        count = 0
+        for _start, jid, proc in timeline:
+            if jid in last_proc and last_proc[jid] != proc:
+                count += 1
+            last_proc[jid] = proc
+        return count
 
     # ------------------------------------------------------------------
     # Series
@@ -137,9 +183,47 @@ class SimulationResult:
             "wasted_work": self.wasted_work,
         }
 
+    # ------------------------------------------------------------------
+    # Legality
+    # ------------------------------------------------------------------
+    def validate(
+        self, capacities: Sequence[CapacityFunction], *, tol: float = 1e-6
+    ) -> None:
+        """Re-check legality from first principles: each processor's
+        segments against its capacity, no job on two processors at once,
+        and every outcome against the work the job received (see
+        :meth:`~repro.sim.trace.ScheduleTrace.validate`).
+
+        Raises :class:`~repro.errors.SimulationError` on the first
+        violation found."""
+        traces = self.proc_traces
+        if len(capacities) != len(traces):
+            raise SimulationError(
+                f"{len(capacities)} capacities for {len(traces)} traces"
+            )
+        by_id = {job.jid: job for job in self.jobs}
+        for trace, capacity in zip(traces, capacities):
+            trace.validate_segments(by_id, capacity, tol=tol)
+        # No intra-job parallelism: a job's segments must not overlap
+        # across processors.
+        per_job: Dict[int, list[tuple[float, float]]] = {}
+        for trace in traces:
+            for seg in trace.segments:
+                per_job.setdefault(seg.jid, []).append((seg.start, seg.end))
+        for jid, intervals in per_job.items():
+            intervals.sort()
+            for (s0, e0), (s1, _e1) in zip(intervals, intervals[1:]):
+                if s1 < e0 - tol:
+                    raise SimulationError(
+                        f"job {jid} ran on two processors at once "
+                        f"([{s0},{e0}] overlaps [{s1},...])"
+                    )
+        self.trace.validate_outcomes(by_id, self.work_by_job(), tol=tol)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SimulationResult({self.scheduler_name!r}, value={self.value:.4g}, "
+            f"SimulationResult({self.scheduler_name!r}, m={self.n_procs}, "
+            f"value={self.value:.4g}, "
             f"normalized={self.normalized_value:.4f}, "
             f"completed={self.n_completed}/{len(self.jobs)})"
         )

@@ -155,7 +155,18 @@ class ScheduleTrace:
         Raises :class:`SimulationError` on the first violation found.
         """
         by_id = {job.jid: job for job in jobs}
+        self.validate_segments(by_id, capacity, tol=tol)
+        self.validate_outcomes(by_id, self.work_by_job(), tol=tol)
 
+    def validate_segments(
+        self,
+        by_id: Dict[int, Job],
+        capacity: CapacityFunction,
+        *,
+        tol: float = 1e-6,
+    ) -> None:
+        """Segments are ordered, inside their job's window, and each
+        recorded work equals the capacity integral over it."""
         prev_end = -math.inf
         for seg in self.segments:
             if seg.start < prev_end - tol:
@@ -184,7 +195,16 @@ class ScheduleTrace:
                     f"capacity integral {expected}"
                 )
 
-        work = self.work_by_job()
+    def validate_outcomes(
+        self,
+        by_id: Dict[int, Job],
+        work: Dict[int, float],
+        *,
+        tol: float = 1e-6,
+    ) -> None:
+        """Each recorded outcome agrees with the work its job received
+        (``work``, summed over processors): a completed job got exactly
+        its workload by its deadline, a failed one no more than it."""
         for jid, status in self.outcomes.items():
             job = by_id.get(jid)
             if job is None:

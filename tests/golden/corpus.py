@@ -69,7 +69,7 @@ from repro.core import (
     VDoverScheduler,
 )
 from repro.faults.execution import EngineCrashPlan
-from repro.multi import MultiprocessorEngine, PartitionedScheduler, simulate_multi
+from repro.multi import PartitionedScheduler
 from repro.sim import Job, SimulationEngine, simulate
 from repro.sim.journal import EventJournal
 from repro.workload import PoissonWorkload
@@ -347,19 +347,19 @@ def _run_partitioned(journaled: bool) -> dict:
     jobs = tie_heavy_instance(n=160)
     if journaled:
         journal = EventJournal()
-        result = simulate_multi(
+        result = simulate(
             jobs, _partitioned_caps(), _partitioned(), journal=journal
         )
         dispatches = len(journal.records)
     else:
-        engine = MultiprocessorEngine(jobs, _partitioned_caps(), _partitioned())
+        engine = SimulationEngine(jobs, _partitioned_caps(), _partitioned())
         result = engine.run()
         dispatches = engine.dispatch_count
     out = {
         "value": result.value,
         "dispatches": dispatches,
         "segments": _digest([_segments(t) for t in result.proc_traces]),
-        "outcomes": _digest(_outcomes(result.combined)),
+        "outcomes": _digest(_outcomes(result.trace)),
     }
     if journaled:
         out["journal"] = _digest(_journal(journal))

@@ -4,8 +4,8 @@ import pytest
 
 from repro.capacity import ConstantCapacity, PiecewiseConstantCapacity
 from repro.errors import SchedulingError, SimulationError
-from repro.multi import GlobalEDFScheduler, MultiScheduler, simulate_multi
-from repro.sim import Job
+from repro.multi import GlobalEDFScheduler, MultiScheduler
+from repro.sim import Job, simulate
 
 
 def J(jid, r, p, d, v=1.0):
@@ -19,11 +19,11 @@ def two_procs(rate=1.0):
 class TestBasics:
     def test_parallel_execution(self):
         jobs = [J(0, 0.0, 2.0, 3.0), J(1, 0.0, 2.0, 3.0)]
-        r = simulate_multi(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
         assert r.n_completed == 2
         # Both completed at t=2: true parallelism, not serialization.
-        assert r.combined.completion_times[0] == pytest.approx(2.0)
-        assert r.combined.completion_times[1] == pytest.approx(2.0)
+        assert r.trace.completion_times[0] == pytest.approx(2.0)
+        assert r.trace.completion_times[1] == pytest.approx(2.0)
 
     def test_two_procs_beat_one_on_overload(self):
         from repro.core import EDFScheduler
@@ -31,29 +31,29 @@ class TestBasics:
 
         jobs = [J(i, 0.0, 2.0, 2.5, v=1.0) for i in range(4)]
         single = simulate(jobs, ConstantCapacity(1.0), EDFScheduler())
-        double = simulate_multi(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
+        double = simulate(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
         assert double.n_completed > single.n_completed
 
     def test_empty_processor_list_rejected(self):
         with pytest.raises(SimulationError):
-            simulate_multi([J(0, 0.0, 1.0, 2.0)], [], GlobalEDFScheduler())
+            simulate([J(0, 0.0, 1.0, 2.0)], [], GlobalEDFScheduler())
 
     def test_heterogeneous_processors(self):
         caps = [ConstantCapacity(1.0), ConstantCapacity(4.0)]
         jobs = [J(0, 0.0, 4.0, 1.5)]  # only feasible on the fast one
-        r = simulate_multi(jobs, caps, GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, caps, GlobalEDFScheduler(), validate=True)
         assert r.completed_ids == [0]
         assert r.proc_traces[1].segments  # ran on processor 1
 
     def test_deadline_failure_recorded(self):
         jobs = [J(0, 0.0, 10.0, 2.0)]
-        r = simulate_multi(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
         assert r.failed_ids == [0]
         assert r.value == 0.0
 
     def test_exact_deadline_completion_tolerance(self):
         jobs = [J(0, 0.0, 2.0, 2.0), J(1, 0.0, 2.0, 2.0)]
-        r = simulate_multi(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, two_procs(), GlobalEDFScheduler(), validate=True)
         assert r.n_completed == 2
 
     def test_varying_capacity_per_processor(self):
@@ -62,7 +62,7 @@ class TestBasics:
             PiecewiseConstantCapacity([0.0, 1.0], [2.0, 1.0]),
         ]
         jobs = [J(0, 0.0, 5.0, 4.0), J(1, 0.0, 3.0, 4.0)]
-        r = simulate_multi(jobs, caps, GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, caps, GlobalEDFScheduler(), validate=True)
         assert r.n_completed >= 1
 
 
@@ -78,7 +78,7 @@ class TestAssignmentContract:
                 return [None, None]
 
         with pytest.raises(SchedulingError):
-            simulate_multi([J(0, 0.0, 1.0, 2.0)], two_procs(), Evil())
+            simulate([J(0, 0.0, 1.0, 2.0)], two_procs(), Evil())
 
     def test_wrong_length_rejected(self):
         class Short(MultiScheduler):
@@ -91,7 +91,7 @@ class TestAssignmentContract:
                 return [None]
 
         with pytest.raises(SchedulingError):
-            simulate_multi([J(0, 0.0, 1.0, 2.0)], two_procs(), Short())
+            simulate([J(0, 0.0, 1.0, 2.0)], two_procs(), Short())
 
     def test_migration_is_legal_and_counted(self):
         """Force a migration: job 0 starts on proc 0; when job 1 arrives,
@@ -114,7 +114,7 @@ class TestAssignmentContract:
                 return running
 
         jobs = [J(0, 0.0, 3.0, 5.0), J(1, 1.0, 1.0, 5.0)]
-        r = simulate_multi(jobs, two_procs(), Migrator(), validate=True)
+        r = simulate(jobs, two_procs(), Migrator(), validate=True)
         assert r.n_completed == 2
         assert r.migrations() == 1
         # Work split across the two processors sums to the workload.

@@ -4,8 +4,8 @@ import pytest
 
 from repro.capacity import ConstantCapacity, PiecewiseConstantCapacity
 from repro.errors import SchedulingError
-from repro.multi import GlobalEDFScheduler, GlobalVDoverScheduler, simulate_multi
-from repro.sim import Job
+from repro.multi import GlobalEDFScheduler, GlobalVDoverScheduler
+from repro.sim import Job, simulate
 
 
 def J(jid, r, p, d, v=1.0):
@@ -30,8 +30,8 @@ class TestConstruction:
 class TestRegularCore:
     def test_reduces_to_global_edf_when_feasible(self):
         jobs = [J(0, 0.0, 2.0, 8.0), J(1, 0.0, 2.0, 6.0), J(2, 1.0, 2.0, 9.0)]
-        gvd = simulate_multi(jobs, procs(), GlobalVDoverScheduler(k=7.0), validate=True)
-        gedf = simulate_multi(jobs, procs(), GlobalEDFScheduler(), validate=True)
+        gvd = simulate(jobs, procs(), GlobalVDoverScheduler(k=7.0), validate=True)
+        gedf = simulate(jobs, procs(), GlobalEDFScheduler(), validate=True)
         assert gvd.completed_ids == gedf.completed_ids
         assert gvd.value == pytest.approx(gedf.value)
 
@@ -43,7 +43,7 @@ class TestRegularCore:
             J(1, 0.0, 6.0, 6.0, v=50.0),
             J(2, 0.5, 5.5, 6.0, v=100.0),  # zero laxity at release, huge value
         ]
-        r = simulate_multi(jobs, procs(), GlobalVDoverScheduler(k=100.0), validate=True)
+        r = simulate(jobs, procs(), GlobalVDoverScheduler(k=100.0), validate=True)
         assert 2 in r.completed_ids
         assert 1 in r.completed_ids
         assert 0 in r.failed_ids
@@ -54,7 +54,7 @@ class TestRegularCore:
             J(1, 0.0, 6.0, 6.0, v=50.0),
             J(2, 0.5, 5.5, 6.0, v=1.0),  # urgent but worthless
         ]
-        r = simulate_multi(jobs, procs(), GlobalVDoverScheduler(k=100.0), validate=True)
+        r = simulate(jobs, procs(), GlobalVDoverScheduler(k=100.0), validate=True)
         assert sorted(r.completed_ids) == [0, 1]
 
     def test_urgent_job_takes_idle_processor_free(self):
@@ -62,7 +62,7 @@ class TestRegularCore:
             J(0, 0.0, 6.0, 6.0, v=50.0),
             J(1, 0.5, 5.5, 6.0, v=1.0),  # urgent, but a proc is idle
         ]
-        r = simulate_multi(jobs, procs(), GlobalVDoverScheduler(k=100.0), validate=True)
+        r = simulate(jobs, procs(), GlobalVDoverScheduler(k=100.0), validate=True)
         assert sorted(r.completed_ids) == [0, 1]
 
 
@@ -77,7 +77,7 @@ class TestSupplements:
             J(1, 0.0, 12.0, 13.0, v=10.0),
             J(2, 1.0, 4.0, 5.0, v=1.0),   # demoted at release+0... supplement
         ]
-        r = simulate_multi(jobs, caps, GlobalVDoverScheduler(k=10.0), validate=True)
+        r = simulate(jobs, caps, GlobalVDoverScheduler(k=10.0), validate=True)
         # Job 0/1 occupy both procs; once the spike finishes one of them,
         # the supplement gets the free processor and completes by 5.
         assert 2 in r.completed_ids
@@ -89,7 +89,7 @@ class TestSupplements:
             J(1, 0.1, 2.9, 3.0, v=1.0),   # demoted to supplement
             J(2, 1.5, 1.0, 4.0, v=5.0),   # regular arrival preempts supp
         ]
-        r = simulate_multi(jobs, caps, GlobalVDoverScheduler(k=10.0), validate=True)
+        r = simulate(jobs, caps, GlobalVDoverScheduler(k=10.0), validate=True)
         assert 0 in r.completed_ids
         assert 2 in r.completed_ids
 
@@ -106,6 +106,6 @@ class TestDominance:
                 TwoStateMarkovCapacity(1.0, 10.0, mean_sojourn=5.0, rng=seed * 10 + i)
                 for i in range(3)
             ]
-            total_gvd += simulate_multi(jobs, mk(), GlobalVDoverScheduler(k=7.0)).value
-            total_gedf += simulate_multi(jobs, mk(), GlobalEDFScheduler()).value
+            total_gvd += simulate(jobs, mk(), GlobalVDoverScheduler(k=7.0)).value
+            total_gedf += simulate(jobs, mk(), GlobalEDFScheduler()).value
         assert total_gvd > total_gedf

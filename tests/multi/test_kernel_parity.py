@@ -1,18 +1,17 @@
-"""Kernel parity: an m=1 multiprocessor run *is* the single-processor run.
+"""One engine for m ≥ 1: a capacity list of one *is* the m = 1 run.
 
-Both engines are façades over the same :class:`repro.kernel.
-SchedulingKernel`; this suite pins the strongest consequence — wrapping
-any single-processor scheduler in :class:`~repro.multi.
-SingleProcessorAdapter` and running it through a one-processor
-:class:`~repro.multi.MultiprocessorEngine` reproduces the
-:class:`~repro.sim.SimulationEngine` run **bit-identically**: same
-values, same trace segments, same outcomes, and the same dispatched
-event order (verified through the write-ahead journals, modulo the
-``@p0`` processor tag multi payload keys carry).
+:func:`repro.sim.simulate` takes one capacity trajectory or a list of
+them, and the policy's base class picks the decision protocol.  This
+suite pins the consequences for a single-processor
+:class:`~repro.sim.Scheduler`: handing it ``[capacity]`` instead of
+``capacity`` reproduces the run **bit-identically** — same values, same
+trace segments, same outcomes and the same journal, record for record —
+also through crash recovery; and handing it two capacities is refused.
+Everything else the engine does on one processor is pinned by the golden
+decision corpus (``tests/golden/``).
 
 The workloads are the paper's Figure-1 regime (λ = 6, c ∈ {1, 35},
-densities in [1, k]) under EDF, Dover and V-Dover — the exact policies
-the acceptance criteria name.
+densities in [1, k]) under EDF, Dover and V-Dover.
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ import pytest
 
 from repro.capacity import TwoStateMarkovCapacity
 from repro.core import DoverScheduler, EDFScheduler, VDoverScheduler
-from repro.multi import (
-    MultiprocessorEngine,
-    SingleProcessorAdapter,
-    simulate_multi,
+from repro.multi import GlobalEDFScheduler
+from repro.sim import (
+    EventJournal,
+    SimulationEngine,
+    results_bit_identical,
+    simulate,
 )
-from repro.sim import EventJournal, SimulationEngine, simulate
 from repro.workload.poisson import PoissonWorkload
 
 SCHEDULERS = [
@@ -52,97 +52,68 @@ def _instance(seed: int, lam: float = 6.0, horizon: float = 12.0):
     return jobs, capacity
 
 
-def _strip_proc_tag(key: str) -> str:
-    """Multi COMPLETION payload keys carry ``@p<proc>``; on one processor
-    the tag is always ``@p0`` and is the only allowed difference."""
-    return key[: -len("@p0")] if key.endswith("@p0") else key
-
-
 @pytest.mark.parametrize("make_scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", [3, 21])
 def test_m1_multi_bit_identical_to_single(make_scheduler, seed):
+    """A Scheduler given ``[capacity]`` runs exactly as given
+    ``capacity``: same result and the same journal, record for record."""
     jobs, capacity = _instance(seed)
 
     single_journal = EventJournal()
-    ref = simulate(
-        jobs, capacity, make_scheduler(), journal=single_journal
-    )
+    ref = simulate(jobs, capacity, make_scheduler(), journal=single_journal)
 
-    multi_journal = EventJournal()
-    got = simulate_multi(
-        jobs,
-        [capacity],
-        SingleProcessorAdapter(make_scheduler()),
-        journal=multi_journal,
-    )
+    list_journal = EventJournal()
+    got = simulate(jobs, [capacity], make_scheduler(), journal=list_journal)
 
-    # Exact value/outcome identity (== on floats, no tolerance).
+    assert results_bit_identical(got, ref)
     assert got.value == ref.value
-    assert got.n_completed == ref.n_completed
-    assert got.combined.outcomes == ref.trace.outcomes
-    assert got.combined.completion_times == ref.trace.completion_times
-    assert got.combined.value_points == ref.trace.value_points
-
-    # The one processor's trace is the single engine's trace, segment by
-    # segment (dataclass equality — start, end, jid and work all exact).
-    assert got.proc_traces[0].segments == ref.trace.segments
-
-    # Same dispatched event order: (time, kind, key) streams match once
-    # the @p0 tag is stripped from the multi payload keys.
-    assert len(multi_journal) == len(single_journal)
-    for mine, theirs in zip(multi_journal.records, single_journal.records):
-        assert mine.time == theirs.time
-        assert mine.kind == theirs.kind
-        assert _strip_proc_tag(mine.key) == theirs.key
+    # One processor under the paper's contract: the combined record is
+    # the processor's trace (segments and outcomes in one object).
+    assert got.proc_traces[0] is got.trace
+    assert list_journal.records == single_journal.records
+    assert list_journal.digest == single_journal.digest
 
 
 @pytest.mark.parametrize("make_scheduler", SCHEDULERS)
 def test_m1_parity_survives_crash_recovery(make_scheduler):
-    """Parity is preserved through the snapshot/restore machinery too:
-    crash the m=1 multi engine mid-run, resume it, and it still lands on
-    the single-processor reference bit-for-bit."""
+    """Crash a ``[capacity]`` run mid-way, resume it, and it still lands
+    on the uncrashed ``capacity`` reference bit for bit."""
     from repro.faults import EngineCrashPlan
 
     jobs, capacity = _instance(seed=5)
     ref = simulate(jobs, capacity, make_scheduler())
 
-    got = simulate_multi(
+    got = simulate(
         jobs,
         [capacity],
-        SingleProcessorAdapter(make_scheduler()),
+        make_scheduler(),
         faults=[EngineCrashPlan(at_event=17)],
         snapshot_every=8,
         recover=True,
     )
     assert got.recoveries == 1
-    assert got.value == ref.value
-    assert got.proc_traces[0].segments == ref.trace.segments
-    assert got.combined.outcomes == ref.trace.outcomes
+    assert results_bit_identical(got, ref)
 
 
 def test_engines_share_the_kernel():
-    """No duplicated event loop: both engines run the same kernel class."""
+    """No duplicated event loop: both decision protocols run on the one
+    façade and the one kernel class."""
     from repro.kernel import SchedulingKernel
 
     jobs, capacity = _instance(seed=3)
     single = SimulationEngine(jobs, capacity, EDFScheduler())
-    multi = MultiprocessorEngine(
-        jobs, [capacity], SingleProcessorAdapter(EDFScheduler())
-    )
+    multi = SimulationEngine(jobs, [capacity], GlobalEDFScheduler())
     assert type(single.kernel) is SchedulingKernel
     assert type(multi.kernel) is SchedulingKernel
+    assert (single.n_procs, multi.n_procs) == (1, 1)
 
 
-def test_adapter_rejects_more_than_one_processor():
-    from repro.errors import RecoveryError
+def test_scheduler_rejects_more_than_one_processor():
+    from repro.errors import SimulationError
 
     jobs, capacity = _instance(seed=3)
     capacity2 = TwoStateMarkovCapacity(
         1.0, 35.0, mean_sojourn=3.0, rng=np.random.default_rng(99)
     )
-    with pytest.raises(RecoveryError):
-        simulate_multi(
-            jobs,
-            [capacity, capacity2],
-            SingleProcessorAdapter(EDFScheduler()),
-        )
+    with pytest.raises(SimulationError):
+        simulate(jobs, [capacity, capacity2], EDFScheduler())

@@ -1,11 +1,11 @@
-"""Unit tests for multiprocessor metrics and the cross-processor validator."""
+"""Unit tests for multiprocessor result metrics and the cross-processor
+validator of :class:`~repro.sim.metrics.SimulationResult`."""
 
 import pytest
 
 from repro.capacity import ConstantCapacity
 from repro.errors import SimulationError
-from repro.multi.metrics import MultiSimulationResult
-from repro.sim import Job, JobStatus, ScheduleTrace
+from repro.sim import Job, JobStatus, ScheduleTrace, SimulationResult
 
 
 def J(jid, r, p, d, v=1.0):
@@ -13,7 +13,7 @@ def J(jid, r, p, d, v=1.0):
 
 
 def make_result(jobs, proc_segments, outcomes=None):
-    """Hand-build a MultiSimulationResult from raw segment tuples."""
+    """Hand-build an m-processor SimulationResult from raw segment tuples."""
     traces = []
     for segments in proc_segments:
         trace = ScheduleTrace()
@@ -23,12 +23,12 @@ def make_result(jobs, proc_segments, outcomes=None):
     combined = ScheduleTrace()
     for job, (status, t) in (outcomes or {}).items():
         combined.record_outcome(job, status, t)
-    return MultiSimulationResult(
+    return SimulationResult(
         scheduler_name="hand",
         jobs=jobs,
         horizon=10.0,
+        trace=combined,
         proc_traces=traces,
-        combined=combined,
     )
 
 

@@ -24,11 +24,7 @@ from repro.faults import (
     RevocationBurst,
     apply_fault_transforms,
 )
-from repro.multi import (
-    GlobalEDFScheduler,
-    PartitionedScheduler,
-    simulate_multi,
-)
+from repro.multi import GlobalEDFScheduler, PartitionedScheduler
 from repro.sim import simulate
 from repro.workload.poisson import PoissonWorkload
 
@@ -58,8 +54,8 @@ def _partitioned():
 
 def test_kill_on_proc1_leaves_proc0_bit_identical():
     jobs, capacities = _instance()
-    clean = simulate_multi(jobs, capacities, _partitioned())
-    hit = simulate_multi(
+    clean = simulate(jobs, capacities, _partitioned())
+    hit = simulate(
         jobs,
         capacities,
         _partitioned(),
@@ -73,23 +69,23 @@ def test_kill_on_proc1_leaves_proc0_bit_identical():
 
 def test_kill_lost_work_attributed_to_target_machine_jobs():
     jobs, capacities = _instance(seed=9)
-    clean = simulate_multi(jobs, capacities, _partitioned())
-    hit = simulate_multi(
+    clean = simulate(jobs, capacities, _partitioned())
+    hit = simulate(
         jobs,
         capacities,
         _partitioned(),
         faults=[JobKillFault(rate=0.5, seed=3, proc=1)],
         validate=True,  # lost-work accounting must still balance
     )
-    assert hit.combined.lost_work  # at least one kill landed
+    assert hit.trace.lost_work  # at least one kill landed
     proc0_jids = {seg.jid for seg in clean.proc_traces[0].segments}
-    assert all(jid not in proc0_jids for jid in hit.combined.lost_work)
+    assert all(jid not in proc0_jids for jid in hit.trace.lost_work)
 
 
 def test_fault_targeting_out_of_range_processor_rejected():
     jobs, capacities = _instance(m=2)
     with pytest.raises(FaultConfigError, match="processor 5"):
-        simulate_multi(
+        simulate(
             jobs,
             capacities,
             GlobalEDFScheduler(),
@@ -152,7 +148,7 @@ def test_revocation_burst_on_global_policy_evicts_only_target():
     eviction record: with one explicit window on processor 1, validation
     still passes and the run completes (eviction handled as re-release)."""
     jobs, capacities = _instance(seed=11)
-    result = simulate_multi(
+    result = simulate(
         jobs,
         capacities,
         GlobalEDFScheduler(),

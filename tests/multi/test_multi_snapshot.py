@@ -1,11 +1,11 @@
 """Multiprocessor crash recovery: snapshot/restore must be bit-identical.
 
-Mirror of ``tests/sim/test_snapshot.py`` on the multiprocessor engine —
+Mirror of ``tests/sim/test_snapshot.py`` on m processors —
 the same kernel machinery (periodic :class:`~repro.sim.journal.
 EngineSnapshot`, write-ahead :class:`~repro.sim.journal.EventJournal`,
 replay verification) now serves every shipped multiprocessor policy:
 global EDF/density, Global-V-Dover and partitioned V-Dover behind each
-dispatcher.  ``multi_results_bit_identical`` compares with no float
+dispatcher.  ``results_bit_identical`` compares with no float
 tolerance: per-processor segments, outcomes, completion times and value
 points all exact.
 """
@@ -28,12 +28,14 @@ from repro.multi import (
     GlobalDensityScheduler,
     GlobalEDFScheduler,
     GlobalVDoverScheduler,
-    MultiprocessorEngine,
     PartitionedScheduler,
-    multi_results_bit_identical,
-    simulate_multi,
 )
-from repro.sim import EventJournal
+from repro.sim import (
+    EventJournal,
+    SimulationEngine,
+    results_bit_identical,
+    simulate,
+)
 from repro.workload.poisson import PoissonWorkload
 
 POLICIES = [
@@ -82,10 +84,10 @@ def _instance(seed: int = 5, horizon: float = 12.0, m: int = 3):
 @pytest.mark.parametrize("crash_at", [1, 17, 60])
 def test_multi_crash_resume_bit_identical(make_policy, crash_at):
     jobs, capacities = _instance()
-    reference = simulate_multi(jobs, capacities, make_policy())
+    reference = simulate(jobs, capacities, make_policy())
 
     journal = EventJournal()
-    recovered = simulate_multi(
+    recovered = simulate(
         jobs,
         capacities,
         make_policy(),
@@ -95,7 +97,7 @@ def test_multi_crash_resume_bit_identical(make_policy, crash_at):
         recover=True,
     )
     assert recovered.recoveries == 1
-    assert multi_results_bit_identical(reference, recovered), (
+    assert results_bit_identical(reference, recovered), (
         f"resume diverged for {reference.scheduler_name}"
     )
     assert len(journal) > crash_at
@@ -105,9 +107,9 @@ def test_multi_crash_resume_bit_identical(make_policy, crash_at):
 def test_multi_snapshot_survives_pickling(make_policy):
     """A pickle round-trip (a real process boundary) loses nothing."""
     jobs, capacities = _instance(seed=9)
-    reference = simulate_multi(jobs, capacities, make_policy())
+    reference = simulate(jobs, capacities, make_policy())
 
-    engine = MultiprocessorEngine(
+    engine = SimulationEngine(
         jobs,
         capacities,
         make_policy(),
@@ -118,16 +120,16 @@ def test_multi_snapshot_survives_pickling(make_policy):
         engine.run()
     snapshot = excinfo.value.snapshot.roundtrip()
 
-    fresh = MultiprocessorEngine(jobs, capacities, make_policy())
+    fresh = SimulationEngine(jobs, capacities, make_policy())
     fresh.restore(snapshot)
     resumed = fresh.run()
-    assert multi_results_bit_identical(reference, resumed)
+    assert results_bit_identical(reference, resumed)
 
 
 def test_multi_multiple_crash_plans_all_survived():
     jobs, capacities = _instance(seed=13)
-    reference = simulate_multi(jobs, capacities, GlobalVDoverScheduler(k=7.0))
-    recovered = simulate_multi(
+    reference = simulate(jobs, capacities, GlobalVDoverScheduler(k=7.0))
+    recovered = simulate(
         jobs,
         capacities,
         GlobalVDoverScheduler(k=7.0),
@@ -140,12 +142,12 @@ def test_multi_multiple_crash_plans_all_survived():
         recover=True,
     )
     assert recovered.recoveries == 3
-    assert multi_results_bit_identical(reference, recovered)
+    assert results_bit_identical(reference, recovered)
 
 
 def test_multi_restore_rejects_wrong_processor_count():
     jobs, capacities = _instance(seed=5, m=3)
-    engine = MultiprocessorEngine(
+    engine = SimulationEngine(
         jobs,
         capacities,
         GlobalEDFScheduler(),
@@ -155,14 +157,14 @@ def test_multi_restore_rejects_wrong_processor_count():
         engine.run()
     snapshot = excinfo.value.snapshot
 
-    smaller = MultiprocessorEngine(jobs, capacities[:2], GlobalEDFScheduler())
+    smaller = SimulationEngine(jobs, capacities[:2], GlobalEDFScheduler())
     with pytest.raises(RecoveryError):
         smaller.restore(snapshot)
 
 
 def test_multi_restore_rejects_wrong_scheduler():
     jobs, capacities = _instance(seed=5)
-    engine = MultiprocessorEngine(
+    engine = SimulationEngine(
         jobs,
         capacities,
         GlobalEDFScheduler(),
@@ -172,7 +174,7 @@ def test_multi_restore_rejects_wrong_scheduler():
         engine.run()
     snapshot = excinfo.value.snapshot
 
-    other = MultiprocessorEngine(
+    other = SimulationEngine(
         jobs, capacities, GlobalVDoverScheduler(k=7.0)
     )
     with pytest.raises(RecoveryError):
@@ -184,7 +186,7 @@ def test_multi_journal_replay_detects_divergence():
     resumed multiprocessor engine's replay verification fail loudly."""
     jobs, capacities = _instance(seed=7)
     journal = EventJournal()
-    engine = MultiprocessorEngine(
+    engine = SimulationEngine(
         jobs,
         capacities,
         GlobalEDFScheduler(),
@@ -207,7 +209,7 @@ def test_multi_journal_replay_detects_divergence():
         version=original.version,
     )
 
-    fresh = MultiprocessorEngine(
+    fresh = SimulationEngine(
         jobs, capacities, GlobalEDFScheduler(), journal=journal
     )
     fresh.restore(snapshot)
@@ -218,7 +220,7 @@ def test_multi_journal_replay_detects_divergence():
 def test_multi_crash_without_recover_reraises():
     jobs, capacities = _instance(seed=5)
     with pytest.raises(SimulatedCrash):
-        simulate_multi(
+        simulate(
             jobs,
             capacities,
             GlobalEDFScheduler(),

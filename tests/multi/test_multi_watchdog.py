@@ -1,9 +1,8 @@
 """Invariant watchdog over the multiprocessor engine.
 
-The monitors read per-processor traces/capacities (``engine.proc_traces``
-/ ``engine.capacities``) and fall back to the single-processor view on
-engines that only expose ``trace`` / ``capacity`` — so the same battery
-guards both engines.
+The monitors read the engine's per-processor traces/capacities
+(``engine.proc_traces`` / ``engine.capacities``), so the same battery
+guards every processor count.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from repro.multi import (
     GlobalEDFScheduler,
     GlobalVDoverScheduler,
     PartitionedScheduler,
-    simulate_multi,
 )
-from repro.sim import InvariantWatchdog
+from repro.sim import InvariantWatchdog, simulate
 from repro.sim.invariants import AdmissibilityMonitor, default_monitors
 from repro.sim.job import Job
 from repro.workload.poisson import PoissonWorkload
@@ -60,7 +58,7 @@ def _instance(seed: int = 5, horizon: float = 12.0, m: int = 3):
 def test_clean_multi_run_has_zero_violations(make_policy):
     jobs, capacities = _instance()
     watchdog = InvariantWatchdog(paranoid=True)  # first violation raises
-    simulate_multi(jobs, capacities, make_policy(), watchdog=watchdog)
+    simulate(jobs, capacities, make_policy(), watchdog=watchdog)
     assert watchdog.total_violations == 0
     assert watchdog.summary() == {}
 
@@ -70,7 +68,7 @@ def test_watchdog_survives_multi_crash_recovery():
 
     jobs, capacities = _instance(seed=9)
     watchdog = InvariantWatchdog(paranoid=True)
-    result = simulate_multi(
+    result = simulate(
         jobs,
         capacities,
         GlobalVDoverScheduler(k=7.0),
@@ -99,15 +97,15 @@ def test_admissibility_monitor_uses_best_fleet_floor():
     strong = InvariantWatchdog(
         [AdmissibilityMonitor()] + default_monitors(), paranoid=True
     )
-    simulate_multi([job], fleet([1.0, 3.0]), GlobalEDFScheduler(), watchdog=strong)
+    simulate([job], fleet([1.0, 3.0]), GlobalEDFScheduler(), watchdog=strong)
     assert strong.total_violations == 0
 
     weak = InvariantWatchdog([AdmissibilityMonitor()])
-    simulate_multi([job], fleet([1.0, 1.0]), GlobalEDFScheduler(), watchdog=weak)
+    simulate([job], fleet([1.0, 1.0]), GlobalEDFScheduler(), watchdog=weak)
     assert weak.counts.get("admissibility") == 1
 
     with pytest.raises(InvariantViolationError):
-        simulate_multi(
+        simulate(
             [job],
             fleet([1.0, 1.0]),
             GlobalEDFScheduler(),

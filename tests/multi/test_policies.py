@@ -9,9 +9,8 @@ from repro.multi import (
     GlobalDensityScheduler,
     GlobalEDFScheduler,
     PartitionedScheduler,
-    simulate_multi,
 )
-from repro.sim import Job
+from repro.sim import Job, simulate
 from repro.workload import PoissonWorkload
 
 
@@ -27,7 +26,7 @@ class TestGlobalEDF:
             J(2, 0.0, 5.0, 15.0),
         ]
         caps = [ConstantCapacity(1.0)] * 2
-        r = simulate_multi(jobs, caps, GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, caps, GlobalEDFScheduler(), validate=True)
         # Jobs 1 (d=10) and 2 (d=15) start; job 0 waits.
         first_started = {t.segments[0].jid for t in r.proc_traces if t.segments}
         assert first_started == {1, 2}
@@ -42,21 +41,21 @@ class TestGlobalEDF:
             J(2, 1.0, 1.0, 2.5),
         ]
         caps = [ConstantCapacity(1.0)] * 2
-        r = simulate_multi(jobs, caps, GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, caps, GlobalEDFScheduler(), validate=True)
         assert r.n_completed == 3
-        assert r.combined.completion_times[2] == pytest.approx(2.0)
+        assert r.trace.completion_times[2] == pytest.approx(2.0)
 
     def test_urgent_job_lands_on_fastest_free_processor(self):
         caps = [ConstantCapacity(1.0), ConstantCapacity(5.0)]
         jobs = [J(0, 0.0, 4.0, 1.5)]
-        r = simulate_multi(jobs, caps, GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, caps, GlobalEDFScheduler(), validate=True)
         assert r.proc_traces[1].segments
         assert not r.proc_traces[0].segments
 
     def test_feasible_parallel_stream(self):
         jobs = PoissonWorkload(lam=3.0, horizon=30.0, deadline_slack=4.0).generate(3)
         caps = [ConstantCapacity(2.0)] * 3
-        r = simulate_multi(jobs, caps, GlobalEDFScheduler(), validate=True)
+        r = simulate(jobs, caps, GlobalEDFScheduler(), validate=True)
         assert r.n_completed >= 0.8 * len(jobs)
 
 
@@ -68,7 +67,7 @@ class TestGlobalDensity:
             J(2, 0.0, 4.0, 6.0, v=4.0),    # density 1
         ]
         caps = [ConstantCapacity(1.0)] * 2
-        r = simulate_multi(jobs, caps, GlobalDensityScheduler(), validate=True)
+        r = simulate(jobs, caps, GlobalDensityScheduler(), validate=True)
         started = {t.segments[0].jid for t in r.proc_traces if t.segments}
         assert started == {1, 2}
 
@@ -83,7 +82,7 @@ class TestPartitioned:
             TwoStateMarkovCapacity(1.0, 10.0, mean_sojourn=10.0, rng=1),
             TwoStateMarkovCapacity(1.0, 10.0, mean_sojourn=10.0, rng=2),
         ]
-        multi = simulate_multi(
+        multi = simulate(
             jobs,
             caps,
             PartitionedScheduler(RoundRobinDispatcher(), lambda: VDoverScheduler(k=7.0)),
@@ -105,7 +104,7 @@ class TestPartitioned:
     def test_no_migrations_ever(self):
         jobs = PoissonWorkload(lam=4.0, horizon=30.0).generate(5)
         caps = [ConstantCapacity(1.0)] * 3
-        r = simulate_multi(
+        r = simulate(
             jobs,
             caps,
             PartitionedScheduler(LeastWorkDispatcher(), lambda: VDoverScheduler(k=7.0)),
@@ -115,7 +114,7 @@ class TestPartitioned:
 
     def test_name_reflects_components(self):
         sched = PartitionedScheduler(RoundRobinDispatcher(), lambda: VDoverScheduler(k=7.0))
-        simulate_multi([J(0, 0.0, 1.0, 2.0)], [ConstantCapacity(1.0)], sched)
+        simulate([J(0, 0.0, 1.0, 2.0)], [ConstantCapacity(1.0)], sched)
         assert "round-robin" in sched.name
         assert "V-Dover" in sched.name
 
@@ -130,8 +129,8 @@ class TestGlobalVsPartitioned:
             J(2, 0.0, 4.0, 6.1),   # needs to split across both procs' slack
         ]
         caps = [ConstantCapacity(1.5)] * 2
-        glob = simulate_multi(jobs, caps, GlobalEDFScheduler(), validate=True)
-        part = simulate_multi(
+        glob = simulate(jobs, caps, GlobalEDFScheduler(), validate=True)
+        part = simulate(
             jobs,
             caps,
             PartitionedScheduler(RoundRobinDispatcher(), lambda: VDoverScheduler(k=7.0)),

@@ -77,13 +77,13 @@ class TestMultiSchedulerState:
     def _bound(self, scheduler, jobs, m: int = 2):
         """Bind ``scheduler`` to a real engine context without running."""
         from repro.capacity.piecewise import PiecewiseConstantCapacity
-        from repro.multi import MultiprocessorEngine
+        from repro.sim import SimulationEngine
 
         caps = [
             PiecewiseConstantCapacity([0.0], [5.0], lower=1.0, upper=5.0)
             for _ in range(m)
         ]
-        engine = MultiprocessorEngine(jobs, caps, scheduler)
+        engine = SimulationEngine(jobs, caps, scheduler)
         # Bind outside run_loop, exactly as restore() does.
         kernel = engine.kernel
         scheduler.bind(kernel._make_context(kernel))

@@ -10,7 +10,7 @@ from repro import obs
 from repro.capacity import TwoStateMarkovCapacity
 from repro.core import DoverScheduler, EDFScheduler, VDoverScheduler
 from repro.errors import ObservabilityError
-from repro.multi import GlobalEDFScheduler, simulate_multi
+from repro.multi import GlobalEDFScheduler
 from repro.sim import simulate
 from repro.workload import PoissonWorkload
 
@@ -82,11 +82,11 @@ class TestNonPerturbation:
             TwoStateMarkovCapacity(1.0, 35.0, mean_sojourn=1.0, rng=c1),
             TwoStateMarkovCapacity(1.0, 20.0, mean_sojourn=1.0, rng=c2),
         ]
-        baseline = simulate_multi(jobs, caps, GlobalEDFScheduler())
+        baseline = simulate(jobs, caps, GlobalEDFScheduler())
         with obs.session():
-            observed = simulate_multi(jobs, caps, GlobalEDFScheduler())
+            observed = simulate(jobs, caps, GlobalEDFScheduler())
         assert observed.value == baseline.value
-        assert observed.combined.outcomes == baseline.combined.outcomes
+        assert observed.trace.outcomes == baseline.trace.outcomes
         assert [t.segments for t in observed.proc_traces] == [
             t.segments for t in baseline.proc_traces
         ]

@@ -152,10 +152,6 @@ class TestTracedRunsDispatchPerEvent:
                 groups.append(len(view))
                 return super().plan(view)
 
-            def on_releases_fast(self, view):
-                groups.append(len(view))
-                return super().on_releases_fast(view)
-
         jobs, cap = corpus.tie_heavy_instance(), corpus.small_capacity()
         if session is None:
             simulate(jobs, cap, _CountingEDF())
@@ -225,8 +221,8 @@ class TestFastPathEquivalence:
     corpus.
 
     With nothing attached the kernel gathers groups with the bulk
-    ``pop_group`` and applies one *net* decision per release group (via
-    ``on_releases_fast``) instead of one per event, so this is pinned
+    ``pop_group`` and applies one *net* decision per release group (the
+    last of ``plan()``'s decisions) instead of one per event, so this is pinned
     separately from the journaled cases — including the full segment
     list, where a wrongly-applied intermediate switch would show up."""
 

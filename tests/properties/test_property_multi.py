@@ -17,9 +17,8 @@ from repro.multi import (
     GlobalDensityScheduler,
     GlobalEDFScheduler,
     PartitionedScheduler,
-    simulate_multi,
 )
-from repro.sim import Job
+from repro.sim import Job, simulate
 
 
 @st.composite
@@ -70,7 +69,7 @@ POLICIES = [
     which=st.integers(0, len(POLICIES) - 1),
 )
 def test_multi_schedules_are_legal(jobs, caps, which):
-    result = simulate_multi(jobs, caps, POLICIES[which](), validate=True)
+    result = simulate(jobs, caps, POLICIES[which](), validate=True)
     assert len(result.completed_ids) + len(result.failed_ids) == len(jobs)
     assert set(result.completed_ids).isdisjoint(result.failed_ids)
     assert 0.0 <= result.normalized_value <= 1.0 + 1e-12
@@ -85,7 +84,7 @@ def test_partitioned_multi_equals_run_cluster(jobs, m):
     partitioned adapter must agree with m independent single-processor
     engines, job for job."""
     caps = [ConstantCapacity(1.0 + 0.5 * i) for i in range(m)]
-    multi = simulate_multi(
+    multi = simulate(
         jobs,
         caps,
         PartitionedScheduler(LeastWorkDispatcher(), lambda: VDoverScheduler(k=7.0)),
@@ -110,10 +109,9 @@ def test_global_edf_never_worse_than_single_processor_edf(jobs, m):
     policies on the same stream (weak sanity; not a theorem for value,
     asserted on completions of the m=1 baseline)."""
     from repro.core import EDFScheduler
-    from repro.sim import simulate
 
     single = simulate(jobs, ConstantCapacity(1.0), EDFScheduler())
-    multi = simulate_multi(
+    multi = simulate(
         jobs, [ConstantCapacity(1.0)] * m, GlobalEDFScheduler(), validate=True
     )
     if m >= 1:

@@ -148,7 +148,6 @@ def test_multi_engine_heap_bounded_under_alarm_churn(policy):
     from repro.multi import (
         GlobalVDoverScheduler,
         PartitionedScheduler,
-        simulate_multi,
     )
 
     horizon = 40.0
@@ -169,7 +168,7 @@ def test_multi_engine_heap_bounded_under_alarm_churn(policy):
         ),
     }[policy]
     probe = _QueueSizeProbe()
-    simulate_multi(
+    simulate(
         jobs, capacities, make(), watchdog=InvariantWatchdog([probe])
     )
     assert probe.high_water > 0

@@ -116,8 +116,16 @@ class _FakeEngine:
         return self._capacity
 
     @property
+    def capacities(self):
+        return [self._capacity]
+
+    @property
     def trace(self):
         return self._trace
+
+    @property
+    def proc_traces(self):
+        return [self._trace]
 
     @property
     def now(self):
