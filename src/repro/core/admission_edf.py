@@ -98,9 +98,7 @@ class AdmissionEDFScheduler(BatchScheduler, Scheduler):
         for i, job in enumerate(chain):
             terms[i + 1] = remaining(job) / rate
         completion = np.add.accumulate(terms)
-        deadlines = np.fromiter(
-            (job.deadline for job in chain), dtype=np.float64, count=n
-        )
+        deadlines = np.array([job.deadline for job in chain], dtype=np.float64)
         return not bool((completion[1:] > deadlines + 1e-12).any())
 
     def _admissible_with(self, newcomer: Job, current: Optional[Job]) -> bool:

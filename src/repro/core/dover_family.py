@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from repro.errors import EstimateError, SchedulingError
@@ -125,6 +126,8 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             )
         self._beta = float(beta)
         self._rate_cfg = rate_estimate
+        #: ``"sensed"`` mode: every handler re-reads the sensor first.
+        self._sensed = rate_estimate == "sensed"
         self._supplement_enabled = bool(supplement)
 
     # ------------------------------------------------------------------
@@ -143,16 +146,10 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             )
         return lo, hi
 
-    def _refresh_rate(self) -> None:
-        """In ``"sensed"`` mode, re-read the (possibly faulty) sensor with
-        graceful degradation before handling an interrupt."""
-        if self._rate_cfg == "sensed":
-            self._rate = self.sense_capacity()
-
     def reset(self) -> None:
         if self._rate_cfg is None:
             self._rate = self._check_band()[0]
-        elif self._rate_cfg == "sensed":
+        elif self._sensed:
             self._check_band()
             self._rate = self.sense_capacity()
         else:
@@ -160,7 +157,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             if self._rate <= 0.0:
                 raise SchedulingError(f"rate estimate must be positive: {self._rate}")
         self._qedf: JobQueue[EdfEntry] = JobQueue(
-            edf_key, entry_job=lambda e: e[0], name="Qedf"
+            edf_key, entry_job=itemgetter(0), name="Qedf"
         )
         self._qother: JobQueue[Job] = JobQueue(edf_key, name="Qother")
         self._qsupp: JobQueue[Job] = JobQueue(latest_deadline_key, name="Qsupp")
@@ -175,27 +172,35 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             "edf_preemptions": 0,
             "supplement_preemptions": 0,
         }
-        # Regular-interval tracking (Definition 6 / Lemma 1).
+        # Regular-interval tracking (Definition 6 / Lemma 1).  Closed
+        # intervals are kept as ``(start, end, regval, clval)`` tuples and
+        # become RegularInterval objects only on access.
         self._zero_cl_ids: set[int] = set()
-        self._intervals: list[RegularInterval] = []
+        self._intervals: list[tuple[float, float, float, float]] = []
         self._open_start: float | None = None
         self._acc_regval = 0.0
         self._acc_clval = 0.0
 
     # ------------------------------------------------------------------
     # Helpers
+    #
+    # In "sensed" mode every handler first re-reads the (possibly faulty)
+    # sensor with graceful degradation: ``if self._sensed: self._rate =
+    # self.sense_capacity()``.  A job is a supplement job iff its jid is in
+    # ``_supp_ids``.
     # ------------------------------------------------------------------
     def _claxity(self, job: Job) -> float:
         """Laxity under the configured rate estimate (Definition 5 when the
-        estimate is ``c̲``)."""
-        return self.ctx.claxity(job, self._rate)
+        estimate is ``c̲``): :meth:`SchedulerContext.claxity
+        <repro.sim.scheduler.SchedulerContext.claxity>`'s arithmetic."""
+        ctx = self.ctx
+        return job.deadline - ctx.now() - ctx.remaining(job) / self._rate
 
     def _tc(self, job: Job) -> float:
-        """Estimated remaining processing time ``t_c(T, est)``."""
-        return self.ctx.conservative_remaining_time(job, self._rate)
-
-    def _is_supplement(self, job: Job) -> bool:
-        return job.jid in self._supp_ids
+        """Estimated remaining processing time ``t_c(T, est)``
+        (:meth:`SchedulerContext.conservative_remaining_time
+        <repro.sim.scheduler.SchedulerContext.conservative_remaining_time>`)."""
+        return self.ctx.remaining(job) / self._rate
 
     def _dispatch_regular(self, job: Job) -> Job:
         """Bookkeeping for scheduling a regular job: opens a regular
@@ -216,19 +221,15 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             self._acc_clval += job.value
         if not was_supplement and not self._qedf:
             self._intervals.append(
-                RegularInterval(
-                    start=self._open_start,
-                    end=self.ctx.now(),
-                    regval=self._acc_regval,
-                    clval=self._acc_clval,
-                )
+                (self._open_start, self.ctx.now(), self._acc_regval,
+                 self._acc_clval)
             )
             self._open_start = None
 
     @property
     def regular_intervals(self) -> list[RegularInterval]:
         """Closed regular intervals of the last (or running) simulation."""
-        return list(self._intervals)
+        return [RegularInterval(*iv) for iv in self._intervals]
 
     def _arm_zero_laxity(self, job: Job) -> None:
         """Arm the zero-laxity interrupt of a waiting regular job at the
@@ -261,7 +262,8 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
     # Handler B: job release
     # ------------------------------------------------------------------
     def _on_release_from(self, cur: Optional[Job], job: Job) -> Optional[Job]:
-        self._refresh_rate()
+        if self._sensed:
+            self._rate = self.sense_capacity()
         obs = self.ctx.obs
 
         if cur is None:  # lines B.1–B.4: processor idle
@@ -270,7 +272,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
                 obs.decision(self.name, "admit.idle", self.ctx.now(), job.jid)
             return self._dispatch_regular(job)
 
-        if self._is_supplement(cur):  # lines B.13–B.15
+        if cur.jid in self._supp_ids:  # lines B.13–B.15
             # Regular arrivals preempt supplement work immediately.
             self._qsupp.insert(cur)
             self._stats["supplement_preemptions"] += 1
@@ -358,7 +360,8 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         return None
 
     def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
-        self._refresh_rate()
+        if self._sensed:
+            self._rate = self.sense_capacity()
         current = self.ctx.current_job()
         if current is not None:
             # A *waiting* job expired: purge it from wherever it sits and
@@ -366,7 +369,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             self._remove_everywhere(job)
             return current
         # The running job completed or failed: full handler C.
-        was_supplement = self._is_supplement(job)
+        was_supplement = job.jid in self._supp_ids
         self._remove_everywhere(job)  # defensive; it should be in no queue
         if completed:
             self._note_completion(job, was_supplement)
@@ -376,7 +379,8 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         # Same-instant deadline sweep of waiting jobs while a job runs:
         # the scalar on_job_end is a sensor refresh plus a silent purge.
         for job in view.jobs:
-            self._refresh_rate()
+            if self._sensed:
+                self._rate = self.sense_capacity()
             self._remove_everywhere(job)
 
     def _remove_everywhere(self, job: Job) -> None:
@@ -391,14 +395,15 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
     def on_alarm(self, job: Job, tag: str) -> Optional[Job]:
         if tag != "zero-claxity":  # pragma: no cover - future-proofing
             return self.ctx.current_job()
-        self._refresh_rate()
-        if self._is_supplement(job) or job.jid in self._abandoned_ids:
+        if self._sensed:
+            self._rate = self.sense_capacity()
+        if job.jid in self._supp_ids or job.jid in self._abandoned_ids:
             return self.ctx.current_job()  # stale alarm on a demoted job
         self._stats["zero_laxity_interrupts"] += 1
         current = self.ctx.current_job()
 
         obs = self.ctx.obs
-        if current is None or self._is_supplement(current):
+        if current is None or current.jid in self._supp_ids:
             # Defensive branch: a waiting regular job while no regular job
             # runs should not occur (every handler schedules regular work
             # ahead of supplement/idle), but an urgent regular job must run.
@@ -466,8 +471,9 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         jobs to Qother with a fresh zero-laxity alarm — then run handler C
         to elect a successor, exactly as if the processor had just freed
         up."""
-        self._refresh_rate()
-        if self._is_supplement(job):
+        if self._sensed:
+            self._rate = self.sense_capacity()
+        if job.jid in self._supp_ids:
             self._qsupp.insert(job)
         elif job.jid not in self._abandoned_ids:
             self._enqueue_other(job)
@@ -486,7 +492,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         closed, self._intervals = self._intervals, []
         self._zero_cl_ids -= finished
         self._abandoned_ids -= finished
-        return [(iv.start, iv.end, iv.regval, iv.clval) for iv in closed]
+        return closed
 
     def _policy_state(self) -> dict:
         return {
@@ -504,9 +510,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             "abandoned_ids": sorted(self._abandoned_ids),
             "zero_cl_ids": sorted(self._zero_cl_ids),
             "stats": dict(self._stats),
-            "intervals": [
-                (iv.start, iv.end, iv.regval, iv.clval) for iv in self._intervals
-            ],
+            "intervals": list(self._intervals),
             "open_start": self._open_start,
             "acc_regval": self._acc_regval,
             "acc_clval": self._acc_clval,
@@ -528,10 +532,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         self._abandoned_ids = set(state["abandoned_ids"])
         self._zero_cl_ids = set(state["zero_cl_ids"])
         self._stats = dict(state["stats"])
-        self._intervals = [
-            RegularInterval(start=s, end=e, regval=rv, clval=cv)
-            for s, e, rv, cv in state["intervals"]
-        ]
+        self._intervals = [tuple(iv) for iv in state["intervals"]]
         self._open_start = state["open_start"]
         self._acc_regval = state["acc_regval"]
         self._acc_clval = state["acc_clval"]

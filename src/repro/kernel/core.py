@@ -37,13 +37,16 @@ flow through scheduler handlers and event payloads unchanged.
 One run loop (:meth:`SchedulingKernel._run`) serves closed-horizon runs
 and the incremental service drive alike; the journal, watchdog, snapshot
 cadence, crash plans and observability are ``is not None`` hooks in it.
-It dispatches in *same-timestamp batches*: when several events share one
-instant, the inner loop drains them without re-entering the outer
-bookkeeping (monotonicity check, horizon check, ``now`` update) — popping
-one event at a time and re-peeking, because a dispatch may push a new
-event at the *same* instant with *higher* kind priority (e.g. a
-COMPLETION predicted at exactly ``t``), which must precede the remaining
-batch.
+Each turn reads the head time straight off the event queue's heap and
+seeded run (``EventQueue.heap`` / ``seeded``, mutated only in place), so
+the per-event frames are the ledger-visible ``pop``, the no-op filter and
+the dispatch itself.  Events that share one instant skip the instant
+bookkeeping (the ``until`` bound, monotonicity and horizon checks, the
+``now`` update), which runs once for the first of them; the head is
+re-read after every dispatch, because a dispatch may push a new event at
+the *same* instant with *higher* kind priority (e.g. a COMPLETION
+predicted at exactly ``t``), which must precede the rest of the batch.
+A decision that keeps the running job enters no apply frame.
 
 A same-instant group of releases (or of deadlines of waiting jobs) is
 several of the paper's interrupts at one ``t``.  When no observability
@@ -70,7 +73,8 @@ from __future__ import annotations
 
 import math
 import pickle
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.capacity.base import CapacityFunction
 from repro.errors import (
@@ -109,6 +113,15 @@ _RUNNING = STATUS_CODE[JobStatus.RUNNING]
 _COMPLETED = STATUS_CODE[JobStatus.COMPLETED]
 _FAILED = STATUS_CODE[JobStatus.FAILED]
 _TERMINAL_MIN = _COMPLETED
+
+# Event kinds as module constants (one global load on the hot path).
+_COMPLETION = EventKind.COMPLETION
+_DEADLINE = EventKind.DEADLINE
+_RELEASE = EventKind.RELEASE
+_ALARM = EventKind.ALARM
+_TIMER = EventKind.TIMER
+_END = EventKind.END
+_FAULT = EventKind.FAULT
 
 #: Default snapshot cadence (events) when crash plans are present but the
 #: caller did not pick one.
@@ -304,8 +317,10 @@ class SchedulingKernel:
         return list(self._jobs)
 
     @property
-    def jobs_by_id(self) -> Dict[int, Job]:
-        return dict(self._by_id)
+    def jobs_by_id(self) -> Mapping[int, Job]:
+        """Read-only live view of the jid → job map (no copy: the
+        watchdog's monitors read it after every event)."""
+        return MappingProxyType(self._by_id)
 
     @property
     def table(self) -> JobTable:
@@ -352,20 +367,20 @@ class SchedulingKernel:
         job events for jobs in a terminal state.  Alarms of RUNNING jobs
         are *not* stale (the job may return to READY before they fire)."""
         kind = event.kind
-        if kind is EventKind.ALARM:
+        if kind is _ALARM:
             jid = event.payload[0].jid
             if self._alarm_version.get(jid, 0) != event.version:
                 return True
             row = self._row.get(jid)
             return row is not None and self._st[row] >= _TERMINAL_MIN
-        if kind is EventKind.COMPLETION:
+        if kind is _COMPLETION:
             payload = event.payload
             jid = (payload[1] if isinstance(payload, tuple) else payload).jid
             if self._completion_version.get(jid, 0) != event.version:
                 return True
             row = self._row.get(jid)
             return row is not None and self._st[row] >= _TERMINAL_MIN
-        if kind is EventKind.DEADLINE:
+        if kind is _DEADLINE:
             row = self._row.get(event.payload.jid)
             return row is not None and self._st[row] >= _TERMINAL_MIN
         return False
@@ -381,13 +396,13 @@ class SchedulingKernel:
         and a pre-crash journal replays bit-identically after restore
         (the filter reads only deterministic run state)."""
         kind = event.kind
-        if kind is EventKind.COMPLETION:
+        if kind is _COMPLETION:
             payload = event.payload
             job = payload if self._single else payload[1]
             return self._completion_version.get(job.jid, 0) != event.version
-        if kind is EventKind.DEADLINE:
+        if kind is _DEADLINE:
             return self._st[self._row[event.payload.jid]] >= _TERMINAL_MIN
-        if kind is EventKind.ALARM:
+        if kind is _ALARM:
             job = event.payload[0]
             if self._alarm_version.get(job.jid, 0) != event.version:
                 return True
@@ -401,7 +416,7 @@ class SchedulingKernel:
         """Queue a FAULT event (payload: ``("kill", i, retain[, proc])``,
         ``("evict", i[, proc])`` or ``("crash", i)``)."""
         if 0.0 <= time <= self._horizon:
-            self._events.push(Event(time, EventKind.FAULT, tuple(payload)))
+            self._events.push(Event(time, _FAULT, tuple(payload)))
 
     def register_event_crash(self, fault_index: int, at_event: int) -> None:
         """Arrange for crash plan ``fault_index`` to fire just before the
@@ -411,26 +426,25 @@ class SchedulingKernel:
     # ------------------------------------------------------------------
     # State queries used by the contexts
     # ------------------------------------------------------------------
-    def _cum_at(self, proc: int, t: float) -> float:
-        """``W(t)`` on ``proc`` through the one-slot cache (pure query:
-        the prefix index is append-only, so a cached value never goes
-        stale within a run; restore resets the slots)."""
-        if t == self._cum_t[proc]:
-            return self._cum_v[proc]
-        v = self._caps[proc].cumulative(t)
-        self._cum_t[proc] = t
-        self._cum_v[proc] = v
-        return v
-
     def _seg_work(self, proc: int, t: float) -> float:
         """Work performed by processor ``proc``'s running segment up to
         ``t`` — via the capacity's prefix-sum index when available, else
-        the naive integral (identical values either way)."""
+        the naive integral (identical values either way).
+
+        ``W(t)`` goes through ``proc``'s one-slot cache, as in
+        :meth:`_start_job` (pure query: the prefix index is append-only,
+        so a cached value never goes stale within a run; restore resets
+        the slots)."""
         octx = self._obs
         if self._indexed[proc]:
             if octx is not None:
                 octx.metrics.counter("kernel.capacity_index.hits").inc()
-            return self._cum_at(proc, t) - self._seg_cum0[proc]
+            if t == self._cum_t[proc]:
+                return self._cum_v[proc] - self._seg_cum0[proc]
+            cum = self._caps[proc].cumulative(t)
+            self._cum_t[proc] = t
+            self._cum_v[proc] = cum
+            return cum - self._seg_cum0[proc]
         if octx is not None:
             octx.metrics.counter("kernel.capacity_index.misses").inc()
         return self._caps[proc].integrate(self._seg_start[proc], t)
@@ -459,7 +473,7 @@ class SchedulingKernel:
         if version > 1:
             # A previous alarm for this job may still sit in the heap.
             self._events.note_stale()
-        self._events.push(Event(when, EventKind.ALARM, (job, tag), version))
+        self._events.push(Event(when, _ALARM, (job, tag), version))
 
     def cancel_alarm(self, job: Job) -> None:
         # Bumping the version orphans any in-flight alarm event.
@@ -467,7 +481,7 @@ class SchedulingKernel:
         self._events.note_stale()
 
     def set_timer(self, time: float, tag: str) -> None:
-        self._events.push(Event(max(time, self._now), EventKind.TIMER, tag))
+        self._events.push(Event(max(time, self._now), _TIMER, tag))
 
     # ------------------------------------------------------------------
     # Processor mechanics
@@ -520,7 +534,13 @@ class SchedulingKernel:
         rem0 = self._rem[row]
         self._seg_remaining0[proc] = rem0
         if self._indexed[proc]:
-            cum0 = self._cum_at(proc, t)
+            # W(t) through the one-slot cache (see _seg_work).
+            if t == self._cum_t[proc]:
+                cum0 = self._cum_v[proc]
+            else:
+                cum0 = self._caps[proc].cumulative(t)
+                self._cum_t[proc] = t
+                self._cum_v[proc] = cum0
             self._seg_cum0[proc] = cum0
             advance_from = self._advance_from[proc]
             if advance_from is not None:
@@ -533,7 +553,7 @@ class SchedulingKernel:
         self._completion_version[job.jid] = version
         if finish <= self._horizon:
             payload = job if self._single else (proc, job)
-            self._events.push(Event(finish, EventKind.COMPLETION, payload, version))
+            self._events.push(Event(finish, _COMPLETION, payload, version))
         octx = self._obs
         if octx is not None:
             octx.metrics.counter("kernel.starts").inc()
@@ -596,16 +616,24 @@ class SchedulingKernel:
                 {"jid": job.jid, "proc": proc, "value": job.value, "work": work},
             )
         desired = self._scheduler.on_job_end(job, completed=True)
-        self._apply(desired, t)
+        if desired is not self._current[0]:
+            self._apply(desired, t)
 
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, event: Event) -> None:
+        """Apply one live event and the scheduler's decision on it.
+
+        A decision is applied only when it is not the job already on
+        processor 0: in single mode that is exactly the no-op case of
+        :meth:`_apply_single`, and a multiprocessor assignment is never a
+        job, so it always applies."""
         t = event.time
         kind = event.kind
+        current = self._current
 
-        if kind is EventKind.RELEASE:
+        if kind is _RELEASE:
             job: Job = event.payload
             row = self._row[job.jid]
             self._st[row] = _READY
@@ -623,10 +651,11 @@ class SchedulingKernel:
                     },
                 )
             desired = self._scheduler.on_release(job)
-            self._apply(desired, t)
+            if desired is not current[0]:
+                self._apply(desired, t)
             return
 
-        if kind is EventKind.COMPLETION:
+        if kind is _COMPLETION:
             payload = event.payload
             if self._single:
                 proc, job = 0, payload
@@ -634,18 +663,18 @@ class SchedulingKernel:
                 proc, job = payload
             if self._completion_version.get(job.jid, 0) != event.version:
                 return  # stale: the job was preempted since this was armed
-            if self._current[proc] is not job:  # pragma: no cover - defensive
+            if current[proc] is not job:  # pragma: no cover - defensive
                 return
             self._complete(proc, job, t)
             return
 
-        if kind is EventKind.DEADLINE:
+        if kind is _DEADLINE:
             job = event.payload
             row = self._row[job.jid]
             if self._st[row] >= _TERMINAL_MIN:
                 return
             proc = self._proc_of.get(job.jid)
-            if proc is not None and self._current[proc] is job:
+            if proc is not None and current[proc] is job:
                 # Jobs with zero laxity finish *exactly* at their deadline;
                 # the predicted completion instant can land one ulp past it.
                 # A running job whose remaining workload is within float
@@ -667,25 +696,28 @@ class SchedulingKernel:
                     {"jid": job.jid, "value": job.value},
                 )
             desired = self._scheduler.on_job_end(job, completed=False)
-            self._apply(desired, t)
+            if desired is not current[0]:
+                self._apply(desired, t)
             return
 
-        if kind is EventKind.ALARM:
+        if kind is _ALARM:
             job, tag = event.payload
             if self._alarm_version.get(job.jid, 0) != event.version:
                 return  # re-armed or cancelled since
             if self._st[self._row[job.jid]] != _READY:
                 return  # running/finished jobs do not take alarms
             desired = self._scheduler.on_alarm(job, tag)
-            self._apply(desired, t)
+            if desired is not current[0]:
+                self._apply(desired, t)
             return
 
-        if kind is EventKind.TIMER:
+        if kind is _TIMER:
             desired = self._scheduler.on_timer(event.payload)
-            self._apply(desired, t)
+            if desired is not current[0]:
+                self._apply(desired, t)
             return
 
-        if kind is EventKind.FAULT:
+        if kind is _FAULT:
             self._dispatch_fault(event.payload, t)
             return
 
@@ -813,17 +845,14 @@ class SchedulingKernel:
         # deadline 2k+1, END 2m).  The pairs wait beside the heap in
         # release order; a job's deadline enters the heap at its release.
         jobs = self._table.jobs
-        released = (
+        released = [
             jobs[r] for r in self._table.rows_released_by(self._horizon).tolist()
-        )
-        self._events.seed(
-            (
-                Event(job.release, EventKind.RELEASE, job),
-                Event(job.deadline, EventKind.DEADLINE, job),
-            )
+        ]
+        self._events.seed([
+            (Event(job.release, _RELEASE, job), Event(job.deadline, _DEADLINE, job))
             for job in released
-        )
-        self._events.push(Event(self._horizon, EventKind.END))
+        ])
+        self._events.push(Event(self._horizon, _END))
 
         for i, fault in enumerate(self._faults):
             fault.arm(self.owner, i)
@@ -889,8 +918,8 @@ class SchedulingKernel:
         self._by_id[job.jid] = job
         self._table.append_job(job)
         if job.release <= self._horizon:
-            self._events.push(Event(job.release, EventKind.RELEASE, job))
-            self._events.push(Event(job.deadline, EventKind.DEADLINE, job))
+            self._events.push(Event(job.release, _RELEASE, job))
+            self._events.push(Event(job.deadline, _DEADLINE, job))
         octx = self._obs
         if octx is not None:
             octx.metrics.counter("kernel.jobs.admitted").inc()
@@ -936,12 +965,18 @@ class SchedulingKernel:
         through :meth:`_event_is_noop` before they are counted or
         journaled.
 
-        A same-timestamp batch drains through the inner loop without
-        re-entering the outer bookkeeping (monotonicity check, horizon
-        check, ``now`` update), popping one event at a time and
-        re-peeking: a dispatch may push a *same-instant* event of higher
-        kind priority (a COMPLETION predicted at exactly ``t``), which
-        must come out before the rest of the batch.
+        Each turn reads the head time straight off the queue's two lists
+        (:attr:`EventQueue.heap <repro.sim.events.EventQueue.heap>` and
+        ``seeded``, which the queue mutates only in place), so the loop
+        makes no ``len()`` or ``peek_time()`` call per event; every event
+        still comes out through :meth:`EventQueue.pop
+        <repro.sim.events.EventQueue.pop>`.  The first event of a new
+        instant takes the instant bookkeeping (the ``until`` bound,
+        monotonicity and horizon checks, the ``now`` update); the rest of a
+        same-timestamp batch skips it.  The head is re-read after every
+        dispatch, because a dispatch may push a *same-instant* event of
+        higher kind priority (a COMPLETION predicted at exactly ``t``),
+        which must come out before the rest of the batch.
 
         When a RELEASE (or, for ``batch_pure_completions`` schedulers, a
         DEADLINE) has more events of its ``(time, kind)`` behind it, the
@@ -952,8 +987,9 @@ class SchedulingKernel:
         clear, and no observability session is open (a traced run records
         the interrupt stream one event at a time)."""
         events = self._events
+        heap = events.heap
+        seeded = events.seeded
         pop = events.pop
-        peek = events.peek_time
         peek_key = events.peek_key
         dispatch = self._dispatch
         noop = self._event_is_noop
@@ -962,11 +998,8 @@ class SchedulingKernel:
         snapshot_every = self._snapshot_every
         has_event_crashes = bool(self._event_crashes)
         horizon = self._horizon
-        end_kind = EventKind.END
-        release_kind = EventKind.RELEASE
-        deadline_kind = EventKind.DEADLINE
-        release_int = int(release_kind)
-        deadline_int = int(deadline_kind)
+        release_int = int(_RELEASE)
+        deadline_int = int(_DEADLINE)
         owner = self.owner
         octx = self._obs
         scheduler = self._scheduler
@@ -983,8 +1016,19 @@ class SchedulingKernel:
             and not has_event_crashes
         )
 
-        while len(events):
-            if until is not None:
+        t = None  # the instant being dispatched
+        while True:
+            # The head time: the earlier of the heap head and the next
+            # seeded release (EventQueue.peek_time, read in place).
+            if seeded:
+                head = seeded[-1][0]
+                if heap and heap[0][0] < head:
+                    head = heap[0][0]
+            elif heap:
+                head = heap[0][0]
+            else:
+                return
+            if head != t:
                 # Exclusive incremental bound: stop *before* popping the
                 # first event at or past `until`.  Checked ahead of the
                 # event-indexed crash hook so a crash armed for the next
@@ -992,76 +1036,74 @@ class SchedulingKernel:
                 # dispatch.  A stale head at or past the bound also stops
                 # the loop — every live event behind it is at or past the
                 # bound too.
-                next_time = peek()
-                if next_time is None or next_time >= until:
+                if until is not None and head >= until:
                     return
-            if has_event_crashes:
-                self._maybe_crash_at_event()
-            event = pop()
-            t = event.time
-            if t < self._now - _EPS:
-                raise SimulationError(
-                    f"time went backwards: {t} < {self._now}"
-                )
-            if event.kind is end_kind:
-                self._now = t
-                self._ended = True
-                return
-            if t > horizon:
-                self._now = horizon
-                self._ended = True
-                return
-            self._now = t
-
-            while True:
-                if noop(event):
-                    if octx is not None:
-                        octx.metrics.counter(
-                            "kernel.events.skipped_stale"
-                        ).inc()
-                # Gather check, cheapest test first: only when another
-                # event sits at exactly t can a group exist at all.
-                elif (
-                    gather
-                    and peek() == t
-                    and not self._batch_unsafe
-                    and (
-                        (
-                            event.kind is release_kind
-                            and peek_key() == (t, release_int)
-                        )
-                        or (
-                            event.kind is deadline_kind
-                            and gather_deadlines
-                            and peek_key() == (t, deadline_int)
-                        )
-                    )
-                ):
-                    self._dispatch_gathered(event, t, net)
-                else:
-                    if journal is not None:
-                        self._journal_event(event)
-                    self._dispatch_count += 1
-                    if octx is None:
-                        dispatch(event)
-                    else:
-                        self._dispatch_observed(octx, event)
-                    if watchdog is not None:
-                        watchdog.after_event(owner, event)
-                    if (
-                        snapshot_every is not None
-                        and self._dispatch_count % snapshot_every == 0
-                    ):
-                        self.checkpoint()
-                if peek() != t:
-                    break
                 if has_event_crashes:
                     self._maybe_crash_at_event()
                 event = pop()
-                if event.kind is end_kind:
+                t = event.time
+                if t < self._now - _EPS:
+                    raise SimulationError(
+                        f"time went backwards: {t} < {self._now}"
+                    )
+                if event.kind is _END:
                     self._now = t
                     self._ended = True
                     return
+                if t > horizon:
+                    self._now = horizon
+                    self._ended = True
+                    return
+                self._now = t
+            else:
+                if has_event_crashes:
+                    self._maybe_crash_at_event()
+                event = pop()
+                if event.kind is _END:
+                    self._now = t
+                    self._ended = True
+                    return
+
+            if noop(event):
+                if octx is not None:
+                    octx.metrics.counter("kernel.events.skipped_stale").inc()
+            # Gather check, cheapest test first: only when another event
+            # sits at exactly t can a group exist at all.
+            elif (
+                gather
+                and (
+                    (heap and heap[0][0] == t)
+                    or (seeded and seeded[-1][0] == t)
+                )
+                and not self._batch_unsafe
+                and (
+                    (
+                        event.kind is _RELEASE
+                        and peek_key() == (t, release_int)
+                    )
+                    or (
+                        event.kind is _DEADLINE
+                        and gather_deadlines
+                        and peek_key() == (t, deadline_int)
+                    )
+                )
+            ):
+                self._dispatch_gathered(event, t, net)
+            else:
+                if journal is not None:
+                    self._journal_event(event)
+                self._dispatch_count += 1
+                if octx is None:
+                    dispatch(event)
+                else:
+                    self._dispatch_observed(octx, event)
+                if watchdog is not None:
+                    watchdog.after_event(owner, event)
+                if (
+                    snapshot_every is not None
+                    and self._dispatch_count % snapshot_every == 0
+                ):
+                    self.checkpoint()
 
     def checkpoint(self) -> EngineSnapshot:
         """Take the periodic snapshot (draining into :attr:`history_sink`
@@ -1122,13 +1164,11 @@ class SchedulingKernel:
         for _t, _k, _s, event in self._events.dump():
             payload = event.payload
             kind = event.kind
-            if kind is EventKind.ALARM:
+            if kind is _ALARM:
                 named.add(payload[0].jid)
-            elif kind is EventKind.COMPLETION and isinstance(payload, tuple):
+            elif kind is _COMPLETION and isinstance(payload, tuple):
                 named.add(payload[1].jid)
-            elif kind in (
-                EventKind.RELEASE, EventKind.COMPLETION, EventKind.DEADLINE
-            ):
+            elif kind in (_RELEASE, _COMPLETION, _DEADLINE):
                 named.add(payload.jid)
         st = self._st
         keep: List[int] = []
@@ -1209,7 +1249,7 @@ class SchedulingKernel:
                 self._journal_event(event)
             self._dispatch_count += 1
             group.append(event)
-        if kind is EventKind.RELEASE:
+        if kind is _RELEASE:
             if len(group) == 1:
                 self._dispatch_group_sequential(group)
             else:
@@ -1281,7 +1321,7 @@ class SchedulingKernel:
             rem[row] = job.workload
             jobs.append(job)
             rows.append(row)
-        view = BatchView(t, EventKind.RELEASE, jobs, rows, self._table)
+        view = BatchView(t, _RELEASE, jobs, rows, self._table)
         if net:
             self._apply(scheduler.plan(view)[-1], t)
             return
@@ -1343,7 +1383,7 @@ class SchedulingKernel:
             jobs.append(job)
             rows.append(row)
         self._scheduler.on_completions(
-            BatchView(t, EventKind.DEADLINE, jobs, rows, self._table)
+            BatchView(t, _DEADLINE, jobs, rows, self._table)
         )
 
     def _wind_down(self) -> None:
@@ -1388,7 +1428,7 @@ class SchedulingKernel:
         metrics.counter("kernel.events").inc()
         metrics.counter("kernel.events." + kind.name).inc()
         metrics.gauge("kernel.heap_size").set(float(len(self._events)))
-        if kind is EventKind.ALARM:
+        if kind is _ALARM:
             metrics.counter("kernel.alarm.fired").inc()
         if octx.profile:
             clock = octx.clock
@@ -1409,17 +1449,17 @@ class SchedulingKernel:
     # Snapshot / restore (crash recovery)
     # ------------------------------------------------------------------
     def _encode_payload(self, kind: EventKind, payload) -> tuple:
-        if kind is EventKind.COMPLETION and isinstance(payload, tuple):
+        if kind is _COMPLETION and isinstance(payload, tuple):
             return ("pjob", payload[0], payload[1].jid)
-        if kind in (EventKind.RELEASE, EventKind.COMPLETION, EventKind.DEADLINE):
+        if kind in (_RELEASE, _COMPLETION, _DEADLINE):
             return ("job", payload.jid)
-        if kind is EventKind.ALARM:
+        if kind is _ALARM:
             return ("alarm", payload[0].jid, payload[1])
-        if kind is EventKind.TIMER:
+        if kind is _TIMER:
             return ("timer", payload)
-        if kind is EventKind.END:
+        if kind is _END:
             return ("end",)
-        if kind is EventKind.FAULT:
+        if kind is _FAULT:
             return ("fault",) + tuple(payload)
         raise SimulationError(f"cannot snapshot event kind {kind!r}")  # pragma: no cover
 

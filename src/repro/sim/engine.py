@@ -58,7 +58,7 @@ invariant watchdog (:mod:`repro.sim.invariants`) observes every dispatch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.capacity.base import CapacityFunction
 from repro.kernel.core import SchedulingKernel
@@ -82,19 +82,25 @@ class _KernelContext:
     Hot path: these methods fire on every scheduler decision, so they read
     the kernel's internals directly (``_now``, ``_current``) instead of
     going through its property accessors — each avoided descriptor call is
-    one fewer Python frame per event.  The capacity list is immutable for
-    the kernel's lifetime, so it is cached at bind time.
+    one fewer Python frame per event.  ``remaining`` is the kernel's
+    bound :meth:`~repro.kernel.core.SchedulingKernel.remaining_of` itself,
+    stored on the instance at construction, so a remaining-work query
+    enters no forwarding frame.  The capacity list is immutable for the
+    kernel's lifetime, so it is cached at bind time.
     """
 
     def __init__(self, kernel: SchedulingKernel) -> None:
         self._kernel = kernel
         self._caps = kernel.capacities
         self.obs = kernel._obs  # None when observability is disabled
+        self.remaining = kernel.remaining_of
 
     def now(self) -> float:
         return self._kernel._now
 
     def remaining(self, job: Job) -> float:
+        # Shadowed per instance by the bound kernel method (see __init__);
+        # defined here for the SchedulerContext interface.
         return self._kernel.remaining_of(job)
 
     def cancel_alarm(self, job: Job) -> None:
@@ -272,7 +278,8 @@ class SimulationEngine:
         return self._kernel.scheduler
 
     @property
-    def jobs_by_id(self) -> Dict[int, Job]:
+    def jobs_by_id(self) -> Mapping[int, Job]:
+        """Read-only live view of the jid → job map."""
         return self._kernel.jobs_by_id
 
     @property

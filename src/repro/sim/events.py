@@ -40,6 +40,12 @@ as its two queued entries — ``len()``, :meth:`~EventQueue.dump`, the
 compaction trigger and the ``stale_hint`` clamp — so snapshots, journals
 and compaction match the one-heap queue byte for byte.
 
+The two lists are public read-only attributes (:attr:`EventQueue.heap`,
+:attr:`EventQueue.seeded`): the kernel's run loop reads the head times
+off them instead of calling :meth:`~EventQueue.peek_time` per event.  Every
+method mutates them in place and never rebinds them, so a reader may hold
+them across pushes, pops, compactions and :meth:`~EventQueue.load`.
+
 A bucketed calendar layout with the same pop order stays defined at the
 end of this module.  No run path builds it; it remains only while the
 benchmark harness (``perfbench/ledger.py``) names it.
@@ -130,18 +136,14 @@ class Event:
 _Entry = Tuple[float, int, int, Event]
 
 #: Seeded-run entries are ``(release time, RELEASE, release seq, release
-#: event, deadline event)``; the deadline's key is ``(deadline time,
-#: DEADLINE, release seq + 1)``.  Compared by the same unique prefix as
-#: heap entries, so the run and the heap head compare directly.
-_Seeded = Tuple[float, int, int, Event, Event]
+#: event, deadline entry)``; the deadline entry is the heap entry
+#: ``(deadline time, DEADLINE, release seq + 1, deadline event)`` that
+#: enters the heap when the release pops.  Compared by the same unique
+#: prefix as heap entries, so the run and the heap head compare directly.
+_Seeded = Tuple[float, int, int, Event, _Entry]
 
 _RELEASE = int(EventKind.RELEASE)
 _DEADLINE = int(EventKind.DEADLINE)
-
-
-def _deadline_entry(release_seq: int, deadline: Event) -> _Entry:
-    """The heap entry of a seeded pair's deadline."""
-    return (deadline.time, _DEADLINE, release_seq + 1, deadline)
 
 
 class EventQueue:
@@ -156,22 +158,24 @@ class EventQueue:
     """
 
     def __init__(self, stale: Callable[[Event], bool] | None = None) -> None:
-        self._heap: List[_Entry] = []
+        #: The binary heap of ``(time, int(kind), seq, event)`` entries;
+        #: its head is ``heap[0]``.  Read-only outside this class.
+        self.heap: List[_Entry] = []
         #: Unreleased seeded pairs in *descending* key order: the next
-        #: release is the last element.
-        self._seeded: List[_Seeded] = []
+        #: release is ``seeded[-1]``.  Read-only outside this class.
+        self.seeded: List[_Seeded] = []
         self._counter = itertools.count()
         self._stale = stale
         self._stale_hint = 0
 
     def __len__(self) -> int:
-        return len(self._heap) + 2 * len(self._seeded)
+        return len(self.heap) + 2 * len(self.seeded)
 
     def push(self, event: Event) -> None:
         if event.time != event.time:  # NaN guard
             raise SimulationError(f"event with NaN time: {event!r}")
         seq = next(self._counter)
-        heapq.heappush(self._heap, (event.time, int(event.kind), seq, event))
+        heapq.heappush(self.heap, (event.time, int(event.kind), seq, event))
 
     def seed(self, pairs: Iterable[Tuple[Event, Event]]) -> None:
         """Queue jobs' ``(RELEASE, DEADLINE)`` event pairs beside the heap.
@@ -183,7 +187,7 @@ class EventQueue:
         the merged pop order identical to one heap's (module docstring).
         """
         counter = self._counter
-        run = self._seeded
+        run = self.seeded
         for release, deadline in pairs:
             if (
                 release.kind is not EventKind.RELEASE
@@ -199,21 +203,20 @@ class EventQueue:
                     f"release {release.time!r}"
                 )
             seq = next(counter)
-            next(counter)
-            run.append((release.time, _RELEASE, seq, release, deadline))
+            run.append((
+                release.time, _RELEASE, seq, release,
+                (deadline.time, _DEADLINE, next(counter), deadline),
+            ))
         run.sort(reverse=True)
 
-    def _release_next(self) -> Event:
-        """Take the next seeded release; its deadline enters the heap."""
-        _t, _k, seq, release, deadline = self._seeded.pop()
-        heapq.heappush(self._heap, _deadline_entry(seq, deadline))
-        return release
-
     def pop(self) -> Event:
-        heap = self._heap
-        seeded = self._seeded
+        heap = self.heap
+        seeded = self.seeded
         if seeded and (not heap or seeded[-1] < heap[0]):
-            event = self._release_next()
+            # The next seeded release; its deadline enters the heap.
+            entry = seeded.pop()
+            heapq.heappush(heap, entry[4])
+            event = entry[3]
         elif heap:
             event = heapq.heappop(heap)[3]
         else:
@@ -222,14 +225,14 @@ class EventQueue:
             # The popped entry may itself have been one of the hinted-dead
             # ones; keep the hint an upper bound rather than letting it
             # exceed the queued total.
-            self._stale_hint = min(
-                self._stale_hint, len(heap) + 2 * len(seeded)
-            )
+            queued = len(heap) + 2 * len(seeded)
+            if self._stale_hint > queued:
+                self._stale_hint = queued
         return event
 
     def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        seeded = self._seeded
+        heap = self.heap
+        seeded = self.seeded
         if seeded:
             time = seeded[-1][0]
             if not heap or time < heap[0][0]:
@@ -242,8 +245,8 @@ class EventQueue:
         The batch dispatch path uses this to gather whole same-``(time,
         kind)`` groups; like :meth:`peek_time` it sees stale entries too
         (the caller filters them exactly as the scalar loop would)."""
-        heap = self._heap
-        seeded = self._seeded
+        heap = self.heap
+        seeded = self.seeded
         if seeded and (not heap or seeded[-1] < heap[0]):
             return (seeded[-1][0], _RELEASE)
         return (heap[0][0], heap[0][1]) if heap else None
@@ -257,8 +260,8 @@ class EventQueue:
         done on the raw entries (no tuple allocation).  Stale entries
         come out too; the caller filters them exactly as the scalar loop
         would."""
-        heap = self._heap
-        seeded = self._seeded
+        heap = self.heap
+        seeded = self.seeded
         out: List[Event] = []
         heappop = heapq.heappop
         while True:
@@ -266,7 +269,9 @@ class EventQueue:
                 head = seeded[-1]
                 if head[0] != time or head[1] != kind_int:
                     break
-                out.append(self._release_next())
+                seeded.pop()
+                heapq.heappush(heap, head[4])
+                out.append(head[3])
             elif heap:
                 head = heap[0]
                 if head[0] != time or head[1] != kind_int:
@@ -292,7 +297,10 @@ class EventQueue:
         triggered).
         """
         self._stale_hint += int(n)
-        if self._stale is not None and self._stale_hint * 2 > len(self):
+        if (
+            self._stale is not None
+            and self._stale_hint * 2 > len(self.heap) + 2 * len(self.seeded)
+        ):
             return self.compact()
         return 0
 
@@ -308,11 +316,13 @@ class EventQueue:
         if self._stale is None:
             self._stale_hint = 0
             return 0
-        before = len(self._heap)
-        self._heap = [entry for entry in self._heap if not self._stale(entry[3])]
-        heapq.heapify(self._heap)
+        heap = self.heap
+        stale = self._stale
+        before = len(heap)
+        heap[:] = [entry for entry in heap if not stale(entry[3])]
+        heapq.heapify(heap)
         self._stale_hint = 0
-        return before - len(self._heap)
+        return before - len(heap)
 
     # -- snapshot support ---------------------------------------------------
 
@@ -323,10 +333,10 @@ class EventQueue:
         :attr:`next_seq` / :attr:`stale_hint` to rebuild an identical queue.
         Unreleased seeded pairs appear as their two entries.
         """
-        entries = list(self._heap)
-        for time, kind, seq, release, deadline in self._seeded:
+        entries = list(self.heap)
+        for time, kind, seq, release, deadline_entry in self.seeded:
             entries.append((time, kind, seq, release))
-            entries.append(_deadline_entry(seq, deadline))
+            entries.append(deadline_entry)
         entries.sort()
         return entries
 
@@ -343,9 +353,9 @@ class EventQueue:
         exactly (bit-identical replay depends on it).  Every entry goes
         into the heap; the pop order is the same as from a seeded run.
         """
-        self._heap = list(entries)
-        heapq.heapify(self._heap)
-        self._seeded = []
+        self.heap[:] = entries
+        heapq.heapify(self.heap)
+        self.seeded.clear()
         self._counter = itertools.count(int(next_seq))
         self._stale_hint = int(stale_hint)
 
@@ -401,6 +411,13 @@ class CalendarEventQueue(EventQueue):
 
     def __len__(self) -> int:
         return self._size
+
+    def note_stale(self, n: int = 1) -> int:
+        """See :meth:`EventQueue.note_stale` (the trigger counts buckets)."""
+        self._stale_hint += int(n)
+        if self._stale is not None and self._stale_hint * 2 > self._size:
+            return self.compact()
+        return 0
 
     def _bucket_of(self, time: float) -> int:
         return int(time // self._width)

@@ -44,11 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import InvariantViolationError
 from repro.faults.base import unwrap_faults
 from repro.sim.events import Event, EventKind
+from repro.sim.job import JobStatus
 
 __all__ = [
     "InvariantViolation",
@@ -241,20 +243,59 @@ class WorkConservationMonitor(InvariantMonitor):
 
 class ValueAccountingMonitor(InvariantMonitor):
     """Accrued value must equal the sum of completed jobs' values and be
-    non-decreasing over time."""
+    non-decreasing over time.
+
+    Incremental: each check adds only the outcomes recorded since the last
+    one to a running sum, and checks monotonicity only over new value
+    points, so a watched run stays linear in its events.  The sums
+    re-base on the trace's carried total (``value_base``) whenever the
+    record is replaced or shrinks: a new run, a restore, or a drain that
+    moved the terminal history out of the live trace."""
 
     name = "value-accounting"
+
+    def __init__(self) -> None:
+        self._outcomes: Optional[dict] = None  # the record being summed
+        self._points: Optional[list] = None
+        self._n_outcomes = 0
+        self._n_points = 0
+        self._expected = 0.0
+        self._prev = 0.0
+
+    def start(self, engine) -> List[InvariantViolation]:
+        self._outcomes = None  # re-base at the next check
+        return []
 
     def _check(self, engine) -> List[InvariantViolation]:
         bad: List[InvariantViolation] = []
         trace = engine.trace
-        jobs = engine.jobs_by_id
-        expected = sum(
-            jobs[jid].value
-            for jid, st in trace.outcomes.items()
-            if st.name == "COMPLETED" and jid in jobs
-        )
-        accrued = trace.value_points[-1][1] if trace.value_points else 0.0
+        outcomes = trace.outcomes
+        points = trace.value_points
+        if (
+            outcomes is not self._outcomes
+            or points is not self._points
+            or len(outcomes) < self._n_outcomes
+            or len(points) < self._n_points
+        ):
+            self._outcomes = outcomes
+            self._points = points
+            self._n_outcomes = self._n_points = 0
+            self._expected = self._prev = trace.value_base
+        fresh = len(outcomes) - self._n_outcomes
+        if fresh:
+            jobs = engine.jobs_by_id
+            completed = JobStatus.COMPLETED
+            expected = self._expected
+            # The newest `fresh` outcomes, summed in recording order.
+            for jid, st in reversed(
+                list(islice(reversed(outcomes.items()), fresh))
+            ):
+                if st is completed and jid in jobs:
+                    expected += jobs[jid].value
+            self._expected = expected
+            self._n_outcomes = len(outcomes)
+        expected = self._expected
+        accrued = points[-1][1] if points else trace.value_base
         if abs(accrued - expected) > 1e-9 * max(1.0, abs(expected)):
             bad.append(
                 InvariantViolation(
@@ -264,8 +305,8 @@ class ValueAccountingMonitor(InvariantMonitor):
                     f"{expected:g}",
                 )
             )
-        prev = 0.0
-        for t, cum in trace.value_points:
+        prev = self._prev
+        for t, cum in islice(points, self._n_points, None):
             if cum < prev - 1e-12:
                 bad.append(
                     InvariantViolation(
@@ -273,6 +314,8 @@ class ValueAccountingMonitor(InvariantMonitor):
                     )
                 )
             prev = cum
+        self._prev = prev
+        self._n_points = len(points)
         return bad
 
     def after_event(self, engine, event: Event) -> List[InvariantViolation]:

@@ -97,21 +97,12 @@ class JobTable:
         }
         if len(self.row_of) != n:
             raise SimulationError("duplicate job ids in JobTable")
-        self.jid = np.fromiter(
-            (j.jid for j in self.jobs), dtype=np.int64, count=n
-        )
-        self.release = np.fromiter(
-            (j.release for j in self.jobs), dtype=np.float64, count=n
-        )
-        self.workload = np.fromiter(
-            (j.workload for j in self.jobs), dtype=np.float64, count=n
-        )
-        self.deadline = np.fromiter(
-            (j.deadline for j in self.jobs), dtype=np.float64, count=n
-        )
-        self.value = np.fromiter(
-            (j.value for j in self.jobs), dtype=np.float64, count=n
-        )
+        jobs = self.jobs
+        self.jid = np.array([j.jid for j in jobs], dtype=np.int64)
+        self.release = np.array([j.release for j in jobs], dtype=np.float64)
+        self.workload = np.array([j.workload for j in jobs], dtype=np.float64)
+        self.deadline = np.array([j.deadline for j in jobs], dtype=np.float64)
+        self.value = np.array([j.value for j in jobs], dtype=np.float64)
         self.remaining: List[float] = [0.0] * n
         self.status: List[int] = [_PENDING] * n
 

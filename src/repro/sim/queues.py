@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generic, Iterator, Optional, Tuple, TypeVar
+from operator import attrgetter
+from typing import Callable, Generic, Iterator, Optional, Tuple, TypeVar
 
 from repro.errors import SchedulingError
 from repro.sim.job import Job
@@ -42,9 +43,10 @@ EdfEntry = Tuple[Job, float, float]
 E = TypeVar("E")
 
 
-def edf_key(job: Job) -> tuple:
-    """Earliest-deadline-first ordering key with deterministic tie-break."""
-    return (job.deadline, job.jid)
+#: Earliest-deadline-first ordering key with deterministic tie-break:
+#: ``edf_key(job) == (job.deadline, job.jid)``.  An ``attrgetter``, so a
+#: key computation enters no Python frame.
+edf_key: Callable[[Job], tuple] = attrgetter("deadline", "jid")
 
 
 def latest_deadline_key(job: Job) -> tuple:
@@ -60,10 +62,13 @@ class JobQueue(Generic[E]):
     key:
         Maps a *job* to its ordering key (smallest first).
     entry_job:
-        Extracts the job from an entry.  Defaults to identity, for queues
-        whose entries are bare jobs; Qedf passes ``lambda e: e[0]``.
+        Extracts the job from an entry.  ``None`` (the default) for queues
+        whose entries are bare jobs; Qedf passes ``itemgetter(0)``.
     name:
         For diagnostics.
+
+    Heap items are ``(key, counter, jid, entry)``: the jid rides in the
+    item, so purging, dequeuing and compaction never re-extract the job.
     """
 
     def __init__(
@@ -74,9 +79,9 @@ class JobQueue(Generic[E]):
         name: str = "queue",
     ) -> None:
         self._key = key
-        self._entry_job = entry_job or (lambda entry: entry)  # type: ignore[assignment]
+        self._entry_job = entry_job
         self._name = name
-        self._heap: list[tuple[tuple, int, E]] = []
+        self._heap: list[tuple[tuple, int, int, E]] = []
         self._live: dict[int, E] = {}  # jid -> current entry
         self._counter = itertools.count()
         self._tombstones = 0  # dead heap entries not yet purged
@@ -93,8 +98,9 @@ class JobQueue(Generic[E]):
 
     def jobs(self) -> Iterator[Job]:
         """Iterate over live member jobs (heap order not guaranteed)."""
-        for entry in self._live.values():
-            yield self._entry_job(entry)
+        if self._entry_job is None:
+            return iter(self._live.values())
+        return map(self._entry_job, self._live.values())
 
     def entries(self) -> Iterator[E]:
         """Iterate over live entries (heap order not guaranteed)."""
@@ -117,22 +123,24 @@ class JobQueue(Generic[E]):
     # ------------------------------------------------------------------
     def insert(self, entry: E) -> None:
         """Insert an entry; its job must not already be a member."""
-        job = self._entry_job(entry)
-        if job.jid in self._live:
+        job = entry if self._entry_job is None else self._entry_job(entry)
+        jid = job.jid
+        if jid in self._live:
             raise SchedulingError(
-                f"{self._name}: job {job.jid} inserted twice"
+                f"{self._name}: job {jid} inserted twice"
             )
-        self._live[job.jid] = entry
-        heapq.heappush(self._heap, (self._key(job), next(self._counter), entry))
+        self._live[jid] = entry
+        heapq.heappush(
+            self._heap, (self._key(job), next(self._counter), jid, entry)
+        )
 
     def _purge(self) -> None:
         """Drop tombstoned heap entries from the top."""
         heap = self._heap
         live = self._live
-        entry_job = self._entry_job
         while heap:
-            entry = heap[0][2]
-            if live.get(entry_job(entry).jid) is entry:
+            item = heap[0]
+            if live.get(item[2]) is item[3]:
                 return
             heapq.heappop(heap)
             self._tombstones -= 1
@@ -142,15 +150,15 @@ class JobQueue(Generic[E]):
         self._purge()
         if not self._heap:
             raise SchedulingError(f"{self._name}: first() on empty queue")
-        return self._heap[0][2]
+        return self._heap[0][3]
 
     def dequeue(self) -> E:
         """The paper's ``Dequeue``: pop and return the best entry."""
         self._purge()
         if not self._heap:
             raise SchedulingError(f"{self._name}: dequeue() on empty queue")
-        _, _, entry = heapq.heappop(self._heap)
-        del self._live[self._entry_job(entry).jid]
+        _, _, jid, entry = heapq.heappop(self._heap)
+        del self._live[jid]
         return entry
 
     def remove(self, job: Job) -> Optional[E]:
@@ -177,12 +185,9 @@ class JobQueue(Generic[E]):
         without compaction.
         """
         live = self._live
-        entry_job = self._entry_job
         before = len(self._heap)
         self._heap = [
-            item
-            for item in self._heap
-            if live.get(entry_job(item[2]).jid) is item[2]
+            item for item in self._heap if live.get(item[2]) is item[3]
         ]
         heapq.heapify(self._heap)
         self._tombstones = 0
@@ -197,18 +202,13 @@ class JobQueue(Generic[E]):
         top of a shrinking heap.
         """
         live = self._live
-        entry_job = self._entry_job
-        kept = [
-            item
-            for item in self._heap
-            if live.get(entry_job(item[2]).jid) is item[2]
-        ]
+        kept = [item for item in self._heap if live.get(item[2]) is item[3]]
         # (key, counter) is unique, so entries themselves are never compared.
         kept.sort()
         self._heap.clear()
         self._live.clear()
         self._tombstones = 0
-        return [item[2] for item in kept]
+        return [item[3] for item in kept]
 
     def clear(self) -> None:
         self._live.clear()

@@ -92,6 +92,21 @@ class TestCompactUnit:
         with pytest.raises(SimulationError, match="NaN"):
             EventQueue().push(_event(float("nan")))
 
+    def test_compact_and_load_keep_the_lists(self):
+        """The kernel's run loop holds ``heap`` and ``seeded`` for a whole
+        call: compaction and restore must mutate them, never rebind."""
+        q = EventQueue(stale=lambda e: e.payload == "dead")
+        heap, seeded = q.heap, q.seeded
+        q.seed([
+            (_event(1.0, EventKind.RELEASE), _event(2.0, EventKind.DEADLINE))
+        ])
+        for i in range(4):
+            q.push(_event(float(i), payload="dead" if i % 2 else "live"))
+        assert q.compact() == 2
+        q.load(q.dump(), q.next_seq)
+        assert q.heap is heap and q.seeded is seeded
+        assert [q.pop().time for _ in range(len(q))] == [0.0, 1.0, 2.0, 2.0]
+
 
 # ----------------------------------------------------------------------
 # Regression: the live engine heap stays bounded under alarm churn
@@ -175,3 +190,106 @@ def test_multi_engine_heap_bounded_under_alarm_churn(policy):
     assert probe.high_water <= 8 * len(jobs) + 32, (
         f"multi event heap grew to {probe.high_water} for {len(jobs)} jobs"
     )
+
+
+# ----------------------------------------------------------------------
+# Compaction and restore under the run loop's aliases of the queue lists
+# ----------------------------------------------------------------------
+class _Compactor(InvariantMonitor):
+    """Test probe: compacts the kernel's event queue after every
+    dispatched event, so compaction lands between a dispatch and the run
+    loop's next read of the queue head (``EventQueue.heap`` /
+    ``seeded``, which the loop holds for the whole call)."""
+
+    name = "compactor"
+
+    def __init__(self) -> None:
+        self.removed = 0
+
+    def after_event(self, engine, event):
+        self.removed += engine.kernel._events.compact()
+        return []
+
+
+def _dover_instance():
+    horizon = 60.0
+    jobs = PoissonWorkload(lam=6.0, horizon=horizon).generate(
+        np.random.default_rng(21)
+    )
+    capacity = TwoStateMarkovCapacity(
+        1.0, 35.0, mean_sojourn=horizon / 4.0, rng=np.random.default_rng(22)
+    )
+    return jobs, capacity
+
+
+def _stepped(engine, start: float, step: float):
+    """Drive ``engine`` with ``run_until`` over a grid of bounds, checking
+    that no call dispatches an event at or past its exclusive bound, then
+    finish the run."""
+    kernel = engine.kernel
+    until = start + step
+    while not kernel.ended and until <= kernel.horizon:
+        kernel.run_until(until)
+        assert kernel.now < until
+        until += step
+    return engine.run()
+
+
+def test_forced_compaction_mid_loop_matches_plain_run():
+    from repro.core import DoverScheduler
+    from repro.sim import EventJournal, SimulationEngine, results_bit_identical
+
+    jobs, capacity = _dover_instance()
+    plain_journal = EventJournal()
+    plain = simulate(
+        jobs, capacity, DoverScheduler(k=7.0, c_hat=35.0), journal=plain_journal
+    )
+
+    probe = _Compactor()
+    journal = EventJournal()
+    engine = SimulationEngine(
+        jobs,
+        capacity,
+        DoverScheduler(k=7.0, c_hat=35.0),
+        journal=journal,
+        watchdog=InvariantWatchdog([probe]),
+    )
+    result = _stepped(engine, 0.0, 0.25)
+    assert probe.removed > 0
+    assert results_bit_identical(plain, result)
+    assert journal.records == plain_journal.records
+    assert journal.digest == plain_journal.digest
+
+
+def test_restore_then_compaction_matches_plain_run():
+    from repro.core import DoverScheduler
+    from repro.sim import EventJournal, SimulationEngine, results_bit_identical
+
+    jobs, capacity = _dover_instance()
+    plain_journal = EventJournal()
+    plain = simulate(
+        jobs, capacity, DoverScheduler(k=7.0, c_hat=35.0), journal=plain_journal
+    )
+
+    first = SimulationEngine(
+        jobs, capacity, DoverScheduler(k=7.0, c_hat=35.0), journal=EventJournal()
+    )
+    first.kernel.run_until(25.0)
+    snapshot = first.snapshot()
+    assert 0 < snapshot.dispatch_count < len(plain_journal)
+
+    probe = _Compactor()
+    journal = EventJournal()
+    resumed = SimulationEngine(
+        jobs,
+        capacity,
+        DoverScheduler(k=7.0, c_hat=35.0),
+        journal=journal,
+        watchdog=InvariantWatchdog([probe]),
+    )
+    resumed.restore(snapshot)
+    result = _stepped(resumed, 25.0, 0.25)
+    assert probe.removed > 0
+    assert results_bit_identical(plain, result)
+    assert journal.records == plain_journal.records[snapshot.dispatch_count:]
+    assert journal.digest == plain_journal.digest
