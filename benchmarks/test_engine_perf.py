@@ -19,7 +19,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.capacity import TwoStateMarkovCapacity, naive_advance, naive_integrate
+from repro.capacity import (
+    TwoStateMarkovCapacity,
+    naive_advance,
+    naive_integrate,
+    prefix,
+)
 from repro.core import EDFScheduler, VDoverScheduler
 from repro.core.transform import StretchTransform
 from repro.sim import Job, JobQueue, edf_key, simulate
@@ -154,16 +159,21 @@ def test_perf_stretch_roundtrip(indexed_path, benchmark):
     benchmark(run)
 
 
-#: Index lookups a deep indexed ``advance`` may take (it resolves two
-#: prefix sums); the naive scan walks thousands of pieces per query.
+#: Index lookups a deep indexed ``advance`` may take (it bisects twice);
+#: the naive scan walks thousands of pieces per query.
 MAX_LOOKUPS_PER_QUERY = 2
+#: ... and at least one, so a counter that stopped seeing the lookups
+#: (reading 0) fails.
+MIN_LOOKUPS_PER_QUERY = 1
 
 
 def _query_steps(cap, monkeypatch, fn, queries) -> float:
     """Capacity work per query of ``fn``: pieces walked by the linear
-    scan (``pieces``) plus index lookups (``segment_index``)."""
+    scan (``pieces``) plus the bisects the prefix index performs
+    (``bisect_left``/``bisect_right`` as :mod:`repro.capacity.prefix`
+    calls them)."""
     steps = 0
-    pieces, segment_index = cap.pieces, cap.segment_index
+    pieces = cap.pieces
 
     def counted_pieces(t0, t1):
         nonlocal steps
@@ -171,14 +181,18 @@ def _query_steps(cap, monkeypatch, fn, queries) -> float:
             steps += 1
             yield piece
 
-    def counted_segment_index(t):
-        nonlocal steps
-        steps += 1
-        return segment_index(t)
+    def counted(bisect):
+        def lookup(*args):
+            nonlocal steps
+            steps += 1
+            return bisect(*args)
+
+        return lookup
 
     with monkeypatch.context() as patch:
         patch.setattr(cap, "pieces", counted_pieces)
-        patch.setattr(cap, "segment_index", counted_segment_index)
+        for name in ("bisect_left", "bisect_right"):
+            patch.setattr(prefix, name, counted(getattr(prefix, name)))
         for query in queries:
             fn(*query)
     return steps / len(queries)
@@ -294,7 +308,7 @@ def test_perf_index_artifact(indexed_path, paper_instance, archive, monkeypatch)
         "simulation values unchanged bit for bit.",
     ]
     archive("engine_perf_index", "\n".join(lines))
-    assert fast_steps <= MAX_LOOKUPS_PER_QUERY
+    assert MIN_LOOKUPS_PER_QUERY <= fast_steps <= MAX_LOOKUPS_PER_QUERY
     assert naive_steps > 100 * MAX_LOOKUPS_PER_QUERY
 
 

@@ -113,11 +113,19 @@ class MarkovModulatedCapacity(PrefixIndexedCapacity):
         # append-only; see PrefixIndexedCapacity's extension contract).
         self._bp: list[float] = [0.0]
         self._states: list[int] = [initial_state]
+        self._rates: list[float] = [state_rates[initial_state]]
         self._cum: list[float] = [0.0]
         # Time at which the *current* final segment ends (exclusive); the
         # final segment's rate is valid on [bp[-1], _frontier).
         self._frontier = 0.0
         self._sample_next_sojourn()
+
+    def __setstate__(self, state: dict) -> None:
+        # Paths pickled before the index kept a rate column carry only
+        # their states.
+        self.__dict__.update(state)
+        if "_rates" not in state:
+            self._rates = [self._state_rates[s] for s in self._states]
 
     # ------------------------------------------------------------------
     # Path materialization
@@ -127,8 +135,9 @@ class MarkovModulatedCapacity(PrefixIndexedCapacity):
         state = self._states[-1]
         self._frontier = self._bp[-1] + self._rng.exponential(self._sojourns[state])
 
-    def _ensure(self, t: float) -> None:
-        """Materialize the path (and its index) at least up to ``t``."""
+    def _materialize(self, t: float) -> None:
+        """Materialize the path (and its index) past ``t``: the index hook
+        (see PrefixIndexedCapacity's extension contract)."""
         while self._frontier <= t:
             state = self._states[-1]
             start = self._bp[-1]
@@ -137,17 +146,8 @@ class MarkovModulatedCapacity(PrefixIndexedCapacity):
             self._cum.append(self._cum[-1] + (end - start) * self._state_rates[state])
             self._bp.append(end)
             self._states.append(nxt)
+            self._rates.append(self._state_rates[nxt])
             self._sample_next_sojourn()
-
-    # Index hooks -------------------------------------------------------
-    def _materialize(self, t: float) -> None:
-        self._ensure(t)
-
-    def _rate_at(self, i: int) -> float:
-        return self._state_rates[self._states[i]]
-
-    def _index(self, t: float) -> int:
-        return self.segment_index(t)
 
     # ------------------------------------------------------------------
     # CapacityFunction interface
@@ -155,7 +155,7 @@ class MarkovModulatedCapacity(PrefixIndexedCapacity):
     def value(self, t: float) -> float:
         if t < 0.0:
             raise CapacityError(f"capacity undefined for t < 0: {t!r}")
-        return self._state_rates[self._states[self._index(t)]]
+        return self._rates[self.segment_index(t)]
 
     def pieces(self, t0: float, t1: float) -> Iterator[Piece]:
         if t1 <= t0:
@@ -164,20 +164,20 @@ class MarkovModulatedCapacity(PrefixIndexedCapacity):
             raise CapacityError(f"capacity undefined for t < 0: {t0!r}")
         if not math.isfinite(t1):
             raise CapacityError("cannot enumerate pieces to an infinite horizon")
-        self._ensure(t1)
+        self._materialize(t1)
         i = max(0, bisect_right(self._bp, t0) - 1)
         start = t0
         while start < t1:
             end = self._bp[i + 1] if i + 1 < len(self._bp) else self._frontier
             if end > t1:
                 end = t1
-            yield (start, end, self._state_rates[self._states[i]])
+            yield (start, end, self._rates[i])
             start = end
             i += 1
 
     # integrate / advance / cumulative / next_change: O(log n) via the
-    # shared prefix-sum index (PrefixIndexedCapacity); materialization is
-    # driven through the _materialize hook above.
+    # shared prefix-sum index (PrefixIndexedCapacity), which calls the
+    # _materialize hook above only at or past the frontier.
 
     @property
     def breakpoints_materialized(self) -> tuple[float, ...]:

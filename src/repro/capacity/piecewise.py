@@ -90,9 +90,6 @@ class PiecewiseConstantCapacity(PrefixIndexedCapacity):
     def rates(self) -> Tuple[float, ...]:
         return tuple(self._rates)
 
-    def _rate_at(self, i: int) -> float:
-        return self._rates[i]
-
     def _index(self, t: float) -> int:
         """Index of the piece containing ``t`` (pieces close on the left)."""
         return max(0, bisect_right(self._bp, t) - 1)

@@ -19,11 +19,15 @@ Incremental-extension contract
 ------------------------------
 Stochastic generators (e.g. :class:`repro.capacity.markov.
 MarkovModulatedCapacity`) extend their realized path lazily.  Such models
+keep a ``_frontier`` — the instant up to which the arrays are valid — and
 override :meth:`PrefixIndexedCapacity._materialize`, which must guarantee,
-on return, that ``bp``/``W`` (and the model's notion of the final
-segment's validity) cover time ``t``.  The arrays are **append-only**:
-entries, once observed, never change — this is what makes repeated queries
-consistent within a run and results reproducible across query orders.
+on return, that ``bp``/``W``/``rates`` cover time ``t`` and that
+``_frontier`` lies past ``t``.  The indexed queries compare against the
+frontier in place and call the hook only at or past it; fully built paths
+leave ``_frontier`` at ``inf`` and never call it.  The arrays are
+**append-only**: entries, once observed, never change — this is what
+makes repeated queries consistent within a run and results reproducible
+across query orders.
 
 Exactness contract
 ------------------
@@ -78,29 +82,32 @@ class PrefixIndexedCapacity(CapacityFunction):
     * ``self._bp`` — sorted breakpoints, ``_bp[0] == 0.0``;
     * ``self._cum`` — same length, ``_cum[i] = ∫₀^{bp[i]} c`` (use
       :func:`build_prefix`, or append increments for lazy paths);
-    * :meth:`_rate_at` — the constant rate on ``[bp[i], bp[i+1])`` (and past
-      ``bp[-1]`` for ``i == len(bp) − 1``, within the materialized window);
-    * :meth:`_materialize` — extend the arrays to cover time ``t``
-      (default: no-op, for fully materialized models).
+    * ``self._rates`` — same length, the constant rate on
+      ``[bp[i], bp[i+1])`` (and past ``bp[-1]`` for the last entry,
+      within the materialized window);
+    * ``self._frontier`` — the first instant the arrays do not cover
+      (default ``inf``: a fully built path);
+    * :meth:`_materialize` — extend the arrays (and the frontier) past
+      time ``t``; called only for ``t >= _frontier`` (default: no-op).
 
-    Given that, :meth:`cumulative`, :meth:`integrate`, :meth:`advance` and
-    :meth:`next_change` are all O(log n).
+    Given that, :meth:`cumulative`, :meth:`integrate`, :meth:`advance`,
+    :meth:`advance_from` and :meth:`next_change` are all O(log n): each
+    is one or two bisects in place, plus one frontier comparison.
     """
 
     supports_prefix_index = True
 
     _bp: List[float]
     _cum: List[float]
+    _rates: List[float]
+    #: Fully built paths cover every instant.
+    _frontier: float = math.inf
 
     # ------------------------------------------------------------------
-    # Subclass hooks
+    # Subclass hook
     # ------------------------------------------------------------------
-    def _rate_at(self, i: int) -> float:
-        """Rate on the ``i``-th segment.  Subclasses must override."""
-        raise NotImplementedError  # pragma: no cover - abstract hook
-
     def _materialize(self, t: float) -> None:
-        """Ensure the index covers time ``t`` (append-only extension).
+        """Extend the index past time ``t`` (append-only extension).
 
         No-op by default; lazy stochastic models override (see module
         docstring for the incremental-extension contract)."""
@@ -111,7 +118,8 @@ class PrefixIndexedCapacity(CapacityFunction):
     def segment_index(self, t: float) -> int:
         """Index of the segment containing ``t`` (segments close on the
         left), materializing the path as needed."""
-        self._materialize(t)
+        if t >= self._frontier:
+            self._materialize(t)
         return max(0, bisect_right(self._bp, t) - 1)
 
     def cumulative(self, t: float) -> float:
@@ -119,8 +127,12 @@ class PrefixIndexedCapacity(CapacityFunction):
         linear interpolation inside the containing segment."""
         if t < 0.0:
             raise CapacityError(f"capacity undefined for t < 0: {t!r}")
-        i = self.segment_index(t)
-        return self._cum[i] + (t - self._bp[i]) * self._rate_at(i)
+        if t >= self._frontier:
+            self._materialize(t)
+        bp = self._bp
+        # bp[0] == 0.0 <= t, so the bisect is at least 1.
+        i = bisect_right(bp, t) - 1
+        return self._cum[i] + (t - bp[i]) * self._rates[i]
 
     def integrate(self, t0: float, t1: float) -> float:
         if t1 < t0:
@@ -137,15 +149,27 @@ class PrefixIndexedCapacity(CapacityFunction):
         limit = t0 + work / self._lower
         if horizon < limit:
             limit = horizon
-        self._materialize(limit)
-        target = self.cumulative(t0) + work
-        i0 = max(0, bisect_right(self._bp, t0) - 1)
+        if t0 > limit:
+            limit = t0
+        if t0 < 0.0:
+            raise CapacityError(f"capacity undefined for t < 0: {t0!r}")
+        if limit >= self._frontier:
+            self._materialize(limit)
+        bp = self._bp
+        cum = self._cum
+        rates = self._rates
+        lo = bisect_right(bp, t0)
+        # cumulative(t0) + work, on the segment the search starts from.
+        target = cum[lo - 1] + (t0 - bp[lo - 1]) * rates[lo - 1] + work
         # searchsorted on W: first segment whose *start* cumulative work
         # reaches the target (with the historical slack), minus one.
-        i = bisect_left(self._cum, target - ADVANCE_SLACK, i0 + 1) - 1
-        # max() guards against one-ulp drift below t0 when `work` is tiny
-        # relative to the prefix integral (division rounding).
-        t = max(t0, self._bp[i] + (target - self._cum[i]) / self._rate_at(i))
+        i = bisect_left(cum, target - ADVANCE_SLACK, lo) - 1
+        t = bp[i] + (target - cum[i]) / rates[i]
+        # One-ulp guard against drift below t0 when `work` is tiny
+        # relative to the prefix integral (division rounding): the
+        # comparison max(t0, t) makes.
+        if not t > t0:
+            t = t0
         return t if t <= horizon else math.inf
 
     def advance_from(
@@ -167,18 +191,21 @@ class PrefixIndexedCapacity(CapacityFunction):
         limit = t0 + work / self._lower
         if horizon < limit:
             limit = horizon
-        self._materialize(limit)
+        if limit >= self._frontier:
+            self._materialize(limit)
+        bp = self._bp
+        cum = self._cum
         target = cum0 + work
-        i0 = max(0, bisect_right(self._bp, t0) - 1)
-        i = bisect_left(self._cum, target - ADVANCE_SLACK, i0 + 1) - 1
-        t = max(t0, self._bp[i] + (target - self._cum[i]) / self._rate_at(i))
+        i = bisect_left(cum, target - ADVANCE_SLACK, bisect_right(bp, t0) or 1) - 1
+        t = bp[i] + (target - cum[i]) / self._rates[i]
+        if not t > t0:
+            t = t0
         return t if t <= horizon else math.inf
 
     def next_change(self, t: float, horizon: float) -> float:
-        if math.isfinite(horizon):
-            self._materialize(horizon)
-        else:
-            self._materialize(t)
+        reach = horizon if math.isfinite(horizon) else t
+        if reach >= self._frontier:
+            self._materialize(reach)
         i = bisect_right(self._bp, t)
         if i < len(self._bp) and self._bp[i] < horizon:
             return self._bp[i]
@@ -195,14 +222,20 @@ class PrefixIndexedCapacity(CapacityFunction):
         * ``bp``/``cum`` have equal length, ``bp`` strictly increasing
           from ``0.0``, ``cum[0] == 0.0``;
         * ``cum`` increments are *exactly* ``(bp[i+1] − bp[i]) ·
-          rate_at(i)`` (the same arithmetic the naive scan performs);
-        * every segment rate lies in the declared band (tolerantly).
+          rates[i]`` (the same arithmetic the naive scan performs);
+        * every segment rate lies in the declared band (tolerantly);
+        * the frontier lies past the last breakpoint.
         """
-        bp, cum = self._bp, self._cum
-        if len(bp) != len(cum):
+        bp, cum, rates = self._bp, self._cum, self._rates
+        if not len(bp) == len(cum) == len(rates):
             raise CapacityError(
                 f"index arrays out of sync: {len(bp)} breakpoints, "
-                f"{len(cum)} prefix sums"
+                f"{len(cum)} prefix sums, {len(rates)} rates"
+            )
+        if not self._frontier > bp[-1]:
+            raise CapacityError(
+                f"frontier {self._frontier!r} not past the last breakpoint "
+                f"{bp[-1]!r}"
             )
         if not bp or bp[0] != 0.0 or cum[0] != 0.0:
             raise CapacityError("index must start at (bp=0.0, W=0.0)")
@@ -212,12 +245,11 @@ class PrefixIndexedCapacity(CapacityFunction):
                     f"breakpoints not strictly increasing at {i}: "
                     f"{bp[i]} -> {bp[i + 1]}"
                 )
-            expected = cum[i] + (bp[i + 1] - bp[i]) * self._rate_at(i)
+            expected = cum[i] + (bp[i + 1] - bp[i]) * rates[i]
             if cum[i + 1] != expected:
                 raise CapacityError(
                     f"prefix sum mismatch at {i}: {cum[i + 1]!r} != {expected!r}"
                 )
-        rates = [self._rate_at(i) for i in range(len(bp))]
         ensure_band(
             self._lower, self._upper, min(rates), max(rates),
             what="indexed segment rates",

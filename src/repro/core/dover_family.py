@@ -187,7 +187,8 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
     # In "sensed" mode every handler first re-reads the (possibly faulty)
     # sensor with graceful degradation: ``if self._sensed: self._rate =
     # self.sense_capacity()``.  A job is a supplement job iff its jid is in
-    # ``_supp_ids``.
+    # ``_supp_ids``.  Queue emptiness and membership are read off each
+    # queue's ``live`` map (JobQueue.live), which enters no Python frame.
     # ------------------------------------------------------------------
     def _claxity(self, job: Job) -> float:
         """Laxity under the configured rate estimate (Definition 5 when the
@@ -205,7 +206,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
     def _dispatch_regular(self, job: Job) -> Job:
         """Bookkeeping for scheduling a regular job: opens a regular
         interval when none is open and Qedf is empty (Definition 6)."""
-        if self._open_start is None and not self._qedf:
+        if self._open_start is None and not self._qedf.live:
             self._open_start = self.ctx.now()
             self._acc_regval = 0.0
             self._acc_clval = 0.0
@@ -219,7 +220,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         self._acc_regval += job.value
         if job.jid in self._zero_cl_ids:
             self._acc_clval += job.value
-        if not was_supplement and not self._qedf:
+        if not was_supplement and not self._qedf.live:
             self._intervals.append(
                 (self._open_start, self.ctx.now(), self._acc_regval,
                  self._acc_clval)
@@ -314,7 +315,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
         now = self.ctx.now()
         obs = self.ctx.obs
 
-        if self._qedf and self._qother:  # lines C.1–C.9
+        if self._qedf.live and self._qother.live:  # lines C.1–C.9
             head_job, t_prev, cslack_prev = self._qedf.first()
             self._cslack = cslack_prev - (now - t_prev)
             other = self._qother.first()
@@ -334,14 +335,14 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
                 obs.decision(self.name, "resume.qedf", now, head_job.jid)
             return self._dispatch_regular(head_job)
 
-        if self._qother:  # lines C.10–C.12
+        if self._qother.live:  # lines C.10–C.12
             other = self._qother.dequeue()
             self._cslack = self._claxity(other)
             if obs is not None:
                 obs.decision(self.name, "resume.other", now, other.jid)
             return self._dispatch_regular(other)
 
-        if self._qedf:  # lines C.13–C.15
+        if self._qedf.live:  # lines C.13–C.15
             head_job, t_prev, cslack_prev = self._qedf.dequeue()
             self._cslack = cslack_prev - (now - t_prev)
             if obs is not None:
@@ -350,7 +351,7 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
 
         # Lines C.16–C.22: no regular work left.
         self._cslack = math.inf
-        if self._qsupp:
+        if self._qsupp.live:
             revived = self._qsupp.dequeue()
             if obs is not None:
                 obs.decision(self.name, "revive.supplement", now, revived.jid)
@@ -384,10 +385,15 @@ class DoverFamilyScheduler(BatchScheduler, Scheduler):
             self._remove_everywhere(job)
 
     def _remove_everywhere(self, job: Job) -> None:
-        self._qedf.remove(job)
-        self._qother.remove(job)
-        self._qsupp.remove(job)
-        self._supp_ids.discard(job.jid)
+        """Drop ``job`` from whichever queues hold it."""
+        jid = job.jid
+        if jid in self._qedf.live:
+            self._qedf.remove(job)
+        if jid in self._qother.live:
+            self._qother.remove(job)
+        if jid in self._qsupp.live:
+            self._qsupp.remove(job)
+        self._supp_ids.discard(jid)
 
     # ------------------------------------------------------------------
     # Handler D: zero (estimated) laxity

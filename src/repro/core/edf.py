@@ -72,14 +72,15 @@ class EDFScheduler(BatchScheduler, Scheduler):
 
     def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
         current = self.ctx.current_job()
+        ready = self._ready
         if current is not None:
             # A waiting job expired; just drop it from the ready queue.
-            self._ready.remove(job)
+            ready.remove(job)
             return current
-        self._ready.remove(job)  # no-op if `job` was the running one
+        ready.remove(job)  # no-op if `job` was the running one
         obs = self.ctx.obs
-        if self._ready:
-            chosen = self._ready.dequeue()
+        if ready.live:
+            chosen = ready.dequeue()
             if obs is not None:
                 obs.decision(self.name, "resume.edf", self.ctx.now(), chosen.jid)
             return chosen

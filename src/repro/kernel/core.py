@@ -12,9 +12,9 @@ lives here once, parameterised over a *processor set*:
 * a single global event queue ordered by ``(time, kind priority, seq)``
   with per-job version tokens for lazy deletion and automatic compaction
   (:meth:`~repro.sim.events.EventQueue.note_stale`): one binary heap,
-  with unreleased jobs' release/deadline pairs seeded beside it in
-  release order (:meth:`~repro.sim.events.EventQueue.seed`), so the heap
-  holds only released jobs' events;
+  with unreleased jobs seeded beside it in release order
+  (:meth:`~repro.sim.events.EventQueue.seed`), so the heap holds only
+  released jobs' events and the next release;
 * one *decision protocol* flag, which the façade
   (:class:`~repro.sim.engine.SimulationEngine`) derives from the policy's
   base class: ``single=True`` means scheduler handlers return
@@ -37,16 +37,17 @@ flow through scheduler handlers and event payloads unchanged.
 One run loop (:meth:`SchedulingKernel._run`) serves closed-horizon runs
 and the incremental service drive alike; the journal, watchdog, snapshot
 cadence, crash plans and observability are ``is not None`` hooks in it.
-Each turn reads the head time straight off the event queue's heap and
-seeded run (``EventQueue.heap`` / ``seeded``, mutated only in place), so
-the per-event frames are the ledger-visible ``pop``, the no-op filter and
-the dispatch itself.  Events that share one instant skip the instant
-bookkeeping (the ``until`` bound, monotonicity and horizon checks, the
-``now`` update), which runs once for the first of them; the head is
-re-read after every dispatch, because a dispatch may push a new event at
-the *same* instant with *higher* kind priority (e.g. a COMPLETION
-predicted at exactly ``t``), which must precede the rest of the batch.
-A decision that keeps the running job enters no apply frame.
+Each turn pops first (the ledger-visible ``pop``) and reads the queue's
+head off ``EventQueue.heap`` (mutated only in place) only where a
+decision needs it; a per-kind table then gives the event's no-op
+predicate and its dispatch handler, so the per-event frames are ``pop``,
+one predicate and one handler.  Events that share one instant skip the
+instant bookkeeping (monotonicity and horizon checks, the ``now``
+update), which runs once for the first of them; events come out one pop
+at a time, because a dispatch may push a new event at the *same*
+instant with *higher* kind priority (e.g. a COMPLETION predicted at
+exactly ``t``), which must precede the rest of the batch.  A decision
+that keeps the running job enters no apply frame.
 
 A same-instant group of releases (or of deadlines of waiting jobs) is
 several of the paper's interrupts at one ``t``.  When no observability
@@ -128,6 +129,12 @@ _FAULT = EventKind.FAULT
 _DEFAULT_SNAPSHOT_EVERY = 64
 
 
+def _never_noop(event: Event) -> bool:
+    """The no-op predicate of kinds that always dispatch (a release, a
+    timer, the END marker, a fault)."""
+    return False
+
+
 class SchedulingKernel:
     """The shared event loop (see module docstring).
 
@@ -196,6 +203,7 @@ class SchedulingKernel:
         self._row: Dict[int, int] = self._table.row_of
         self._rem: List[float] = self._table.remaining
         self._st: List[int] = self._table.status
+        # Mutated only in place: the policy context reads it (sim/engine.py).
         self._current: List[Optional[Job]] = [None] * m
         self._seg_start: List[float] = [0.0] * m
         self._seg_remaining0: List[float] = [0.0] * m
@@ -231,6 +239,33 @@ class SchedulingKernel:
             self._traces[0] if self._single else ScheduleTrace()
         )
         self._apply = self._apply_single if self._single else self._apply_multi
+        #: The pre-dispatch filter: one predicate per event kind, true when
+        #: dispatching the event would change nothing.  The dispatch
+        #: handlers rely on it instead of re-checking, so it is applied to
+        #: every pop, gathered or not, *before* journaling: skipped events
+        #: are never journaled and never counted, so a journal written
+        #: with the watchdog/observability on replays bit-identically with
+        #: them off — and a pre-crash journal replays bit-identically
+        #: after restore (the predicates read only deterministic run
+        #: state).  A release is never a no-op, so the loops skip it.
+        self._noops: Dict[EventKind, Callable[[Event], bool]] = {
+            _COMPLETION: self._completion_is_noop,
+            _DEADLINE: self._deadline_is_noop,
+            _RELEASE: _never_noop,
+            _ALARM: self._alarm_is_noop,
+            _TIMER: _never_noop,
+            _END: _never_noop,
+            _FAULT: _never_noop,
+        }
+        #: One dispatch handler per live event kind (see _dispatch).
+        self._handlers: Dict[EventKind, Callable[[Event, float], None]] = {
+            _RELEASE: self._on_release,
+            _COMPLETION: self._on_completion,
+            _DEADLINE: self._on_deadline,
+            _ALARM: self._on_alarm,
+            _TIMER: self._on_timer,
+            _FAULT: self._on_fault,
+        }
 
         # Fault / recovery / monitoring plumbing.
         self._faults = list(faults)
@@ -385,29 +420,23 @@ class SchedulingKernel:
             return row is not None and self._st[row] >= _TERMINAL_MIN
         return False
 
-    def _event_is_noop(self, event: Event) -> bool:
-        """Pre-dispatch filter: exactly the early-return cases of
-        :meth:`_dispatch`, evaluated *before* journaling.
+    def _completion_is_noop(self, event: Event) -> bool:
+        """Stale: the job was preempted (or finished) since it was armed."""
+        payload = event.payload
+        job = payload if self._single else payload[1]
+        return self._completion_version.get(job.jid, 0) != event.version
 
-        Must stay in lockstep with the dispatch handlers and must be
-        applied to every pop, gathered or not: skipped events are
-        never journaled and never counted, so a journal written with the
-        watchdog/observability on replays bit-identically with them off —
-        and a pre-crash journal replays bit-identically after restore
-        (the filter reads only deterministic run state)."""
-        kind = event.kind
-        if kind is _COMPLETION:
-            payload = event.payload
-            job = payload if self._single else payload[1]
-            return self._completion_version.get(job.jid, 0) != event.version
-        if kind is _DEADLINE:
-            return self._st[self._row[event.payload.jid]] >= _TERMINAL_MIN
-        if kind is _ALARM:
-            job = event.payload[0]
-            if self._alarm_version.get(job.jid, 0) != event.version:
-                return True
-            return self._st[self._row[job.jid]] != _READY
-        return False
+    def _deadline_is_noop(self, event: Event) -> bool:
+        """The job already finished."""
+        return self._st[self._row[event.payload.jid]] >= _TERMINAL_MIN
+
+    def _alarm_is_noop(self, event: Event) -> bool:
+        """Re-armed or cancelled since, or the job is not waiting
+        (running and finished jobs do not take alarms)."""
+        job = event.payload[0]
+        if self._alarm_version.get(job.jid, 0) != event.version:
+            return True
+        return self._st[self._row[job.jid]] != _READY
 
     # ------------------------------------------------------------------
     # Execution-fault plumbing (used by repro.faults.execution at arm time)
@@ -451,15 +480,21 @@ class SchedulingKernel:
 
     def remaining_of(self, job: Job) -> float:
         row = self._row.get(job.jid)
-        if row is None or self._st[row] == _PENDING:
-            raise SchedulingError(
-                f"remaining() queried for unreleased job {job.jid}"
-            )
-        proc = self._proc_of.get(job.jid)
-        if proc is not None and self._current[proc] is job:
-            done = self._seg_work(proc, self._now)
-            return max(0.0, self._seg_remaining0[proc] - done)
-        return self._rem[row]
+        if row is not None:
+            code = self._st[row]
+            if code == _READY:
+                return self._rem[row]
+            if code == _RUNNING:
+                # A RUNNING job is the one on its processor (_proc_of).
+                proc = self._proc_of[job.jid]
+                if self._current[proc] is job:
+                    done = self._seg_work(proc, self._now)
+                    return max(0.0, self._seg_remaining0[proc] - done)
+            if code != _PENDING:
+                return self._rem[row]
+        raise SchedulingError(
+            f"remaining() queried for unreleased job {job.jid}"
+        )
 
     # ------------------------------------------------------------------
     # Alarm / timer plumbing
@@ -494,14 +529,15 @@ class SchedulingKernel:
             return
         work = self._seg_work(proc, t)
         new_remaining = self._seg_remaining0[proc] - work
-        if new_remaining < -1e-6 * max(1.0, job.workload):
+        tol = 1e-6 * max(1.0, job.workload)
+        if new_remaining < -tol:
             raise SimulationError(
                 f"job {job.jid} over-executed: remaining {new_remaining}"
             )
         row = self._row[job.jid]
         self._rem[row] = max(0.0, new_remaining)
         self._st[row] = _READY
-        if new_remaining <= 1e-6 * max(1.0, job.workload):
+        if new_remaining <= tol:
             # A READY job this close to done completes the instant it is
             # restarted; see the _batch_unsafe latch in __init__.
             self._batch_unsafe = True
@@ -625,110 +661,96 @@ class SchedulingKernel:
     def _dispatch(self, event: Event) -> None:
         """Apply one live event and the scheduler's decision on it.
 
-        A decision is applied only when it is not the job already on
-        processor 0: in single mode that is exactly the no-op case of
+        One handler per kind (:attr:`_handlers`, called as ``handler(event,
+        t)``); the run loop indexes the same table with the kind and time
+        it already holds.  Only events the no-op filter
+        (:attr:`_noops`) passed come here, so the handlers do not
+        re-check its conditions: a completion's version is current (its
+        job is the one running), a deadline's job is not terminal and an
+        alarm's job is READY with its version current.  A decision is
+        applied only when it is not the job already on processor 0: in
+        single mode that is exactly the no-op case of
         :meth:`_apply_single`, and a multiprocessor assignment is never a
         job, so it always applies."""
-        t = event.time
-        kind = event.kind
+        handler = self._handlers.get(event.kind)
+        if handler is None:  # pragma: no cover - defensive
+            raise SimulationError(f"unhandled event kind: {event.kind!r}")
+        handler(event, event.time)
+
+    def _on_release(self, event: Event, t: float) -> None:
+        job: Job = event.payload
+        row = self._row[job.jid]
+        self._st[row] = _READY
+        self._rem[row] = job.workload
+        octx = self._obs
+        if octx is not None:
+            octx.emit(
+                "job.release",
+                t,
+                {
+                    "jid": job.jid,
+                    "deadline": job.deadline,
+                    "workload": job.workload,
+                    "value": job.value,
+                },
+            )
+        desired = self._scheduler.on_release(job)
+        if desired is not self._current[0]:
+            self._apply(desired, t)
+
+    def _on_completion(self, event: Event, t: float) -> None:
+        if self._single:
+            self._complete(0, event.payload, t)
+        else:
+            self._complete(*event.payload, t)
+
+    def _on_deadline(self, event: Event, t: float) -> None:
+        job = event.payload
+        row = self._row[job.jid]
         current = self._current
-
-        if kind is _RELEASE:
-            job: Job = event.payload
-            row = self._row[job.jid]
-            self._st[row] = _READY
-            self._rem[row] = job.workload
-            octx = self._obs
-            if octx is not None:
-                octx.emit(
-                    "job.release",
-                    t,
-                    {
-                        "jid": job.jid,
-                        "deadline": job.deadline,
-                        "workload": job.workload,
-                        "value": job.value,
-                    },
-                )
-            desired = self._scheduler.on_release(job)
-            if desired is not current[0]:
-                self._apply(desired, t)
-            return
-
-        if kind is _COMPLETION:
-            payload = event.payload
-            if self._single:
-                proc, job = 0, payload
-            else:
-                proc, job = payload
-            if self._completion_version.get(job.jid, 0) != event.version:
-                return  # stale: the job was preempted since this was armed
-            if current[proc] is not job:  # pragma: no cover - defensive
+        proc = self._proc_of.get(job.jid)
+        if proc is not None and current[proc] is job:
+            # Jobs with zero laxity finish *exactly* at their deadline;
+            # the predicted completion instant can land one ulp past it.
+            # A running job whose remaining workload is within float
+            # tolerance has completed, not failed.
+            done = self._seg_work(proc, t)
+            left = self._seg_remaining0[proc] - done
+            if left <= 1e-9 * max(1.0, job.workload):
+                self._complete(proc, job, t)
                 return
-            self._complete(proc, job, t)
-            return
+            self._close_segment(proc, t)
+        self._st[row] = _FAILED
+        self._outcomes.record_outcome(job, JobStatus.FAILED, t)
+        octx = self._obs
+        if octx is not None:
+            octx.metrics.counter("kernel.deadline_misses").inc()
+            octx.emit(
+                "job.deadline_miss",
+                t,
+                {"jid": job.jid, "value": job.value},
+            )
+        desired = self._scheduler.on_job_end(job, completed=False)
+        if desired is not current[0]:
+            self._apply(desired, t)
 
-        if kind is _DEADLINE:
-            job = event.payload
-            row = self._row[job.jid]
-            if self._st[row] >= _TERMINAL_MIN:
-                return
-            proc = self._proc_of.get(job.jid)
-            if proc is not None and current[proc] is job:
-                # Jobs with zero laxity finish *exactly* at their deadline;
-                # the predicted completion instant can land one ulp past it.
-                # A running job whose remaining workload is within float
-                # tolerance has completed, not failed.
-                done = self._seg_work(proc, t)
-                left = self._seg_remaining0[proc] - done
-                if left <= 1e-9 * max(1.0, job.workload):
-                    self._complete(proc, job, t)
-                    return
-                self._close_segment(proc, t)
-            self._st[row] = _FAILED
-            self._outcomes.record_outcome(job, JobStatus.FAILED, t)
-            octx = self._obs
-            if octx is not None:
-                octx.metrics.counter("kernel.deadline_misses").inc()
-                octx.emit(
-                    "job.deadline_miss",
-                    t,
-                    {"jid": job.jid, "value": job.value},
-                )
-            desired = self._scheduler.on_job_end(job, completed=False)
-            if desired is not current[0]:
-                self._apply(desired, t)
-            return
+    def _on_alarm(self, event: Event, t: float) -> None:
+        desired = self._scheduler.on_alarm(*event.payload)
+        if desired is not self._current[0]:
+            self._apply(desired, t)
 
-        if kind is _ALARM:
-            job, tag = event.payload
-            if self._alarm_version.get(job.jid, 0) != event.version:
-                return  # re-armed or cancelled since
-            if self._st[self._row[job.jid]] != _READY:
-                return  # running/finished jobs do not take alarms
-            desired = self._scheduler.on_alarm(job, tag)
-            if desired is not current[0]:
-                self._apply(desired, t)
-            return
+    def _on_timer(self, event: Event, t: float) -> None:
+        desired = self._scheduler.on_timer(event.payload)
+        if desired is not self._current[0]:
+            self._apply(desired, t)
 
-        if kind is _TIMER:
-            desired = self._scheduler.on_timer(event.payload)
-            if desired is not current[0]:
-                self._apply(desired, t)
-            return
-
-        if kind is _FAULT:
-            self._dispatch_fault(event.payload, t)
-            return
-
-        raise SimulationError(f"unhandled event kind: {kind!r}")  # pragma: no cover
-
-    def _dispatch_fault(self, payload: tuple, t: float) -> None:
+    def _on_fault(self, event: Event, t: float) -> None:
         """Apply an execution fault (see :mod:`repro.faults.execution`).
 
         Kill/evict payloads may carry a trailing processor index (default
         0 — and the only legal value in single mode), so per-machine
         targeting works on heterogeneous fleets."""
+        payload = event.payload
         op = payload[0]
 
         if op == "crash":
@@ -838,20 +860,14 @@ class SchedulingKernel:
                 },
             )
 
-        # Seed release/deadline pairs for every job arriving inside the
-        # horizon — the membership test is one vectorized pass over the
-        # release column; rows come back in instance order, so sequence
-        # numbers match the historical per-job loop exactly (release 2k,
-        # deadline 2k+1, END 2m).  The pairs wait beside the heap in
-        # release order; a job's deadline enters the heap at its release.
-        jobs = self._table.jobs
-        released = [
-            jobs[r] for r in self._table.rows_released_by(self._horizon).tolist()
-        ]
-        self._events.seed([
-            (Event(job.release, _RELEASE, job), Event(job.deadline, _DEADLINE, job))
-            for job in released
-        ])
+        # Seed every job arriving inside the horizon — the membership test
+        # is one vectorized pass over the release column; rows come back
+        # in instance order, so sequence numbers match the historical
+        # per-job loop exactly (release 2k, deadline 2k+1, END 2m).  The
+        # jobs wait beside the heap in release order; a job's events are
+        # built, and its deadline enters the heap, at its release.
+        rows = self._table.rows_released_by(self._horizon).tolist()
+        self._events.seed(map(self._table.jobs.__getitem__, rows))
         self._events.push(Event(self._horizon, _END))
 
         for i, fault in enumerate(self._faults):
@@ -962,21 +978,25 @@ class SchedulingKernel:
         observability are ``is not None`` hooks, all loop-invariant: faults
         are armed in _bootstrap/restore (both before this point), and the
         wiring never changes mid-run.  Provably-dead events are filtered
-        through :meth:`_event_is_noop` before they are counted or
-        journaled.
+        through their kind's no-op predicate (the :attr:`_noops` table)
+        before they are counted or journaled; a release is never a
+        no-op, so releases skip the filter.  Live events go to their
+        kind's handler (:meth:`_dispatch`'s table) with the instant the
+        loop already holds.
 
-        Each turn reads the head time straight off the queue's two lists
-        (:attr:`EventQueue.heap <repro.sim.events.EventQueue.heap>` and
-        ``seeded``, which the queue mutates only in place), so the loop
-        makes no ``len()`` or ``peek_time()`` call per event; every event
-        still comes out through :meth:`EventQueue.pop
-        <repro.sim.events.EventQueue.pop>`.  The first event of a new
-        instant takes the instant bookkeeping (the ``until`` bound,
-        monotonicity and horizon checks, the ``now`` update); the rest of a
-        same-timestamp batch skips it.  The head is re-read after every
-        dispatch, because a dispatch may push a *same-instant* event of
-        higher kind priority (a COMPLETION predicted at exactly ``t``),
-        which must come out before the rest of the batch.
+        Each turn pops first (every event comes out through
+        :meth:`EventQueue.pop <repro.sim.events.EventQueue.pop>`, one
+        ledger-visible call) and reads the queue's head
+        (:attr:`EventQueue.heap <repro.sim.events.EventQueue.heap>`) only
+        where a decision needs it: the ``until`` bound of an incremental
+        drive, and the gather check of a release or deadline, which tests
+        the event's kind before the head.  The first event of a new
+        instant takes the instant bookkeeping (monotonicity and horizon
+        checks, the ``now`` update); the rest of a same-timestamp batch
+        skips it.  Popping one event at a time keeps the order right when
+        a dispatch pushes a *same-instant* event of higher kind priority
+        (a COMPLETION predicted at exactly ``t``): it comes out before the
+        rest of the batch.
 
         When a RELEASE (or, for ``batch_pure_completions`` schedulers, a
         DEADLINE) has more events of its ``(time, kind)`` behind it, the
@@ -988,18 +1008,16 @@ class SchedulingKernel:
         the interrupt stream one event at a time)."""
         events = self._events
         heap = events.heap
-        seeded = events.seeded
         pop = events.pop
-        peek_key = events.peek_key
-        dispatch = self._dispatch
-        noop = self._event_is_noop
+        handlers = self._handlers
+        noops = self._noops
         journal = self._journal
         watchdog = self._watchdog
         snapshot_every = self._snapshot_every
         has_event_crashes = bool(self._event_crashes)
         horizon = self._horizon
-        release_int = int(_RELEASE)
-        deadline_int = int(_DEADLINE)
+        release_key = int(_RELEASE)
+        deadline_key = int(_DEADLINE)
         owner = self.owner
         octx = self._obs
         scheduler = self._scheduler
@@ -1018,92 +1036,79 @@ class SchedulingKernel:
 
         t = None  # the instant being dispatched
         while True:
-            # The head time: the earlier of the heap head and the next
-            # seeded release (EventQueue.peek_time, read in place).
-            if seeded:
-                head = seeded[-1][0]
-                if heap and heap[0][0] < head:
-                    head = heap[0][0]
-            elif heap:
-                head = heap[0][0]
-            else:
+            # Exclusive incremental bound: stop *before* popping the first
+            # event at or past `until`.  Checked ahead of the event-indexed
+            # crash hook so a crash armed for the next dispatch doesn't
+            # fire for an event this call will never dispatch.  A stale
+            # head at or past the bound also stops the loop — every live
+            # event behind it is at or past the bound too.
+            if until is not None and (not heap or heap[0][0] >= until):
                 return
-            if head != t:
-                # Exclusive incremental bound: stop *before* popping the
-                # first event at or past `until`.  Checked ahead of the
-                # event-indexed crash hook so a crash armed for the next
-                # dispatch doesn't fire for an event this call will never
-                # dispatch.  A stale head at or past the bound also stops
-                # the loop — every live event behind it is at or past the
-                # bound too.
-                if until is not None and head >= until:
-                    return
-                if has_event_crashes:
-                    self._maybe_crash_at_event()
+            if has_event_crashes:
+                self._maybe_crash_at_event()
+            try:
                 event = pop()
-                t = event.time
-                if t < self._now - _EPS:
+            except SimulationError:  # the queue ran dry
+                return
+            time = event.time
+            if time != t:
+                # A new instant: monotonicity, horizon, `now`.
+                if time < self._now - _EPS:
                     raise SimulationError(
-                        f"time went backwards: {t} < {self._now}"
+                        f"time went backwards: {time} < {self._now}"
                     )
-                if event.kind is _END:
-                    self._now = t
-                    self._ended = True
-                    return
-                if t > horizon:
+                if time > horizon:
                     self._now = horizon
                     self._ended = True
                     return
-                self._now = t
-            else:
-                if has_event_crashes:
-                    self._maybe_crash_at_event()
-                event = pop()
-                if event.kind is _END:
-                    self._now = t
-                    self._ended = True
-                    return
+                self._now = t = time
 
-            if noop(event):
+            kind = event.kind
+            # A release is never a no-op.  A group exists when the next
+            # head shares the event's (time, kind); the kind is tested
+            # first, the head (the queue's head: EventQueue.peek_key) only
+            # then.
+            if kind is _RELEASE:
+                if (
+                    gather
+                    and heap
+                    and heap[0][0] == t
+                    and heap[0][1] == release_key
+                    and not self._batch_unsafe
+                ):
+                    self._dispatch_gathered(event, t, net)
+                    continue
+            elif noops[kind](event):
                 if octx is not None:
                     octx.metrics.counter("kernel.events.skipped_stale").inc()
-            # Gather check, cheapest test first: only when another event
-            # sits at exactly t can a group exist at all.
+                continue
+            elif kind is _END:
+                self._ended = True
+                return
             elif (
-                gather
-                and (
-                    (heap and heap[0][0] == t)
-                    or (seeded and seeded[-1][0] == t)
-                )
+                kind is _DEADLINE
+                and gather_deadlines
+                and heap
+                and heap[0][0] == t
+                and heap[0][1] == deadline_key
                 and not self._batch_unsafe
-                and (
-                    (
-                        event.kind is _RELEASE
-                        and peek_key() == (t, release_int)
-                    )
-                    or (
-                        event.kind is _DEADLINE
-                        and gather_deadlines
-                        and peek_key() == (t, deadline_int)
-                    )
-                )
             ):
                 self._dispatch_gathered(event, t, net)
+                continue
+            if journal is not None:
+                self._journal_event(event)
+            self._dispatch_count += 1
+            if octx is None:
+                handlers[kind](event, t)
             else:
-                if journal is not None:
-                    self._journal_event(event)
-                self._dispatch_count += 1
-                if octx is None:
-                    dispatch(event)
-                else:
-                    self._dispatch_observed(octx, event)
-                if watchdog is not None:
-                    watchdog.after_event(owner, event)
-                if (
-                    snapshot_every is not None
-                    and self._dispatch_count % snapshot_every == 0
-                ):
-                    self.checkpoint()
+                self._dispatch_observed(octx, event)
+            if watchdog is not None:
+                watchdog.after_event(owner, event)
+            if (
+                snapshot_every is not None
+                and self._dispatch_count % snapshot_every == 0
+            ):
+                self.checkpoint()
 
     def checkpoint(self) -> EngineSnapshot:
         """Take the periodic snapshot (draining into :attr:`history_sink`
@@ -1232,7 +1237,7 @@ class SchedulingKernel:
         gather time matches the pop-by-pop filter exactly."""
         kind = first.kind
         journal = self._journal
-        noop = self._event_is_noop
+        noop = self._noops[kind]
         base = self._dispatch_count
         if self._event_crashes:
             rest = self._pop_group_checked((t, int(kind)))
@@ -1243,7 +1248,7 @@ class SchedulingKernel:
         self._dispatch_count += 1
         group = [first]
         for event in rest:
-            if noop(event):
+            if kind is not _RELEASE and noop(event):
                 continue
             if journal is not None:
                 self._journal_event(event)
@@ -1409,7 +1414,7 @@ class SchedulingKernel:
             )
 
     def _dispatch_observed(self, octx, event: Event) -> None:
-        """The traced twin of the ``dispatch(event)`` call in
+        """The traced twin of the ``handlers[kind](event, t)`` call in
         :meth:`_run` — taken only when an observability session is
         active, so none of this code runs on the disabled path.
 
@@ -1597,7 +1602,8 @@ class SchedulingKernel:
             and r <= 1e-6 * max(1.0, job.workload)
             for s, r, job in zip(self._st, self._rem, self._table.jobs)
         )
-        self._current = [
+        # In place: the policy context holds the list (sim/engine.py).
+        self._current[:] = [
             None if jid is None else self._by_id[jid]
             for jid in snapshot.current_jids
         ]

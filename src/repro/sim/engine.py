@@ -58,6 +58,8 @@ invariant watchdog (:mod:`repro.sim.invariants`) observes every dispatch.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import getitem
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.capacity.base import CapacityFunction
@@ -81,26 +83,29 @@ class _KernelContext:
 
     Hot path: these methods fire on every scheduler decision, so they read
     the kernel's internals directly (``_now``, ``_current``) instead of
-    going through its property accessors — each avoided descriptor call is
-    one fewer Python frame per event.  ``remaining`` is the kernel's
-    bound :meth:`~repro.kernel.core.SchedulingKernel.remaining_of` itself,
-    stored on the instance at construction, so a remaining-work query
-    enters no forwarding frame.  The capacity list is immutable for the
-    kernel's lifetime, so it is cached at bind time.
+    going through its property accessors.  ``now`` (and the single
+    processor's ``current_job``) are C-level callables stored on the
+    instance at construction — ``partial(getattr, kernel, "_now")`` reads
+    the live attribute and executes no Python bytecode — and
+    ``remaining`` is the kernel's bound
+    :meth:`~repro.kernel.core.SchedulingKernel.remaining_of` itself, so a
+    query enters no forwarding frame.  The capacity list is immutable for
+    the kernel's lifetime, so it is cached at bind time.
     """
 
     def __init__(self, kernel: SchedulingKernel) -> None:
         self._kernel = kernel
         self._caps = kernel.capacities
         self.obs = kernel._obs  # None when observability is disabled
+        self.now = partial(getattr, kernel, "_now")
         self.remaining = kernel.remaining_of
 
+    # The two methods below are shadowed per instance (see __init__);
+    # they are defined here for the SchedulerContext interface.
     def now(self) -> float:
         return self._kernel._now
 
     def remaining(self, job: Job) -> float:
-        # Shadowed per instance by the bound kernel method (see __init__);
-        # defined here for the SchedulerContext interface.
         return self._kernel.remaining_of(job)
 
     def cancel_alarm(self, job: Job) -> None:
@@ -116,6 +121,8 @@ class _EngineContext(_KernelContext, SchedulerContext):
     def __init__(self, kernel: SchedulingKernel) -> None:
         super().__init__(kernel)
         self._cap = self._caps[0]  # processor 0 == the whole world
+        # The kernel fills its running-job list in place, never rebinds it.
+        self.current_job = partial(getitem, kernel._current, 0)
 
     def capacity_now(self) -> float:
         return self._cap.value(self._kernel._now)
@@ -126,6 +133,7 @@ class _EngineContext(_KernelContext, SchedulerContext):
         return (cap.lower, cap.upper)
 
     def current_job(self) -> Optional[Job]:
+        # Shadowed per instance (see __init__).
         return self._kernel._current[0]
 
     def set_alarm(self, job: Job, time: float, tag: str = "claxity") -> None:
@@ -195,9 +203,9 @@ class SimulationEngine:
         when a crash plan is armed, else off.
 
     Events wait in one binary heap; jobs not yet released wait beside it
-    as seeded release/deadline pairs in release order
-    (:meth:`repro.sim.events.EventQueue.seed`), so the heap holds only
-    released jobs' events and pops in the same order one heap would.
+    in release order (:meth:`repro.sim.events.EventQueue.seed`), so the
+    heap holds only released jobs' events and the next release, and pops
+    in the same order one heap would.
 
     Same-instant interrupt groups reach a ``batch_capable`` scheduler as
     one :meth:`~repro.sim.batchproto.BatchScheduler.plan` call whenever

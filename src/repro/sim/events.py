@@ -26,25 +26,30 @@ exactly because every entry's ``(time, kind, seq)`` key is unique.
 
 :class:`EventQueue` is one binary heap plus a *seeded run*.  In the
 paper's online model a job is invisible until its release interrupt, so
-the kernel does not heap a closed-horizon instance's (RELEASE, DEADLINE)
-pairs at bootstrap: it hands them to :meth:`EventQueue.seed`, which keeps
-them in release-key order beside the heap.  Every pop takes the smaller of
-the heap head and the next seeded release, and taking a seeded release
-pushes its deadline into the heap.  A job's deadline is strictly after its
-release (:class:`~repro.sim.job.Job` enforces it), so that deadline is in
-the heap before anything keyed after the release can pop: the merged pop
-order is exactly the one-heap ``(time, kind, seq)`` order, while the heap
-holds only released jobs' events (docs/PERFORMANCE.md, "Seeded
-release/deadline pairs").  Everything observable counts an unreleased pair
-as its two queued entries — ``len()``, :meth:`~EventQueue.dump`, the
-compaction trigger and the ``stale_hint`` clamp — so snapshots, journals
-and compaction match the one-heap queue byte for byte.
+the kernel does not heap a closed-horizon instance's releases and
+deadlines at bootstrap: it hands the jobs to :meth:`EventQueue.seed`,
+which keeps one ``(release, RELEASE, seq, job)`` entry per job in
+release-key order beside the heap.  Only the next seeded release is
+*staged* in the heap, as the entry ``(release, RELEASE, seq, event)``
+one heap would hold; when it pops, the job's deadline enters the heap
+under sequence number ``seq + 1`` and the following release is staged.
+The staged entry is the smallest seeded key, so the heap head is always
+the queue's head, and a job's deadline is strictly after its release
+(:class:`~repro.sim.job.Job` enforces it), so that deadline is in the
+heap before anything keyed after the release can pop: the pop order is
+exactly the one-heap ``(time, kind, seq)`` order, while the heap holds
+only released jobs' events and one release (docs/PERFORMANCE.md,
+"Seeded release/deadline pairs").  A seeded job's events are built when
+it is staged and when its release pops.  Everything observable counts an
+unreleased job as its two queued entries — ``len()``,
+:meth:`~EventQueue.dump` (which builds them as events), the compaction
+trigger and the ``stale_hint`` clamp — so snapshots, journals and
+compaction match the one-heap queue byte for byte.
 
-The two lists are public read-only attributes (:attr:`EventQueue.heap`,
-:attr:`EventQueue.seeded`): the kernel's run loop reads the head times
-off them instead of calling :meth:`~EventQueue.peek_time` per event.  Every
-method mutates them in place and never rebinds them, so a reader may hold
-them across pushes, pops, compactions and :meth:`~EventQueue.load`.
+The heap is a public read-only attribute (:attr:`EventQueue.heap`): the
+kernel's run loop reads the head off it where a decision needs it.  Every
+method mutates it in place and never rebinds it, so a reader may hold it
+across pushes, pops, compactions and :meth:`~EventQueue.load`.
 
 A bucketed calendar layout with the same pop order stays defined at the
 end of this module.  No run path builds it; it remains only while the
@@ -56,6 +61,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -135,15 +141,17 @@ class Event:
 #: compared.
 _Entry = Tuple[float, int, int, Event]
 
-#: Seeded-run entries are ``(release time, RELEASE, release seq, release
-#: event, deadline entry)``; the deadline entry is the heap entry
-#: ``(deadline time, DEADLINE, release seq + 1, deadline event)`` that
-#: enters the heap when the release pops.  Compared by the same unique
-#: prefix as heap entries, so the run and the heap head compare directly.
-_Seeded = Tuple[float, int, int, Event, _Entry]
+#: Seeded-run entries are ``(release time, RELEASE, release seq, job)``;
+#: the job's deadline entry ``(deadline, DEADLINE, release seq + 1,
+#: deadline event)`` enters the heap when the release pops.  Compared by
+#: the same unique prefix as heap entries, so the run and the heap head
+#: compare directly.
+_Seeded = Tuple[float, int, int, Any]
 
 _RELEASE = int(EventKind.RELEASE)
 _DEADLINE = int(EventKind.DEADLINE)
+_RELEASE_KIND = EventKind.RELEASE
+_DEADLINE_KIND = EventKind.DEADLINE
 
 
 class EventQueue:
@@ -159,84 +167,124 @@ class EventQueue:
 
     def __init__(self, stale: Callable[[Event], bool] | None = None) -> None:
         #: The binary heap of ``(time, int(kind), seq, event)`` entries;
-        #: its head is ``heap[0]``.  Read-only outside this class.
+        #: its head ``heap[0]`` is the queue's head.  Read-only outside
+        #: this class.
         self.heap: List[_Entry] = []
-        #: Unreleased seeded pairs in *descending* key order: the next
-        #: release is ``seeded[-1]``.  Read-only outside this class.
-        self.seeded: List[_Seeded] = []
+        # Unstaged seeded jobs' ``(release, RELEASE, seq, job)`` entries in
+        # *descending* key order (the next one is ``_seeded[-1]``), and
+        # the staged release's heap entry (None when nothing is staged).
+        self._seeded: List[_Seeded] = []
+        self._staged: Optional[_Entry] = None
         self._counter = itertools.count()
         self._stale = stale
         self._stale_hint = 0
+        # A lower bound on ``len(self) - stale_hint``: every pop takes one
+        # off, pushes leave it alone, and only when it drops below zero is
+        # the queued total counted again (the ``stale_hint`` clamp and the
+        # compaction trigger both compare the hint against this slack).
+        self._slack = 0
 
     def __len__(self) -> int:
-        return len(self.heap) + 2 * len(self.seeded)
+        # The staged job's deadline is not in the heap yet.
+        return (
+            len(self.heap) + 2 * len(self._seeded) + (self._staged is not None)
+        )
 
     def push(self, event: Event) -> None:
         if event.time != event.time:  # NaN guard
             raise SimulationError(f"event with NaN time: {event!r}")
-        seq = next(self._counter)
-        heapq.heappush(self.heap, (event.time, int(event.kind), seq, event))
+        heappush(
+            self.heap, (event.time, int(event.kind), next(self._counter), event)
+        )
 
-    def seed(self, pairs: Iterable[Tuple[Event, Event]]) -> None:
-        """Queue jobs' ``(RELEASE, DEADLINE)`` event pairs beside the heap.
+    def seed(self, jobs: Iterable[Any]) -> None:
+        """Queue unreleased jobs' releases and deadlines beside the heap.
 
-        Sequence numbers are assigned in iteration order — release ``s``,
-        deadline ``s + 1`` — exactly as pushing each pair would.  A pair's
-        deadline enters the heap only when its release pops.  Each
-        deadline must fall strictly after its release: that is what keeps
-        the merged pop order identical to one heap's (module docstring).
+        Each job takes two sequence numbers in iteration order — release
+        ``s``, deadline ``s + 1`` — exactly as pushing its
+        ``(RELEASE, DEADLINE)`` event pair would; both events carry the
+        job as payload.  A job's ``deadline`` must fall strictly after its
+        ``release`` (:class:`~repro.sim.job.Job` guarantees it): that is
+        what keeps the pop order identical to one heap's (module
+        docstring).
         """
-        counter = self._counter
-        run = self.seeded
-        for release, deadline in pairs:
-            if (
-                release.kind is not EventKind.RELEASE
-                or deadline.kind is not EventKind.DEADLINE
-            ):
-                raise SimulationError(
-                    f"seed takes (RELEASE, DEADLINE) pairs, got "
-                    f"({release.kind!r}, {deadline.kind!r})"
-                )
-            if not deadline.time > release.time:  # also rejects NaN
-                raise SimulationError(
-                    f"seeded deadline {deadline.time!r} is not after its "
-                    f"release {release.time!r}"
-                )
-            seq = next(counter)
-            run.append((
-                release.time, _RELEASE, seq, release,
-                (deadline.time, _DEADLINE, next(counter), deadline),
-            ))
+        base = self.next_seq
+        entries = [
+            (job.release, _RELEASE, seq, job)
+            for seq, job in zip(itertools.count(base, 2), jobs)
+        ]
+        self._counter = itertools.count(base + 2 * len(entries))
+        staged = self._staged
+        if staged is not None:
+            # Re-stage: the new jobs may release before the staged one.
+            heap = self.heap
+            heap.remove(staged)
+            heapq.heapify(heap)
+            entries.append(staged[:3] + (staged[3].payload,))
+        run = self._seeded
+        run.extend(entries)
         run.sort(reverse=True)
+        self._stage()
+
+    def _stage(self) -> None:
+        """Move the next seeded release into the heap, its event built."""
+        run = self._seeded
+        if run:
+            time, kind, seq, job = run.pop()
+            entry = (time, kind, seq, Event(time, _RELEASE_KIND, job))
+            heappush(self.heap, entry)
+            self._staged = entry
+        else:
+            self._staged = None
+
+    def _deadline_entry(self, release: _Entry) -> _Entry:
+        """The heap entry of a seeded release's deadline."""
+        job = release[3].payload
+        deadline = job.deadline
+        return (deadline, _DEADLINE, release[2] + 1, Event(deadline, _DEADLINE_KIND, job))
 
     def pop(self) -> Event:
-        heap = self.heap
-        seeded = self.seeded
-        if seeded and (not heap or seeded[-1] < heap[0]):
-            # The next seeded release; its deadline enters the heap.
-            entry = seeded.pop()
-            heapq.heappush(heap, entry[4])
-            event = entry[3]
-        elif heap:
-            event = heapq.heappop(heap)[3]
-        else:
-            raise SimulationError("pop from empty event queue")
-        if self._stale_hint:
-            # The popped entry may itself have been one of the hinted-dead
-            # ones; keep the hint an upper bound rather than letting it
-            # exceed the queued total.
-            queued = len(heap) + 2 * len(seeded)
-            if self._stale_hint > queued:
-                self._stale_hint = queued
-        return event
+        try:
+            entry = heappop(self.heap)
+        except IndexError:
+            raise SimulationError("pop from empty event queue") from None
+        if entry is self._staged:
+            # A seeded release: its deadline enters the heap, and the
+            # next release is staged (_deadline_entry and _stage, inline).
+            heap = self.heap
+            job = entry[3].payload
+            deadline = job.deadline
+            heappush(
+                heap,
+                (deadline, _DEADLINE, entry[2] + 1,
+                 Event(deadline, _DEADLINE_KIND, job)),
+            )
+            run = self._seeded
+            if run:
+                time, kind, seq, job = run.pop()
+                staged = (time, kind, seq, Event(time, _RELEASE_KIND, job))
+                heappush(heap, staged)
+                self._staged = staged
+            else:
+                self._staged = None
+        # The popped entry may itself have been one of the hinted-dead
+        # ones: keep the hint at most the queued total.
+        slack = self._slack - 1
+        self._slack = slack
+        if slack < 0:
+            self._clamp_hint()
+        return entry[3]
+
+    def _clamp_hint(self) -> None:
+        """Recount the slack; clamp the hint to the queued total."""
+        slack = len(self) - self._stale_hint
+        if slack < 0:
+            self._stale_hint += slack
+            slack = 0
+        self._slack = slack
 
     def peek_time(self) -> Optional[float]:
         heap = self.heap
-        seeded = self.seeded
-        if seeded:
-            time = seeded[-1][0]
-            if not heap or time < heap[0][0]:
-                return time
         return heap[0][0] if heap else None
 
     def peek_key(self) -> Optional[Tuple[float, int]]:
@@ -246,9 +294,6 @@ class EventQueue:
         kind)`` groups; like :meth:`peek_time` it sees stale entries too
         (the caller filters them exactly as the scalar loop would)."""
         heap = self.heap
-        seeded = self.seeded
-        if seeded and (not heap or seeded[-1] < heap[0]):
-            return (seeded[-1][0], _RELEASE)
         return (heap[0][0], heap[0][1]) if heap else None
 
     def pop_group(self, time: float, kind_int: int) -> List[Event]:
@@ -261,28 +306,20 @@ class EventQueue:
         come out too; the caller filters them exactly as the scalar loop
         would."""
         heap = self.heap
-        seeded = self.seeded
         out: List[Event] = []
-        heappop = heapq.heappop
-        while True:
-            if seeded and (not heap or seeded[-1] < heap[0]):
-                head = seeded[-1]
-                if head[0] != time or head[1] != kind_int:
-                    break
-                seeded.pop()
-                heapq.heappush(heap, head[4])
-                out.append(head[3])
-            elif heap:
-                head = heap[0]
-                if head[0] != time or head[1] != kind_int:
-                    break
-                out.append(heappop(heap)[3])
-            else:
+        while heap:
+            head = heap[0]
+            if head[0] != time or head[1] != kind_int:
                 break
-        if out and self._stale_hint:
-            self._stale_hint = min(
-                self._stale_hint, len(heap) + 2 * len(seeded)
-            )
+            entry = heappop(heap)
+            if entry is self._staged:
+                heappush(heap, self._deadline_entry(entry))
+                self._stage()
+            out.append(entry[3])
+        if out:
+            self._slack -= len(out)
+            if self._slack < 0:
+                self._clamp_hint()
         return out
 
     # -- compaction (lazy-deletion hygiene) ---------------------------------
@@ -296,12 +333,17 @@ class EventQueue:
         Returns the number of entries removed (0 when no compaction was
         triggered).
         """
-        self._stale_hint += int(n)
-        if (
-            self._stale is not None
-            and self._stale_hint * 2 > len(self.heap) + 2 * len(self.seeded)
-        ):
-            return self.compact()
+        hint = self._stale_hint + n
+        self._stale_hint = hint
+        slack = self._slack - n
+        self._slack = slack
+        # hint * 2 > len(self)  <=>  hint > len(self) - hint; the recorded
+        # slack is a lower bound, so recount before compacting.
+        if hint > slack and self._stale is not None:
+            slack = len(self) - hint
+            self._slack = slack
+            if hint > slack:
+                return self.compact()
         return 0
 
     def compact(self) -> int:
@@ -310,18 +352,22 @@ class EventQueue:
         Safe at any point: pop order is fully determined by the unique
         ``(time, kind, seq)`` keys, so removing dead entries and rebuilding
         the heap never changes which live event comes out next.  Only the
-        heap is filtered: a seeded pair is never stale (a release never
-        is, and an unreleased job's deadline is not).
+        heap is filtered, and the staged release always stays: a seeded
+        job is never stale (a release never is, and an unreleased job's
+        deadline is not).
         """
-        if self._stale is None:
-            self._stale_hint = 0
-            return 0
         heap = self.heap
         stale = self._stale
         before = len(heap)
-        heap[:] = [entry for entry in heap if not stale(entry[3])]
-        heapq.heapify(heap)
+        if stale is not None:
+            staged = self._staged
+            heap[:] = [
+                entry for entry in heap
+                if entry is staged or not stale(entry[3])
+            ]
+            heapq.heapify(heap)
         self._stale_hint = 0
+        self._slack = len(self)
         return before - len(heap)
 
     # -- snapshot support ---------------------------------------------------
@@ -331,12 +377,16 @@ class EventQueue:
 
         Used by engine snapshots; pair with :meth:`load` and
         :attr:`next_seq` / :attr:`stale_hint` to rebuild an identical queue.
-        Unreleased seeded pairs appear as their two entries.
+        An unreleased job appears as its two entries, with its events
+        built here.
         """
         entries = list(self.heap)
-        for time, kind, seq, release, deadline_entry in self.seeded:
-            entries.append((time, kind, seq, release))
-            entries.append(deadline_entry)
+        if self._staged is not None:
+            entries.append(self._deadline_entry(self._staged))
+        for time, kind, seq, job in self._seeded:
+            release = (time, kind, seq, Event(time, _RELEASE_KIND, job))
+            entries.append(release)
+            entries.append(self._deadline_entry(release))
         entries.sort()
         return entries
 
@@ -355,9 +405,11 @@ class EventQueue:
         """
         self.heap[:] = entries
         heapq.heapify(self.heap)
-        self.seeded.clear()
+        self._seeded.clear()
+        self._staged = None
         self._counter = itertools.count(int(next_seq))
         self._stale_hint = int(stale_hint)
+        self._slack = len(self.heap) - self._stale_hint
 
     @property
     def next_seq(self) -> int:
@@ -432,11 +484,12 @@ class CalendarEventQueue(EventQueue):
         for event in events:
             self.push(event)
 
-    def seed(self, pairs: Iterable[Tuple[Event, Event]]) -> None:
-        """Buckets hold every entry: a seeded pair is simply pushed."""
-        for release, deadline in pairs:
-            self.push(release)
-            self.push(deadline)
+    def seed(self, jobs: Iterable[Any]) -> None:
+        """Buckets hold every entry: a seeded job's two events are
+        simply pushed."""
+        for job in jobs:
+            self.push(Event(job.release, _RELEASE_KIND, job))
+            self.push(Event(job.deadline, _DEADLINE_KIND, job))
 
     def _place(self, entry: _Entry) -> None:
         idx = self._bucket_of(entry[0])

@@ -9,10 +9,13 @@ Monte-Carlo replications without copying.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import InvalidInstanceError
+
+_INF = math.inf
 
 __all__ = [
     "Job",
@@ -78,6 +81,11 @@ class Job:
         Firm deadline ``d_i``; completing after it yields zero value.
     value:
         Value ``v_i`` accrued if and only if the job completes by ``d_i``.
+
+    Every number must be a number: NaN is refused in every field, and
+    ``release``, ``workload`` and ``value`` must be finite (a NaN or
+    infinite release is never reached, a NaN workload never completes
+    and a NaN value poisons every total).  An infinite deadline is legal.
     """
 
     jid: int
@@ -87,23 +95,30 @@ class Job:
     value: float
 
     def __post_init__(self) -> None:
-        if self.workload <= 0.0:
+        # Each test is written so that NaN fails it (every comparison with
+        # NaN is false); the upper bounds refuse infinities.  An infinite
+        # release fails the deadline test.
+        if not 0.0 < self.workload < _INF:
             raise InvalidInstanceError(
-                f"job {self.jid}: workload must be positive, got {self.workload!r}"
+                f"job {self.jid}: workload must be positive and finite, "
+                f"got {self.workload!r}"
             )
-        if self.value < 0.0:
+        if not 0.0 <= self.value < _INF:
             raise InvalidInstanceError(
-                f"job {self.jid}: value must be non-negative, got {self.value!r}"
+                f"job {self.jid}: value must be non-negative and finite, "
+                f"got {self.value!r}"
             )
-        if self.deadline <= self.release:
+        if not self.deadline > self.release:
             raise InvalidInstanceError(
                 f"job {self.jid}: deadline {self.deadline!r} not after "
                 f"release {self.release!r}"
             )
-        if self.release < 0.0:
+        if not self.release >= 0.0:
             raise InvalidInstanceError(
                 f"job {self.jid}: negative release time {self.release!r}"
             )
+        if self.jid != self.jid:
+            raise InvalidInstanceError(f"job id is NaN: {self.jid!r}")
 
     # ------------------------------------------------------------------
     @property

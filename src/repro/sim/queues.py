@@ -14,8 +14,9 @@ tombstones it creates and, when they outnumber the live entries
 (churn ratio > 1/2, the same trigger :class:`repro.sim.events.EventQueue`
 uses for stale events), rebuilds the heap from the surviving entries —
 preserving each entry's original insertion counter so tie-break order is
-untouched.  This bounds the heap at ~2× the live size regardless of how
-long the run churns.
+untouched; :meth:`JobQueue.dequeue` applies the same trigger.  When the
+last live entry leaves, the heap is simply cleared.  This bounds the heap
+at 2× the live size regardless of how long the run churns.
 
 Orderings (paper, Section III-D):
 
@@ -69,6 +70,10 @@ class JobQueue(Generic[E]):
 
     Heap items are ``(key, counter, jid, entry)``: the jid rides in the
     item, so purging, dequeuing and compaction never re-extract the job.
+
+    :attr:`live` maps each member's jid to its entry; it is read-only
+    outside this class, and policies test emptiness and membership on it
+    directly (a dict test enters no Python frame).
     """
 
     def __init__(
@@ -82,29 +87,31 @@ class JobQueue(Generic[E]):
         self._entry_job = entry_job
         self._name = name
         self._heap: list[tuple[tuple, int, int, E]] = []
-        self._live: dict[int, E] = {}  # jid -> current entry
+        #: jid -> current entry of every live member.  Read-only outside
+        #: this class; mutated only in place.
+        self.live: dict[int, E] = {}
         self._counter = itertools.count()
         self._tombstones = 0  # dead heap entries not yet purged
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self.live)
 
     def __bool__(self) -> bool:
-        return bool(self._live)
+        return bool(self.live)
 
     def __contains__(self, job: Job) -> bool:
-        return job.jid in self._live
+        return job.jid in self.live
 
     def jobs(self) -> Iterator[Job]:
         """Iterate over live member jobs (heap order not guaranteed)."""
         if self._entry_job is None:
-            return iter(self._live.values())
-        return map(self._entry_job, self._live.values())
+            return iter(self.live.values())
+        return map(self._entry_job, self.live.values())
 
     def entries(self) -> Iterator[E]:
         """Iterate over live entries (heap order not guaranteed)."""
-        yield from self._live.values()
+        return iter(self.live.values())
 
     def live_jids(self) -> list[int]:
         """Sorted jids of live members.
@@ -113,7 +120,7 @@ class JobQueue(Generic[E]):
         policy-state capture — avoids materialising Job views just to read
         their ``jid``.
         """
-        return sorted(self._live)
+        return sorted(self.live)
 
     @property
     def heap_size(self) -> int:
@@ -125,11 +132,11 @@ class JobQueue(Generic[E]):
         """Insert an entry; its job must not already be a member."""
         job = entry if self._entry_job is None else self._entry_job(entry)
         jid = job.jid
-        if jid in self._live:
+        if jid in self.live:
             raise SchedulingError(
                 f"{self._name}: job {jid} inserted twice"
             )
-        self._live[jid] = entry
+        self.live[jid] = entry
         heapq.heappush(
             self._heap, (self._key(job), next(self._counter), jid, entry)
         )
@@ -137,7 +144,7 @@ class JobQueue(Generic[E]):
     def _purge(self) -> None:
         """Drop tombstoned heap entries from the top."""
         heap = self._heap
-        live = self._live
+        live = self.live
         while heap:
             item = heap[0]
             if live.get(item[2]) is item[3]:
@@ -155,24 +162,39 @@ class JobQueue(Generic[E]):
     def dequeue(self) -> E:
         """The paper's ``Dequeue``: pop and return the best entry."""
         self._purge()
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise SchedulingError(f"{self._name}: dequeue() on empty queue")
-        _, _, jid, entry = heapq.heappop(self._heap)
-        del self._live[jid]
+        _, _, jid, entry = heapq.heappop(heap)
+        live = self.live
+        del live[jid]
+        if self._tombstones:
+            # The same hygiene as remove(): the live share just shrank.
+            if not live:
+                heap.clear()
+                self._tombstones = 0
+            elif self._tombstones * 2 > len(heap):
+                self.compact()
         return entry
 
     def remove(self, job: Job) -> Optional[E]:
         """Remove ``job``'s entry if present; return it (else ``None``).
 
         O(1) amortised: the heap copy becomes a tombstone purged lazily,
-        and when tombstones outnumber live entries the heap is compacted
-        (see module docstring).
+        and when tombstones outnumber live entries the heap is compacted —
+        or, when no live entry is left, cleared (see module docstring).
         """
-        entry = self._live.pop(job.jid, None)
+        live = self.live
+        entry = live.pop(job.jid, None)
         if entry is not None:
-            self._tombstones += 1
-            if self._tombstones * 2 > len(self._heap):
-                self.compact()
+            if not live:
+                # The last live entry left: every heap item is dead.
+                self._heap.clear()
+                self._tombstones = 0
+            else:
+                self._tombstones += 1
+                if self._tombstones * 2 > len(self._heap):
+                    self.compact()
         return entry
 
     def compact(self) -> int:
@@ -184,7 +206,7 @@ class JobQueue(Generic[E]):
         ``first``/``dequeue`` result — is exactly what it would have been
         without compaction.
         """
-        live = self._live
+        live = self.live
         before = len(self._heap)
         self._heap = [
             item for item in self._heap if live.get(item[2]) is item[3]
@@ -201,19 +223,19 @@ class JobQueue(Generic[E]):
         ``dequeue()`` calls, each of which re-purges tombstones from the
         top of a shrinking heap.
         """
-        live = self._live
+        live = self.live
         kept = [item for item in self._heap if live.get(item[2]) is item[3]]
         # (key, counter) is unique, so entries themselves are never compared.
         kept.sort()
         self._heap.clear()
-        self._live.clear()
+        self.live.clear()
         self._tombstones = 0
         return [item[3] for item in kept]
 
     def clear(self) -> None:
-        self._live.clear()
+        self.live.clear()
         self._heap.clear()
         self._tombstones = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"JobQueue({self._name}, size={len(self._live)})"
+        return f"JobQueue({self._name}, size={len(self.live)})"

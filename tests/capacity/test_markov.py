@@ -1,5 +1,8 @@
 """Unit tests for the Markov-modulated capacity models."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,69 @@ class TestPath:
         rates = [r for _, _, r in cap.pieces(0.0, 50.0)]
         for r0, r1 in zip(rates, rates[1:]):
             assert r0 != r1  # two-state chain must alternate
+
+
+class TestFrontier:
+    """The indexed queries extend the path through one frontier
+    comparison (PrefixIndexedCapacity's extension contract)."""
+
+    def test_frontier_growth_matches_pointwise_growth(self):
+        """Out-of-order queries that grow the path through the frontier
+        check leave the same breakpoints and prefix sums as a same-seed
+        path grown point by point in time order."""
+        rng = np.random.default_rng(4)
+        ts = [float(t) for t in rng.uniform(0.0, 300.0, size=200)]
+        ts += [0.0, 300.0]
+        rng.shuffle(ts)
+        grown = TwoStateMarkovCapacity(1.0, 35.0, mean_sojourn=2.0, rng=41)
+        got = {}
+        for k, t in enumerate(ts):
+            # Interleave the other indexed queries that grow the path.
+            if k % 3 == 1:
+                grown.advance_from(t, grown.cumulative(t), 5.0)
+            elif k % 3 == 2:
+                grown.advance(t, 0.5, horizon=t + 0.5)
+            got[t] = grown.cumulative(t)
+        reference = TwoStateMarkovCapacity(1.0, 35.0, mean_sojourn=2.0, rng=41)
+        reach = max(
+            max(ts), max(t + 5.0 for t in ts[1::3]), max(t + 0.5 for t in ts[2::3])
+        )
+        for t in sorted(ts) + [reach]:
+            reference._materialize(t)
+        assert grown.breakpoints_materialized == reference.breakpoints_materialized
+        assert all(got[t] == reference.cumulative(t) for t in ts)
+        grown.check_index_invariants()
+
+    def test_queries_inside_the_frontier_do_not_call_the_hook(self, monkeypatch):
+        cap = TwoStateMarkovCapacity(1.0, 35.0, mean_sojourn=2.0, rng=43)
+        cap.cumulative(100.0)
+        assert cap._frontier > 100.0
+        calls = []
+        monkeypatch.setattr(cap, "_materialize", calls.append)
+        for t in np.linspace(0.0, 100.0, 51):
+            cap.cumulative(float(t))
+            cap.advance_from(
+                float(t), cap.cumulative(float(t)), 1e-3, horizon=100.0
+            )
+        assert calls == []
+        cap.cumulative(cap._frontier)
+        assert calls == [cap._frontier]
+
+
+    def test_state_without_the_rate_column_loads(self):
+        """A path pickled before the index kept its ``_rates`` column
+        rebuilds it from the states and answers the same queries."""
+        cap = TwoStateMarkovCapacity(1.0, 35.0, mean_sojourn=2.0, rng=47)
+        cap.cumulative(60.0)
+        old = copy.deepcopy(cap.__dict__)
+        del old["_rates"]
+        loaded = TwoStateMarkovCapacity.__new__(TwoStateMarkovCapacity)
+        loaded.__setstate__(old)
+        assert loaded._rates == cap._rates
+        loaded.check_index_invariants()
+        again = pickle.loads(pickle.dumps(loaded))
+        for t in (10.0, 59.0, 120.0):
+            assert loaded.cumulative(t) == again.cumulative(t) == cap.cumulative(t)
 
 
 class TestQueries:

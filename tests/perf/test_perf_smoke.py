@@ -24,6 +24,7 @@ from repro.capacity import (
     crosscheck_index,
     naive_advance,
     naive_integrate,
+    prefix,
 )
 from repro.core import EDFScheduler, VDoverScheduler
 from repro.experiments import (
@@ -59,24 +60,31 @@ class TestIndexedVsNaiveAgreement:
 
 class _StepCounter:
     """Counts a capacity's query work per call: pieces walked by the
-    linear scan (:meth:`pieces`) plus index lookups
-    (:meth:`segment_index`, one bisect each)."""
+    linear scan (:meth:`pieces`) plus the bisects the prefix index
+    performs (``bisect_left``/``bisect_right`` as
+    :mod:`repro.capacity.prefix` calls them, one index lookup each)."""
 
     def __init__(self, cap, monkeypatch):
         self.steps = 0
-        pieces, segment_index = cap.pieces, cap.segment_index
+        pieces = cap.pieces
 
         def counted_pieces(t0, t1):
             for piece in pieces(t0, t1):
                 self.steps += 1
                 yield piece
 
-        def counted_segment_index(t):
-            self.steps += 1
-            return segment_index(t)
+        def counted(bisect):
+            def lookup(*args):
+                self.steps += 1
+                return bisect(*args)
+
+            return lookup
 
         monkeypatch.setattr(cap, "pieces", counted_pieces)
-        monkeypatch.setattr(cap, "segment_index", counted_segment_index)
+        for name in ("bisect_left", "bisect_right"):
+            monkeypatch.setattr(
+                prefix, name, counted(getattr(prefix, name))
+            )
 
     def run(self, fn, queries):
         """``(results, steps per query, wall seconds)`` of ``fn`` over
@@ -89,9 +97,12 @@ class _StepCounter:
 
 
 #: Index lookups a deep indexed query may take (``advance`` and
-#: ``integrate`` each resolve two prefix sums).  The naive scan walks
-#: hundreds of pieces for the same queries and must fail this bound.
+#: ``integrate`` each bisect twice).  The naive scan walks hundreds of
+#: pieces for the same queries and must fail this bound.
 MAX_STEPS_PER_QUERY = 2
+#: Every indexed query looks the index up at least once, so a counter
+#: that stopped seeing the lookups (reading 0) fails.
+MIN_STEPS_PER_QUERY = 1
 
 
 class TestIndexedBeatsNaive:
@@ -116,7 +127,7 @@ class TestIndexedBeatsNaive:
         # `target − W[i]` by rounding order (≤ ~1 ulp).
         for f, s in zip(fast, slow):
             assert f == pytest.approx(s, rel=1e-12)
-        assert fast_steps <= MAX_STEPS_PER_QUERY
+        assert MIN_STEPS_PER_QUERY <= fast_steps <= MAX_STEPS_PER_QUERY
         assert slow_steps > 100 * MAX_STEPS_PER_QUERY
 
     def test_deep_integrate_is_faster(
@@ -134,7 +145,7 @@ class TestIndexedBeatsNaive:
 
         for f, s in zip(fast, slow):
             assert f == pytest.approx(s, rel=1e-9)
-        assert fast_steps <= MAX_STEPS_PER_QUERY
+        assert MIN_STEPS_PER_QUERY <= fast_steps <= MAX_STEPS_PER_QUERY
         assert slow_steps > 100 * MAX_STEPS_PER_QUERY
 
 

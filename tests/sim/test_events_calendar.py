@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import CalendarEventQueue, Event, EventKind, EventQueue
+from repro.sim.job import Job
 
 
 def _random_events(rng, n, span=100.0):
@@ -73,20 +74,15 @@ class TestPopOrderEquivalence:
 
     def test_seed_matches_heap(self):
         rng = random.Random(17)
-        pairs = []
+        jobs = []
         for j in range(50):
             release = float(rng.randrange(0, 10))
             deadline = release + rng.randrange(1, 5)
-            pairs.append(
-                (
-                    Event(release, EventKind.RELEASE, payload=j),
-                    Event(deadline, EventKind.DEADLINE, payload=j),
-                )
-            )
+            jobs.append(Job(j, release, 1.0, deadline, 1.0))
         heap = EventQueue()
         cal = CalendarEventQueue(bucket_width=2.0)
-        heap.seed(pairs)
-        cal.seed(pairs)
+        heap.seed(jobs)
+        cal.seed(jobs)
         assert len(cal) == len(heap) == 100
         assert cal.next_seq == heap.next_seq
         assert [cal.pop() for _ in range(100)] == [heap.pop() for _ in range(100)]

@@ -19,6 +19,7 @@ from repro.errors import SimulationError
 from repro.sim import InvariantWatchdog, simulate
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.invariants import InvariantMonitor
+from repro.sim.job import Job
 from repro.workload.poisson import PoissonWorkload
 
 
@@ -71,9 +72,9 @@ class TestCompactUnit:
 
     def test_pop_keeps_hint_bounded_by_heap(self):
         q = EventQueue(stale=lambda e: False)
-        q.push(_event(0.0))
-        q.push(_event(1.0))
-        q._stale_hint = 99  # simulate an overcounted hint
+        # An overcounted hint, as a restore may load it.
+        q.load([(0.0, 4, 0, _event(0.0)), (1.0, 4, 1, _event(1.0))], 2, 99)
+        assert q.stale_hint == 99
         q.pop()
         assert q.stale_hint <= len(q)
 
@@ -93,18 +94,16 @@ class TestCompactUnit:
             EventQueue().push(_event(float("nan")))
 
     def test_compact_and_load_keep_the_lists(self):
-        """The kernel's run loop holds ``heap`` and ``seeded`` for a whole
-        call: compaction and restore must mutate them, never rebind."""
+        """The kernel's run loop holds ``heap`` for a whole call:
+        compaction and restore must mutate it, never rebind."""
         q = EventQueue(stale=lambda e: e.payload == "dead")
-        heap, seeded = q.heap, q.seeded
-        q.seed([
-            (_event(1.0, EventKind.RELEASE), _event(2.0, EventKind.DEADLINE))
-        ])
+        heap = q.heap
+        q.seed([Job(0, 1.0, 1.0, 2.0, 1.0)])
         for i in range(4):
             q.push(_event(float(i), payload="dead" if i % 2 else "live"))
         assert q.compact() == 2
         q.load(q.dump(), q.next_seq)
-        assert q.heap is heap and q.seeded is seeded
+        assert q.heap is heap
         assert [q.pop().time for _ in range(len(q))] == [0.0, 1.0, 2.0, 2.0]
 
 
@@ -193,13 +192,13 @@ def test_multi_engine_heap_bounded_under_alarm_churn(policy):
 
 
 # ----------------------------------------------------------------------
-# Compaction and restore under the run loop's aliases of the queue lists
+# Compaction and restore under the run loop's alias of the queue heap
 # ----------------------------------------------------------------------
 class _Compactor(InvariantMonitor):
     """Test probe: compacts the kernel's event queue after every
     dispatched event, so compaction lands between a dispatch and the run
-    loop's next read of the queue head (``EventQueue.heap`` /
-    ``seeded``, which the loop holds for the whole call)."""
+    loop's next read of the queue head (``EventQueue.heap``, which the
+    loop holds for the whole call)."""
 
     name = "compactor"
 

@@ -1,12 +1,15 @@
 """Seeded release/deadline pairs ≡ one binary heap.
 
-:meth:`EventQueue.seed` keeps unreleased jobs' (RELEASE, DEADLINE) pairs
-beside the heap and pushes a deadline only when its release pops.  The
-licence for that is a differential property: against a plain one-heap
-queue (the layout where bootstrap pushed every pair), any interleaving of
-seeding, dynamic pushes, pops, group pops, stale hints that trip
-compaction and a dump → load round trip yields the same pop sequence,
-``len()``, ``stale_hint``, ``next_seq`` and ``dump()`` after every step.
+:meth:`EventQueue.seed` keeps unreleased jobs beside the heap, stages
+only the next release in it and pushes a deadline only when its release
+pops.  The licence for that is a differential property: against a plain
+one-heap queue (the layout where bootstrap pushed every job's
+(RELEASE, DEADLINE) pair), any interleaving of seeding, dynamic pushes,
+pops, group pops, stale hints that trip compaction and a dump → load
+round trip yields the same pop sequence, ``len()``, ``stale_hint``,
+``next_seq`` and ``dump()`` after every step.  The queue builds a seeded
+job's events itself, so they compare equal to the reference's, not
+identical.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import InvalidInstanceError
 from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.job import Job
 
 pytestmark = pytest.mark.batchproto_smoke
 
@@ -145,17 +149,14 @@ def test_seeded_queue_matches_one_heap(jobs, ops):
     stale = lambda event: event.payload in dead  # noqa: E731
     queue, ref = EventQueue(stale), OneHeap(stale)
 
-    pairs = [
-        (
-            Event(release, EventKind.RELEASE, ("job", j)),
-            Event(deadline, EventKind.DEADLINE, ("job", j)),
-        )
+    seeded = [
+        Job(j, release, 1.0, deadline, 1.0)
         for j, (release, deadline) in enumerate(jobs)
     ]
-    queue.seed(pairs)
-    for release, deadline in pairs:
-        ref.push(release)
-        ref.push(deadline)
+    queue.seed(seeded)
+    for job in seeded:
+        ref.push(Event(job.release, EventKind.RELEASE, job))
+        ref.push(Event(job.deadline, EventKind.DEADLINE, job))
     end = Event(PAST_HORIZON + 1.0, EventKind.END)
     queue.push(end)
     ref.push(end)
@@ -175,20 +176,20 @@ def test_seeded_queue_matches_one_heap(jobs, ops):
             killable.append(event.payload)
         elif op[0] == "pop" and len(ref):
             got, want = queue.pop(), ref.pop()
-            assert got is want
+            assert got == want
             now = got.time
-            if got.kind is EventKind.RELEASE and got.payload[0] == "job":
+            if got.kind is EventKind.RELEASE and isinstance(got.payload, Job):
                 killable.append(got.payload)
         elif op[0] == "group" and len(ref):
             key = ref.peek_key()
             got, want = queue.pop_group(*key), ref.pop_group(*key)
             assert len(got) == len(want) >= 1
-            assert all(a is b for a, b in zip(got, want))
+            assert got == want
             now = key[0]
             killable.extend(
                 e.payload
                 for e in got
-                if e.kind is EventKind.RELEASE and e.payload[0] == "job"
+                if e.kind is EventKind.RELEASE and isinstance(e.payload, Job)
             )
         elif op[0] == "stale" and killable:
             marked = killable[: op[1]]
@@ -204,21 +205,16 @@ def test_seeded_queue_matches_one_heap(jobs, ops):
         _assert_same(queue, ref)
 
     while len(ref):
-        assert queue.pop() is ref.pop()
+        assert queue.pop() == ref.pop()
         _assert_same(queue, ref)
 
 
 class TestSeedContract:
     def test_len_counts_unreleased_pairs(self):
         q = EventQueue()
-        q.seed(
-            [
-                (Event(1.0, EventKind.RELEASE, j), Event(3.0, EventKind.DEADLINE, j))
-                for j in range(3)
-            ]
-        )
+        q.seed([Job(j, 1.0, 1.0, 3.0, 1.0) for j in range(3)])
         assert len(q) == 6 and q.next_seq == 6
-        assert q.pop().payload == 0
+        assert q.pop().payload.jid == 0
         # The released job's deadline now sits in the heap.
         assert len(q) == 6 - 1
         assert [e.kind for e in q.pop_group(1.0, int(EventKind.RELEASE))] == [
@@ -228,14 +224,37 @@ class TestSeedContract:
 
     @pytest.mark.parametrize("deadline", [1.0, 0.5, float("nan")])
     def test_deadline_must_follow_release(self, deadline):
-        pair = (
-            Event(1.0, EventKind.RELEASE, 0),
-            Event(deadline, EventKind.DEADLINE, 0),
-        )
-        with pytest.raises(SimulationError, match="not after"):
-            EventQueue().seed([pair])
+        # Seeding relies on it, and Job enforces it: no such job exists.
+        with pytest.raises(InvalidInstanceError):
+            EventQueue().seed([Job(0, 1.0, 1.0, deadline, 1.0)])
 
     def test_pairs_must_be_release_then_deadline(self):
-        pair = (Event(1.0, EventKind.TIMER, 0), Event(2.0, EventKind.DEADLINE, 0))
-        with pytest.raises(SimulationError, match="pairs"):
-            EventQueue().seed([pair])
+        job = Job(0, 1.0, 1.0, 2.0, 1.0)
+        q = EventQueue()
+        q.seed([job])
+        assert q.pop() == Event(1.0, EventKind.RELEASE, job)
+        assert q.pop() == Event(2.0, EventKind.DEADLINE, job)
+        assert len(q) == 0
+
+    def test_second_seed_restages(self):
+        """Seeding again, with jobs that release before the staged one,
+        pops in the one-heap order (the staged release goes back to the
+        run)."""
+        first = [Job(j, 5.0 - j, 1.0, 9.0, 1.0) for j in range(3)]
+        later = [Job(3 + j, 1.0 + 2.0 * j, 1.0, 4.0 + j, 1.0) for j in range(3)]
+        timer = Event(2.5, EventKind.TIMER, "t")
+        q, ref = EventQueue(), OneHeap(stale=None)
+        q.seed(first)
+        q.push(timer)
+        q.seed(later)
+        for job in first:
+            ref.push(Event(job.release, EventKind.RELEASE, job))
+            ref.push(Event(job.deadline, EventKind.DEADLINE, job))
+        ref.push(timer)
+        for job in later:
+            ref.push(Event(job.release, EventKind.RELEASE, job))
+            ref.push(Event(job.deadline, EventKind.DEADLINE, job))
+        _assert_same(q, ref)
+        while len(ref):
+            assert q.pop() == ref.pop()
+            _assert_same(q, ref)

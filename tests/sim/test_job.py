@@ -1,5 +1,7 @@
 """Unit tests for the Job model."""
 
+import math
+
 import pytest
 
 from repro.errors import InvalidInstanceError
@@ -34,6 +36,35 @@ class TestValidation:
 
     def test_zero_value_allowed(self):
         Job(0, 0.0, 1.0, 2.0, 0.0)  # worthless but legal
+
+    def test_infinite_deadline_allowed(self):
+        assert Job(0, 0.0, 1.0, math.inf, 1.0).deadline == math.inf
+
+    def test_nan_jid_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            Job(math.nan, 0.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_release_rejected(self, bad):
+        # A NaN or infinite release is never reached: the job's value
+        # would silently vanish from the run.
+        with pytest.raises(InvalidInstanceError):
+            Job(0, bad, 1.0, math.inf, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_workload_rejected(self, bad):
+        with pytest.raises(InvalidInstanceError):
+            Job(0, 0.0, bad, 2.0, 1.0)
+
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            Job(0, 0.0, 1.0, math.nan, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # A NaN value would make every total NaN.
+        with pytest.raises(InvalidInstanceError):
+            Job(0, 0.0, 1.0, 2.0, bad)
 
 
 class TestDerived:

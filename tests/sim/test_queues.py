@@ -1,5 +1,6 @@
 """Unit tests for the scheduler job queues (Qedf/Qother/Qsupp semantics)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
@@ -171,6 +172,47 @@ class TestCompaction:
         assert len(q) == 16
         assert high_water <= 2 * 17 + 1
         assert [j.jid for j in q.drain()] == list(range(16))
+
+    def test_emptying_a_one_item_queue_does_not_compact(self, monkeypatch):
+        """The last live entry leaving clears the heap outright, without
+        rebuilding a one-item heap."""
+        q = JobQueue(edf_key)
+        calls = []
+        compact = q.compact
+        monkeypatch.setattr(q, "compact", lambda: calls.append(1) or compact())
+        for jid in range(50):
+            job = J(jid, 1.0)
+            q.insert(job)
+            assert q.remove(job) is job
+            assert q.heap_size == 0
+            q.insert(job)
+            assert q.dequeue() is job
+            assert q.heap_size == 0
+        assert calls == []
+
+    def test_heap_bounded_under_random_churn(self):
+        """Random inserts, removals (present and absent), re-inserts,
+        dequeues and peeks: after every step the heap holds at most
+        2 × live + 1 items, and the surviving order is untouched."""
+        rng = np.random.default_rng(2027)
+        q = JobQueue(edf_key)
+        members: dict[int, Job] = {}
+        for step in range(4000):
+            op = rng.integers(5)
+            jid = int(rng.integers(40))
+            if op <= 1 and jid not in members:
+                members[jid] = J(jid, float(rng.integers(1, 9)))
+                q.insert(members[jid])
+            elif op == 2:
+                assert q.remove(J(jid, 1.0)) is members.pop(jid, None)
+            elif op == 3 and members:
+                best = min(members.values(), key=edf_key)
+                assert q.dequeue() is members.pop(best.jid)
+            elif members:
+                assert q.first() is min(members.values(), key=edf_key)
+            assert len(q) == len(members)
+            assert q.heap_size <= 2 * len(q) + 1, step
+        assert q.drain() == sorted(members.values(), key=edf_key)
 
     def test_compaction_preserves_tie_break_order(self):
         """Surviving entries keep their insertion counters, so equal-key
